@@ -24,9 +24,12 @@ type Conn struct {
 	ctx context.Context // active query context (QueryContext/ExecContext)
 
 	// LastTrace holds the MAL instruction trace of the last query when
-	// TraceMAL is set (EXPLAIN-style introspection and tests).
+	// TraceMAL is set (EXPLAIN-style introspection and tests), LastPlan the
+	// optimized plan it executed (read-only: it may be shared through the
+	// plan cache).
 	TraceMAL  bool
 	LastTrace *mal.Program
+	LastPlan  plan.Node
 
 	// NoJoinReorder keeps the written join order (predicates still push
 	// down). A debugging/baseline knob: queries bound with it bypass the
@@ -283,6 +286,9 @@ func (c *Conn) runInTxn(stmt sqlparse.Statement, tx *txn.Txn, params []mtypes.Va
 			if pcKey != "" {
 				c.db.pc.putPlan(pcKey, q, schema, stats)
 			}
+		}
+		if c.TraceMAL {
+			c.LastPlan = q.Plan
 		}
 		er, err := eng.Execute(q.Plan)
 		if err != nil {

@@ -140,6 +140,68 @@ func TestCancelParallelJoin(t *testing.T) {
 	}
 }
 
+// pollCtx reports cancellation from its cancelAt-th Done() poll on and counts
+// every poll, so a test can tell how much work ran after the cancel without a
+// clock. For single-goroutine (serial engine) use.
+type pollCtx struct {
+	context.Context
+	cancelAt, polls int
+	done            chan struct{}
+}
+
+func (c *pollCtx) Done() <-chan struct{} {
+	c.polls++
+	if c.polls == c.cancelAt {
+		close(c.done)
+	}
+	return c.done
+}
+
+func (c *pollCtx) Err() error {
+	select {
+	case <-c.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+// A cross product polls for cancellation once per block of outer rows and
+// stops at the first poll that sees it: no pair is enumerated after the
+// cancel, and at most one block's worth between the cancel and that poll.
+func TestCancelCrossProduct(t *testing.T) {
+	const nl, nr, cancelAt = 1000, 1000, 5
+	blockPairs := (mal.MinChunkRows / nr) * nr
+	ctx := &pollCtx{Context: context.Background(), cancelAt: cancelAt, done: make(chan struct{})}
+	e := &Engine{Ctx: ctx}
+	if _, _, err := e.crossPairs(nl, nr); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if after := (ctx.polls - cancelAt) * blockPairs; after != 0 {
+		t.Fatalf("%d pairs enumerated after the cancel was seen (%d polls)", after, ctx.polls)
+	}
+	if before := (cancelAt - 1) * blockPairs; before >= nl*nr/2 {
+		t.Fatalf("cancel landed too late to prove anything: %d of %d pairs", before, nl*nr)
+	}
+
+	// End to end: the query below reaches crossPairs (control run) and
+	// surfaces the context error.
+	cat := buildTable(t, 2048)
+	p := planFor(t, cat, "SELECT count(*) FROM nums a, nums b")
+	trace := &mal.Program{}
+	if _, err := (&Engine{Cat: cat, Trace: trace}).Execute(p); err != nil {
+		t.Fatal(err)
+	}
+	if trace.Count("algebra.crossproduct") != 1 {
+		t.Fatalf("control run is not a cross product:\n%s", trace.String())
+	}
+	cctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := (&Engine{Cat: cat, Ctx: cctx}).Execute(p); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+}
+
 // The Ctx check composes with the legacy Timeout deadline: whichever fires
 // first wins, and strings.Contains guards the error identity apart.
 func TestCtxAndTimeoutCompose(t *testing.T) {

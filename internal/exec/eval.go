@@ -65,7 +65,7 @@ func (m *memo) compute(ex plan.Expr, b *batch, n int) (*vec.Vector, error) {
 	case *plan.Const:
 		return vec.Const(x.Val, n), nil
 	case *plan.SubplanExpr:
-		v, err := m.e.evalSubplan(x.Plan)
+		v, err := m.e.evalSubplan(x)
 		if err != nil {
 			return nil, err
 		}

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,6 +89,10 @@ type Engine struct {
 	// testJoinChunkRows, when >0, overrides the MitosisJoin chunk size so
 	// tests can force multi-chunk parallel probes on small inputs.
 	testJoinChunkRows int
+	// testBuildSide, when nonzero, overrides the runtime build-side choice of
+	// every join (>0 builds on the left input, <0 on the right) so tests can
+	// run each flavor both ways on the same inputs.
+	testBuildSide int
 	// testSortChunkRows, when >0, overrides the MitosisSort chunk size so
 	// tests can force multi-run parallel sorts and TopN heaps on small inputs.
 	testSortChunkRows int
@@ -118,10 +123,13 @@ func (e *Engine) workerBudget() int {
 // execution. It is shared between the coordinating engine and its mitosis
 // chunk engines, so a subquery in a pushed-down scan filter is evaluated
 // once per query — not once per chunk — and the lock serializes concurrent
-// first evaluations from worker goroutines.
+// first evaluations from worker goroutines. When the query is traced, each
+// subquery's own program is kept here too (a worker has no trace to write
+// to) and Execute splices them into the query's trace at the end.
 type subplanCache struct {
-	mu sync.Mutex
-	m  map[plan.Node]mtypes.Value
+	mu    sync.Mutex
+	m     map[plan.Node]mtypes.Value
+	progs map[int]*mal.Program // by SubplanExpr.ID; nil when the query is untraced
 }
 
 // ErrTimeout is returned when a query exceeds the engine timeout.
@@ -202,6 +210,9 @@ func (e *Engine) materialize(b *batch) *batch {
 // Execute runs a plan to completion.
 func (e *Engine) Execute(n plan.Node) (*Result, error) {
 	e.subCache = &subplanCache{m: map[plan.Node]mtypes.Value{}}
+	if e.Trace != nil {
+		e.subCache.progs = map[int]*mal.Program{}
+	}
 	e.stats = &execStats{}
 	if e.Parallel && e.lease == nil {
 		pool := e.Pool
@@ -227,6 +238,14 @@ func (e *Engine) Execute(n plan.Node) (*Result, error) {
 		return nil, err
 	}
 	b = e.materialize(b) // result assembly is a pipeline breaker
+	ids := make([]int, 0, len(e.subCache.progs))
+	for id := range e.subCache.progs {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		e.Trace.Splice(fmt.Sprintf("subplan#%d", id), e.subCache.progs[id])
+	}
 	sch := n.Schema()
 	res := &Result{Cols: b.cols}
 	for _, c := range sch {
@@ -574,7 +593,8 @@ func (e *Engine) execDistinct(x *plan.Distinct) (*batch, error) {
 // node. The cache lock is held across the evaluation so concurrent mitosis
 // workers needing the same subplan wait for one evaluation instead of
 // racing to repeat it.
-func (e *Engine) evalSubplan(p plan.Node) (mtypes.Value, error) {
+func (e *Engine) evalSubplan(sp *plan.SubplanExpr) (mtypes.Value, error) {
+	p := sp.Plan
 	e.subCache.mu.Lock()
 	defer e.subCache.mu.Unlock()
 	if v, ok := e.subCache.m[p]; ok {
@@ -586,6 +606,10 @@ func (e *Engine) evalSubplan(p plan.Node) (mtypes.Value, error) {
 	sub := &Engine{Cat: e.Cat, Parallel: e.Parallel, MaxThreads: e.MaxThreads, NoIndexes: e.NoIndexes, Ctx: e.Ctx}
 	if !e.deadline.IsZero() {
 		sub.Timeout = time.Until(e.deadline)
+	}
+	if e.subCache.progs != nil {
+		sub.Trace = &mal.Program{}
+		e.subCache.progs[sp.ID] = sub.Trace
 	}
 	res, err := sub.Execute(p)
 	if err != nil {

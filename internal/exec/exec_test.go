@@ -324,19 +324,19 @@ func TestSelectRowsHelper(t *testing.T) {
 // run before any allocation, so the regression test can use row counts whose
 // product overflows without materializing gigabytes of pairs.
 func TestCrossProductOverflowGuard(t *testing.T) {
-	if _, _, err := crossPairs(70000, 70000); err == nil {
+	if _, _, err := (&Engine{}).crossPairs(70000, 70000); err == nil {
 		t.Fatal("70000 x 70000 cross product must be rejected (4.9e9 pairs)")
 	}
 	// The guard must also catch products that overflow int64 multiplication
 	// ranges on the way to the check.
-	if _, _, err := crossPairs(1<<31, 1<<31); err == nil {
+	if _, _, err := (&Engine{}).crossPairs(1<<31, 1<<31); err == nil {
 		t.Fatal("2^31 x 2^31 cross product must be rejected")
 	}
-	if ls, rs, err := crossPairs(3, 2); err != nil || len(ls) != 6 || len(rs) != 6 {
+	if ls, rs, err := (&Engine{}).crossPairs(3, 2); err != nil || len(ls) != 6 || len(rs) != 6 {
 		t.Fatalf("small cross product broken: %d pairs, err %v", len(ls), err)
 	}
 	// Degenerate sides stay legal.
-	if _, _, err := crossPairs(0, 1<<40); err != nil {
+	if _, _, err := (&Engine{}).crossPairs(0, 1<<40); err != nil {
 		t.Fatalf("empty side rejected: %v", err)
 	}
 	if err := checkPairCount(math.MaxInt32); err != nil {

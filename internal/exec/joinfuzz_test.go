@@ -241,111 +241,105 @@ func runJoinFuzzTrial(t *testing.T, seed int64) {
 	}
 	cond := strings.Join(on, " AND ")
 
-	queries := []struct {
-		kind   string
-		sql    string
-		oracle func() []string
+	// Each case is one join flavor with its full match condition: key
+	// equality plus, for the residual variants, a predicate over the payloads
+	// (distinct row ids) — mixed (both sides), right-only (which the optimizer
+	// moves into the right input of a LEFT join) or left-only (which it must
+	// not move). The oracle derives the expected rows from match alone.
+	keys := func(i, j int) bool { return rowsMatch(l, r, i, j) }
+	mixed := func(i, j int) bool { return keys(i, j) && j < i }
+	cases := []struct {
+		kind  string // inner | left | semi | anti
+		sql   string
+		match func(i, j int) bool
 	}{
-		{"inner", fmt.Sprintf("SELECT * FROM l, r WHERE %s", cond), func() []string {
-			var want []string
-			for i := 0; i < l.n; i++ {
-				for j := 0; j < r.n; j++ {
-					if rowsMatch(l, r, i, j) {
-						want = append(want, oracleRow(l, r, i, j, true))
-					}
-				}
-			}
-			return want
-		}},
-		{"left", fmt.Sprintf("SELECT * FROM l LEFT JOIN r ON %s", cond), func() []string {
-			var want []string
-			for i := 0; i < l.n; i++ {
-				matched := false
-				for j := 0; j < r.n; j++ {
-					if rowsMatch(l, r, i, j) {
-						want = append(want, oracleRow(l, r, i, j, true))
-						matched = true
-					}
-				}
-				if !matched {
-					want = append(want, oracleRow(l, r, i, -1, true))
-				}
-			}
-			return want
-		}},
-		{"semi", fmt.Sprintf("SELECT * FROM l WHERE EXISTS (SELECT * FROM r WHERE %s)", cond), func() []string {
-			var want []string
-			for i := 0; i < l.n; i++ {
-				for j := 0; j < r.n; j++ {
-					if rowsMatch(l, r, i, j) {
-						want = append(want, oracleRow(l, r, i, -1, false))
-						break
-					}
-				}
-			}
-			return want
-		}},
-		{"anti", fmt.Sprintf("SELECT * FROM l WHERE NOT EXISTS (SELECT * FROM r WHERE %s)", cond), func() []string {
-			var want []string
-			for i := 0; i < l.n; i++ {
-				matched := false
-				for j := 0; j < r.n; j++ {
-					if rowsMatch(l, r, i, j) {
-						matched = true
-						break
-					}
-				}
-				if !matched {
-					want = append(want, oracleRow(l, r, i, -1, false))
-				}
-			}
-			return want
-		}},
+		{"inner", fmt.Sprintf("SELECT * FROM l, r WHERE %s", cond), keys},
+		{"inner", fmt.Sprintf("SELECT * FROM l, r WHERE %s AND r.jpay < l.kpay", cond), mixed},
+		{"left", fmt.Sprintf("SELECT * FROM l LEFT JOIN r ON %s", cond), keys},
+		{"left", fmt.Sprintf("SELECT * FROM l LEFT JOIN r ON %s AND r.jpay < l.kpay", cond), mixed},
+		{"left", fmt.Sprintf("SELECT * FROM l LEFT JOIN r ON %s AND r.jpay %% 2 = 0", cond),
+			func(i, j int) bool { return keys(i, j) && j%2 == 0 }},
+		{"left", fmt.Sprintf("SELECT * FROM l LEFT JOIN r ON %s AND l.kpay %% 3 <> 0", cond),
+			func(i, j int) bool { return keys(i, j) && i%3 != 0 }},
+		{"semi", fmt.Sprintf("SELECT * FROM l WHERE EXISTS (SELECT * FROM r WHERE %s)", cond), keys},
+		{"semi", fmt.Sprintf("SELECT * FROM l WHERE EXISTS (SELECT * FROM r WHERE %s AND r.jpay < l.kpay)", cond), mixed},
+		{"anti", fmt.Sprintf("SELECT * FROM l WHERE NOT EXISTS (SELECT * FROM r WHERE %s)", cond), keys},
+		{"anti", fmt.Sprintf("SELECT * FROM l WHERE NOT EXISTS (SELECT * FROM r WHERE %s AND r.jpay < l.kpay)", cond), mixed},
+		// [NOT] IN binds to the same semi/anti joins: a NULL key on either
+		// side never matches, so NOT IN keeps NULL-keyed left rows and ignores
+		// NULLs in the subquery (NOT EXISTS semantics, the engine's documented
+		// reading), whichever side the table is built on.
+		{"semi", "SELECT * FROM l WHERE l.k1 IN (SELECT j1 FROM r)",
+			func(i, j int) bool { return keyEq(l.keys[0], i, r.keys[0], j) }},
+		{"anti", "SELECT * FROM l WHERE l.k1 NOT IN (SELECT j1 FROM r)",
+			func(i, j int) bool { return keyEq(l.keys[0], i, r.keys[0], j) }},
 	}
 
-	for _, q := range queries {
-		p := planFor(t, cat, q.sql)
-		ser := &Engine{Cat: cat, Parallel: false}
-		serRes, err := ser.Execute(p)
-		if err != nil {
-			t.Fatalf("seed %d %s: serial: %v", seed, q.kind, err)
-		}
-		// Force multi-chunk partitioned probes at fuzz scale.
-		par := &Engine{Cat: cat, Parallel: true, MaxThreads: 4}
-		par.testJoinChunkRows = 1 + rng.Intn(24)
-		parRes, err := par.Execute(p)
-		if err != nil {
-			t.Fatalf("seed %d %s: parallel: %v", seed, q.kind, err)
-		}
-
-		// Parallel == serial, row-for-row (chunk-order concatenation keeps
-		// the serial pair order).
-		serRows, parRows := resultRows(serRes), resultRows(parRes)
-		if len(serRows) != len(parRows) {
-			dumpFuzzTables(t, l, r)
-			t.Fatalf("seed %d %s: serial %d rows, parallel %d", seed, q.kind, len(serRows), len(parRows))
-		}
-		for i := range serRows {
-			if serRows[i] != parRows[i] {
-				dumpFuzzTables(t, l, r)
-				t.Fatalf("seed %d %s: row %d differs\n serial:   %s\n parallel: %s",
-					seed, q.kind, i, serRows[i], parRows[i])
+	for _, c := range cases {
+		var want []string
+		for i := 0; i < l.n; i++ {
+			matched := false
+			for j := 0; j < r.n; j++ {
+				if !c.match(i, j) {
+					continue
+				}
+				matched = true
+				if c.kind == "inner" || c.kind == "left" {
+					want = append(want, oracleRow(l, r, i, j, true))
+				}
+			}
+			switch {
+			case c.kind == "left" && !matched:
+				want = append(want, oracleRow(l, r, i, -1, true))
+			case c.kind == "semi" && matched, c.kind == "anti" && !matched:
+				want = append(want, oracleRow(l, r, i, -1, false))
 			}
 		}
+		want = sortedCopy(want)
 
-		// Serial == brute-force oracle, as a row multiset.
-		want := sortedCopy(q.oracle())
-		got := sortedCopy(serRows)
-		if len(got) != len(want) {
+		p := planFor(t, cat, c.sql)
+		fail := func(format string, args ...any) {
+			t.Helper()
 			dumpFuzzTables(t, l, r)
-			t.Fatalf("seed %d %s: engine %d rows, oracle %d\n sql: %s", seed, q.kind, len(got), len(want), q.sql)
+			t.Fatalf("seed %d %s: %s\n sql: %s", seed, c.kind, fmt.Sprintf(format, args...), c.sql)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				dumpFuzzTables(t, l, r)
-				t.Fatalf("seed %d %s: multiset row %d differs\n engine: %s\n oracle: %s\n sql: %s",
-					seed, q.kind, i, got[i], want[i], q.sql)
+		sameRows := func(what string, a, b []string) {
+			t.Helper()
+			if len(a) != len(b) {
+				fail("%s: %d rows vs %d", what, len(a), len(b))
 			}
+			for i := range a {
+				if a[i] != b[i] {
+					fail("%s: row %d differs\n %s\n %s", what, i, a[i], b[i])
+				}
+			}
+		}
+		// Every flavor runs with each build side forced, serial and with
+		// multi-chunk partitioned probes at fuzz scale.
+		chunk := 1 + rng.Intn(24)
+		var bySide [2][]string
+		for si, side := range []int{+1, -1} {
+			ser := &Engine{Cat: cat, Parallel: false, testBuildSide: side}
+			serRes, err := ser.Execute(p)
+			if err != nil {
+				fail("serial side %+d: %v", side, err)
+			}
+			par := &Engine{Cat: cat, Parallel: true, MaxThreads: 4, testBuildSide: side, testJoinChunkRows: chunk}
+			parRes, err := par.Execute(p)
+			if err != nil {
+				fail("parallel side %+d: %v", side, err)
+			}
+			// Parallel == serial, row-for-row (chunk-order concatenation keeps
+			// the serial pair order); serial == brute-force oracle, as a row
+			// multiset.
+			bySide[si] = resultRows(serRes)
+			sameRows(fmt.Sprintf("side %+d serial vs parallel", side), bySide[si], resultRows(parRes))
+			sameRows(fmt.Sprintf("side %+d engine vs oracle (sorted)", side), sortedCopy(bySide[si]), want)
+		}
+		// Only inner pairs come out in probe order; every other flavor emits
+		// left rows in left order whichever side was built.
+		if c.kind != "inner" {
+			sameRows("build=left vs build=right", bySide[0], bySide[1])
 		}
 	}
 }

@@ -11,9 +11,14 @@ import (
 	"monetlite/internal/vec"
 )
 
-// execJoin evaluates all join flavors with hash tables. The build side is
-// chosen at runtime from the smaller input — the paper's "tactical decision"
-// level of optimization.
+// execJoin evaluates all join flavors over one build/probe path. The build
+// side is chosen at runtime, for every flavor, as the smaller input — the
+// paper's "tactical decision" level of optimization. Inner pairs come out in
+// probe order; the other flavors emit left rows in left order whichever side
+// was built (semi/anti mark matched left rows, left outer orders its pairs by
+// left row), so their output does not depend on the choice. A semi/anti join
+// returns a selection view of its left input: the surviving rows are gathered
+// at the next pipeline breaker, like a filter's.
 func (e *Engine) execJoin(x *plan.Join) (*batch, error) {
 	left, err := e.exec(x.Left)
 	if err != nil {
@@ -26,9 +31,6 @@ func (e *Engine) execJoin(x *plan.Join) (*batch, error) {
 	// Join build and probe are pipeline breakers: pair lists address rows
 	// positionally, so selection views materialize here, once.
 	left, right = e.materialize(left), e.materialize(right)
-	if len(x.EquiL) == 0 && x.Residual == nil && x.Kind == plan.JoinInner {
-		return e.crossJoin(left, right)
-	}
 	memoL, memoR := newMemo(e), newMemo(e)
 	lKeys := make([]*vec.Vector, len(x.EquiL))
 	rKeys := make([]*vec.Vector, len(x.EquiR))
@@ -44,114 +46,103 @@ func (e *Engine) execJoin(x *plan.Join) (*batch, error) {
 			return nil, err
 		}
 	}
+	buildLeft := left.n <= right.n
+	if e.testBuildSide != 0 {
+		buildLeft = e.testBuildSide > 0
+	}
+	semiAnti := x.Kind == plan.JoinSemi || x.Kind == plan.JoinAnti
+	anti := x.Kind == plan.JoinAnti
 
-	var lsel, rsel []int32
-	switch x.Kind {
-	case plan.JoinInner:
-		// Build on the smaller side.
-		if len(x.EquiL) == 0 {
-			// Pure residual join: nested-loop via cross pairs then filter.
-			lsel, rsel, err = crossPairs(left.n, right.n)
-			if err != nil {
-				return nil, err
-			}
-		} else if left.n <= right.n {
+	if semiAnti && x.Residual == nil && len(x.EquiL) > 0 {
+		// A key match decides the row: no pair list is ever enumerated.
+		var keep []int32
+		if buildLeft {
 			jp := e.buildJoinTable(lKeys, left.n, right.n, "build=left")
-			rs, ls, err := jp.probe(rKeys, right.n)
+			matched, err := jp.probeMark(rKeys, right.n, left.n)
 			if err != nil {
 				return nil, err
 			}
-			lsel, rsel = ls, rs
+			keep = markedRows(matched, left.n, !anti)
 		} else {
 			jp := e.buildJoinTable(rKeys, right.n, left.n, "build=right")
-			lsel, rsel, err = jp.probe(lKeys, left.n)
-			if err != nil {
+			if keep, err = jp.probeSemi(lKeys, left.n, anti); err != nil {
 				return nil, err
 			}
 		}
-		if x.Residual != nil {
-			lsel, rsel, err = e.filterPairs(x, left, right, lsel, rsel)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return joinGather(left, right, lsel, rsel, false)
-	case plan.JoinLeft:
+		e.Trace.Emit("algebra.semijoin")
+		return newSelBatch(left.cols, keep), nil
+	}
+
+	// Candidate pairs by key equality (every pair when there are no keys),
+	// then the residual over exactly those pairs.
+	var lsel, rsel []int32
+	switch {
+	case len(x.EquiL) == 0:
+		e.Trace.Emit("algebra.crossproduct")
+		lsel, rsel, err = e.crossPairs(left.n, right.n)
+	case buildLeft:
+		jp := e.buildJoinTable(lKeys, left.n, right.n, "build=left")
+		rsel, lsel, err = jp.probe(rKeys, right.n)
+	default:
 		jp := e.buildJoinTable(rKeys, right.n, left.n, "build=right")
-		e.Trace.Emit("algebra.leftjoin")
-		lsel, rsel, err = jp.probeLeft(lKeys, left.n)
-		if err != nil {
+		lsel, rsel, err = jp.probe(lKeys, left.n)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if x.Residual != nil {
+		if lsel, rsel, err = e.filterPairs(x.Residual, left, right, lsel, rsel); err != nil {
 			return nil, err
 		}
-		if x.Residual != nil {
-			// Residual applies to matched pairs; unmatched rows stay.
-			keptL, keptR, err := e.filterPairs(x, left, right, lsel, rsel)
-			if err != nil {
-				return nil, err
-			}
-			matched := map[int32]bool{}
-			for _, l := range keptL {
-				matched[l] = true
-			}
-			// Re-add unmatched lefts.
-			seen := map[int32]bool{}
-			for _, l := range keptL {
-				seen[l] = true
-			}
-			for l := int32(0); int(l) < left.n; l++ {
-				if !seen[l] {
-					keptL = append(keptL, l)
-					keptR = append(keptR, -1)
-				}
-			}
-			lsel, rsel = keptL, keptR
-		}
-		return joinGather(left, right, lsel, rsel, true)
-	case plan.JoinSemi, plan.JoinAnti:
-		anti := x.Kind == plan.JoinAnti
-		if len(x.EquiL) == 0 {
-			return nil, fmt.Errorf("exec: semi/anti join requires equi keys")
-		}
-		jp := e.buildJoinTable(rKeys, right.n, left.n, "build=right")
-		if x.Residual == nil {
-			e.Trace.Emit("algebra.semijoin")
-			keep, err := jp.probeSemi(lKeys, left.n, anti)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]*vec.Vector, len(left.cols))
-			for i, c := range left.cols {
-				out[i] = vec.Gather(c, keep)
-			}
-			return newBatch(out), nil
-		}
-		// Residual semi/anti: compute pairs, filter, dedup left side.
-		ls, rs, err := jp.probe(lKeys, left.n)
-		if err != nil {
-			return nil, err
-		}
-		ls, _, err = e.filterPairs(x, left, right, ls, rs)
-		if err != nil {
-			return nil, err
-		}
-		matched := make([]bool, left.n)
-		for _, l := range ls {
-			matched[l] = true
-		}
-		keep := make([]int32, 0, left.n)
-		for i := 0; i < left.n; i++ {
-			if matched[i] != anti {
-				keep = append(keep, int32(i))
-			}
+	}
+	switch {
+	case semiAnti:
+		matched := vec.NewBitmap(left.n)
+		for _, l := range lsel {
+			matched.Set(l)
 		}
 		e.Trace.Emit("algebra.semijoin", "residual")
-		out := make([]*vec.Vector, len(left.cols))
-		for i, c := range left.cols {
-			out[i] = vec.Gather(c, keep)
-		}
-		return newBatch(out), nil
+		return newSelBatch(left.cols, markedRows(matched, left.n, !anti)), nil
+	case x.Kind == plan.JoinLeft:
+		e.Trace.Emit("algebra.leftjoin")
+		lsel, rsel = outerPairs(left.n, lsel, rsel)
 	}
-	return nil, fmt.Errorf("exec: unsupported join kind %v", x.Kind)
+	return joinGather(left, right, lsel, rsel, x.Kind == plan.JoinLeft)
+}
+
+// markedRows lists the rows of [0, n) whose mark equals want, ascending.
+func markedRows(marks vec.Bitmap, n int, want bool) []int32 {
+	rows := make([]int32, 0, n)
+	for i := int32(0); int(i) < n; i++ {
+		if marks.Get(i) == want {
+			rows = append(rows, i)
+		}
+	}
+	return rows
+}
+
+// outerPairs turns inner-join pairs, in any order, into left-outer pairs in
+// (left row, right row) order: a stable counting sort by left row that gives
+// every left row without a pair one slot with right row -1.
+func outerPairs(leftN int, lsel, rsel []int32) ([]int32, []int32) {
+	start := make([]int, leftN+1) // start[l+1] counts l's pairs, then prefix-sums
+	for _, l := range lsel {
+		start[l+1]++
+	}
+	for l := 0; l < leftN; l++ {
+		start[l+1] = start[l] + max(start[l+1], 1)
+	}
+	outL, outR := make([]int32, start[leftN]), make([]int32, start[leftN])
+	for l := 0; l < leftN; l++ {
+		for k := start[l]; k < start[l+1]; k++ {
+			outL[k], outR[k] = int32(l), -1
+		}
+	}
+	for i, l := range lsel {
+		outR[start[l]] = rsel[i]
+		start[l]++
+	}
+	return outL, outR
 }
 
 // alignJoinKeys rescales mismatched decimal/integer key domains so hash
@@ -246,17 +237,13 @@ func (e *Engine) buildJoinTable(buildKeys []*vec.Vector, buildN, probeN int, lab
 	return &joinProber{e: e, tbl: pt, cp: cp}
 }
 
-// probeChunks fans the probe side out over the chunk plan: each worker
-// probes a slice of the key vectors and rebases the emitted probe rows, the
-// coordinator concatenates pair lists in chunk order.
+// forChunks fans the probe side out over the chunk plan: each worker gets its
+// chunk index, first row and slice of the key vectors.
 //
 // Cancellation: a worker that starts after the query was cancelled skips its
-// probe, and the coordinator re-checks after the barrier — a partial pair
-// list must never be mistaken for an (empty) join result.
-func (jp *joinProber) probeChunks(keys []*vec.Vector, n int,
-	probe func(vec.JoinTable, []*vec.Vector) ([]int32, []int32)) ([]int32, []int32, error) {
-	type pairs struct{ p, b []int32 }
-	outs := make([]pairs, jp.cp.Chunks)
+// probe, and the coordinator re-checks after the barrier — a partial result
+// must never be mistaken for an (empty) join result.
+func (jp *joinProber) forChunks(keys []*vec.Vector, n int, probe func(ci, lo int, keys []*vec.Vector)) error {
 	jp.e.runTasks(jp.cp.Chunks, func(ci int) {
 		if jp.e.checkInterrupt() != nil {
 			return
@@ -269,13 +256,25 @@ func (jp *joinProber) probeChunks(keys []*vec.Vector, n int,
 		for i, k := range keys {
 			sliced[i] = k.Slice(lo, hi)
 		}
+		probe(ci, lo, sliced)
+	})
+	return jp.e.checkInterrupt()
+}
+
+// probeChunks runs a pair-list probe per chunk, rebases the emitted probe
+// rows and concatenates the pair lists in chunk order.
+func (jp *joinProber) probeChunks(keys []*vec.Vector, n int,
+	probe func(vec.JoinTable, []*vec.Vector) ([]int32, []int32)) ([]int32, []int32, error) {
+	type pairs struct{ p, b []int32 }
+	outs := make([]pairs, jp.cp.Chunks)
+	err := jp.forChunks(keys, n, func(ci, lo int, sliced []*vec.Vector) {
 		p, b := probe(jp.tbl, sliced)
 		for i := range p {
 			p[i] += int32(lo)
 		}
 		outs[ci] = pairs{p, b}
 	})
-	if err := jp.e.checkInterrupt(); err != nil {
+	if err != nil {
 		return nil, nil, err
 	}
 	total := 0
@@ -307,17 +306,6 @@ func (jp *joinProber) probe(keys []*vec.Vector, n int) ([]int32, []int32, error)
 	})
 }
 
-// probeLeft computes left-outer pairs (unmatched probe rows carry -1).
-func (jp *joinProber) probeLeft(keys []*vec.Vector, n int) ([]int32, []int32, error) {
-	if jp.cp.Chunks <= 1 {
-		p, b := jp.tbl.ProbeLeft(keys, nil)
-		return p, b, nil
-	}
-	return jp.probeChunks(keys, n, func(t vec.JoinTable, ks []*vec.Vector) ([]int32, []int32) {
-		return t.ProbeLeft(ks, nil)
-	})
-}
-
 // probeSemi computes the kept probe rows of a semi (anti=false) or anti join.
 func (jp *joinProber) probeSemi(keys []*vec.Vector, n int, anti bool) ([]int32, error) {
 	if jp.cp.Chunks <= 1 {
@@ -329,25 +317,61 @@ func (jp *joinProber) probeSemi(keys []*vec.Vector, n int, anti bool) ([]int32, 
 	return keep, err
 }
 
-// filterPairs evaluates the residual predicate over candidate join pairs.
-func (e *Engine) filterPairs(x *plan.Join, left, right *batch, lsel, rsel []int32) ([]int32, []int32, error) {
-	pairs, err := joinGather(left, right, lsel, rsel, x.Kind == plan.JoinLeft)
-	if err != nil {
-		return nil, nil, err
+// probeMark marks the build rows (of buildN) matched by any probe row. Chunk
+// workers mark private bitmaps, OR-ed together after the barrier.
+func (jp *joinProber) probeMark(keys []*vec.Vector, n, buildN int) (vec.Bitmap, error) {
+	marks := vec.NewBitmap(buildN)
+	if jp.cp.Chunks <= 1 {
+		jp.tbl.ProbeMark(keys, nil, marks)
+		return marks, nil
 	}
-	memo := newMemo(e)
-	bv, err := memo.evalVec(x.Residual, pairs)
+	parts := make([]vec.Bitmap, jp.cp.Chunks)
+	err := jp.forChunks(keys, n, func(ci, _ int, sliced []*vec.Vector) {
+		parts[ci] = vec.NewBitmap(buildN)
+		jp.tbl.ProbeMark(sliced, nil, parts[ci])
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var keptL, keptR []int32
-	for i := 0; i < pairs.n; i++ {
-		if bv.I8[i] == 1 {
-			keptL = append(keptL, lsel[i])
-			keptR = append(keptR, rsel[i])
+	for _, part := range parts {
+		if part != nil {
+			marks.Or(part)
 		}
 	}
-	return keptL, keptR, nil
+	return marks, nil
+}
+
+// filterPairs keeps the candidate join pairs satisfying the residual
+// predicate, compacting the pair lists in place. Only the columns the
+// predicate references are gathered at the pairs.
+func (e *Engine) filterPairs(residual plan.Expr, left, right *batch, lsel, rsel []int32) ([]int32, []int32, error) {
+	used := map[int]bool{}
+	plan.SlotsUsed(residual, used)
+	if lsel == nil {
+		// nil means "no pairs" here — never "all rows" (vec.Gather's nil).
+		lsel, rsel = []int32{}, []int32{}
+	}
+	nl := len(left.cols)
+	pairs := &batch{cols: make([]*vec.Vector, nl+len(right.cols)), n: len(lsel)}
+	for s := range used {
+		if s < nl {
+			pairs.cols[s] = vec.Gather(left.cols[s], lsel)
+		} else {
+			pairs.cols[s] = vec.Gather(right.cols[s-nl], rsel)
+		}
+	}
+	bv, err := newMemo(e).evalVec(residual, pairs)
+	if err != nil {
+		return nil, nil, err
+	}
+	k := 0
+	for i, ok := range bv.I8 {
+		if ok == 1 {
+			lsel[k], rsel[k] = lsel[i], rsel[i]
+			k++
+		}
+	}
+	return lsel[:k], rsel[:k], nil
 }
 
 // checkPairCount guards the join output size: selection vectors address rows
@@ -361,65 +385,51 @@ func checkPairCount(n int) error {
 	return nil
 }
 
-// joinGather materializes the pair lists into a combined batch. rsel entries
-// of -1 (left outer non-matches) become NULLs.
+// joinGather materializes the pair lists into a combined batch. With outer,
+// rsel entries of -1 (left outer non-matches) become NULLs.
 func joinGather(left, right *batch, lsel, rsel []int32, outer bool) (*batch, error) {
 	if err := checkPairCount(len(lsel)); err != nil {
 		return nil, err
 	}
 	// nil means "no pairs" here — never "all rows" (vec.Gather's nil).
 	if lsel == nil {
-		lsel = []int32{}
+		lsel, rsel = []int32{}, []int32{}
 	}
-	if rsel == nil {
-		rsel = []int32{}
+	gatherRight := vec.Gather
+	if outer {
+		gatherRight = vec.GatherOuter
 	}
 	out := make([]*vec.Vector, 0, len(left.cols)+len(right.cols))
 	for _, c := range left.cols {
 		out = append(out, vec.Gather(c, lsel))
 	}
 	for _, c := range right.cols {
-		if !outer {
-			out = append(out, vec.Gather(c, rsel))
-			continue
-		}
-		g := vec.New(c.Typ, len(rsel))
-		for i, r := range rsel {
-			if r < 0 {
-				g.SetNull(i)
-			} else {
-				g.Set(i, c.Value(int(r)))
-			}
-		}
-		out = append(out, g)
+		out = append(out, gatherRight(c, rsel))
 	}
 	b := newBatch(out)
-	if len(out) == 0 {
-		b.n = len(lsel)
-	}
+	b.n = len(lsel)
 	return b, nil
 }
 
-func (e *Engine) crossJoin(left, right *batch) (*batch, error) {
-	lsel, rsel, err := crossPairs(left.n, right.n)
-	if err != nil {
-		return nil, err
-	}
-	e.Trace.Emit("algebra.crossproduct")
-	return joinGather(left, right, lsel, rsel, false)
-}
-
-// crossPairs enumerates the full cross product. The size check runs before
-// any allocation: nl*nr pairs beyond MaxInt32 would overflow int32 row
-// addressing (and on 32-bit platforms the product itself can overflow int),
-// so the error surfaces instead of a silently truncated selection.
-func crossPairs(nl, nr int) ([]int32, []int32, error) {
+// crossPairs enumerates the full cross product, checking for cancellation
+// once per block of outer rows worth about one chunk of pairs. The size check
+// runs before any allocation: nl*nr pairs beyond MaxInt32 would overflow
+// int32 row addressing (and on 32-bit platforms the product itself can
+// overflow int), so the error surfaces instead of a silently truncated
+// selection.
+func (e *Engine) crossPairs(nl, nr int) ([]int32, []int32, error) {
 	if nl > 0 && nr > 0 && nl > math.MaxInt32/nr {
 		return nil, nil, fmt.Errorf("exec: cross product of %d x %d rows exceeds the %d-row selection-vector limit", nl, nr, math.MaxInt32)
 	}
 	lsel := make([]int32, 0, nl*nr)
 	rsel := make([]int32, 0, nl*nr)
+	block := max(1, mal.MinChunkRows/max(nr, 1))
 	for i := 0; i < nl; i++ {
+		if i%block == 0 {
+			if err := e.checkInterrupt(); err != nil {
+				return nil, nil, err
+			}
+		}
 		for j := 0; j < nr; j++ {
 			lsel = append(lsel, int32(i))
 			rsel = append(rsel, int32(j))

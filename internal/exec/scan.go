@@ -222,7 +222,7 @@ func (e *Engine) applyScanFilter(x *plan.Scan, src TableSource, f plan.Expr, col
 					return e.selectCmp(x, src, cols, cr, p.Cmp, c.Val, cands, rowLo, rowHi)
 				}
 				if sp, ok := p.R.(*plan.SubplanExpr); ok {
-					v, err := e.evalSubplan(sp.Plan)
+					v, err := e.evalSubplan(sp)
 					if err != nil {
 						return nil, err
 					}
@@ -273,7 +273,7 @@ func (e *Engine) refineFilter(f plan.Expr, cols []*vec.Vector, width int, cands 
 					return vec.SelCmp(cols[cr.Slot], p.Cmp, c.Val, cands), nil
 				}
 				if sp, ok := p.R.(*plan.SubplanExpr); ok {
-					v, err := e.evalSubplan(sp.Plan)
+					v, err := e.evalSubplan(sp)
 					if err != nil {
 						return nil, err
 					}

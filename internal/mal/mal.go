@@ -73,6 +73,22 @@ func (p *Program) EmitVoid(op string, args ...string) {
 	p.Instrs = append(p.Instrs, Instr{Op: op, Args: args})
 }
 
+// Splice appends the program of a nested query block under a label: a
+// sql.subplan(label) header, then sub's instructions with their result
+// registers renumbered into p's sequence.
+func (p *Program) Splice(label string, sub *Program) {
+	if p == nil || sub == nil {
+		return
+	}
+	p.EmitVoid("sql.subplan", label)
+	for _, in := range sub.Instrs {
+		if in.Ret != "" {
+			in.Ret = p.NewReg()
+		}
+		p.Instrs = append(p.Instrs, in)
+	}
+}
+
 // String renders the whole program.
 func (p *Program) String() string {
 	if p == nil {

@@ -51,7 +51,7 @@ func BindSelect(cat Catalog, sel *sqlparse.SelectStmt, params []mtypes.Value) (*
 // BindSelectWith is BindSelect with explicit optimizer options (e.g. the
 // written-order baseline used by plan-quality tests).
 func BindSelectWith(cat Catalog, sel *sqlparse.SelectStmt, params []mtypes.Value, opts OptOpts) (*BoundQuery, error) {
-	b := &binder{cat: cat, params: params}
+	b := &binder{cat: cat, params: params, opts: opts}
 	n, err := b.bindSelect(sel, nil)
 	if err != nil {
 		return nil, err
@@ -271,6 +271,8 @@ func (e *outerRef) Type() mtypes.Type { return e.Typ }
 type binder struct {
 	cat    Catalog
 	params []mtypes.Value
+	opts   OptOpts // for the nested query blocks the binder optimizes itself
+	nsub   int     // scalar subqueries bound so far (SubplanExpr.ID)
 	// win collects window calls while one SELECT's items are bound; nil
 	// anywhere else, which is what rejects OVER outside the select list.
 	win *windowCtx
@@ -581,8 +583,11 @@ func (b *binder) bindTableRef(ref sqlparse.TableRef, outer *scope) (Node, []scop
 	return nil, nil, fmt.Errorf("plan: unsupported table reference %T", ref)
 }
 
-// splitBoundConjuncts splits a bound predicate on AND.
+// splitBoundConjuncts splits a bound predicate on AND (nil = no conjuncts).
 func splitBoundConjuncts(e Expr) []Expr {
+	if e == nil {
+		return nil
+	}
 	if bo, ok := e.(*BinOp); ok && bo.Kind == BinAnd {
 		return append(splitBoundConjuncts(bo.L), splitBoundConjuncts(bo.R)...)
 	}
@@ -741,8 +746,9 @@ func (pa *postAggBinder) rebind(ast sqlparse.Expr) (Expr, error) {
 	if fc, ok := ast.(*sqlparse.FuncCall); ok && fc.Over != nil {
 		return pa.b.bindWindowCall(fc)
 	}
-	// Whole-subtree match against a GROUP BY expression?
-	if !containsAgg(ast) {
+	// Whole-subtree match against a GROUP BY expression? (Not for a scalar
+	// subquery: matching binds the subtree, and binding one optimizes it.)
+	if _, isSub := ast.(*sqlparse.SubqueryExpr); !isSub && !containsAgg(ast) {
 		if slot, ok := pa.matchGroup(ast); ok {
 			g := pa.agg.GroupBy[slot]
 			return &ColRef{Slot: slot, Typ: g.Type(), Name: pa.agg.Names[slot]}, nil

@@ -216,17 +216,26 @@ func (b *binder) bindExpr(ast sqlparse.Expr, s *scope) (Expr, error) {
 		return nil, fmt.Errorf("plan: EXISTS only supported as a top-level WHERE conjunct")
 	case *sqlparse.SubqueryExpr:
 		// Uncorrelated scalar subquery used as a value.
-		sub, err := b.bindSelect(x.Select, nil)
-		if err != nil {
-			return nil, err
-		}
-		sch := sub.Schema()
-		if len(sch) != 1 {
-			return nil, fmt.Errorf("plan: scalar subquery must return one column")
-		}
-		return &SubplanExpr{Plan: sub, Typ: sch[0].Typ}, nil
+		return b.bindSubplan(x.Select)
 	}
 	return nil, fmt.Errorf("plan: unsupported expression %T", ast)
+}
+
+// bindSubplan binds an uncorrelated scalar subquery as a query block of its
+// own: it goes through the same OptimizeWith pipeline, with the caller's
+// options, as the statement that contains it, and is numbered in bind order
+// so traces and plan displays can name it.
+func (b *binder) bindSubplan(sel *sqlparse.SelectStmt) (*SubplanExpr, error) {
+	sub, err := b.bindSelect(sel, nil)
+	if err != nil {
+		return nil, err
+	}
+	sch := sub.Schema()
+	if len(sch) != 1 {
+		return nil, fmt.Errorf("plan: scalar subquery must return one column")
+	}
+	b.nsub++
+	return &SubplanExpr{Plan: OptimizeWith(b.cat, sub, b.opts), Typ: sch[0].Typ, ID: b.nsub}, nil
 }
 
 func bindNumber(x *sqlparse.NumberLit) (Expr, error) {
@@ -845,15 +854,11 @@ func (b *binder) bindScalarSubqueryCmp(outerPlan Node, s *scope, lhs sqlparse.Ex
 		if err != nil {
 			return nil, err
 		}
-		subPlan, err := b.bindSelect(sub, nil)
+		sp, err := b.bindSubplan(sub)
 		if err != nil {
 			return nil, err
 		}
-		sch := subPlan.Schema()
-		if len(sch) != 1 {
-			return nil, fmt.Errorf("plan: scalar subquery must return one column")
-		}
-		pred, err := makeBinOp(op, l, &SubplanExpr{Plan: subPlan, Typ: sch[0].Typ})
+		pred, err := makeBinOp(op, l, sp)
 		if err != nil {
 			return nil, err
 		}

@@ -2,11 +2,13 @@
 // (binding) of parsed SQL into a typed logical plan, subquery decorrelation,
 // and the high-level optimizations the paper attributes to the relational
 // level (§3.1 "Query Plan Execution") — constant folding at bind time, then
-// in Optimize: heuristic smallest-first join ordering over equi-join
-// regions, pushdown of single-table conjuncts into scans, projection pruning
-// so scans only read referenced columns, and fusion of Limit(Sort(…)) into a
-// single TopN node (ORDER BY … LIMIT as a bounded heap instead of a full
-// sort).
+// in Optimize, for the statement and for every nested query block alike:
+// cost-based join ordering over each region of filters, inner joins and
+// semi/anti joins (exact DP for small regions, cost-greedy above; semi joins
+// placed at one leaf or on top of the region by estimated size), pushdown of
+// single-table conjuncts into scans, projection pruning so scans only read
+// referenced columns, and fusion of Limit(Sort(…)) into a single TopN node
+// (ORDER BY … LIMIT as a bounded heap instead of a full sort).
 //
 // Invariants callers may rely on:
 //
@@ -16,7 +18,9 @@
 //     (including TopN) must be executable by both.
 //   - Optimizer rewrites preserve result rows AND row order for
 //     order-sensitive operators: a fused TopN returns exactly the rows the
-//     unfused stable Sort + Limit would, in the same order.
+//     unfused stable Sort + Limit would, in the same order. Semi, anti and
+//     left outer joins emit left rows in left-input order whichever side the
+//     executor builds on; only inner-join pair order follows the probe side.
 //   - Expressions reference their input by slot (ColRef.Slot into the child
 //     schema); every structural rewrite remaps slots via MapSlots, so a
 //     bound plan never holds dangling slot references.
@@ -148,10 +152,13 @@ type CastExpr struct {
 }
 
 // SubplanExpr is an uncorrelated scalar subquery: the plan produces (at most)
-// one row, one column; its value is computed once per query execution.
+// one row, one column; its value is computed once per query execution. Plan
+// is a fully optimized query block; ID numbers the statement's scalar
+// subqueries from 1 in bind order.
 type SubplanExpr struct {
 	Plan Node
 	Typ  mtypes.Type
+	ID   int
 }
 
 // AggRef references the result of aggregate i inside post-aggregation
@@ -384,9 +391,9 @@ func ExprString(e Expr) string {
 	case *CastExpr:
 		return fmt.Sprintf("CAST(%s AS %s)", ExprString(x.E), x.To)
 	case *SubplanExpr:
-		// The plan pointer distinguishes different scalar subqueries; the
+		// The ordinal distinguishes the statement's scalar subqueries, so the
 		// same subplan instance still hits the CSE cache.
-		return fmt.Sprintf("(scalar subquery %p)", x.Plan)
+		return fmt.Sprintf("subplan#%d", x.ID)
 	case *AggRef:
 		return fmt.Sprintf("agg#%d", x.Slot)
 	default:

@@ -123,14 +123,36 @@ func identityPerm(n int) []int {
 	return p
 }
 
+// spans reports whether the equi edges connect all leaves.
+func (g *joinGraph) spans() bool {
+	n := len(g.cards)
+	reached := uint(1)
+	for grew := true; grew; {
+		grew = false
+		for j := 0; j < n; j++ {
+			if reached&(1<<j) == 0 && g.connectedTo(reached, j) {
+				reached |= 1 << j
+				grew = true
+			}
+		}
+	}
+	return reached == uint(1)<<n-1
+}
+
 // dpJoinOrder runs subset DP for left-deep trees: dp[S] = cheapest cost of
 // joining exactly the leaves in S, where cost accumulates the cardinality of
-// every intermediate (and final) result. Extensions follow join edges; a
-// disconnected extension is admitted only when no connected one exists, so
-// cross products appear exactly when the graph forces them.
+// every intermediate (and final) result. Extensions follow join edges. Only
+// when the edges do not span the region is a disconnected extension admitted,
+// for a subset no connected one reaches — so cross products appear exactly
+// when the graph forces them, never because two tiny unrelated leaves look
+// cheap to pair up.
 func dpJoinOrder(g *joinGraph) []int {
 	n := len(g.cards)
 	full := uint(1)<<n - 1
+	passes := 1
+	if !g.spans() {
+		passes = 2
+	}
 	const inf = math.MaxFloat64
 	cost := make([]float64, full+1)
 	last := make([]int8, full+1)
@@ -148,7 +170,7 @@ func dpJoinOrder(g *joinGraph) []int {
 		setCard := g.cardOfSet(set)
 		// Connected extensions first; fall back to any extension when the
 		// subgraph is disconnected.
-		for pass := 0; pass < 2; pass++ {
+		for pass := 0; pass < passes; pass++ {
 			found := false
 			for j := 0; j < n; j++ {
 				if set&(1<<j) == 0 {

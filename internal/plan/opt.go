@@ -29,7 +29,6 @@ func OptimizeWith(cat Catalog, n Node, opts OptOpts) Node {
 	// shapes are still intact here, and the later passes then see (and are
 	// exercised on) the TopN node like any other operator.
 	n = fuseTopN(n)
-	n = sinkSemiFilters(n)
 	n = optimizeJoins(cat, n, opts)
 	n, _ = pruneNode(n, allRequired(len(n.Schema())))
 	// Last, after pushdown has landed every single-table conjunct in its
@@ -56,54 +55,10 @@ func allRequired(n int) []bool {
 // Join ordering + filter pushdown.
 // ---------------------------------------------------------------------------
 
-// sinkSemiFilters pushes Filters through semi/anti joins into their left
-// input. A semi/anti join's output schema and slot space are exactly its left
-// input's, so any predicate above commutes with the join; sinking it lets the
-// join-ordering region below see the predicate (a query that writes an IN
-// subquery before its join conjuncts — TPC-H Q18's shape — would otherwise
-// leave an unordered cross product under the semi join).
-func sinkSemiFilters(n Node) Node {
-	switch x := n.(type) {
-	case *Filter:
-		x.Input = sinkSemiFilters(x.Input)
-		if j, ok := x.Input.(*Join); ok && (j.Kind == JoinSemi || j.Kind == JoinAnti) {
-			j.Left = sinkSemiFilters(&Filter{Input: j.Left, Pred: x.Pred})
-			return j
-		}
-		return x
-	case *Join:
-		x.Left = sinkSemiFilters(x.Left)
-		x.Right = sinkSemiFilters(x.Right)
-		return x
-	case *Project:
-		x.Input = sinkSemiFilters(x.Input)
-		return x
-	case *Aggregate:
-		x.Input = sinkSemiFilters(x.Input)
-		return x
-	case *Sort:
-		x.Input = sinkSemiFilters(x.Input)
-		return x
-	case *Limit:
-		x.Input = sinkSemiFilters(x.Input)
-		return x
-	case *TopN:
-		x.Input = sinkSemiFilters(x.Input)
-		return x
-	case *Distinct:
-		x.Input = sinkSemiFilters(x.Input)
-		return x
-	case *Window:
-		x.Input = sinkSemiFilters(x.Input)
-		return x
-	default:
-		return n
-	}
-}
-
-// optimizeJoins walks the plan; every maximal Filter/inner-Join region is
-// re-planned: predicates are collected, single-relation conjuncts are pushed
-// into scans, equi predicates drive a greedy smallest-first join order.
+// optimizeJoins walks the plan; every maximal region of Filters, inner joins
+// and semi/anti joins is re-planned: predicates are collected, single-relation
+// conjuncts are pushed into scans, equi predicates drive the join-order
+// enumeration (joinorder.go) and each semi/anti join is placed by placeSemis.
 func optimizeJoins(cat Catalog, n Node, opts OptOpts) Node {
 	switch x := n.(type) {
 	case *Scan:
@@ -138,13 +93,58 @@ func optimizeJoins(cat Catalog, n Node, opts OptOpts) Node {
 
 // region is a flattened conjunction of relations and predicates.
 type region struct {
-	leaves []Node // ordered; concatenated schemas form the region schema
-	starts []int  // slot offset of each leaf in the region schema
-	preds  []Expr // over the region schema
+	leaves []Node       // ordered; concatenated schemas form the region schema
+	starts []int        // slot offset of each leaf in the region schema
+	preds  []Expr       // over the region schema
+	semis  []regionSemi // in written (innermost-first) order
 }
 
-// collectRegion flattens Filters and INNER joins. Semi/anti/left joins and
-// everything else become leaves (their insides are optimized recursively).
+// regionSemi is a semi/anti join flattened into a region. Its output schema
+// is its left schema, so it is a row filter over region slots [offset,
+// offset+nLeft) whose verdict depends only on those rows and its right input;
+// it commutes with every predicate and inner join of the region.
+type regionSemi struct {
+	j      *Join // Right already optimized; Left is replaced on placement
+	offset int   // region slot of the join's left slot 0
+}
+
+// leftSlots collects the region slots the join's left-side expressions use.
+func (s regionSemi) leftSlots() map[int]bool {
+	nLeft := len(s.j.Left.Schema())
+	used := map[int]bool{}
+	for _, e := range s.j.EquiL {
+		SlotsUsed(e, used)
+	}
+	SlotsUsed(s.j.Residual, used)
+	out := map[int]bool{}
+	for slot := range used {
+		if slot < nLeft {
+			out[slot+s.offset] = true
+		}
+	}
+	return out
+}
+
+// over re-homes the join on a new left input; place maps a region slot to its
+// slot in left's schema.
+func (s regionSemi) over(left Node, place func(regionSlot int) int) *Join {
+	nLeft, nNew := len(s.j.Left.Schema()), len(left.Schema())
+	j := &Join{Kind: s.j.Kind, Left: left, Right: s.j.Right, EquiR: s.j.EquiR}
+	for _, e := range s.j.EquiL {
+		j.EquiL = append(j.EquiL, MapSlots(e, func(slot int) int { return place(slot + s.offset) }))
+	}
+	j.Residual = MapSlots(s.j.Residual, func(slot int) int {
+		if slot < nLeft {
+			return place(slot + s.offset)
+		}
+		return nNew + slot - nLeft
+	})
+	return j
+}
+
+// collectRegion flattens Filters, INNER joins and semi/anti joins (whose
+// subquery side is optimized as its own block). Left joins and everything
+// else become leaves, their insides optimized recursively.
 func collectRegion(cat Catalog, n Node, offset int, r *region, opts OptOpts) {
 	switch x := n.(type) {
 	case *Filter:
@@ -152,40 +152,60 @@ func collectRegion(cat Catalog, n Node, offset int, r *region, opts OptOpts) {
 		for _, c := range splitBoundConjuncts(x.Pred) {
 			r.preds = append(r.preds, MapSlots(c, func(s int) int { return s + offset }))
 		}
+		return
 	case *Join:
-		if x.Kind != JoinInner {
-			r.leaves = append(r.leaves, optimizeNonInnerJoin(cat, x, opts))
-			r.starts = append(r.starts, offset)
+		switch x.Kind {
+		case JoinSemi, JoinAnti:
+			collectRegion(cat, x.Left, offset, r, opts)
+			x.Right = optimizeJoins(cat, x.Right, opts)
+			r.semis = append(r.semis, regionSemi{j: x, offset: offset})
 			return
-		}
-		nLeft := len(x.Left.Schema())
-		collectRegion(cat, x.Left, offset, r, opts)
-		collectRegion(cat, x.Right, offset+nLeft, r, opts)
-		for i := range x.EquiL {
-			l := MapSlots(x.EquiL[i], func(s int) int { return s + offset })
-			rr := MapSlots(x.EquiR[i], func(s int) int { return s + offset + nLeft })
-			r.preds = append(r.preds, &BinOp{Kind: BinCmp, Cmp: vec.CmpEq, L: l, R: rr, Typ: mtypes.Bool})
-		}
-		if x.Residual != nil {
-			r.preds = append(r.preds, MapSlots(x.Residual, func(s int) int { return s + offset }))
+		case JoinInner:
+			nLeft := len(x.Left.Schema())
+			collectRegion(cat, x.Left, offset, r, opts)
+			collectRegion(cat, x.Right, offset+nLeft, r, opts)
+			for i := range x.EquiL {
+				l := MapSlots(x.EquiL[i], func(s int) int { return s + offset })
+				rr := MapSlots(x.EquiR[i], func(s int) int { return s + offset + nLeft })
+				r.preds = append(r.preds, &BinOp{Kind: BinCmp, Cmp: vec.CmpEq, L: l, R: rr, Typ: mtypes.Bool})
+			}
+			if x.Residual != nil {
+				r.preds = append(r.preds, MapSlots(x.Residual, func(s int) int { return s + offset }))
+			}
+			return
+		case JoinLeft:
+			n = optimizeLeftJoin(cat, x, opts)
 		}
 	default:
-		r.leaves = append(r.leaves, optimizeJoinsInside(cat, n, opts))
-		r.starts = append(r.starts, offset)
+		n = optimizeJoins(cat, n, opts)
 	}
+	r.leaves = append(r.leaves, n)
+	r.starts = append(r.starts, offset)
 }
 
-// optimizeJoinsInside recurses into non-region nodes (derived tables etc.).
-func optimizeJoinsInside(cat Catalog, n Node, opts OptOpts) Node {
-	switch x := n.(type) {
-	case *Scan:
-		return x
-	default:
-		return optimizeJoins(cat, x, opts)
+// optimizeLeftJoin optimizes both inputs of a LEFT join as their own blocks.
+// ON conjuncts that reference only the right input move into it as an
+// ordinary Filter first: a right row failing one can never match, and a left
+// row keeps its NULL-padded output either way, so the join is unchanged while
+// the conjunct runs in the right input's (parallel, encoded) scan instead of
+// over candidate pairs.
+func optimizeLeftJoin(cat Catalog, j *Join, opts OptOpts) Node {
+	nLeft := len(j.Left.Schema())
+	var residual Expr
+	for _, c := range splitBoundConjuncts(j.Residual) {
+		used := map[int]bool{}
+		SlotsUsed(c, used)
+		rightOnly := len(used) > 0
+		for s := range used {
+			rightOnly = rightOnly && s >= nLeft
+		}
+		if rightOnly {
+			j.Right = &Filter{Input: j.Right, Pred: MapSlots(c, func(s int) int { return s - nLeft })}
+		} else {
+			residual = andExpr(residual, c)
+		}
 	}
-}
-
-func optimizeNonInnerJoin(cat Catalog, j *Join, opts OptOpts) Node {
+	j.Residual = residual
 	j.Left = optimizeJoins(cat, j.Left, opts)
 	j.Right = optimizeJoins(cat, j.Right, opts)
 	return j
@@ -202,9 +222,14 @@ func replanRegion(cat Catalog, n Node, opts OptOpts) Node {
 		preds = append(preds, hoistOrCommonConjuncts(p)...)
 	}
 	r.preds = preds
-	if len(r.leaves) == 1 && onlySingleLeafPreds(r) {
-		// No join ordering to do: push predicates and return.
-		return attachPreds(r.leaves[0], r.preds)
+	if len(r.leaves) == 1 {
+		// No join ordering to do: push predicates, then filter by the
+		// semi/anti joins in written order.
+		out := attachPreds(r.leaves[0], r.preds)
+		for _, s := range r.semis {
+			out = s.over(out, func(slot int) int { return slot })
+		}
+		return out
 	}
 	return orderJoins(cat, n, r, opts)
 }
@@ -288,8 +313,6 @@ func splitOrBranches(e Expr) []Expr {
 	return []Expr{e}
 }
 
-func onlySingleLeafPreds(r *region) bool { return len(r.leaves) == 1 }
-
 // attachPreds pushes predicates into a single leaf (scan filters when
 // possible).
 func attachPreds(leaf Node, preds []Expr) Node {
@@ -326,8 +349,10 @@ func (r *region) predLeaves(p Expr) map[int]bool {
 // cardinalities come from the shared estimator (EstimateCard), equi
 // predicates between leaf pairs become selectivity-weighted graph edges, and
 // chooseJoinOrder (exact DP up to dpMaxLeaves relations, cost-greedy above)
-// picks the sequence. The output is wrapped in a Project restoring the
-// region's original slot order so parents are unaffected.
+// picks the sequence. The region's semi/anti joins are placed by placeSemis:
+// at one leaf, or on top of the finished tree. The output is wrapped in a
+// Project restoring the region's original slot order so parents are
+// unaffected.
 func orderJoins(cat Catalog, orig Node, r *region, opts OptOpts) Node {
 	nLeaves := len(r.leaves)
 	// Assign single-leaf predicates to their leaf.
@@ -381,6 +406,10 @@ func orderJoins(cat Catalog, orig Node, r *region, opts OptOpts) Node {
 		g.addEdge(a, b, est.equiPairSel(leaves[a], leaves[b], localA, localB, g.cards[a], g.cards[b]))
 	}
 
+	topSemis := r.semis
+	if !opts.NoJoinReorder {
+		topSemis = placeSemis(est, r, leaves, g)
+	}
 	perm := chooseJoinOrder(g)
 	if opts.NoJoinReorder {
 		perm = identityPerm(nLeaves)
@@ -451,6 +480,12 @@ func orderJoins(cat Catalog, orig Node, r *region, opts OptOpts) Node {
 			cur = &Filter{Input: cur, Pred: remapGlobal(p)}
 		}
 	}
+	for _, s := range topSemis {
+		cur = s.over(cur, func(slot int) int {
+			l, local := r.leafOf(slot)
+			return newPos[l] + local
+		})
+	}
 	// Restore the original slot order for parent nodes.
 	origSchema := orig.Schema()
 	exprs := make([]Expr, len(origSchema))
@@ -463,6 +498,47 @@ func orderJoins(cat Catalog, orig Node, r *region, opts OptOpts) Node {
 		out[s] = origSchema[s]
 	}
 	return &Project{Input: cur, Exprs: exprs, Out: out}
+}
+
+// placeSemis decides where each of the region's semi/anti joins runs. A semi
+// join whose left-side references all come from one leaf may filter that leaf
+// before it is joined, and does when the estimator says either
+//
+//   - its subquery side is smaller than the leaf: at most that many of the
+//     leaf's keys survive, so every join above shrinks with it (TPC-H Q18:
+//     the IN subquery cuts orders before lineitem is joined), or
+//   - the leaf is no larger than the region's join result: probing it there
+//     costs no more than probing on top.
+//
+// Otherwise it stays on top of the join tree, where the region's other
+// predicates have left fewer rows to probe with (Q21: l1 is some 40x the join
+// result its EXISTS filters, and the EXISTS side is all of lineitem). Anti
+// joins always stay on top: theirs is a strong filter only when the subquery
+// side is large, which is also when it is expensive. Placed joins wrap their
+// leaf (leaves and g.cards are updated); the rest are returned in written
+// order.
+func placeSemis(est *estimator, r *region, leaves []Node, g *joinGraph) (top []regionSemi) {
+	topCard := g.cardOfSet(uint(1)<<len(leaves) - 1)
+	for _, s := range r.semis {
+		leaf := -1
+		for slot := range s.leftSlots() {
+			l, _ := r.leafOf(slot)
+			if leaf >= 0 && l != leaf {
+				leaf = -1
+				break
+			}
+			leaf = l
+		}
+		if leaf < 0 || s.j.Kind != JoinSemi ||
+			(est.card(s.j.Right) >= g.cards[leaf] && g.cards[leaf] > topCard) {
+			top = append(top, s)
+			continue
+		}
+		start := r.starts[leaf]
+		leaves[leaf] = s.over(leaves[leaf], func(slot int) int { return slot - start })
+		g.cards[leaf] = est.card(leaves[leaf])
+	}
+	return top
 }
 
 func isEquiPred(p Expr) bool {
@@ -512,7 +588,6 @@ func pruneNode(n Node, required []bool) (Node, map[int]int) {
 		req := append([]bool(nil), required...)
 		used := map[int]bool{}
 		SlotsUsed(x.Pred, used)
-		collectSubplanFree(x.Pred)
 		for s := range used {
 			req[s] = true
 		}
@@ -998,14 +1073,4 @@ func mapExprSlots(e Expr, m map[int]int) Expr {
 		return s
 	})
 	return out
-}
-
-// collectSubplanFree recursively prunes uncorrelated subplans inside preds.
-func collectSubplanFree(e Expr) {
-	WalkExpr(e, func(x Expr) bool {
-		if sp, ok := x.(*SubplanExpr); ok {
-			sp.Plan, _ = pruneNode(sp.Plan, allRequired(len(sp.Plan.Schema())))
-		}
-		return true
-	})
 }

@@ -26,3 +26,33 @@ func BenchmarkTPCHQ5(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkQ2JoinOrder is the wall-clock side of
+// TestJoinReorderBeatsWrittenOrder: Q2 in the optimizer's join order and in
+// the written one (which starts with the part x supplier cross product).
+func BenchmarkQ2JoinOrder(b *testing.B) {
+	db, _, err := NewDatabase(0.05, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	for _, written := range []bool{false, true} {
+		name := "optimized"
+		if written {
+			name = "written"
+		}
+		b.Run(name, func(b *testing.B) {
+			conn := db.Connect()
+			conn.NoJoinReorder = written
+			if _, err := conn.Query(Queries[2]); err != nil { // warm (index builds)
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := conn.Query(Queries[2]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

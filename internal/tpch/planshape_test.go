@@ -1,11 +1,13 @@
 package tpch
 
 import (
+	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"monetlite"
+	"monetlite/internal/mal"
+	"monetlite/internal/plan"
 )
 
 // TestPlanShapeGoldens pins the join orders the cost-based optimizer picks
@@ -46,13 +48,39 @@ func TestPlanShapeGoldens(t *testing.T) {
 	}
 }
 
+// maxJoinRows returns the largest join output the traced query materialized,
+// from its optimizer.cardinality instructions ("join KIND: est E actual A").
+func maxJoinRows(t *testing.T, prog *mal.Program) int {
+	t.Helper()
+	most := -1
+	for _, in := range prog.Instrs {
+		if in.Op != "optimizer.cardinality" || !strings.HasPrefix(in.Args[0], "join ") {
+			continue
+		}
+		_, actual, ok := strings.Cut(in.Args[0], " actual ")
+		n, err := strconv.Atoi(actual)
+		if !ok || err != nil {
+			t.Fatalf("unparsable cardinality instruction %q", in.Args[0])
+		}
+		most = max(most, n)
+	}
+	if most < 0 {
+		t.Fatal("no join cardinalities in the trace")
+	}
+	return most
+}
+
 // TestJoinReorderBeatsWrittenOrder demonstrates the optimizer earning its
 // keep: Q2's written FROM order starts with part x supplier — a cross
 // product (the two only connect through partsupp, listed third) — so
 // executing the written order materializes every filtered-part/supplier
-// pair, while the cost-based order never leaves the key graph. The
-// reordered plan must win by more than 2x wall-clock, and both must return
-// identical results.
+// pair, while the cost-based order never leaves the key graph. Both must
+// return identical results, and the reordered plan's largest join
+// intermediate must be less than half the written order's (at this scale:
+// 7 120 rows, inside the decorrelated min() block both plans share, against
+// the 40 000-pair cross product). Row counts are exact, so unlike the
+// wall-clock comparison this used to make — kept as BenchmarkQ2JoinOrder —
+// the assertion cannot flake under load.
 func TestJoinReorderBeatsWrittenOrder(t *testing.T) {
 	db, _, err := NewDatabase(0.05, 42)
 	if err != nil {
@@ -60,35 +88,195 @@ func TestJoinReorderBeatsWrittenOrder(t *testing.T) {
 	}
 	defer db.Close()
 
-	run := func(noReorder bool) (time.Duration, *monetlite.Result) {
+	run := func(noReorder bool) (int, *monetlite.Result) {
 		conn := db.Connect()
 		conn.NoJoinReorder = noReorder
-		start := time.Now()
+		conn.TraceMAL = true
 		res, err := conn.Query(Queries[2])
 		if err != nil {
 			t.Fatalf("Q2 (noReorder=%v): %v", noReorder, err)
 		}
-		return time.Since(start), res
+		return maxJoinRows(t, conn.LastTrace), res
+	}
+	opt, optRes := run(false)
+	base, baseRes := run(true)
+	compareResults(t, "Q2 reordered vs written order", optRes, baseRes)
+	t.Logf("Q2 largest join intermediate: optimized %d rows, written order %d rows", opt, base)
+	if base <= 2*opt {
+		t.Errorf("join reordering should more than halve the largest intermediate: optimized %d rows, written %d", opt, base)
+	}
+}
+
+// nodeExprs lists the expressions a plan node evaluates itself.
+func nodeExprs(n plan.Node) []plan.Expr {
+	var out []plan.Expr
+	switch x := n.(type) {
+	case *plan.Scan:
+		out = x.Filters
+	case *plan.Filter:
+		out = []plan.Expr{x.Pred}
+	case *plan.Project:
+		out = x.Exprs
+	case *plan.Join:
+		out = append(append(append(out, x.EquiL...), x.EquiR...), x.Residual)
+	case *plan.Aggregate:
+		out = append(out, x.GroupBy...)
+		for _, a := range x.Aggs {
+			out = append(out, a.Arg)
+		}
+	case *plan.Sort:
+		for _, k := range x.Keys {
+			out = append(out, k.E)
+		}
+	case *plan.TopN:
+		for _, k := range x.Keys {
+			out = append(out, k.E)
+		}
+	}
+	return out
+}
+
+// walkPlan visits n, its inputs, and the plans of the scalar subqueries its
+// expressions hold.
+func walkPlan(n plan.Node, fn func(plan.Node)) {
+	if n == nil {
+		return
+	}
+	fn(n)
+	for _, e := range nodeExprs(n) {
+		plan.WalkExpr(e, func(x plan.Expr) bool {
+			if sp, ok := x.(*plan.SubplanExpr); ok {
+				walkPlan(sp.Plan, fn)
+			}
+			return true
+		})
+	}
+	for _, c := range n.Children() {
+		walkPlan(c, fn)
+	}
+}
+
+// scansOf lists the tables scanned anywhere under n (subplans included).
+func scansOf(n plan.Node) []string {
+	var out []string
+	walkPlan(n, func(x plan.Node) {
+		if sc, ok := x.(*plan.Scan); ok {
+			out = append(out, sc.Table)
+		}
+	})
+	return out
+}
+
+// joinsOf lists the joins of one kind anywhere under n, outermost first.
+func joinsOf(n plan.Node, kind plan.JoinKind) []*plan.Join {
+	var out []*plan.Join
+	walkPlan(n, func(x plan.Node) {
+		if j, ok := x.(*plan.Join); ok && j.Kind == kind {
+			out = append(out, j)
+		}
+	})
+	return out
+}
+
+// TestSubqueryPlanShapes asserts, on the typed plans, what treating nested
+// query blocks as first-class joins buys: no query block of the 22 queries —
+// scalar subplans included — contains a pure cross product, and the
+// semi/anti/outer joins sit where the cost argument puts them.
+func TestSubqueryPlanShapes(t *testing.T) {
+	db, _, err := NewDatabase(0.01, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	conn := db.Connect()
+	conn.TraceMAL = true
+	plans := map[int]plan.Node{}
+	for _, q := range QueryNumbers {
+		if _, err := conn.Query(Queries[q]); err != nil {
+			t.Fatalf("Q%d: %v", q, err)
+		}
+		plans[q] = conn.LastPlan
+		walkPlan(conn.LastPlan, func(n plan.Node) {
+			if j, ok := n.(*plan.Join); ok && len(j.EquiL) == 0 && j.Residual == nil {
+				t.Errorf("Q%d: %s join of %v x %v has neither keys nor a residual",
+					q, j.Kind, scansOf(j.Left), scansOf(j.Right))
+			}
+		})
+		if n := conn.LastTrace.Count("algebra.crossproduct"); n != 0 {
+			t.Errorf("Q%d: %d cross products executed", q, n)
+		}
 	}
 
-	// Warm both paths once (first touch pays index builds etc.), then take
-	// the best of three timed runs each so scheduler noise can't flip the
-	// structural gap.
-	_, optRes := run(false)
-	_, baseRes := run(true)
-	compareResults(t, "Q2 reordered vs written order", optRes, baseRes)
-	best := func(noReorder bool) time.Duration {
-		b := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
-			if d, _ := run(noReorder); d < b {
-				b = d
-			}
+	// Q11: the HAVING threshold is a block of its own, join-ordered like the
+	// outer query (nation first, partsupp last).
+	var q11sub *plan.SubplanExpr
+	walkPlan(plans[11], func(n plan.Node) {
+		for _, e := range nodeExprs(n) {
+			plan.WalkExpr(e, func(x plan.Expr) bool {
+				if sp, ok := x.(*plan.SubplanExpr); ok && q11sub == nil {
+					q11sub = sp
+				}
+				return true
+			})
 		}
-		return b
+	})
+	if q11sub == nil || q11sub.ID != 1 {
+		t.Fatalf("Q11: want one scalar subplan numbered 1, got %+v", q11sub)
 	}
-	opt, base := best(false), best(true)
-	t.Logf("Q2: optimized %v, written order %v (%.1fx)", opt, base, float64(base)/float64(opt))
-	if base < 2*opt {
-		t.Errorf("join reordering should beat the written order by >2x: optimized %v, written %v", opt, base)
+	if got, want := plan.JoinTreeString(q11sub.Plan), "((nation * supplier) * partsupp)"; got != want {
+		t.Errorf("Q11 subplan join order %s, want %s", got, want)
+	}
+
+	// Q13: the right-only ON conjunct (o_comment NOT LIKE …) runs in the
+	// orders scan, not as a residual over customer-order pairs.
+	lefts := joinsOf(plans[13], plan.JoinLeft)
+	if len(lefts) != 1 {
+		t.Fatalf("Q13: %d LEFT joins", len(lefts))
+	}
+	if lefts[0].Residual != nil {
+		t.Errorf("Q13: LEFT join kept a residual: %s", plan.ExprString(lefts[0].Residual))
+	}
+	filtered := false
+	walkPlan(lefts[0].Right, func(n plan.Node) {
+		switch x := n.(type) {
+		case *plan.Filter:
+			filtered = true
+		case *plan.Scan:
+			filtered = filtered || len(x.Filters) > 0
+		}
+	})
+	if !filtered {
+		t.Errorf("Q13: no filter under the LEFT join's right input:\n%s", plan.PlanString(lefts[0]))
+	}
+
+	// Q18: the IN subquery filters orders before lineitem is joined.
+	semis := joinsOf(plans[18], plan.JoinSemi)
+	if len(semis) != 1 {
+		t.Fatalf("Q18: %d SEMI joins", len(semis))
+	}
+	if got := scansOf(semis[0].Left); len(got) != 1 || got[0] != "orders" {
+		t.Errorf("Q18: semi join filters %v, want [orders]", got)
+	}
+	below := false
+	for _, j := range joinsOf(plans[18], plan.JoinInner) {
+		if sc, ok := j.Right.(*plan.Scan); ok && sc.Table == "lineitem" {
+			below = len(joinsOf(j.Left, plan.JoinSemi)) == 1
+		}
+	}
+	if !below {
+		t.Errorf("Q18: semi join is not below the lineitem join:\n%s", plan.PlanString(plans[18]))
+	}
+
+	// Q21: EXISTS / NOT EXISTS stay above the whole join region — l1 is tens
+	// of times larger than the join result they filter.
+	semis, antis := joinsOf(plans[21], plan.JoinSemi), joinsOf(plans[21], plan.JoinAnti)
+	if len(semis) != 1 || len(antis) != 1 {
+		t.Fatalf("Q21: %d SEMI, %d ANTI joins", len(semis), len(antis))
+	}
+	if got := len(scansOf(semis[0].Left)); got != 4 {
+		t.Errorf("Q21: semi join sits over %d of the 4 joined tables", got)
+	}
+	if antis[0].Left != plan.Node(semis[0]) {
+		t.Errorf("Q21: anti join is not directly above the semi join:\n%s", plan.PlanString(plans[21]))
 	}
 }

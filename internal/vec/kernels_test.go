@@ -355,13 +355,21 @@ func TestHashJoinSemiAnti(t *testing.T) {
 	}
 }
 
-func TestHashJoinLeft(t *testing.T) {
-	build := intVec(10)
-	probe := intVec(10, 99)
+func TestHashJoinMark(t *testing.T) {
+	build := intVec(10, 7, 10)
+	probe := intVec(10, 99, 10)
 	ht := BuildHash([]*Vector{build}, nil)
-	p, b := ht.ProbeLeft([]*Vector{probe}, nil)
-	if len(p) != 2 || b[0] != 0 || b[1] != -1 {
-		t.Fatalf("left join: %v %v", p, b)
+	marks := NewBitmap(3)
+	ht.ProbeMark([]*Vector{probe}, nil, marks)
+	if !marks.Get(0) || marks.Get(1) || !marks.Get(2) {
+		t.Fatalf("marks: %b", marks[0])
+	}
+}
+
+func TestGatherOuter(t *testing.T) {
+	g := GatherOuter(strVec("a", "b"), []int32{1, -1, 0})
+	if g.Str[0] != "b" || !g.IsNull(1) || g.Str[2] != "a" {
+		t.Fatalf("outer gather: %v", g.Str)
 	}
 }
 

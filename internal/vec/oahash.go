@@ -514,27 +514,23 @@ func (ht *HashTable) ProbeSemi(keys []*Vector, cands []int32, anti bool) []int32
 	return out
 }
 
-// ProbeLeft computes left-outer-join pairs: every probe row appears at least
-// once; unmatched rows carry buildSel = -1.
-func (ht *HashTable) ProbeLeft(keys []*Vector, cands []int32) (probeSel, buildSel []int32) {
+// ProbeMark is the build-side mirror of ProbeSemi: it sets marks[b] for every
+// build row b whose key some probe candidate holds, for joins that keep or
+// drop *build* rows by whether the other side matches (semi/anti joins built
+// on their left input). A key's rows are marked together, so a chain is
+// walked once however many probe rows hit it.
+func (ht *HashTable) ProbeMark(keys []*Vector, cands []int32, marks Bitmap) {
 	pks := NewKeySet(keys, cands, true)
-	probeSel = make([]int32, 0, pks.n)
-	buildSel = make([]int32, 0, pks.n)
 	for k := 0; k < pks.n; k++ {
-		r := pks.RowAt(k)
-		id := int32(-1)
-		if !pks.null[k] {
-			id = ht.lookup(pks, k)
+		if pks.null[k] {
+			continue
 		}
-		if id < 0 {
-			probeSel = append(probeSel, r)
-			buildSel = append(buildSel, -1)
+		id := ht.lookup(pks, k)
+		if id < 0 || marks.Get(ht.ks.RowAt(int(ht.head[id]))) {
 			continue
 		}
 		for b := ht.head[id]; b >= 0; b = ht.next[b] {
-			probeSel = append(probeSel, r)
-			buildSel = append(buildSel, ht.ks.RowAt(int(b)))
+			marks.Set(ht.ks.RowAt(int(b)))
 		}
 	}
-	return probeSel, buildSel
 }

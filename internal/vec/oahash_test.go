@@ -261,30 +261,20 @@ func TestHashJoinMatchesBruteForce(t *testing.T) {
 			}
 		}
 
-		// Left outer pairs.
-		var wantLP, wantLB []int32
-		for _, p := range pRows {
-			matched := false
-			for _, b := range bRows {
+		// Build rows marked by the probe side (semi/anti built on the left).
+		nBuild := buildKeys[0].Len()
+		marks := NewBitmap(nBuild)
+		ht.ProbeMark(probeKeys, pCands, marks)
+		for _, b := range bRows {
+			want := false
+			for _, p := range pRows {
 				if oracleMatch(buildKeys, probeKeys, b, p) {
-					wantLP = append(wantLP, p)
-					wantLB = append(wantLB, b)
-					matched = true
+					want = true
+					break
 				}
 			}
-			if !matched {
-				wantLP = append(wantLP, p)
-				wantLB = append(wantLB, -1)
-			}
-		}
-		gotLP, gotLB := ht.ProbeLeft(probeKeys, pCands)
-		if len(gotLP) != len(wantLP) {
-			t.Fatalf("trial %d: left %d pairs, oracle %d", trial, len(gotLP), len(wantLP))
-		}
-		for i := range gotLP {
-			if gotLP[i] != wantLP[i] || gotLB[i] != wantLB[i] {
-				t.Fatalf("trial %d: left pair %d = (%d,%d), oracle (%d,%d)",
-					trial, i, gotLP[i], gotLB[i], wantLP[i], wantLB[i])
+			if marks.Get(b) != want {
+				t.Fatalf("trial %d: build row %d marked=%v, oracle %v", trial, b, marks.Get(b), want)
 			}
 		}
 	}

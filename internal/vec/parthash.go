@@ -206,28 +206,21 @@ func (pt *PartitionedHashTable) ProbeSemi(keys []*Vector, cands []int32, anti bo
 	return out
 }
 
-// ProbeLeft mirrors HashTable.ProbeLeft over the partitioned table.
-func (pt *PartitionedHashTable) ProbeLeft(keys []*Vector, cands []int32) (probeSel, buildSel []int32) {
+// ProbeMark mirrors HashTable.ProbeMark over the partitioned table.
+func (pt *PartitionedHashTable) ProbeMark(keys []*Vector, cands []int32, marks Bitmap) {
 	pks := NewKeySet(keys, cands, true)
-	probeSel = make([]int32, 0, pks.n)
-	buildSel = make([]int32, 0, pks.n)
 	for k := 0; k < pks.n; k++ {
-		r := pks.RowAt(k)
-		p, id := -1, int32(-1)
-		if !pks.null[k] {
-			p, id = pt.lookup(pks, k)
+		if pks.null[k] {
+			continue
 		}
-		if id < 0 {
-			probeSel = append(probeSel, r)
-			buildSel = append(buildSel, -1)
+		p, id := pt.lookup(pks, k)
+		if id < 0 || marks.Get(pt.ks.RowAt(int(pt.parts[p].head[id]))) {
 			continue
 		}
 		for b := pt.parts[p].head[id]; b >= 0; b = pt.next[b] {
-			probeSel = append(probeSel, r)
-			buildSel = append(buildSel, pt.ks.RowAt(int(b)))
+			marks.Set(pt.ks.RowAt(int(b)))
 		}
 	}
-	return probeSel, buildSel
 }
 
 // JoinTable is the common probe interface of the serial and partitioned join
@@ -236,7 +229,7 @@ type JoinTable interface {
 	Len() int
 	Probe(keys []*Vector, cands []int32) (probeSel, buildSel []int32)
 	ProbeSemi(keys []*Vector, cands []int32, anti bool) []int32
-	ProbeLeft(keys []*Vector, cands []int32) (probeSel, buildSel []int32)
+	ProbeMark(keys []*Vector, cands []int32, marks Bitmap)
 }
 
 var (

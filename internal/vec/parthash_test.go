@@ -51,9 +51,14 @@ func TestPartitionedHashMatchesSerial(t *testing.T) {
 		gp, gb := pt.Probe(probeKeys, pCands)
 		eqPairs("inner", gp, gb, wp, wb)
 
-		wp, wb = ht.ProbeLeft(probeKeys, pCands)
-		gp, gb = pt.ProbeLeft(probeKeys, pCands)
-		eqPairs("left", gp, gb, wp, wb)
+		wantM, gotM := NewBitmap(buildKeys[0].Len()), NewBitmap(buildKeys[0].Len())
+		ht.ProbeMark(probeKeys, pCands, wantM)
+		pt.ProbeMark(probeKeys, pCands, gotM)
+		for w := range wantM {
+			if gotM[w] != wantM[w] {
+				t.Fatalf("trial %d mark: word %d = %x, serial %x", trial, w, gotM[w], wantM[w])
+			}
+		}
 
 		for _, anti := range []bool{false, true} {
 			want := ht.ProbeSemi(probeKeys, pCands, anti)

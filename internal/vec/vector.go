@@ -298,6 +298,56 @@ func gatherInto[T any](data []T, cands []int32, out []T) {
 	}
 }
 
+// GatherOuter is Gather for outer-join pair lists: a negative position (a row
+// with no match on this side) yields NULL.
+func GatherOuter(v *Vector, cands []int32) *Vector {
+	out := New(v.Typ, len(cands))
+	switch v.Typ.Kind {
+	case mtypes.KBool, mtypes.KTinyInt:
+		gatherOuterInto(v.I8, cands, out.I8, mtypes.NullInt8)
+	case mtypes.KSmallInt:
+		gatherOuterInto(v.I16, cands, out.I16, mtypes.NullInt16)
+	case mtypes.KInt, mtypes.KDate:
+		gatherOuterInto(v.I32, cands, out.I32, mtypes.NullInt32)
+	case mtypes.KBigInt, mtypes.KDecimal:
+		gatherOuterInto(v.I64, cands, out.I64, mtypes.NullInt64)
+	case mtypes.KDouble:
+		gatherOuterInto(v.F64, cands, out.F64, mtypes.NullFloat64())
+	case mtypes.KVarchar:
+		gatherOuterInto(v.Str, cands, out.Str, StrNull)
+	}
+	return out
+}
+
+func gatherOuterInto[T any](data []T, cands []int32, out []T, null T) {
+	for i, c := range cands {
+		if c < 0 {
+			out[i] = null
+		} else {
+			out[i] = data[c]
+		}
+	}
+}
+
+// Bitmap is a fixed-size bitset over row ids.
+type Bitmap []uint64
+
+// NewBitmap returns an all-clear bitmap able to hold n bits.
+func NewBitmap(n int) Bitmap { return make(Bitmap, (n+63)/64) }
+
+// Set marks bit i.
+func (b Bitmap) Set(i int32) { b[i>>6] |= 1 << (uint(i) & 63) }
+
+// Get reports whether bit i is marked.
+func (b Bitmap) Get(i int32) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// Or marks in b every bit marked in o (same size).
+func (b Bitmap) Or(o Bitmap) {
+	for w, x := range o {
+		b[w] |= x
+	}
+}
+
 // AppendVec grows v in place by o's values (amortized via Go slice growth).
 // Callers relying on snapshot sharing must ensure the extended region is
 // never observed by older readers (see internal/storage's append contract).

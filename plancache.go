@@ -38,8 +38,8 @@ import (
 //     can be executing on several connections at once.
 type planCache struct {
 	mu    sync.Mutex
-	parse map[string]sqlparse.Statement
-	plans map[string]cachedPlan
+	parse clockMap[sqlparse.Statement]
+	plans clockMap[cachedPlan]
 
 	hits          int64
 	misses        int64
@@ -58,8 +58,71 @@ const planCacheMax = 512
 
 func newPlanCache() *planCache {
 	return &planCache{
-		parse: make(map[string]sqlparse.Statement),
-		plans: make(map[string]cachedPlan),
+		parse: clockMap[sqlparse.Statement]{index: map[string]int{}},
+		plans: clockMap[cachedPlan]{index: map[string]int{}},
+	}
+}
+
+// clockMap is a string-keyed map bounded at planCacheMax entries with
+// second-chance (clock) eviction: a hit sets the entry's referenced bit, and a
+// put into a full map sweeps the hand over the ring, clearing referenced bits
+// until it reaches an entry nobody has hit since the last sweep — so a stream
+// of one-off statements recycles its own slots and leaves the statements that
+// keep being used alone.
+type clockMap[V any] struct {
+	slots []clockSlot[V]
+	index map[string]int // key -> position in slots
+	hand  int
+}
+
+type clockSlot[V any] struct {
+	key string
+	val V
+	ref bool
+}
+
+func (c *clockMap[V]) get(key string) (V, bool) {
+	i, ok := c.index[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	c.slots[i].ref = true
+	return c.slots[i].val, true
+}
+
+func (c *clockMap[V]) put(key string, val V) {
+	if i, ok := c.index[key]; ok {
+		c.slots[i].val = val
+		return
+	}
+	if len(c.slots) < planCacheMax {
+		c.index[key] = len(c.slots)
+		c.slots = append(c.slots, clockSlot[V]{key: key, val: val})
+		return
+	}
+	for c.slots[c.hand].ref {
+		c.slots[c.hand].ref = false
+		c.hand = (c.hand + 1) % len(c.slots)
+	}
+	delete(c.index, c.slots[c.hand].key)
+	c.slots[c.hand] = clockSlot[V]{key: key, val: val}
+	c.index[key] = c.hand
+	c.hand = (c.hand + 1) % len(c.slots)
+}
+
+func (c *clockMap[V]) remove(key string) {
+	i, ok := c.index[key]
+	if !ok {
+		return
+	}
+	last := len(c.slots) - 1
+	c.slots[i] = c.slots[last]
+	c.index[c.slots[i].key] = i
+	c.slots = c.slots[:last]
+	delete(c.index, key)
+	if c.hand >= len(c.slots) {
+		c.hand = 0
 	}
 }
 
@@ -75,20 +138,13 @@ func normalizeSQL(sql string) string {
 func (pc *planCache) getParse(key string) (sqlparse.Statement, bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	st, ok := pc.parse[key]
-	return st, ok
+	return pc.parse.get(key)
 }
 
 func (pc *planCache) putParse(key string, st sqlparse.Statement) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if len(pc.parse) >= planCacheMax {
-		for k := range pc.parse {
-			delete(pc.parse, k)
-			break
-		}
-	}
-	pc.parse[key] = st
+	pc.parse.put(key, st)
 }
 
 // getPlan returns the cached bound plan for key if both its schema and its
@@ -97,13 +153,13 @@ func (pc *planCache) putParse(key string, st sqlparse.Statement) {
 func (pc *planCache) getPlan(key string, schema, stats uint64) (*plan.BoundQuery, bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	cp, ok := pc.plans[key]
+	cp, ok := pc.plans.get(key)
 	if !ok {
 		pc.misses++
 		return nil, false
 	}
 	if cp.schema != schema || cp.stats != stats {
-		delete(pc.plans, key)
+		pc.plans.remove(key)
 		pc.invalidations++
 		pc.misses++
 		return nil, false
@@ -115,13 +171,7 @@ func (pc *planCache) getPlan(key string, schema, stats uint64) (*plan.BoundQuery
 func (pc *planCache) putPlan(key string, q *plan.BoundQuery, schema, stats uint64) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if len(pc.plans) >= planCacheMax {
-		for k := range pc.plans {
-			delete(pc.plans, k)
-			break
-		}
-	}
-	pc.plans[key] = cachedPlan{q: q, schema: schema, stats: stats}
+	pc.plans.put(key, cachedPlan{q: q, schema: schema, stats: stats})
 }
 
 // PlanCacheStats is a snapshot of the statement-cache counters.
@@ -139,8 +189,8 @@ func (db *Database) PlanCacheStats() PlanCacheStats {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	return PlanCacheStats{
-		ParseEntries:  len(pc.parse),
-		PlanEntries:   len(pc.plans),
+		ParseEntries:  len(pc.parse.index),
+		PlanEntries:   len(pc.plans.index),
 		Hits:          pc.hits,
 		Misses:        pc.misses,
 		Invalidations: pc.invalidations,

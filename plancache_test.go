@@ -1,8 +1,11 @@
 package monetlite
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"monetlite/internal/plan"
 )
 
 func planCacheDB(t *testing.T) (*Database, *Conn) {
@@ -204,5 +207,50 @@ func TestParseCacheSharedAcrossConnections(t *testing.T) {
 	st := db.PlanCacheStats()
 	if st.Hits < 1 {
 		t.Fatalf("normalized texts did not share a plan entry: %+v", st)
+	}
+}
+
+// A hot set that keeps being hit must survive any number of one-off
+// statements flowing through a full cache: second-chance eviction recycles
+// the cold entries' slots. (Evicting whichever key map iteration yields, as
+// the cache once did, loses hot entries at 1/planCacheMax per cold miss.)
+func TestPlanCacheHotSetSurvivesColdMisses(t *testing.T) {
+	pc := newPlanCache()
+	const hot = 64
+	q := &plan.BoundQuery{}
+	for h := 0; h < hot; h++ {
+		pc.putPlan(fmt.Sprintf("hot %d", h), q, 1, 1)
+		pc.putParse(fmt.Sprintf("hot %d", h), nil)
+	}
+	for i := 0; i < 10*planCacheMax; i++ {
+		cold := fmt.Sprintf("cold %d", i)
+		if _, ok := pc.getPlan(cold, 1, 1); ok {
+			t.Fatalf("cold key %d hit", i)
+		}
+		pc.putPlan(cold, q, 1, 1)
+		pc.putParse(cold, nil)
+		h := fmt.Sprintf("hot %d", i%hot)
+		if _, ok := pc.getPlan(h, 1, 1); !ok {
+			t.Fatalf("hot plan %q evicted after %d cold misses", h, i+1)
+		}
+		if _, ok := pc.getParse(h); !ok {
+			t.Fatalf("hot parse %q evicted after %d cold misses", h, i+1)
+		}
+	}
+	if n := len(pc.plans.index); n != planCacheMax {
+		t.Fatalf("plan entries = %d, want the cap %d", n, planCacheMax)
+	}
+	// An invalidated entry leaves the ring consistent: it is gone, the rest
+	// still resolve, and its slot is reusable.
+	if _, ok := pc.getPlan("hot 0", 2, 1); ok {
+		t.Fatal("stale schema stamp served from cache")
+	}
+	if _, ok := pc.getPlan("hot 0", 2, 1); ok || len(pc.plans.index) != planCacheMax-1 {
+		t.Fatalf("invalidated entry still present (%d entries)", len(pc.plans.index))
+	}
+	for h := 1; h < hot; h++ {
+		if _, ok := pc.getPlan(fmt.Sprintf("hot %d", h), 1, 1); !ok {
+			t.Fatalf("hot %d lost by an unrelated invalidation", h)
+		}
 	}
 }
