@@ -1,12 +1,13 @@
 // Paper-reproduction benchmarks: one testing.B benchmark per figure and
-// table of the MonetDBLite evaluation (§4), plus the ablation benches from
-// DESIGN.md. Run everything with
+// table of the MonetDBLite evaluation (§4), plus ablation benches for the
+// main design choices. Run everything with
 //
 //	go test -bench=. -benchmem
 //
 // Scale is set by -tpch-sf style env knobs in cmd/mlite-bench; the testing.B
 // versions here run at a small scale factor so the full suite completes in
-// minutes on a laptop. See EXPERIMENTS.md for measured-vs-paper shapes.
+// minutes on a laptop. The repository benchmark with recorded numbers is
+// benchmark/ (see benchmark/README.md).
 package monetlite_test
 
 import (
@@ -175,7 +176,7 @@ func BenchmarkFigure2Mitosis(b *testing.B) {
 	}
 }
 
-// Ablations (design choices called out in DESIGN.md).
+// Ablations (design choices described in docs/ARCHITECTURE.md).
 
 // BenchmarkAblationResultTransfer isolates zero-copy vs forced-copy vs eager
 // conversion of result sets (§3.3).
@@ -215,9 +216,8 @@ func BenchmarkAblationImprints(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationHashIndex is an alias kept for the DESIGN.md experiment
-// index (hash index measurements are the "point s" column of the index
-// ablation).
+// BenchmarkAblationHashIndex is an alias of the index ablation (hash index
+// measurements are its "point s" column).
 func BenchmarkAblationHashIndex(b *testing.B) { BenchmarkAblationImprints(b) }
 
 // BenchmarkAblationOrderIndex is the "order index" row of the same report.
@@ -239,7 +239,7 @@ func BenchmarkAblationAppendVsInsert(b *testing.B) {
 // aggregation path on the TPC-H Q1 shape (grouped SUM/AVG/COUNT over
 // lineitem): the serial engine against the mitosis engine (per-chunk hash
 // tables, keyed partial merge). A real speedup needs a multi-core host AND
-// enough rows for mal.MitosisGrouped to split the scan (SF >= ~0.25; set
+// enough rows for grouped chunks of 2*mal.MinChunkRows (SF >= ~0.25; set
 // MLITE_BENCH_SF=1 for the paper-scale run).
 func BenchmarkGroupedAggParallel(b *testing.B) {
 	cfg := benchConfig(b)

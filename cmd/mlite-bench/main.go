@@ -1,6 +1,6 @@
 // Command mlite-bench runs the paper-reproduction benchmark suite and prints
-// every figure and table of the MonetDBLite evaluation (see DESIGN.md for
-// the experiment index and EXPERIMENTS.md for recorded results).
+// every figure and table of the MonetDBLite evaluation (the repository
+// benchmark, with recorded numbers, is benchmark/; see benchmark/README.md).
 //
 // Usage:
 //

@@ -339,7 +339,7 @@ func (c *Conn) runInTxn(stmt sqlparse.Statement, tx *txn.Txn, params []mtypes.Va
 
 // runUpdate implements UPDATE as delete+append of the rewritten rows within
 // one transaction (MonetDB-style delta semantics; row ids are not stable
-// across updates — see DESIGN.md).
+// across updates — see "MVCC delta store" in docs/ARCHITECTURE.md).
 func (c *Conn) runUpdate(tx *txn.Txn, cat snapshotCatalog, x *sqlparse.UpdateStmt, params []mtypes.Value) (*Result, int64, error) {
 	up, err := plan.BindUpdate(cat, x, params)
 	if err != nil {

@@ -6,8 +6,8 @@
 // R `survey` package provides: weighted totals/means with replicate-weight
 // standard errors.
 //
-// The real ACS extracts cannot be downloaded in this offline environment;
-// DESIGN.md documents the substitution. The benchmark phases are preserved:
+// The real ACS extracts are not bundled; this generator stands in for them.
+// The benchmark phases are preserved:
 // a wide-row load into each engine, then an analysis that pushes filtering
 // and grouping into the database and computes the statistics host-side from
 // exported columns.

@@ -7,7 +7,7 @@
 //
 // Absolute times differ from the paper's 2018 testbed; the claims under test
 // are the SHAPES: who wins, by roughly what factor, and where systems fall
-// over (timeouts, out-of-memory). EXPERIMENTS.md records both.
+// over (timeouts, out-of-memory).
 package bench
 
 import (

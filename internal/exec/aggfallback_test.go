@@ -7,17 +7,17 @@ import (
 	"monetlite/internal/mal"
 )
 
-// The blocking/serial aggregate fallbacks under mitosis: MEDIAN merges raw
-// per-chunk values on the coordinator, and DISTINCT aggregates must not take
-// the partial-merge path at all — per-chunk partials would recount values
-// shared across chunk boundaries. These differentials pin queries *mixing*
-// parallel-safe and fallback aggregates against the all-serial path (PR 1
-// shipped the fallback untested; the global DISTINCT path did not fall back
-// and silently overcounted, fixed alongside this test).
+// The blocking aggregates under mitosis: MEDIAN and DISTINCT cannot merge
+// from per-chunk partials — a DISTINCT partial would count again a value
+// shared across chunk boundaries — so they merge their chunks' (group,
+// value) pairs instead, inside the same parallel aggregate as the mergeable
+// kinds. These differentials pin queries *mixing* both against the all-serial
+// path. (Once, the global DISTINCT path merged per-chunk partials and
+// silently overcounted.)
 
-// Global aggregates: a DISTINCT aggregate anywhere in the select list forces
-// the whole aggregate serial. The grp column repeats in every mitosis chunk,
-// so the pre-fix per-chunk COUNT(DISTINCT) partials would sum to chunks*3.
+// Global aggregates: a DISTINCT aggregate beside mergeable ones. The grp
+// column repeats in every mitosis chunk, so per-chunk COUNT(DISTINCT)
+// partials would sum to chunks*3.
 func TestGlobalDistinctAggFallsBackSerial(t *testing.T) {
 	cat := buildTable(t, 3*mal.MinChunkRows)
 	q := "SELECT count(distinct grp), sum(i), median(i), avg(i) FROM nums"
@@ -38,30 +38,26 @@ func TestGlobalDistinctAggFallsBackSerial(t *testing.T) {
 	if serRows[0] != parRows[0] {
 		t.Fatalf("parallel differs from serial:\n serial:   %s\n parallel: %s", serRows[0], parRows[0])
 	}
-	// The fallback is the serial aggregate pipeline: no mitosis fan-out may
-	// appear in the trace (the unfiltered scan does not chunk either).
-	if n := trace.Count("optimizer.mitosis"); n != 0 {
-		t.Fatalf("DISTINCT aggregate still went parallel (%d mitosis instrs):\n%s", n, trace)
+	// One parallel aggregate: chunked, DISTINCT and MEDIAN merged as
+	// blocking steps, SUM and AVG from partials.
+	out := trace.String()
+	for _, want := range []string{"chunks);", "aggr.COUNT(blocking)", "aggr.MEDIAN(blocking)", "aggr.SUM(merged)", "aggr.AVG(merged)"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("missing %q:\n%s", want, out)
+		}
 	}
 }
 
-// Grouped aggregates mixing parallel-safe (SUM/COUNT/AVG) with special
-// (MEDIAN, DISTINCT) kinds: results must equal the all-serial path
-// row-for-row. The range-chunked grouped pipeline must stay off in every
-// case (per-chunk partials would recount shared values); DISTINCT without
-// MEDIAN instead takes the hash-partitioned parallel path, while any MEDIAN
-// forces the whole aggregate serial (blocking, needs all values per group).
+// Grouped aggregates mixing mergeable (SUM/COUNT/AVG) with blocking (MEDIAN,
+// DISTINCT) kinds: results must equal the all-serial path row-for-row, and
+// every mix takes the one chunked grouped pipeline.
 func TestGroupedMixedAggFallbackMatchesSerial(t *testing.T) {
 	cat := buildTable(t, 5*mal.MinChunkRows)
-	for _, tc := range []struct {
-		q            string
-		wantParallel bool // hash-partitioned distinct path expected?
-	}{
-		{"SELECT grp, sum(i), median(i) FROM nums GROUP BY grp ORDER BY grp", false},
-		{"SELECT grp, count(distinct i), avg(i) FROM nums GROUP BY grp ORDER BY grp", true},
-		{"SELECT grp, sum(i), median(i), count(distinct i), count(*) FROM nums GROUP BY grp ORDER BY grp", false},
+	for _, q := range []string{
+		"SELECT grp, sum(i), median(i) FROM nums GROUP BY grp ORDER BY grp",
+		"SELECT grp, count(distinct i), avg(i) FROM nums GROUP BY grp ORDER BY grp",
+		"SELECT grp, sum(i), median(i), count(distinct i), count(*) FROM nums GROUP BY grp ORDER BY grp",
 	} {
-		q := tc.q
 		ser, err := (&Engine{Cat: cat, Parallel: false}).Execute(planFor(t, cat, q))
 		if err != nil {
 			t.Fatalf("%s serial: %v", q, err)
@@ -81,17 +77,14 @@ func TestGroupedMixedAggFallbackMatchesSerial(t *testing.T) {
 			}
 		}
 		out := trace.String()
-		if strings.Contains(out, "chunks (grouped)") {
-			t.Fatalf("%s: special aggregate still split the range-chunked pipeline:\n%s", q, out)
-		}
-		if got := strings.Contains(out, "(parallel distinct)"); got != tc.wantParallel {
-			t.Fatalf("%s: parallel-distinct path used=%v, want %v:\n%s", q, got, tc.wantParallel, out)
+		if !strings.Contains(out, "chunks (grouped)") || !strings.Contains(out, "(blocking)") {
+			t.Fatalf("%s: blocking aggregate did not take the chunked grouped pipeline:\n%s", q, out)
 		}
 	}
 }
 
-// Control: the same shape without fallback aggregates must still take the
-// parallel grouped pipeline (the fallback guard is not over-broad).
+// Control: the same shape with mergeable aggregates only splits too, and
+// merges every aggregate from partials.
 func TestGroupedParallelSafeAggsStillSplit(t *testing.T) {
 	cat := buildTable(t, 5*mal.MinChunkRows)
 	q := "SELECT grp, sum(i), avg(i), count(*) FROM nums GROUP BY grp"
@@ -99,7 +92,7 @@ func TestGroupedParallelSafeAggsStillSplit(t *testing.T) {
 	if _, err := (&Engine{Cat: cat, Parallel: true, MaxThreads: 4, Trace: trace}).Execute(planFor(t, cat, q)); err != nil {
 		t.Fatal(err)
 	}
-	if out := trace.String(); !strings.Contains(out, "chunks (grouped)") {
-		t.Fatalf("parallel-safe grouped aggregate did not split:\n%s", out)
+	if out := trace.String(); !strings.Contains(out, "chunks (grouped)") || strings.Contains(out, "blocking") {
+		t.Fatalf("mergeable grouped aggregate did not split, or merged a blocking step:\n%s", out)
 	}
 }

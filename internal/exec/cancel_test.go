@@ -121,7 +121,7 @@ func TestCancelParallelSort(t *testing.T) {
 	p := planFor(t, cat, "SELECT i FROM nums ORDER BY grp, i DESC")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	e := &Engine{Cat: cat, Parallel: true, MaxThreads: 4, Ctx: ctx, testSortChunkRows: 256}
+	e := &Engine{Cat: cat, Parallel: true, MaxThreads: 4, Ctx: ctx, testChunkRows: 256}
 	if _, err := e.Execute(p); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -134,7 +134,7 @@ func TestCancelParallelJoin(t *testing.T) {
 	p := planFor(t, cat, "SELECT count(*) FROM nums a, nums b WHERE a.i = b.i")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	e := &Engine{Cat: cat, Parallel: true, MaxThreads: 4, Ctx: ctx, testJoinChunkRows: 256}
+	e := &Engine{Cat: cat, Parallel: true, MaxThreads: 4, Ctx: ctx, testChunkRows: 256}
 	if _, err := e.Execute(p); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

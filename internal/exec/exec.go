@@ -2,10 +2,11 @@
 // logical plans column-at-a-time, in the MonetDB style the paper describes —
 // every operator processes whole columns, intermediates are materialized
 // vectors, selections flow as candidate lists, and operators are
-// parallelized by the mitosis heuristics in package mal (§3.1): chunked
-// scan/map/partial-aggregation pipelines, partitioned hash-join probes,
-// per-run parallel sorts with a k-way merge (plus the bounded-heap TopN for
-// ORDER BY … LIMIT), and per-partition window-function fan-out.
+// parallelized by mitosis (§3.1), every fan-out split by the one rule
+// mal.Split through Engine.chunkPlan: chunked scan/map/partial-aggregation
+// pipelines, partitioned hash-join probes, per-run parallel sorts with a
+// k-way merge (plus the bounded-heap TopN for ORDER BY … LIMIT), and
+// per-partition window-function fan-out.
 //
 // Invariants:
 //
@@ -86,22 +87,14 @@ type Engine struct {
 	stats    *execStats
 	lease    *workpool.Lease
 
-	// testJoinChunkRows, when >0, overrides the MitosisJoin chunk size so
-	// tests can force multi-chunk parallel probes on small inputs.
-	testJoinChunkRows int
+	// testChunkRows, when >0, overrides the chunk size of every mitosis
+	// fan-out (scan, aggregate, join probe, sort/TopN, window) so tests can
+	// force multi-chunk parallel execution on small inputs.
+	testChunkRows int
 	// testBuildSide, when nonzero, overrides the runtime build-side choice of
 	// every join (>0 builds on the left input, <0 on the right) so tests can
 	// run each flavor both ways on the same inputs.
 	testBuildSide int
-	// testSortChunkRows, when >0, overrides the MitosisSort chunk size so
-	// tests can force multi-run parallel sorts and TopN heaps on small inputs.
-	testSortChunkRows int
-	// testScanChunkRows, when >0, overrides the MitosisScan chunk size so
-	// tests can force multi-chunk candidate-list scans on small inputs.
-	testScanChunkRows int
-	// testWindowChunkRows, when >0, overrides the MitosisWindow per-worker
-	// row target so tests can force multi-group parallel window execution.
-	testWindowChunkRows int
 }
 
 // execStats accumulates per-query counters that mitosis workers update
@@ -117,6 +110,19 @@ func (e *Engine) workerBudget() int {
 		return e.MaxThreads
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// chunkPlan is how every mitosis fan-out splits its n input rows: mal.Split
+// with the operator's minimum chunk size and per-row bytes over the engine's
+// worker budget, or one chunk when the engine is serial.
+func (e *Engine) chunkPlan(n, minRows, rowBytes int) mal.ChunkPlan {
+	switch {
+	case !e.Parallel:
+		return mal.ChunkPlan{Chunks: 1, Rows: n}
+	case e.testChunkRows > 0 && n > e.testChunkRows:
+		return mal.ChunkPlan{Chunks: (n + e.testChunkRows - 1) / e.testChunkRows, Rows: e.testChunkRows}
+	}
+	return mal.Split(n, minRows, rowBytes, e.MaxThreads)
 }
 
 // subplanCache memoizes uncorrelated scalar subquery results for one

@@ -113,8 +113,8 @@ func TestMitosisTraceShape(t *testing.T) {
 	if trace.Count("optimizer.mitosis") == 0 {
 		t.Fatalf("no mitosis in trace:\n%s", out)
 	}
-	if !strings.Contains(out, "aggr.MEDIAN") {
-		t.Fatalf("median (blocking) missing:\n%s", out)
+	if !strings.Contains(out, "aggr.MEDIAN(blocking)") {
+		t.Fatalf("median not merged as a blocking step:\n%s", out)
 	}
 	// Parallel and serial engines agree.
 	e2 := &Engine{Cat: cat, Parallel: false}
@@ -193,7 +193,7 @@ func buildNullTable(t *testing.T, n int) memCatalog {
 // match the serial path exactly — including NULL group keys (their own
 // group) and NULL inputs (skipped by SUM/AVG/COUNT, empty groups NULL).
 func TestParallelGroupedAggMatchesSerial(t *testing.T) {
-	cat := buildNullTable(t, 3*mal.MinGroupedChunkRows)
+	cat := buildNullTable(t, 6*mal.MinChunkRows)
 	queries := []string{
 		"SELECT grp, sum(i), count(i), count(*), min(i), max(i), avg(i) FROM nums GROUP BY grp",
 		"SELECT grp, sum(i) FROM nums WHERE i % 3 = 0 GROUP BY grp",
@@ -229,7 +229,7 @@ func TestParallelGroupedAggMatchesSerial(t *testing.T) {
 // The grouped mitosis path shows up in the trace: chunked split, parallel
 // merge grouping, and merged aggregates.
 func TestParallelGroupedAggTraceShape(t *testing.T) {
-	cat := buildTable(t, 3*mal.MinGroupedChunkRows)
+	cat := buildTable(t, 6*mal.MinChunkRows)
 	trace := &mal.Program{}
 	e := &Engine{Cat: cat, Parallel: true, MaxThreads: 4, Trace: trace}
 	res, err := e.Execute(planFor(t, cat, "SELECT grp, sum(i) FROM nums GROUP BY grp"))
@@ -249,14 +249,28 @@ func TestParallelGroupedAggTraceShape(t *testing.T) {
 	if !strings.Contains(out, "aggr.SUM") {
 		t.Fatalf("no merged SUM in trace:\n%s", out)
 	}
-	// MEDIAN and DISTINCT block grouped mitosis: serial fallback, no panic.
-	trace2 := &mal.Program{}
-	e2 := &Engine{Cat: cat, Parallel: true, MaxThreads: 4, Trace: trace2}
-	if _, err := e2.Execute(planFor(t, cat, "SELECT grp, median(i) FROM nums GROUP BY grp")); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(trace2.String(), "parallel merge") {
-		t.Fatal("blocking MEDIAN took the parallel grouped path")
+	// MEDIAN and DISTINCT take the same path, merged as blocking steps, and
+	// agree with the serial engine.
+	for _, q := range []string{
+		"SELECT grp, median(i) FROM nums GROUP BY grp",
+		"SELECT grp, count(distinct i) FROM nums GROUP BY grp",
+	} {
+		trace2 := &mal.Program{}
+		e2 := &Engine{Cat: cat, Parallel: true, MaxThreads: 4, Trace: trace2}
+		par, err := e2.Execute(planFor(t, cat, q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := trace2.String(); !strings.Contains(out, "parallel merge") || !strings.Contains(out, "(blocking)") {
+			t.Fatalf("%s: not the parallel grouped path with a blocking merge:\n%s", q, out)
+		}
+		ser, err := (&Engine{Cat: cat}).Execute(planFor(t, cat, q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s, p := strings.Join(resultRows(ser), "\n"), strings.Join(resultRows(par), "\n"); s != p {
+			t.Fatalf("%s: serial\n%s\nparallel\n%s", q, s, p)
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // as joinfuzz_test.go and sortfuzz_test.go: for random single-table
 // SELECT … WHERE queries over NULL-riddled int/double/varchar columns
 // (including non-canonical NaN payloads), the candidate-list pipeline —
-// serial, and parallel with forcibly small MitosisScan chunks — must match
+// serial, and parallel with forcibly small scan chunks — must match
 // the old gather-per-conjunct execution row for row. The oracle replays the
 // pre-candidate-list semantics on the same optimized plan: every conjunct
 // evaluates as a full-width boolean vector and gathers every column, exactly
@@ -174,7 +174,7 @@ func runFilterFuzzTrial(t *testing.T, seed int64) {
 	if msg := diffResultRows(serRes, oracle); msg != "" {
 		fail("serial candidate path vs gather oracle: %s", msg)
 	}
-	par := &Engine{Cat: cat, Parallel: true, MaxThreads: 4, testScanChunkRows: 257}
+	par := &Engine{Cat: cat, Parallel: true, MaxThreads: 4, testChunkRows: 257}
 	parRes, err := par.Execute(p)
 	if err != nil {
 		fail("parallel: %v", err)

@@ -324,7 +324,7 @@ func runJoinFuzzTrial(t *testing.T, seed int64) {
 			if err != nil {
 				fail("serial side %+d: %v", side, err)
 			}
-			par := &Engine{Cat: cat, Parallel: true, MaxThreads: 4, testBuildSide: side, testJoinChunkRows: chunk}
+			par := &Engine{Cat: cat, Parallel: true, MaxThreads: 4, testBuildSide: side, testChunkRows: chunk}
 			parRes, err := par.Execute(p)
 			if err != nil {
 				fail("parallel side %+d: %v", side, err)
@@ -344,7 +344,7 @@ func runJoinFuzzTrial(t *testing.T, seed int64) {
 	}
 }
 
-// A join big enough for mal.MitosisJoin to split naturally (no test
+// A join big enough for mal.Split to cut the probe naturally (no test
 // override) must agree with the serial engine and emit the partitioned-probe
 // trace markers.
 func TestParallelJoinNaturalChunking(t *testing.T) {

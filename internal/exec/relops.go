@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"monetlite/internal/mal"
 	"monetlite/internal/mtypes"
@@ -210,19 +209,13 @@ type joinProber struct {
 }
 
 // buildJoinTable builds the join hash table over the build-side keys, picking
-// the partitioned parallel form when the probe side is big enough for
-// mal.MitosisJoin to split it.
+// the partitioned parallel form when the probe side is big enough to split.
+// Only the probe side splits (every worker shares the one table), and each
+// probe chunk covers at least a quarter of the build side's rows: against a
+// large build side every lookup misses cache, and the fixed per-chunk cost
+// (key canonicalization, goroutine) must amortize over more probes.
 func (e *Engine) buildJoinTable(buildKeys []*vec.Vector, buildN, probeN int, label string) *joinProber {
-	cp := mal.ChunkPlan{Chunks: 1, Rows: probeN}
-	if e.Parallel {
-		cp = mal.MitosisJoin(probeN, buildN, e.MaxThreads)
-		if e.testJoinChunkRows > 0 && probeN > e.testJoinChunkRows {
-			cp = mal.ChunkPlan{
-				Chunks: (probeN + e.testJoinChunkRows - 1) / e.testJoinChunkRows,
-				Rows:   e.testJoinChunkRows,
-			}
-		}
-	}
+	cp := e.chunkPlan(probeN, max(mal.MinChunkRows, buildN/4), 0)
 	if cp.Chunks <= 1 {
 		ht := vec.BuildHash(buildKeys, nil)
 		e.Trace.Emit("algebra.hashjoin", label, fmt.Sprintf("%d keys", ht.Len()))
@@ -443,25 +436,12 @@ func (e *Engine) crossPairs(nl, nr int) ([]int32, []int32, error) {
 // ---------------------------------------------------------------------------
 
 func (e *Engine) execAggregate(x *plan.Aggregate) (*batch, error) {
-	// Mitosis fast paths: aggregates directly over a scan run the
-	// parallelizable prefix (scan, selection, map) per chunk and merge
-	// partials before the blocking final step (paper Figure 2). Global
-	// aggregates merge aligned partials; grouped aggregates build per-chunk
-	// hash tables and merge keyed partials.
-	if e.Parallel {
-		if scan, ok := x.Input.(*plan.Scan); ok {
-			if len(x.GroupBy) == 0 {
-				if b, handled, err := e.parallelGlobalAgg(x, scan); handled {
-					return b, err
-				}
-			} else {
-				if b, handled, err := e.parallelGroupedAgg(x, scan); handled {
-					return b, err
-				}
-				if b, handled, err := e.parallelDistinctGroupedAgg(x, scan); handled {
-					return b, err
-				}
-			}
+	// Mitosis: an aggregate directly over a scan runs the parallelizable
+	// prefix (scan, selection, map, partial aggregation) per chunk and merges
+	// before the blocking final step (paper Figure 2).
+	if scan, ok := x.Input.(*plan.Scan); ok && e.Parallel {
+		if b, handled, err := e.parallelScanAgg(x, scan); handled {
+			return b, err
 		}
 	}
 	in, err := e.exec(x.Input)
@@ -471,67 +451,97 @@ func (e *Engine) execAggregate(x *plan.Aggregate) (*batch, error) {
 	return e.aggregateBatch(x, in)
 }
 
+// aggregateBatch aggregates one batch serially: the reference the parallel
+// path is differentially tested against.
 func (e *Engine) aggregateBatch(x *plan.Aggregate, in *batch) (*batch, error) {
 	memo := newMemo(e)
-	var gids []int32
-	ngroups := 1
-	var reprs []int32
-	if len(x.GroupBy) > 0 {
-		width := in.n
-		if len(in.cols) > 0 {
-			width = in.cols[0].Len()
-		}
-		keys := make([]*vec.Vector, len(x.GroupBy))
-		// Dictionary-coded varchar keys group on their integer codes: the
-		// sorted dictionary makes codes↔strings a bijection, so group ids,
-		// counts and first-appearance order are identical to grouping on the
-		// strings — only the representatives are decoded, after grouping.
-		dictKeys := make([]*vec.Encoded, len(x.GroupBy))
-		nDict := 0
-		for i, g := range x.GroupBy {
-			if cr, ok := g.(*plan.ColRef); ok && in.enc != nil && cr.Slot < len(in.enc) {
-				if en := in.enc[cr.Slot]; en != nil && en.Enc == vec.EncDict {
-					keys[i] = en.CodesI32(0, width, in.sel)
-					dictKeys[i] = en
-					nDict++
-					continue
-				}
-			}
-			kv, err := memo.evalVec(g, in)
-			if err != nil {
-				return nil, err
-			}
-			keys[i] = kv
-		}
-		gids, ngroups, reprs = vec.GroupBy(keys, nil)
-		if nDict > 0 {
-			e.Trace.Emit("group.group", fmt.Sprintf("%d keys -> %d groups", len(keys), ngroups),
-				fmt.Sprintf("%d dict codes", nDict))
-		} else {
-			e.Trace.Emit("group.group", fmt.Sprintf("%d keys -> %d groups", len(keys), ngroups))
-		}
-		out := make([]*vec.Vector, 0, len(x.GroupBy)+len(x.Aggs))
-		for i, kv := range keys {
-			g := vec.Gather(kv, reprs)
-			if dictKeys[i] != nil {
-				g = dictKeys[i].DecodeCodes(g)
-			}
-			out = append(out, g)
-		}
-		aggCols, err := e.computeAggs(x, in, memo, gids, ngroups)
-		if err != nil {
-			return nil, err
-		}
-		return newBatch(append(out, aggCols...)), nil
-	}
-	// Global aggregate: single group. SQL semantics: aggregates over an
-	// empty input still produce one row.
-	gids = make([]int32, in.n)
-	aggCols, err := e.computeAggs(x, in, memo, gids, ngroups)
+	g, err := groupBatch(memo, x.GroupBy, in, in.enc, 0)
 	if err != nil {
 		return nil, err
 	}
-	return newBatch(aggCols), nil
+	if len(x.GroupBy) > 0 {
+		e.traceGroup(len(g.keys), g.ngroups, g.dict, "")
+	}
+	aggCols, err := e.computeAggs(x, in, memo, g.gids, g.ngroups)
+	if err != nil {
+		return nil, err
+	}
+	return newBatch(append(keyColumns(g.keys, g.dict, g.reprs), aggCols...)), nil
+}
+
+// grouping assigns the rows of a batch to groups.
+type grouping struct {
+	keys    []*vec.Vector  // GROUP BY key vectors; dictionary codes where dict[i] != nil
+	dict    []*vec.Encoded // the dictionary behind each code-valued key
+	gids    []int32        // group of each row
+	ngroups int
+	reprs   []int32 // first row of each group
+}
+
+// groupBatch groups b's rows on the GROUP BY keys. A bare reference to a
+// dictionary-coded varchar column groups on its integer codes: the sorted
+// dictionary makes codes and strings a bijection, so group ids, counts and
+// first-appearance order are those of the strings, and only the group
+// representatives are decoded (keyColumns). encs is slot-indexed and covers
+// table rows from 0; b's columns start at table row lo.
+func groupBatch(memo *memo, exprs []plan.Expr, b *batch, encs []*vec.Encoded, lo int) (grouping, error) {
+	g := grouping{keys: make([]*vec.Vector, len(exprs)), dict: make([]*vec.Encoded, len(exprs))}
+	width := b.n
+	if len(b.cols) > 0 {
+		width = b.cols[0].Len()
+	}
+	for i, ex := range exprs {
+		if cr, ok := ex.(*plan.ColRef); ok && cr.Slot < len(encs) {
+			if en := encs[cr.Slot]; en != nil && en.Enc == vec.EncDict {
+				g.keys[i], g.dict[i] = en.CodesI32(lo, lo+width, b.sel), en
+				continue
+			}
+		}
+		kv, err := memo.evalVec(ex, b)
+		if err != nil {
+			return g, err
+		}
+		g.keys[i] = kv
+	}
+	g.gids, g.ngroups, g.reprs = groupIDs(g.keys, b.n)
+	return g, nil
+}
+
+// groupIDs groups n rows on keys. With no keys the rows form one group: a
+// global aggregate has one output row, even over no input.
+func groupIDs(keys []*vec.Vector, n int) ([]int32, int, []int32) {
+	if len(keys) == 0 {
+		return make([]int32, n), 1, nil
+	}
+	return vec.GroupBy(keys, nil)
+}
+
+// keyColumns gathers the key vectors at the group representatives, decoding
+// dictionary codes back to strings (a nil dict keeps the codes).
+func keyColumns(keys []*vec.Vector, dict []*vec.Encoded, reprs []int32) []*vec.Vector {
+	out := make([]*vec.Vector, len(keys))
+	for i, kv := range keys {
+		out[i] = vec.Gather(kv, reprs)
+		if dict != nil && dict[i] != nil {
+			out[i] = dict[i].DecodeCodes(out[i])
+		}
+	}
+	return out
+}
+
+// traceGroup emits a grouped aggregate's group.group instruction.
+func (e *Engine) traceGroup(nkeys, ngroups int, dict []*vec.Encoded, note string) {
+	args := []string{fmt.Sprintf("%d keys -> %d groups%s", nkeys, ngroups, note)}
+	nDict := 0
+	for _, d := range dict {
+		if d != nil {
+			nDict++
+		}
+	}
+	if nDict > 0 {
+		args = append(args, fmt.Sprintf("%d dict codes", nDict))
+	}
+	e.Trace.Emit("group.group", args...)
 }
 
 func (e *Engine) computeAggs(x *plan.Aggregate, in *batch, memo *memo, gids []int32, ngroups int) ([]*vec.Vector, error) {
@@ -560,7 +570,7 @@ func (e *Engine) computeAggs(x *plan.Aggregate, in *batch, memo *memo, gids []in
 }
 
 // dedupPerGroup filters (gid, value) pairs to distinct values per group
-// (COUNT(DISTINCT x) and friends).
+// (COUNT(DISTINCT x) and friends), keeping each pair's first occurrence.
 func dedupPerGroup(gids []int32, vals *vec.Vector) ([]int32, *vec.Vector) {
 	type key struct {
 		g int32
@@ -581,534 +591,206 @@ func dedupPerGroup(gids []int32, vals *vec.Vector) ([]int32, *vec.Vector) {
 	return outG, vec.Gather(vals, keep)
 }
 
-// parallelGlobalAgg runs SELECT agg(expr) FROM t WHERE ... with mitosis:
-// chunked scan + map + partial aggregation, then a serial merge. AVG is
-// decomposed into SUM+COUNT; MEDIAN keeps per-chunk value vectors and runs
-// the blocking median after the merge.
-func (e *Engine) parallelGlobalAgg(x *plan.Aggregate, scan *plan.Scan) (*batch, bool, error) {
-	for _, a := range x.Aggs {
-		if a.Distinct {
-			// DISTINCT needs a global dedup before aggregating: per-chunk
-			// partials would recount values shared across chunks. Fall back
-			// to the serial path (dedupPerGroup), like the grouped pipeline.
-			return nil, false, nil
-		}
-	}
-	src, ok := e.Cat.Source(scan.Table)
-	if !ok {
-		return nil, true, fmt.Errorf("exec: no such table %q", scan.Table)
-	}
-	nrows := src.NumRows()
-	cp := mal.Mitosis(nrows, 8*len(scan.Cols), e.MaxThreads)
-	if cp.Chunks <= 1 {
-		return nil, false, nil
-	}
-	e.Trace.EmitVoid("optimizer.mitosis", fmt.Sprintf("%d chunks", cp.Chunks))
-	skip0, tot0 := e.imprintsCounters()
-
-	type chunkOut struct {
-		partials []*vec.Vector // per agg: partial vector (1 group) or raw values for median
-		count    int64
-		err      error
-	}
-	outs := make([]chunkOut, cp.Chunks)
-	e.runTasks(cp.Chunks, func(ci int) {
-		ce := e.chunkEngine()
-		// Worker-start interrupt check: a filterless scan never reaches
-		// scanRange's per-conjunct check, so cancellation surfaces here.
-		if err := ce.checkInterrupt(); err != nil {
-			outs[ci] = chunkOut{err: err}
-			return
-		}
-		lo, hi := cp.Bounds(ci, nrows)
-		cands, cols, err := ce.scanRange(scan, src, lo, hi)
-		if err != nil {
-			outs[ci] = chunkOut{err: err}
-			return
-		}
-		// Selection view: aggregate arguments are evaluated densely over
-		// the survivors; non-referenced columns are never gathered.
-		cb := newSelBatch(cols, cands)
-		memo := newMemo(ce)
-		co := chunkOut{partials: make([]*vec.Vector, len(x.Aggs))}
-		co.count = int64(cb.n)
-		for ai, a := range x.Aggs {
-			var vals *vec.Vector
-			if a.Arg != nil {
-				vals, err = memo.evalVec(a.Arg, cb)
-				if err != nil {
-					outs[ci] = chunkOut{err: err}
-					return
-				}
-			}
-			switch a.Kind {
-			case vec.AggMedian:
-				co.partials[ai] = vals // blocking: merge raw values
-			case vec.AggAvg:
-				// Decompose AVG into SUM and COUNT partials (merged
-				// serially after the parallel phase).
-				sum, err := vec.Aggregate(vec.AggSum, vals, make([]int32, cb.n), 1)
-				if err != nil {
-					outs[ci] = chunkOut{err: err}
-					return
-				}
-				cnt, _ := vec.Aggregate(vec.AggCount, vals, make([]int32, cb.n), 1)
-				co.partials[ai] = sumCountPair(sum, cnt)
-			default:
-				gd := make([]int32, cb.n)
-				p, err := vec.Aggregate(a.Kind, vals, gd, 1)
-				if err != nil {
-					outs[ci] = chunkOut{err: err}
-					return
-				}
-				co.partials[ai] = p
-			}
-		}
-		outs[ci] = co
-	})
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, true, o.err
-		}
-	}
-	e.emitImprintsDelta(skip0, tot0)
-	// Merge phase (blocking ops run here).
-	result := make([]*vec.Vector, len(x.Aggs))
-	for ai, a := range x.Aggs {
-		switch a.Kind {
-		case vec.AggMedian:
-			pieces := make([]*vec.Vector, cp.Chunks)
-			for ci := range outs {
-				pieces[ci] = outs[ci].partials[ai]
-			}
-			allVals := vec.Concat(pieces...)
-			e.Trace.Emit("aggr.MEDIAN", "blocking")
-			m, err := vec.Aggregate(vec.AggMedian, allVals, make([]int32, allVals.Len()), 1)
-			if err != nil {
-				return nil, true, err
-			}
-			result[ai] = m
-		case vec.AggAvg:
-			var sum, cnt float64
-			init := false
-			for ci := range outs {
-				p := outs[ci].partials[ai]
-				if !p.IsNull(0) {
-					sum += p.F64[0]
-					init = true
-				}
-				cnt += p.F64[1]
-			}
-			out := vec.New(mtypes.Double, 1)
-			if !init || cnt == 0 {
-				out.SetNull(0)
-			} else {
-				out.F64[0] = sum / cnt
-			}
-			e.Trace.Emit("aggr.AVG", "merged")
-			result[ai] = out
-		case vec.AggCountStar:
-			out := vec.New(mtypes.BigInt, 1)
-			for ci := range outs {
-				out.I64[0] += outs[ci].count
-			}
-			result[ai] = out
-		default:
-			pieces := make([]*vec.Vector, cp.Chunks)
-			for ci := range outs {
-				pieces[ci] = outs[ci].partials[ai]
-			}
-			merged, err := vec.MergeAggPartials(a.Kind, pieces, 1)
-			if err != nil {
-				return nil, true, err
-			}
-			e.Trace.Emit("aggr."+a.Kind.String(), "merged")
-			result[ai] = merged
-		}
-	}
-	return newBatch(result), true, nil
+// blocking reports whether an aggregate cannot be merged from per-chunk
+// partials: MEDIAN needs all of a group's values, and a DISTINCT partial
+// would count again a value that also occurs in another chunk.
+func blocking(a plan.AggCall) bool {
+	return a.Kind == vec.AggMedian || (a.Distinct && a.Arg != nil)
 }
 
-// parallelGroupedAgg runs SELECT keys, agg(expr) FROM t WHERE ... GROUP BY
-// keys with mitosis: each chunk scans, filters, evaluates the key and
-// argument expressions and builds its own hash-aggregated partial (local
-// group table + partial aggregate vectors). The merge phase re-groups the
-// chunks' key representatives into global groups and folds the keyed
-// partials (vec.MergeKeyedAggPartials). AVG is decomposed into SUM+COUNT
-// partials; MEDIAN (blocking) and DISTINCT aggregates fall back to the
-// serial path. Returns handled=false when the plan shape or chunking
-// heuristics rule parallelism out.
-func (e *Engine) parallelGroupedAgg(x *plan.Aggregate, scan *plan.Scan) (*batch, bool, error) {
-	for _, a := range x.Aggs {
-		if a.Kind == vec.AggMedian || a.Distinct {
-			return nil, false, nil
-		}
-	}
+// aggPart is one chunk's share of one aggregate. A mergeable aggregate
+// carries its partial per chunk group ([SUM, COUNT] for AVG); a blocking one
+// carries its argument values and each value's chunk-local group.
+type aggPart struct {
+	vecs []*vec.Vector
+	gids []int32
+}
+
+// aggChunk is one chunk's partial aggregate.
+type aggChunk struct {
+	keys    []*vec.Vector // the chunk's group keys, at their representatives
+	dict    []*vec.Encoded
+	ngroups int
+	parts   []aggPart // per aggregate
+}
+
+// parallelScanAgg runs an aggregate directly over a scan with mitosis (paper
+// Figure 2): each chunk scans and filters its rows, groups the survivors and
+// aggregates them per group; the merge re-groups the chunks' key
+// representatives into global groups (gidMaps) and folds the partials into
+// them (vec.MergeKeyedAggPartials). A global aggregate is the zero-key case,
+// one group per chunk. Blocking aggregates merge their chunks' (group, value)
+// pairs instead — deduplicated per group for DISTINCT, which keeps each
+// pair's first occurrence — concatenated in chunk order, which is row order,
+// then deduplicated and aggregated once: the serial path's input, so its
+// result bit for bit. handled is false when the input is too small to split.
+func (e *Engine) parallelScanAgg(x *plan.Aggregate, scan *plan.Scan) (*batch, bool, error) {
 	src, ok := e.Cat.Source(scan.Table)
 	if !ok {
 		return nil, true, fmt.Errorf("exec: no such table %q", scan.Table)
 	}
-	nrows := src.NumRows()
-	cp := mal.MitosisGrouped(nrows, 8*len(scan.Cols), e.MaxThreads)
+	// A grouped chunk builds its own hash table and adds a keyed merge, so
+	// it must be twice the plain minimum to pay.
+	nrows, minRows, label := src.NumRows(), mal.MinChunkRows, "chunks"
+	if len(x.GroupBy) > 0 {
+		minRows, label = 2*mal.MinChunkRows, "chunks (grouped)"
+	}
+	cp := e.chunkPlan(nrows, minRows, 8*len(scan.Cols))
 	if cp.Chunks <= 1 {
 		return nil, false, nil
 	}
-	e.Trace.EmitVoid("optimizer.mitosis", fmt.Sprintf("%d chunks (grouped)", cp.Chunks))
+	e.Trace.EmitVoid("optimizer.mitosis", fmt.Sprintf("%d %s", cp.Chunks, label))
+	encs := e.scanEncoded(scan, src)
 	skip0, tot0 := e.imprintsCounters()
-
-	// Dictionary-coded varchar keys group on integer codes in every chunk;
-	// the same dictionary backs all chunks, so the merge phase concatenates
-	// and re-groups code vectors directly and decodes only the final
-	// representatives (see aggregateBatch).
-	dictKeys := make([]*vec.Encoded, len(x.GroupBy))
-	nDict := 0
-	for i, g := range x.GroupBy {
-		if cr, ok := g.(*plan.ColRef); ok {
-			// en.N >= nrows: a dictionary that stops short of the visible rows
-			// (unmerged append-delta) cannot produce codes for the tail.
-			if en := src.EncodedCol(scan.Cols[cr.Slot]); en != nil && en.Enc == vec.EncDict && en.N >= nrows {
-				dictKeys[i] = en
-				nDict++
-			}
-		}
-	}
-
-	type chunkOut struct {
-		keys     []*vec.Vector   // key columns at the chunk's group representatives
-		partials [][]*vec.Vector // per agg: one partial, or [SUM, COUNT] for AVG
-		ngroups  int
-		err      error
-	}
-	outs := make([]chunkOut, cp.Chunks)
+	outs := make([]aggChunk, cp.Chunks)
+	errs := make([]error, cp.Chunks)
 	e.runTasks(cp.Chunks, func(ci int) {
-		ce := e.chunkEngine()
-		// Worker-start interrupt check (see parallelGlobalAgg).
-		if err := ce.checkInterrupt(); err != nil {
-			outs[ci] = chunkOut{err: err}
-			return
-		}
 		lo, hi := cp.Bounds(ci, nrows)
-		cands, cols, err := ce.scanRange(scan, src, lo, hi)
-		if err != nil {
-			outs[ci] = chunkOut{err: err}
-			return
-		}
-		// Selection view: keys and aggregate arguments are evaluated
-		// densely over the survivors (see parallelGlobalAgg).
-		cb := newSelBatch(cols, cands)
-		memo := newMemo(ce)
-		keys := make([]*vec.Vector, len(x.GroupBy))
-		for i, g := range x.GroupBy {
-			if dictKeys[i] != nil {
-				keys[i] = dictKeys[i].CodesI32(lo, hi, cands)
-				continue
-			}
-			if keys[i], err = memo.evalVec(g, cb); err != nil {
-				outs[ci] = chunkOut{err: err}
-				return
-			}
-		}
-		gids, ngroups, reprs := vec.GroupBy(keys, nil)
-		co := chunkOut{
-			keys:     make([]*vec.Vector, len(keys)),
-			partials: make([][]*vec.Vector, len(x.Aggs)),
-			ngroups:  ngroups,
-		}
-		for i, kv := range keys {
-			co.keys[i] = vec.Gather(kv, reprs)
-		}
-		for ai, a := range x.Aggs {
-			var vals *vec.Vector
-			if a.Arg != nil {
-				if vals, err = memo.evalVec(a.Arg, cb); err != nil {
-					outs[ci] = chunkOut{err: err}
-					return
-				}
-			}
-			if a.Kind == vec.AggAvg {
-				sum, err := vec.Aggregate(vec.AggSum, vals, gids, ngroups)
-				if err != nil {
-					outs[ci] = chunkOut{err: err}
-					return
-				}
-				cnt, err := vec.Aggregate(vec.AggCount, vals, gids, ngroups)
-				if err != nil {
-					outs[ci] = chunkOut{err: err}
-					return
-				}
-				co.partials[ai] = []*vec.Vector{sum, cnt}
-				continue
-			}
-			p, err := vec.Aggregate(a.Kind, vals, gids, ngroups)
-			if err != nil {
-				outs[ci] = chunkOut{err: err}
-				return
-			}
-			co.partials[ai] = []*vec.Vector{p}
-		}
-		outs[ci] = co
+		outs[ci], errs[ci] = e.chunkEngine().aggregateChunk(x, scan, src, encs, lo, hi)
 	})
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, true, o.err
+	total := 0
+	for ci, err := range errs {
+		if err != nil {
+			return nil, true, err
 		}
+		total += outs[ci].ngroups
 	}
 	e.emitImprintsDelta(skip0, tot0)
 
-	// Merge phase: re-group the concatenated chunk representatives to map
-	// every chunk-local group onto a global group id.
-	allKeys := make([]*vec.Vector, len(x.GroupBy))
-	for i := range allKeys {
+	keys := make([]*vec.Vector, len(x.GroupBy))
+	for i := range keys {
 		pieces := make([]*vec.Vector, cp.Chunks)
 		for ci := range outs {
 			pieces[ci] = outs[ci].keys[i]
 		}
-		allKeys[i] = vec.Concat(pieces...)
+		keys[i] = vec.Concat(pieces...)
 	}
-	gGids, ngroups, gReprs := vec.GroupBy(allKeys, nil)
+	gids, ngroups, reprs := groupIDs(keys, total)
 	gidMaps := make([][]int32, cp.Chunks)
-	off := 0
-	for ci := range outs {
-		gidMaps[ci] = gGids[off : off+outs[ci].ngroups]
+	for ci, off := 0, 0; ci < cp.Chunks; ci++ {
+		gidMaps[ci] = gids[off : off+outs[ci].ngroups]
 		off += outs[ci].ngroups
 	}
-	if nDict > 0 {
-		e.Trace.Emit("group.group", fmt.Sprintf("%d keys -> %d groups (parallel merge)", len(allKeys), ngroups),
-			fmt.Sprintf("%d dict codes", nDict))
-	} else {
-		e.Trace.Emit("group.group", fmt.Sprintf("%d keys -> %d groups (parallel merge)", len(allKeys), ngroups))
+	if len(keys) > 0 {
+		e.traceGroup(len(keys), ngroups, outs[0].dict, " (parallel merge)")
 	}
-
-	outCols := make([]*vec.Vector, 0, len(allKeys)+len(x.Aggs))
-	for i, kv := range allKeys {
-		g := vec.Gather(kv, gReprs)
-		if dictKeys[i] != nil {
-			g = dictKeys[i].DecodeCodes(g)
-		}
-		outCols = append(outCols, g)
-	}
-	collect := func(ai, j int) []*vec.Vector {
-		ps := make([]*vec.Vector, cp.Chunks)
-		for ci := range outs {
-			ps[ci] = outs[ci].partials[ai][j]
-		}
-		return ps
-	}
+	out := keyColumns(keys, outs[0].dict, reprs)
 	for ai, a := range x.Aggs {
-		if a.Kind == vec.AggAvg {
-			sums, err := vec.MergeKeyedAggPartials(vec.AggSum, collect(ai, 0), gidMaps, ngroups)
-			if err != nil {
-				return nil, true, err
-			}
-			cnts, err := vec.MergeKeyedAggPartials(vec.AggCount, collect(ai, 1), gidMaps, ngroups)
-			if err != nil {
-				return nil, true, err
-			}
-			fs := vec.AsFloats(sums)
-			avg := vec.New(mtypes.Double, ngroups)
-			for g := 0; g < ngroups; g++ {
-				if cnts.I64[g] == 0 {
-					avg.SetNull(g)
-				} else {
-					avg.F64[g] = fs[g] / float64(cnts.I64[g])
-				}
-			}
-			e.Trace.Emit("aggr.AVG", "merged")
-			outCols = append(outCols, avg)
-			continue
+		parts := make([]aggPart, cp.Chunks)
+		for ci := range outs {
+			parts[ci] = outs[ci].parts[ai]
 		}
-		merged, err := vec.MergeKeyedAggPartials(a.Kind, collect(ai, 0), gidMaps, ngroups)
+		res, err := e.mergeAgg(a, parts, gidMaps, ngroups)
 		if err != nil {
 			return nil, true, err
 		}
-		e.Trace.Emit("aggr."+a.Kind.String(), "merged")
-		outCols = append(outCols, merged)
+		out = append(out, res)
 	}
-	return newBatch(outCols), true, nil
+	return newBatch(out), true, nil
 }
 
-// parallelDistinctGroupedAgg parallelizes GROUP BY queries that contain
-// DISTINCT aggregates. Range-chunked mitosis cannot handle these — a value
-// appearing in two chunks would be counted twice and per-chunk distinct sets
-// don't merge — so this path partitions rows by the group-key hash instead:
-// every row of a group lands in the same partition, each worker runs the
-// full serial group+dedup+aggregate pipeline on its partition, and the merge
-// is a pure concatenation (group sets are disjoint across partitions).
-// Restoring first-appearance group order — sorting merged groups on their
-// global first row position — makes the output bit-identical to the serial
-// path. MEDIAN still falls back to serial (blocking, unrelated to DISTINCT).
-func (e *Engine) parallelDistinctGroupedAgg(x *plan.Aggregate, scan *plan.Scan) (*batch, bool, error) {
-	anyDistinct := false
-	for _, a := range x.Aggs {
-		if a.Kind == vec.AggMedian {
-			return nil, false, nil
-		}
-		if a.Distinct {
-			anyDistinct = true
-		}
+// aggregateChunk computes the partial aggregate of scan rows [lo, hi) on a
+// chunk engine.
+func (e *Engine) aggregateChunk(x *plan.Aggregate, scan *plan.Scan, src TableSource, encs []*vec.Encoded, lo, hi int) (aggChunk, error) {
+	// Worker-start interrupt check: a filterless scan never reaches
+	// scanRange's per-conjunct check, so cancellation surfaces here.
+	if err := e.checkInterrupt(); err != nil {
+		return aggChunk{}, err
 	}
-	if !anyDistinct {
-		return nil, false, nil
-	}
-	src, ok := e.Cat.Source(scan.Table)
-	if !ok {
-		return nil, true, fmt.Errorf("exec: no such table %q", scan.Table)
-	}
-	nrows := src.NumRows()
-	cp := mal.MitosisGrouped(nrows, 8*len(scan.Cols), e.MaxThreads)
-	if cp.Chunks <= 1 {
-		return nil, false, nil
-	}
-	nparts := cp.Chunks
-
-	// Phase 1 (serial): scan, filter, and evaluate the key and argument
-	// expressions densely over the survivors. Dict-coded varchar keys group
-	// on their codes, exactly like the other grouped paths.
-	cands, cols, err := e.scanRange(scan, src, 0, nrows)
+	cands, cols, err := e.scanRange(scan, src, lo, hi)
 	if err != nil {
-		return nil, true, err
+		return aggChunk{}, err
 	}
-	cb := newSelBatch(cols, cands)
+	// Selection view: keys and arguments are evaluated densely over the
+	// survivors; columns nothing references are never gathered.
+	b := newSelBatch(cols, cands)
 	memo := newMemo(e)
-	dictKeys := make([]*vec.Encoded, len(x.GroupBy))
-	keys := make([]*vec.Vector, len(x.GroupBy))
-	for i, g := range x.GroupBy {
-		if cr, ok := g.(*plan.ColRef); ok {
-			if en := src.EncodedCol(scan.Cols[cr.Slot]); en != nil && en.Enc == vec.EncDict && en.N >= nrows {
-				keys[i] = en.CodesI32(0, nrows, cands)
-				dictKeys[i] = en
-				continue
+	g, err := groupBatch(memo, x.GroupBy, b, encs, lo)
+	if err != nil {
+		return aggChunk{}, err
+	}
+	c := aggChunk{keys: keyColumns(g.keys, nil, g.reprs), dict: g.dict, ngroups: g.ngroups,
+		parts: make([]aggPart, len(x.Aggs))}
+	for ai, a := range x.Aggs {
+		var vals *vec.Vector
+		if a.Arg != nil {
+			if vals, err = memo.evalVec(a.Arg, b); err != nil {
+				return aggChunk{}, err
 			}
 		}
-		if keys[i], err = memo.evalVec(g, cb); err != nil {
-			return nil, true, err
-		}
-	}
-	vals := make([]*vec.Vector, len(x.Aggs))
-	for ai, a := range x.Aggs {
-		if a.Arg == nil {
+		p := &c.parts[ai]
+		if blocking(a) {
+			p.gids = g.gids
+			if a.Distinct {
+				p.gids, vals = dedupPerGroup(g.gids, vals)
+			}
+			p.vecs = []*vec.Vector{vals}
 			continue
 		}
-		if vals[ai], err = memo.evalVec(a.Arg, cb); err != nil {
-			return nil, true, err
+		kinds := []vec.AggKind{a.Kind}
+		if a.Kind == vec.AggAvg {
+			kinds = []vec.AggKind{vec.AggSum, vec.AggCount}
 		}
-	}
-
-	// Partition dense rows by the fused group-key hash (the same hash
-	// GroupBy buckets on), so equal keys always co-locate.
-	hashes := vec.KeyHashes(keys, nil)
-	partRows := make([][]int32, nparts)
-	for i, h := range hashes {
-		p := int(h % uint64(nparts))
-		partRows[p] = append(partRows[p], int32(i))
-	}
-	e.Trace.EmitVoid("optimizer.mitosis", fmt.Sprintf("%d partitions (parallel distinct)", nparts))
-
-	// Phase 2 (parallel): each partition is a complete, self-contained
-	// serial aggregation — group, dedup per group, aggregate.
-	type partOut struct {
-		keys     []*vec.Vector // key columns at the partition's group reprs
-		aggs     []*vec.Vector // finished aggregates per group
-		firstPos []int32       // global dense position of each group's first row
-		ngroups  int
-		err      error
-	}
-	outs := make([]partOut, nparts)
-	e.runTasks(nparts, func(pi int) {
-		ce := e.chunkEngine()
-		if err := ce.checkInterrupt(); err != nil {
-			outs[pi] = partOut{err: err}
-			return
-		}
-		rows := partRows[pi]
-		pkeys := make([]*vec.Vector, len(keys))
-		for i, kv := range keys {
-			pkeys[i] = vec.Gather(kv, rows)
-		}
-		gids, ngroups, reprs := vec.GroupBy(pkeys, nil)
-		po := partOut{
-			keys:     make([]*vec.Vector, len(pkeys)),
-			aggs:     make([]*vec.Vector, len(x.Aggs)),
-			firstPos: make([]int32, ngroups),
-			ngroups:  ngroups,
-		}
-		for i, kv := range pkeys {
-			po.keys[i] = vec.Gather(kv, reprs)
-		}
-		for g, r := range reprs {
-			po.firstPos[g] = rows[r]
-		}
-		for ai, a := range x.Aggs {
-			var v *vec.Vector
-			if a.Arg != nil {
-				v = vec.Gather(vals[ai], rows)
-			}
-			g2, v2 := gids, v
-			if a.Distinct && a.Arg != nil {
-				g2, v2 = dedupPerGroup(gids, v)
-			}
-			res, err := vec.Aggregate(a.Kind, v2, g2, ngroups)
+		for _, k := range kinds {
+			partial, err := vec.Aggregate(k, vals, g.gids, g.ngroups)
 			if err != nil {
-				outs[pi] = partOut{err: err}
-				return
+				return aggChunk{}, err
 			}
-			po.aggs[ai] = res
+			p.vecs = append(p.vecs, partial)
 		}
-		outs[pi] = po
-	})
-	total := 0
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, true, o.err
-		}
-		total += o.ngroups
 	}
-
-	// Merge: concatenate the disjoint group sets, then permute into global
-	// first-appearance order so the result matches the serial path exactly.
-	firstPos := make([]int32, 0, total)
-	for _, o := range outs {
-		firstPos = append(firstPos, o.firstPos...)
-	}
-	perm := make([]int32, total)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	sort.Slice(perm, func(a, b int) bool { return firstPos[perm[a]] < firstPos[perm[b]] })
-	e.Trace.Emit("group.group", fmt.Sprintf("%d keys -> %d groups (parallel distinct)", len(keys), total))
-
-	outCols := make([]*vec.Vector, 0, len(keys)+len(x.Aggs))
-	for i := range keys {
-		pieces := make([]*vec.Vector, nparts)
-		for pi := range outs {
-			pieces[pi] = outs[pi].keys[i]
-		}
-		g := vec.Gather(vec.Concat(pieces...), perm)
-		if dictKeys[i] != nil {
-			g = dictKeys[i].DecodeCodes(g)
-		}
-		outCols = append(outCols, g)
-	}
-	for ai, a := range x.Aggs {
-		pieces := make([]*vec.Vector, nparts)
-		for pi := range outs {
-			pieces[pi] = outs[pi].aggs[ai]
-		}
-		e.Trace.Emit("aggr."+a.Kind.String(), a.Name, "merged (parallel distinct)")
-		outCols = append(outCols, vec.Gather(vec.Concat(pieces...), perm))
-	}
-	return newBatch(outCols), true, nil
+	return c, nil
 }
 
-// sumCountPair packs a 1-row SUM partial and COUNT partial into a 2-row
-// vector [sumAsDouble, count] used by the AVG merge.
-func sumCountPair(sum, cnt *vec.Vector) *vec.Vector {
-	out := vec.New(mtypes.Double, 2)
-	if sum.IsNull(0) {
-		out.SetNull(0)
-	} else {
-		out.F64[0] = vec.AsFloats(sum)[0]
+// mergeAgg folds one aggregate's chunk parts into ngroups global groups;
+// gidMaps[ci] maps chunk ci's groups to global ones.
+func (e *Engine) mergeAgg(a plan.AggCall, parts []aggPart, gidMaps [][]int32, ngroups int) (*vec.Vector, error) {
+	vecs := func(j int) []*vec.Vector {
+		out := make([]*vec.Vector, len(parts))
+		for ci, p := range parts {
+			out[ci] = p.vecs[j]
+		}
+		return out
 	}
-	out.F64[1] = float64(cnt.I64[0])
-	return out
+	switch {
+	case blocking(a):
+		n := 0
+		for _, p := range parts {
+			n += len(p.gids)
+		}
+		gids := make([]int32, 0, n)
+		for ci, p := range parts {
+			for _, g := range p.gids {
+				gids = append(gids, gidMaps[ci][g])
+			}
+		}
+		vals := vec.Concat(vecs(0)...)
+		if a.Distinct {
+			gids, vals = dedupPerGroup(gids, vals)
+		}
+		e.Trace.Emit("aggr."+a.Kind.String(), "blocking")
+		return vec.Aggregate(a.Kind, vals, gids, ngroups)
+	case a.Kind == vec.AggAvg:
+		sums, err := vec.MergeKeyedAggPartials(vec.AggSum, vecs(0), gidMaps, ngroups)
+		if err != nil {
+			return nil, err
+		}
+		cnts, err := vec.MergeKeyedAggPartials(vec.AggCount, vecs(1), gidMaps, ngroups)
+		if err != nil {
+			return nil, err
+		}
+		fs := vec.AsFloats(sums)
+		avg := vec.New(mtypes.Double, ngroups)
+		for g := range avg.F64 {
+			if cnts.I64[g] == 0 {
+				avg.SetNull(g)
+			} else {
+				avg.F64[g] = fs[g] / float64(cnts.I64[g])
+			}
+		}
+		e.Trace.Emit("aggr.AVG", "merged")
+		return avg, nil
+	}
+	e.Trace.Emit("aggr."+a.Kind.String(), "merged")
+	return vec.MergeKeyedAggPartials(a.Kind, vecs(0), gidMaps, ngroups)
 }

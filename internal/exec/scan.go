@@ -16,7 +16,8 @@ import (
 // column) go through imprints or the order index when available. The scan's
 // output is a selection view — the base columns plus the surviving row ids —
 // not a filtered copy: materialization is the downstream pipeline breaker's
-// job. Large filtered scans are split by mal.MitosisScan and the per-chunk
+// job. Large filtered scans are split into chunks (no memory budget: chunk
+// windows are views and workers emit only row ids) and the per-chunk
 // candidate lists are concatenated in chunk order (bat.mergecand), which is
 // bit-identical to the serial list.
 func (e *Engine) execScan(x *plan.Scan) (*batch, error) {
@@ -28,15 +29,9 @@ func (e *Engine) execScan(x *plan.Scan) (*batch, error) {
 	e.Trace.Emit("sql.bind", x.Table, fmt.Sprintf("%d cols", len(x.Cols)))
 
 	cp := mal.ChunkPlan{Chunks: 1, Rows: nrows}
-	if e.Parallel && len(x.Filters) > 0 {
+	if len(x.Filters) > 0 {
 		// An unfiltered scan produces no candidate list — nothing to split.
-		cp = mal.MitosisScan(nrows, e.MaxThreads)
-		if e.testScanChunkRows > 0 && nrows > e.testScanChunkRows {
-			cp = mal.ChunkPlan{
-				Chunks: (nrows + e.testScanChunkRows - 1) / e.testScanChunkRows,
-				Rows:   e.testScanChunkRows,
-			}
-		}
+		cp = e.chunkPlan(nrows, mal.MinChunkRows, 0)
 	}
 	encs := e.scanEncoded(x, src)
 	if cp.Chunks <= 1 {

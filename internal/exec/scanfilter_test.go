@@ -85,7 +85,7 @@ func TestScanFilterProjectCandidateTrace(t *testing.T) {
 
 	parTr := &mal.Program{}
 	par := &Engine{Cat: cat, Parallel: true, MaxThreads: 4, Trace: parTr,
-		testScanChunkRows: 300}
+		testChunkRows: 300}
 	parRes, err := par.Execute(planFor(t, cat, q))
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 // ORDER BY and ORDER BY … LIMIT execution. Sorting is a blocking operator:
 // its input is a fully materialized batch, so mitosis here parallelizes the
 // blocking step itself rather than the scan feeding it — the index range is
-// cut into contiguous runs by mal.MitosisSort, each worker sorts its run with
+// cut into contiguous runs (sortChunkPlan), each worker sorts its run with
 // the typed code kernels (vec.CodedSort), and the coordinator k-way merges.
 // Because the kernels order rows by (keys, original index), the merged
 // permutation is identical to the serial stable vec.SortOrder — which stays
@@ -77,20 +77,11 @@ func (e *Engine) encodedSortKeys(specs []plan.SortSpec, in *batch) []*vec.Vector
 	return pre
 }
 
-// sortChunkPlan decides the run layout for a parallel sort over n rows.
+// sortChunkPlan decides the run layout for a parallel sort over n rows. The
+// input is already resident, so there is no memory budget; the serial k-way
+// merge is the per-run overhead the plain minimum amortizes.
 func (e *Engine) sortChunkPlan(n int) mal.ChunkPlan {
-	cp := mal.ChunkPlan{Chunks: 1, Rows: n}
-	if !e.Parallel {
-		return cp
-	}
-	cp = mal.MitosisSort(n, e.MaxThreads)
-	if e.testSortChunkRows > 0 && n > e.testSortChunkRows {
-		cp = mal.ChunkPlan{
-			Chunks: (n + e.testSortChunkRows - 1) / e.testSortChunkRows,
-			Rows:   e.testSortChunkRows,
-		}
-	}
-	return cp
+	return e.chunkPlan(n, mal.MinChunkRows, 0)
 }
 
 func (e *Engine) execSort(x *plan.Sort) (*batch, error) {

@@ -173,7 +173,7 @@ func runSortFuzzTrial(t *testing.T, seed int64) {
 		}
 		// Force multi-run parallel sorts / multi-heap TopN at fuzz scale.
 		par := &Engine{Cat: cat, Parallel: true, MaxThreads: 4}
-		par.testSortChunkRows = 1 + rng.Intn(24)
+		par.testChunkRows = 1 + rng.Intn(24)
 		parRes, err := par.Execute(p)
 		if err != nil {
 			t.Fatalf("seed %d %s: parallel: %v", seed, q.kind, err)
@@ -226,7 +226,7 @@ func dumpSortTable(t *testing.T, vecs []*vec.Vector, n int) {
 	t.Log(sb.String())
 }
 
-// A sort big enough for mal.MitosisSort to split naturally (no test
+// A sort big enough for mal.Split to cut into runs naturally (no test
 // override) must agree with the serial engine row for row and emit the
 // multi-run trace markers; the TopN form must emit the bounded-heap marker
 // and never materialize more than k rows.

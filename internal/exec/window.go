@@ -20,7 +20,7 @@ import (
 // the rows' *input* positions, so the operator preserves input order and row
 // count — output is input columns plus one appended column per call.
 //
-// Parallelism (mal.MitosisWindow): partitions are fully independent, so
+// Parallelism (windowPartRanges): partitions are fully independent, so
 // workers take contiguous runs of whole partitions and write at disjoint
 // output positions — no merge step, and output bit-identical to the serial
 // walk. The sort itself parallelizes through the same run-merge path as
@@ -114,7 +114,7 @@ func (e *Engine) execWindow(x *plan.Window) (*batch, error) {
 		outs[ci] = vec.New(plan.WindowResultType(c), n)
 	}
 
-	// Fan whole partitions out across workers (mal.MitosisWindow); a worker's
+	// Fan whole partitions out across workers (windowPartRanges); a worker's
 	// partitions cover disjoint input rows, so the shared output vectors need
 	// no synchronization and the result equals the serial walk exactly.
 	ranges := e.windowPartRanges(starts, n)
@@ -158,22 +158,14 @@ func (e *Engine) execWindow(x *plan.Window) (*batch, error) {
 }
 
 // windowPartRanges groups whole partitions into contiguous worker ranges of
-// roughly mal.MitosisWindow's target rows each. Partitions never split.
+// roughly one chunk's rows each: the chunk plan's Rows is only a target, and
+// a partition never splits.
 func (e *Engine) windowPartRanges(starts []int, n int) [][2]int {
 	nparts := len(starts) - 1
 	if nparts <= 0 {
 		return nil
 	}
-	target := n
-	if e.Parallel {
-		cp := mal.MitosisWindow(n, e.MaxThreads)
-		if cp.Chunks > 1 {
-			target = cp.Rows
-		}
-		if e.testWindowChunkRows > 0 && n > e.testWindowChunkRows {
-			target = e.testWindowChunkRows
-		}
-	}
+	target := e.chunkPlan(n, mal.MinChunkRows, 0).Rows
 	var ranges [][2]int
 	for cur := 0; cur < nparts; {
 		rows, end := 0, cur

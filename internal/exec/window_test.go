@@ -62,7 +62,7 @@ func TestWindowRankAndRunningSum(t *testing.T) {
 		e     *Engine
 	}{
 		{"serial", &Engine{Cat: cat, Parallel: false}},
-		{"parallel", &Engine{Cat: cat, Parallel: true, MaxThreads: 4, testWindowChunkRows: 2, testSortChunkRows: 3}},
+		{"parallel", &Engine{Cat: cat, Parallel: true, MaxThreads: 4, testChunkRows: 2}},
 	} {
 		got := execRows(t, cfg.e, p)
 		if len(got) != len(want) {
@@ -268,7 +268,7 @@ func TestWindowPlacementErrors(t *testing.T) {
 	}
 }
 
-// A window big enough for mal.MitosisWindow to split naturally must agree
+// A window big enough for mal.Split to fan out naturally must agree
 // with the serial engine row for row and emit the partition fan-out marker.
 func TestParallelWindowNaturalChunking(t *testing.T) {
 	n := 3 * mal.MinChunkRows

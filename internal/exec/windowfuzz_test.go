@@ -211,8 +211,7 @@ func runWindowFuzzTrial(t *testing.T, seed int64) {
 	}
 	// Force multi-run sorts and multi-group partition fan-out at fuzz scale.
 	par := &Engine{Cat: cat, Parallel: true, MaxThreads: 4}
-	par.testSortChunkRows = 1 + rng.Intn(24)
-	par.testWindowChunkRows = 1 + rng.Intn(24)
+	par.testChunkRows = 1 + rng.Intn(24)
 	parRes, err := par.Execute(p)
 	if err != nil {
 		t.Fatalf("seed %d: parallel: %v\n sql: %s", seed, err, sql)

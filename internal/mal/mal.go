@@ -7,19 +7,17 @@
 //   - the instruction trace (Program), used by EXPLAIN output and by
 //     plan-shape tests — including common-subexpression elimination, which
 //     the executor performs by memoizing identical expression instructions;
-//   - the mitosis heuristics (paper §3.1 "Parallel Execution", Figure 2):
-//     how many chunks to split an operator's input into, based on input
-//     size, core count and (for scans) a memory budget, never splitting
-//     small inputs. Each operator family has its own split rule — Mitosis
-//     for scan pipelines, MitosisGrouped for grouped aggregation,
-//     MitosisJoin for hash-join probes, MitosisSort for ORDER BY runs,
-//     MitosisWindow for per-partition window computation — because their
-//     fixed per-chunk overheads differ.
+//   - the mitosis rule (paper §3.1 "Parallel Execution", Figure 2): Split
+//     decides how many chunks an operator's input is cut into — one per
+//     core, never a chunk below the operator's minimum size (small columns
+//     are not split), and enough chunks that each fits the memory budget.
+//     Operators differ only in the minimum chunk size they pass, which
+//     reflects their fixed per-chunk overhead.
 //
 // A ChunkPlan only describes row ranges; executing chunks concurrently and
 // merging results in chunk order (the determinism contract) is package
-// exec's job. Heuristic outputs are pure functions of their arguments, so
-// plan shapes are reproducible in tests.
+// exec's job. Split is a pure function of its arguments, so plan shapes are
+// reproducible in tests.
 package mal
 
 import (
@@ -117,12 +115,13 @@ func (p *Program) Count(op string) int {
 }
 
 // ---------------------------------------------------------------------------
-// Mitosis heuristics.
+// Mitosis.
 // ---------------------------------------------------------------------------
 
 // MinChunkRows is the smallest chunk worth parallelizing: below this, the
 // goroutine and merge overhead outweighs the benefit (the paper: "the
-// optimizer will not split up small columns").
+// optimizer will not split up small columns"). Operators with a larger fixed
+// per-chunk cost pass a larger minimum to Split.
 const MinChunkRows = 16384
 
 // DefaultMemBudget caps the estimated bytes one chunk should occupy so chunks
@@ -135,158 +134,24 @@ type ChunkPlan struct {
 	Rows   int // rows per chunk (last chunk may be smaller)
 }
 
-// Mitosis decides the chunking of a scan over nrows rows of approximately
-// rowBytes bytes each, given maxThreads workers (0 = GOMAXPROCS).
-func Mitosis(nrows int, rowBytes int, maxThreads int) ChunkPlan {
-	if maxThreads <= 0 {
-		maxThreads = runtime.GOMAXPROCS(0)
+// Split decides how mitosis cuts an operator's input of nrows rows: one chunk
+// per worker (threads, 0 = GOMAXPROCS) as long as every chunk keeps at least
+// minRows rows — so an input below 2·minRows is never split — and at least
+// as many chunks as keep each one's estimated bytes (rowBytes per row; 0 for
+// inputs that are already resident or are only viewed) within
+// DefaultMemBudget. The memory rule applies even on one worker: chunks must
+// fit in memory whether or not they run in parallel.
+func Split(nrows, minRows, rowBytes, threads int) ChunkPlan {
+	if threads <= 0 {
+		threads = runtime.GOMAXPROCS(0)
 	}
-	// Memory-driven chunking applies regardless of parallelism: chunks must
-	// fit the budget even on one worker (the paper: "generate chunks that
-	// fit inside main memory to avoid swapping").
-	memNeed := 1
+	chunks := min(threads, nrows/max(minRows, 1))
 	if rowBytes > 0 {
-		maxRowsPerChunk := DefaultMemBudget / rowBytes
-		if maxRowsPerChunk < 1 {
-			maxRowsPerChunk = 1
-		}
-		memNeed = (nrows + maxRowsPerChunk - 1) / maxRowsPerChunk
+		perChunk := max(DefaultMemBudget/rowBytes, 1)
+		chunks = max(chunks, (nrows+perChunk-1)/perChunk)
 	}
-	if nrows < 2*MinChunkRows || maxThreads == 1 {
-		chunks := max(1, memNeed)
-		return ChunkPlan{Chunks: chunks, Rows: (nrows + chunks - 1) / chunks}
-	}
-	chunks := maxThreads
-	// Respect the minimum chunk size.
-	if nrows/chunks < MinChunkRows {
-		chunks = nrows / MinChunkRows
-	}
-	chunks = max(chunks, memNeed)
-	if chunks < 1 {
-		chunks = 1
-	}
-	rows := (nrows + chunks - 1) / chunks
-	return ChunkPlan{Chunks: chunks, Rows: rows}
-}
-
-// MitosisScan decides the chunking of a selection pipeline — a scan whose
-// output is a candidate list (scan → filter → project shapes), not a
-// materialized copy. Unlike the aggregate-feeding Mitosis there is no memory
-// budget: chunk windows are views over the resident base columns and each
-// worker produces only a []int32 of survivors, so the only fixed per-chunk
-// cost is the goroutine plus the chunk-order concatenation (bat.mergecand).
-// Chunks therefore just have to clear the plain MinChunkRows bar, clamped to
-// the worker budget.
-func MitosisScan(nrows, maxThreads int) ChunkPlan {
-	if maxThreads <= 0 {
-		maxThreads = runtime.GOMAXPROCS(0)
-	}
-	if maxThreads == 1 || nrows < 2*MinChunkRows {
-		return ChunkPlan{Chunks: 1, Rows: nrows}
-	}
-	chunks := maxThreads
-	if nrows/chunks < MinChunkRows {
-		chunks = nrows / MinChunkRows
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
+	chunks = max(chunks, 1)
 	return ChunkPlan{Chunks: chunks, Rows: (nrows + chunks - 1) / chunks}
-}
-
-// MinGroupedChunkRows is the smallest chunk worth parallelizing for grouped
-// aggregation. Each chunk builds its own hash table and the merge phase
-// re-groups every chunk's key representatives and folds keyed partials, so
-// the fixed per-chunk overhead is higher than for plain scan/map pipelines —
-// grouped mitosis therefore demands larger chunks before it splits.
-const MinGroupedChunkRows = 2 * MinChunkRows
-
-// MitosisGrouped decides the chunking of a parallel grouped-aggregation
-// pipeline over nrows rows. It starts from the plain Mitosis plan and clamps
-// the chunk count so every chunk holds at least MinGroupedChunkRows rows;
-// when that leaves a single chunk the caller should fall back to the serial
-// grouped path (which the plain scan mitosis still parallelizes upstream).
-func MitosisGrouped(nrows int, rowBytes int, maxThreads int) ChunkPlan {
-	cp := Mitosis(nrows, rowBytes, maxThreads)
-	if cp.Chunks <= 1 {
-		return cp
-	}
-	if maxChunks := nrows / MinGroupedChunkRows; cp.Chunks > maxChunks {
-		cp.Chunks = max(1, maxChunks)
-		cp.Rows = (nrows + cp.Chunks - 1) / cp.Chunks
-	}
-	return cp
-}
-
-// MitosisSort decides the chunking of a parallel ORDER BY over nrows
-// already-materialized rows: each chunk sorts its contiguous index run
-// independently and the coordinator k-way merges the runs. Unlike scan
-// mitosis there is no memory budget (the input batch is already resident)
-// but the serial O(n log k) merge is pure coordinator overhead, so chunks
-// must clear the plain MinChunkRows bar before splitting pays — and the
-// chunk count is clamped to the worker budget, since sorting is CPU-bound
-// with no I/O to overlap.
-func MitosisSort(nrows, maxThreads int) ChunkPlan {
-	if maxThreads <= 0 {
-		maxThreads = runtime.GOMAXPROCS(0)
-	}
-	if maxThreads == 1 || nrows < 2*MinChunkRows {
-		return ChunkPlan{Chunks: 1, Rows: nrows}
-	}
-	chunks := maxThreads
-	if nrows/chunks < MinChunkRows {
-		chunks = nrows / MinChunkRows
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	return ChunkPlan{Chunks: chunks, Rows: (nrows + chunks - 1) / chunks}
-}
-
-// MitosisWindow decides the fan-out of per-partition window-function
-// computation over nrows already-sorted rows. Partitions are fully
-// independent — each worker takes a contiguous run of whole partitions and
-// writes results at disjoint input positions, so there is no merge step at
-// all; like MitosisSort there is no memory budget (the input batch is
-// resident), and chunks must clear the plain MinChunkRows bar before the
-// goroutine overhead pays. The returned Rows is a *target* per worker: the
-// executor grows each worker's range to the next partition boundary, so a
-// plan never splits a partition. The split arithmetic is MitosisSort's: both
-// operators fan out CPU-bound work over an already-resident batch with the
-// plain MinChunkRows bar.
-func MitosisWindow(nrows, maxThreads int) ChunkPlan {
-	return MitosisSort(nrows, maxThreads)
-}
-
-// MitosisJoin decides the probe-side chunking of a parallel hash join. The
-// build side is shared by every worker (a radix-partitioned table built
-// once), so only the probe side splits. Two asymmetry rules on top of the
-// plain scan heuristics:
-//
-//   - probing is pure pointer-chasing with no merge step, so chunks only
-//     need to clear the plain MinChunkRows bar;
-//   - when the build side is large relative to a chunk, each probe misses
-//     cache on nearly every lookup and the fixed per-chunk cost (key
-//     canonicalization, goroutine) stops amortizing — so every chunk must
-//     probe at least a quarter of the build side's rows.
-func MitosisJoin(probeRows, buildRows, maxThreads int) ChunkPlan {
-	if maxThreads <= 0 {
-		maxThreads = runtime.GOMAXPROCS(0)
-	}
-	if maxThreads == 1 || probeRows < 2*MinChunkRows {
-		return ChunkPlan{Chunks: 1, Rows: probeRows}
-	}
-	chunks := maxThreads
-	if probeRows/chunks < MinChunkRows {
-		chunks = probeRows / MinChunkRows
-	}
-	if minChunk := buildRows / 4; minChunk > MinChunkRows && probeRows/chunks < minChunk {
-		chunks = probeRows / minChunk
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	return ChunkPlan{Chunks: chunks, Rows: (probeRows + chunks - 1) / chunks}
 }
 
 // Bounds returns the row range [lo, hi) of chunk i.

@@ -14,8 +14,9 @@ import (
 // join graph is disconnected.
 //
 // The executor picks build/probe sides at runtime (the smaller input builds,
-// feeding mal.MitosisJoin's asymmetry clamp), so enumeration only has to get
-// the sequence right — the orientation of each hash table follows.
+// which also sets the probe-chunk minimum in exec.buildJoinTable), so
+// enumeration only has to get the sequence right — the orientation of each
+// hash table follows.
 
 // dpMaxLeaves caps exact enumeration: 2^8 subsets × 8 candidates is trivial;
 // beyond that the greedy path takes over.

@@ -8,8 +8,7 @@
 // correlations closely enough that the published query selectivities hold
 // (dates 1992–1998, 0–10% discounts, color words in part names, BRASS part
 // types, nation/region topology, return flags correlated with receipt
-// dates); exact dbgen text grammar is replaced by seeded synthetic text, a
-// substitution documented in DESIGN.md.
+// dates); exact dbgen text grammar is replaced by seeded synthetic text.
 package tpch
 
 import (

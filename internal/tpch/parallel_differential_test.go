@@ -46,18 +46,18 @@ func compareResults(t *testing.T, label string, ser, par *monetlite.Result) {
 
 // The parallel partitioned hash-aggregation path (per-chunk group tables +
 // keyed partial merge) must agree with the serial engine on TPC-H Q1 at a
-// scale factor large enough for mal.MitosisGrouped to actually split the
-// lineitem scan. Decimal SUMs must match exactly (integer partials merge
-// losslessly); AVG doubles may differ in the last ulps because the parallel
-// path divides one exact merged sum while the serial path accumulates
-// floats row by row.
+// scale factor large enough to split the lineitem scan into grouped chunks
+// (2*mal.MinChunkRows each). Decimal SUMs must match exactly (integer
+// partials merge losslessly); AVG doubles may differ in the last ulps
+// because the parallel path divides one exact merged sum while the serial
+// path accumulates floats row by row.
 func TestParallelQ1MatchesSerial(t *testing.T) {
-	// ~90k lineitem rows: > 2*MinGroupedChunkRows, so 4 threads split it.
+	// ~90k lineitem rows: two grouped chunks or more, so 4 threads split it.
 	const sf = 0.015
 	data := Generate(sf, 42)
-	if n := data.Lineitem.Rows; n < 2*mal.MinGroupedChunkRows {
+	if n := data.Lineitem.Rows; n < 4*mal.MinChunkRows {
 		t.Fatalf("SF %g generated only %d lineitem rows; below the grouped mitosis threshold %d",
-			sf, n, 2*mal.MinGroupedChunkRows)
+			sf, n, 4*mal.MinChunkRows)
 	}
 
 	run := func(cfg monetlite.Config) *monetlite.Result {
@@ -85,7 +85,7 @@ func TestParallelQ1MatchesSerial(t *testing.T) {
 
 // The parallel partitioned hash-join path (radix-partitioned build +
 // chunked probe) must agree with the serial engine on the join-heavy TPC-H
-// queries Q3, Q5 and Q10, at a scale factor large enough for mal.MitosisJoin
+// queries Q3, Q5 and Q10, at a scale factor large enough for mal.Split
 // to split the probe side into multiple chunks. The chunked pair lists are
 // concatenated in chunk order, so results must match the serial path
 // exactly — decimal SUMs and COUNTs included.
@@ -288,7 +288,7 @@ func TestParallelOrderedQueriesMatchSerial(t *testing.T) {
 // projected expressions, ~98% selective) and the Q6 predicate stack (fused
 // shipdate range + discount BETWEEN + quantity bound, ~2% selective), plus
 // Q6 itself. Both engines run the same plan; the parallel one must split the
-// scan into multiple MitosisScan chunks and merge per-chunk candidate lists
+// scan into multiple mitosis chunks and merge per-chunk candidate lists
 // (bat.mergecand), and neither may materialize the pipeline full-width — the
 // MAL trace shows projections evaluated under a candidate list ("cands") and
 // zero bat.materialize instructions, i.e. no per-conjunct full-column gather
@@ -375,6 +375,6 @@ func TestParallelScanPipelineMatchesSerial(t *testing.T) {
 		compareResults(t, q.label, ser, par)
 	}
 	if !scanChunked {
-		t.Fatal("no query took the multi-chunk MitosisScan path; raise the scale factor")
+		t.Fatal("no query took the multi-chunk scan path; raise the scale factor")
 	}
 }

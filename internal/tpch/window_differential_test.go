@@ -11,8 +11,8 @@ import (
 // Window-function differentials on TPC-H data: ranking and running-total
 // shapes (the in-process analytics the paper's workloads lean on) must agree
 // between the serial and parallel columnar engines row for row, with the
-// parallel plan actually fanning partitions out (MitosisWindow in the MAL
-// trace), and — at a smaller scale — with the rowstore volcano oracle.
+// parallel plan actually fanning partitions out ("chunks (window)" in the
+// MAL trace), and — at a smaller scale — with the rowstore volcano oracle.
 
 // topPartsPerSupplier ranks each supplier's parts by revenue inside one
 // aggregated SELECT (the window orders by an aggregate result) and keeps the
@@ -59,7 +59,7 @@ func TestParallelWindowQueriesMatchSerial(t *testing.T) {
 	parConn := open(monetlite.Config{Parallel: true, MaxThreads: 4})
 
 	// A raw per-lineitem ranking over ~250 supplier partitions: large enough
-	// for MitosisWindow to split, and the partition count spans worker groups.
+	// for the window fan-out to split, and the partition count spans worker groups.
 	perSupplierRows := `
 		select l_suppkey, l_extendedprice,
 			row_number() over (partition by l_suppkey order by l_extendedprice desc, l_orderkey, l_linenumber)

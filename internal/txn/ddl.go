@@ -9,7 +9,7 @@ import (
 
 // DDL statements auto-commit: they run immediately under the commit lock
 // with their own WAL commit marker. (MonetDB supports transactional DDL;
-// monetlite trades that for simplicity — documented in DESIGN.md.)
+// monetlite trades that for simplicity.)
 
 // CreateTable creates a table and logs it.
 func (m *Manager) CreateTable(meta storage.TableMeta) error {

@@ -193,7 +193,7 @@ func aggMinMax(kind AggKind, vals *Vector, gids []int32, ngroups int) (*Vector, 
 // group numbering: partial p's row g corresponds to global group g (vectors
 // may be shorter than ngroups if trailing groups were absent from the chunk).
 // AVG and MEDIAN cannot be merged from partials; the mitosis pass decomposes
-// AVG into SUM+COUNT and never parallelizes MEDIAN (it is a blocking op).
+// AVG into SUM+COUNT and merges MEDIAN from its values (it is a blocking op).
 func MergeAggPartials(kind AggKind, partials []*Vector, ngroups int) (*Vector, error) {
 	return MergeKeyedAggPartials(kind, partials, nil, ngroups)
 }

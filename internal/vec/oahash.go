@@ -380,14 +380,6 @@ func keySetsEqual(ks *KeySet, a int32, other *KeySet, b int32) bool {
 // GroupBy over the open-addressing table.
 // ---------------------------------------------------------------------------
 
-// KeyHashes returns the fused per-row hashes of a multi-column key over the
-// candidate list — the same hashes GroupBy buckets on, so equal keys always
-// share a hash. Callers use it to partition rows by group (parallel DISTINCT
-// aggregation) without building the full grouping table.
-func KeyHashes(keys []*Vector, cands []int32) []uint64 {
-	return NewKeySet(keys, cands, false).hash
-}
-
 // GroupBy assigns group ids to the candidate rows of a multi-column key in a
 // single pass: fused per-row hashes feed an open-addressing table that
 // allocates dense group ids in first-appearance order (the same numbering

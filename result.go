@@ -13,8 +13,9 @@ import (
 // monetdb_result. Columns are fetched individually; numeric columns support
 // zero-copy access (the returned slice aliases engine memory) and converted
 // forms are materialized lazily on first access (§3.3 of the paper:
-// "Zero-Copy" and "Lazy Conversion", with mprotect tricks replaced by Go-safe
-// equivalents — see DESIGN.md).
+// "Zero-Copy" and "Lazy Conversion"). Go has no mprotect, so the paper's
+// copy-on-write-by-page-fault becomes an explicit Materialize, and lazy
+// conversion a sync.Once per converted form.
 type Result struct {
 	names []string
 	cols  []*Column
@@ -227,7 +228,8 @@ func (c *Column) AsStrings() []string {
 }
 
 // Materialize returns a private, writable deep copy of the column's payload
-// (copy-on-write moved to the API boundary; see DESIGN.md substitution #1).
+// (copy-on-write moved to the API boundary, in place of the paper's
+// mprotect-based copy on first write).
 func (c *Column) Materialize() *Column {
 	return &Column{name: c.name, vec: c.vec.Clone()}
 }
