@@ -277,48 +277,18 @@ func (e *Engine) chunkEngine() *Engine {
 	}
 }
 
-// runTasks executes task(0..n-1) using the shared worker pool: the calling
-// goroutine always works, plus up to n-1 borrowed workers granted by
-// admission control (fewer under concurrency — the pool caps each query at
-// its fair share of GOMAXPROCS). Workers pull task indexes from a shared
-// counter, so chunk outputs still land in their per-index slots and the
-// coordinator's chunk-order merge stays bit-identical to the serial path no
-// matter how many workers were granted. Returns only after every task
-// finished (barrier).
+// runTasks executes task(0..n-1) through the query's lease (see
+// workpool.Lease.Run): the calling goroutine plus the workers admission
+// control grants — fewer under concurrency, as the pool caps each query at
+// its fair share of GOMAXPROCS. Chunk outputs land in their per-index slots,
+// so the coordinator's chunk-order merge stays bit-identical to the serial
+// path no matter how many workers were granted.
 func (e *Engine) runTasks(n int, task func(i int)) {
-	if n <= 1 {
-		for i := 0; i < n; i++ {
-			task(i)
-		}
-		return
+	granted := e.lease.Run(n, task)
+	if n > 1 {
+		e.Trace.EmitVoid("optimizer.admission",
+			fmt.Sprintf("%d workers / %d tasks", granted+1, n))
 	}
-	granted := n - 1
-	if e.lease != nil {
-		granted = e.lease.Acquire(n - 1)
-		defer e.lease.Release(granted)
-	}
-	e.Trace.EmitVoid("optimizer.admission",
-		fmt.Sprintf("%d workers / %d tasks", granted+1, n))
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			task(i)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < granted; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
 }
 
 // checkInterrupt reports whether the query should abort: the context was

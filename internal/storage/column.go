@@ -13,6 +13,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"monetlite/internal/mtypes"
@@ -42,6 +43,23 @@ type Column struct {
 	// via refreshEncoded. After loading an encoded (MLC2) file, data may be
 	// nil until a caller needs raw values.
 	enc *vec.Encoded
+
+	// encRows is the row count the last encoding decision (a
+	// vec.EncodeColumn call) covered, 0 when there was none; encPruned
+	// records that a stats hint removed the dictionary candidate from it.
+	// EncodeColumn is deterministic and rows are append-only, so a decision
+	// stands for its prefix until TruncateTo — re-encoding the same rows
+	// would reach the same answer (see decidedLocked). In memory only.
+	encRows   int
+	encPruned bool
+
+	// fileKnown, fileRows and fileEnc describe what the column file holds:
+	// the first fileRows rows, encoded as fileEnc (nil: raw MLC1). Set on
+	// load and on each successful write, cleared by TruncateTo and Release;
+	// Checkpoint skips a column whose file already matches its snapshot.
+	fileKnown bool
+	fileRows  int
+	fileEnc   *vec.Encoded
 
 	path    string // non-empty when file-backed and not yet loaded
 	mapping *pagemap.Mapping
@@ -122,11 +140,13 @@ func (c *Column) LoadSlice(n int) (*vec.Vector, error) {
 }
 
 // refreshEncoded installs a replacement compressed form (nil decays the
-// column to raw-only). The background merger calls this after re-encoding a
-// column whose old encoding covered only the pre-merge base.
-func (c *Column) refreshEncoded(e *vec.Encoded) {
+// column to raw-only) chosen over the first rows rows. The background merger
+// calls this after re-encoding a column whose old encoding covered only the
+// pre-merge base.
+func (c *Column) refreshEncoded(e *vec.Encoded, rows int) {
 	c.mu.Lock()
 	c.enc = e
+	c.encRows, c.encPruned = rows, false
 	c.mu.Unlock()
 }
 
@@ -152,6 +172,8 @@ func (c *Column) Append(vals *vec.Vector) (int, error) {
 	// background merger folds them in.
 	c.ensureHeapLocked()
 	if c.Typ.Kind == mtypes.KVarchar {
+		c.offs = slices.Grow(c.offs, len(vals.Str))
+		c.data.Str = slices.Grow(c.data.Str, len(vals.Str))
 		for _, s := range vals.Str {
 			if s == vec.StrNull {
 				c.offs = append(c.offs, c.heap.PutNull())
@@ -202,6 +224,7 @@ func (c *Column) TruncateTo(n int) error {
 		// down, so decay to raw.
 		c.enc = nil
 	}
+	c.encRows, c.fileKnown, c.fileEnc = 0, false, nil
 	c.data = c.data.Slice(0, n).Clone()
 	if len(c.offs) > n {
 		// Orphaned heap entries are harmless (the heap dedups), but the offset
@@ -221,6 +244,7 @@ func (c *Column) Release() error {
 	c.heap = nil
 	c.offs = nil
 	c.enc = nil
+	c.encRows, c.fileKnown, c.fileEnc = 0, false, nil
 	if c.mapping != nil {
 		err := c.mapping.Close()
 		c.mapping = nil
@@ -250,6 +274,12 @@ func (c *Column) loadLocked() error {
 	}
 	c.mapping = m
 	c.data, c.heap, c.offs, c.enc = data, heap, offs, enc
+	c.fileKnown, c.fileEnc = true, enc
+	if enc != nil {
+		c.fileRows = enc.N
+	} else {
+		c.fileRows = data.Len()
+	}
 	c.loaded = true
 	return nil
 }

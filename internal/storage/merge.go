@@ -95,7 +95,7 @@ func (t *Table) MergeDelta(minPinned uint64) (MergeReport, bool) {
 			t.idx[ci].hash = f.h
 		}
 		if f.reencode {
-			t.cols[ci].refreshEncoded(f.enc)
+			t.cols[ci].refreshEncoded(f.enc, tv.NRows)
 		}
 	}
 	if tv.NRows > t.baseRows {

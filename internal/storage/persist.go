@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 	"monetlite/internal/pagemap"
 	"monetlite/internal/strheap"
 	"monetlite/internal/vec"
+	"monetlite/internal/workpool"
 )
 
 // Column file formats (native endianness, like MonetDB's on-disk BATs —
@@ -53,64 +56,85 @@ func encodeColumnHeader(typ mtypes.Type, count int) []byte {
 	return h
 }
 
-// writeColumnFile persists a column's physical state atomically
-// (write-to-temp + rename).
-func writeColumnFile(path string, typ mtypes.Type, data *vec.Vector, heap *strheap.Heap, offs []uint32) error {
+// writeFileAtomic writes path the crash-safe way: into path.tmp through a
+// buffer, fsync, then rename over path. A bufio.Writer's error is sticky —
+// after a failed write every later one fails too and Flush reports it — so
+// write may ignore the errors of individual writes. The rename is durable
+// once the directory is synced, which Checkpoint does once per checkpoint.
+func writeFileAtomic(path string, write func(w *bufio.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	n := data.Len()
-	if _, err := f.Write(encodeColumnHeader(typ, n)); err != nil {
-		f.Close()
-		return err
+	w := bufio.NewWriterSize(f, 1<<16)
+	err = write(w)
+	if err == nil {
+		err = w.Flush()
 	}
-	var payload []byte
-	switch typ.Kind {
-	case mtypes.KBool, mtypes.KTinyInt:
-		payload = pagemap.BytesOfInt8s(data.I8)
-	case mtypes.KSmallInt:
-		payload = pagemap.BytesOfInt16s(data.I16)
-	case mtypes.KInt, mtypes.KDate:
-		payload = pagemap.BytesOfInt32s(data.I32)
-	case mtypes.KBigInt, mtypes.KDecimal:
-		payload = pagemap.BytesOfInt64s(data.I64)
-	case mtypes.KDouble:
-		payload = pagemap.BytesOfFloat64s(data.F64)
-	case mtypes.KVarchar:
-		if len(offs) != n {
-			f.Close()
-			return fmt.Errorf("storage: varchar offsets out of sync (%d vs %d)", len(offs), n)
-		}
-		if _, err := f.Write(pagemap.BytesOfUint32s(offs)); err != nil {
-			f.Close()
-			return err
-		}
-		hb := heap.Bytes()
-		var lenBuf [8]byte
-		binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(hb)))
-		if _, err := f.Write(lenBuf[:]); err != nil {
-			f.Close()
-			return err
-		}
-		payload = hb
-	default:
-		f.Close()
-		return fmt.Errorf("storage: cannot persist kind %d", typ.Kind)
+	if err == nil {
+		err = f.Sync()
 	}
-	if _, err := f.Write(payload); err != nil {
-		f.Close()
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)
+}
+
+// syncDir fsyncs a directory, making the renames inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// writeColumnFile persists a column's physical state atomically in the MLC1
+// format.
+func writeColumnFile(path string, typ mtypes.Type, data *vec.Vector, heap *strheap.Heap, offs []uint32) error {
+	n := data.Len()
+	if typ.Kind == mtypes.KVarchar && len(offs) != n {
+		return fmt.Errorf("storage: varchar offsets out of sync (%d vs %d)", len(offs), n)
+	}
+	return writeFileAtomic(path, func(w *bufio.Writer) error {
+		w.Write(encodeColumnHeader(typ, n))
+		switch typ.Kind {
+		case mtypes.KVarchar:
+			w.Write(pagemap.BytesOfUint32s(offs))
+			hb := heap.Bytes()
+			w.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(hb))))
+			w.Write(hb)
+			return nil
+		}
+		return writePayload(w, data)
+	})
+}
+
+// writePayload writes a fixed-width vector's values as raw bytes.
+func writePayload(w *bufio.Writer, v *vec.Vector) error {
+	switch v.Typ.Kind {
+	case mtypes.KBool, mtypes.KTinyInt:
+		w.Write(pagemap.BytesOfInt8s(v.I8))
+	case mtypes.KSmallInt:
+		w.Write(pagemap.BytesOfInt16s(v.I16))
+	case mtypes.KInt, mtypes.KDate:
+		w.Write(pagemap.BytesOfInt32s(v.I32))
+	case mtypes.KBigInt, mtypes.KDecimal:
+		w.Write(pagemap.BytesOfInt64s(v.I64))
+	case mtypes.KDouble:
+		w.Write(pagemap.BytesOfFloat64s(v.F64))
+	default:
+		return fmt.Errorf("storage: cannot persist kind %d", v.Typ.Kind)
+	}
+	return nil
 }
 
 // writeEncodedColumnFile persists a compressed column atomically in the
@@ -126,121 +150,52 @@ func writeColumnFile(path string, typ mtypes.Type, data *vec.Vector, heap *strhe
 //	      run values: fixed-width raw payload, or {len u32, bytes} per run
 //	      for varchar (NULL runs store the sentinel byte 0x80)
 func writeEncodedColumnFile(path string, typ mtypes.Type, e *vec.Encoded) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	fail := func(err error) error { f.Close(); return err }
-	h := make([]byte, columnHeaderSize)
-	copy(h, columnMagicV2)
-	h[4] = byte(typ.Kind)
-	h[5] = byte(typ.Scale)
-	h[6] = byte(e.Enc)
-	binary.LittleEndian.PutUint64(h[8:], uint64(e.N))
-	if _, err := f.Write(h); err != nil {
-		return fail(err)
-	}
-	var u64buf [8]byte
-	putU64 := func(x uint64) error {
-		binary.LittleEndian.PutUint64(u64buf[:], x)
-		_, err := f.Write(u64buf[:])
-		return err
-	}
-	switch e.Enc {
-	case vec.EncDict:
-		if err := putU64(uint64(len(e.Dict))); err != nil {
-			return fail(err)
-		}
-		if err := putU64(uint64(e.Codes.Width)); err != nil {
-			return fail(err)
-		}
-		if err := putU64(uint64(len(e.Codes.Words))); err != nil {
-			return fail(err)
-		}
-		if _, err := f.Write(pagemap.BytesOfUint64s(e.Codes.Words)); err != nil {
-			return fail(err)
-		}
-		var lenBuf [4]byte
-		for _, s := range e.Dict {
-			binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(s)))
-			if _, err := f.Write(lenBuf[:]); err != nil {
-				return fail(err)
-			}
-			if _, err := f.Write([]byte(s)); err != nil {
-				return fail(err)
+	return writeFileAtomic(path, func(w *bufio.Writer) error {
+		h := make([]byte, columnHeaderSize)
+		copy(h, columnMagicV2)
+		h[4] = byte(typ.Kind)
+		h[5] = byte(typ.Scale)
+		h[6] = byte(e.Enc)
+		binary.LittleEndian.PutUint64(h[8:], uint64(e.N))
+		w.Write(h)
+		var buf [8]byte
+		putU64 := func(x uint64) { w.Write(binary.LittleEndian.AppendUint64(buf[:0], x)) }
+		putStrs := func(ss []string) {
+			for _, s := range ss {
+				w.Write(binary.LittleEndian.AppendUint32(buf[:0], uint32(len(s))))
+				w.WriteString(s)
 			}
 		}
-	case vec.EncFOR:
-		if err := putU64(uint64(e.Base)); err != nil {
-			return fail(err)
-		}
-		if err := putU64(e.CodeMax); err != nil {
-			return fail(err)
-		}
-		if err := putU64(uint64(e.Codes.Width)); err != nil {
-			return fail(err)
-		}
-		if err := putU64(uint64(len(e.Codes.Words))); err != nil {
-			return fail(err)
-		}
-		if _, err := f.Write(pagemap.BytesOfUint64s(e.Codes.Words)); err != nil {
-			return fail(err)
-		}
-	case vec.EncRLE:
-		nruns := len(e.RunEnds)
-		if err := putU64(uint64(nruns)); err != nil {
-			return fail(err)
-		}
-		if _, err := f.Write(pagemap.BytesOfInt32s(e.RunEnds)); err != nil {
-			return fail(err)
-		}
-		if nruns%2 != 0 {
-			if _, err := f.Write([]byte{0, 0, 0, 0}); err != nil {
-				return fail(err)
+		switch e.Enc {
+		case vec.EncDict:
+			putU64(uint64(len(e.Dict)))
+			putU64(uint64(e.Codes.Width))
+			putU64(uint64(len(e.Codes.Words)))
+			w.Write(pagemap.BytesOfUint64s(e.Codes.Words))
+			putStrs(e.Dict)
+		case vec.EncFOR:
+			putU64(uint64(e.Base))
+			putU64(e.CodeMax)
+			putU64(uint64(e.Codes.Width))
+			putU64(uint64(len(e.Codes.Words)))
+			w.Write(pagemap.BytesOfUint64s(e.Codes.Words))
+		case vec.EncRLE:
+			nruns := len(e.RunEnds)
+			putU64(uint64(nruns))
+			w.Write(pagemap.BytesOfInt32s(e.RunEnds))
+			if nruns%2 != 0 {
+				w.Write([]byte{0, 0, 0, 0})
 			}
+			if typ.Kind == mtypes.KVarchar {
+				putStrs(e.RunVals.Str)
+				return nil
+			}
+			return writePayload(w, e.RunVals)
+		default:
+			return fmt.Errorf("storage: unknown encoding %d", e.Enc)
 		}
-		if typ.Kind == mtypes.KVarchar {
-			var lenBuf [4]byte
-			for _, s := range e.RunVals.Str {
-				binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(s)))
-				if _, err := f.Write(lenBuf[:]); err != nil {
-					return fail(err)
-				}
-				if _, err := f.Write([]byte(s)); err != nil {
-					return fail(err)
-				}
-			}
-		} else {
-			var payload []byte
-			switch typ.Kind {
-			case mtypes.KBool, mtypes.KTinyInt:
-				payload = pagemap.BytesOfInt8s(e.RunVals.I8)
-			case mtypes.KSmallInt:
-				payload = pagemap.BytesOfInt16s(e.RunVals.I16)
-			case mtypes.KInt, mtypes.KDate:
-				payload = pagemap.BytesOfInt32s(e.RunVals.I32)
-			case mtypes.KBigInt, mtypes.KDecimal:
-				payload = pagemap.BytesOfInt64s(e.RunVals.I64)
-			case mtypes.KDouble:
-				payload = pagemap.BytesOfFloat64s(e.RunVals.F64)
-			default:
-				return fail(fmt.Errorf("storage: cannot persist rle kind %d", typ.Kind))
-			}
-			if _, err := f.Write(payload); err != nil {
-				return fail(err)
-			}
-		}
-	default:
-		return fail(fmt.Errorf("storage: unknown encoding %d", e.Enc))
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+		return nil
+	})
 }
 
 // decodeEncodedColumnFile reconstructs a compressed column from mapped MLC2
@@ -501,7 +456,8 @@ func (s *Store) columnPath(table, col string) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%s.%s.col", table, col))
 }
 
-// saveCatalogLocked writes catalog.json atomically. Caller holds s.mu.
+// saveCatalogLocked writes catalog.json atomically (tmp, fsync, rename).
+// Caller holds s.mu.
 func (s *Store) saveCatalogLocked() error {
 	cat := catalogJSON{Version: s.version}
 	for _, name := range s.tableNamesLocked() {
@@ -515,21 +471,22 @@ func (s *Store) saveCatalogLocked() error {
 			})
 		}
 		cat.Tables = append(cat.Tables, tj)
-		for ci, ix := range t.idx {
-			if ix.order != nil {
+		t.mu.Lock() // idx entries change under t.mu (StatsFor, index builds)
+		for ci := range t.idx {
+			if t.idx[ci].order != nil {
 				cat.Orders = append(cat.Orders, orderedIdxJ{Table: t.Meta.Name, Col: t.Meta.Cols[ci].Name})
 			}
 		}
+		t.mu.Unlock()
 	}
 	data, err := json.MarshalIndent(&cat, "", " ")
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(s.dir, catalogName+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(s.dir, catalogName))
+	return writeFileAtomic(filepath.Join(s.dir, catalogName), func(w *bufio.Writer) error {
+		w.Write(data)
+		return nil
+	})
 }
 
 // loadCatalog reads catalog.json and wires up lazily loaded tables.
@@ -583,65 +540,92 @@ func (s *Store) loadCatalog() error {
 }
 
 // Checkpoint persists all table data and the catalog. After a successful
-// checkpoint the WAL can be truncated by the caller.
+// checkpoint the WAL can be truncated by the caller: column files, then the
+// catalog, are written to temporaries, fsynced and renamed, and the
+// directory is fsynced last so every rename survives a power loss. Columns
+// are persisted in parallel, one task per column through a workpool lease;
+// each holds only its own column's lock.
 func (s *Store) Checkpoint() error {
 	if s.dir == "" {
 		return nil // in-memory databases persist nothing
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	type job struct {
+		c    *Column
+		path string
+		rows int
+	}
+	var jobs []job
 	for _, name := range s.tableNamesLocked() {
 		t := s.tables[name]
-		tv := t.Version()
+		rows := t.Version().NRows
 		for i, cd := range t.Meta.Cols {
-			c := t.cols[i]
-			c.mu.Lock()
-			if !c.loaded {
-				// Never touched since load: on-disk state is already current.
-				c.mu.Unlock()
-				continue
-			}
-			if c.data == nil && c.enc != nil && c.enc.N != tv.NRows {
-				// Encoded resident form doesn't match the snapshot (possible
-				// after crash recovery): decode so the raw path below applies.
-				if _, err := c.loadDataLocked(); err != nil {
-					c.mu.Unlock()
-					return err
-				}
-			}
-			if (c.enc == nil || c.enc.N != tv.NRows) && c.data != nil &&
-				tv.NRows >= checkpointEncodeMinRows && c.data.Len() >= tv.NRows {
-				// Checkpoint is where encodings are (re)chosen: try to compress
-				// the snapshot's rows and cache the result for the executor. An
-				// encoding that covers only part of the snapshot (an unmerged
-				// append-delta) is folded forward here the same way.
-				if e := vec.EncodeColumn(c.data.Slice(0, tv.NRows), 0); e != nil {
-					c.enc = e
-				}
-			}
-			if c.enc != nil && c.enc.N == tv.NRows {
-				err := writeEncodedColumnFile(s.columnPath(name, cd.Name), cd.Typ, c.enc)
-				c.mu.Unlock()
-				if err != nil {
-					return err
-				}
-				continue
-			}
-			if c.Typ.Kind == mtypes.KVarchar && c.heap == nil {
-				// Decoded-from-encoded column without a heap: rebuild it for
-				// the raw write.
-				c.ensureHeapLocked()
-			}
-			data, heap, offs := c.data.Slice(0, tv.NRows), c.heap, c.offs
-			if c.Typ.Kind == mtypes.KVarchar {
-				offs = offs[:tv.NRows]
-			}
-			err := writeColumnFile(s.columnPath(name, cd.Name), cd.Typ, data, heap, offs)
-			c.mu.Unlock()
-			if err != nil {
-				return err
-			}
+			jobs = append(jobs, job{t.cols[i], s.columnPath(name, cd.Name), rows})
 		}
 	}
-	return s.saveCatalogLocked()
+	errs := make([]error, len(jobs))
+	lease := workpool.Global.Register()
+	defer lease.Close()
+	lease.Run(len(jobs), func(i int) {
+		errs[i] = jobs[i].c.persist(jobs[i].path, jobs[i].rows)
+	})
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	if err := s.saveCatalogLocked(); err != nil {
+		return err
+	}
+	return syncDir(s.dir)
+}
+
+// persist brings the column file at path up to date with the column's first
+// n rows. Checkpoint is where encodings are (re)chosen, for columns of at
+// least checkpointEncodeMinRows rows that no earlier decision covers; an
+// encoding that covers only part of the snapshot (an unmerged append-delta)
+// is folded forward the same way. A file that already holds those rows in
+// the same form is left alone: no rewrite, no fsync.
+func (c *Column) persist(path string, n int) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.loaded {
+		return nil // never touched since load: on-disk state is already current
+	}
+	if c.data == nil && c.enc != nil && c.enc.N != n {
+		// Encoded resident form doesn't match the snapshot (possible after
+		// crash recovery): decode so the raw path below applies.
+		if _, err := c.loadDataLocked(); err != nil {
+			return err
+		}
+	}
+	if (c.enc == nil || c.enc.N != n) && c.data != nil &&
+		n >= checkpointEncodeMinRows && c.data.Len() >= n && !c.decidedLocked(n, 0) {
+		c.encodeLocked(c.data, n, 0)
+	}
+	var enc *vec.Encoded
+	if c.enc != nil && c.enc.N == n {
+		enc = c.enc
+	}
+	if c.fileKnown && c.fileRows == n && c.fileEnc == enc {
+		return nil
+	}
+	c.fileKnown = false
+	var err error
+	if enc != nil {
+		err = writeEncodedColumnFile(path, c.Typ, enc)
+	} else {
+		// A column decoded from an encoded file has no heap yet: rebuild it
+		// for the raw write.
+		c.ensureHeapLocked()
+		offs := c.offs
+		if c.Typ.Kind == mtypes.KVarchar {
+			offs = offs[:n]
+		}
+		err = writeColumnFile(path, c.Typ, c.data.Slice(0, n), c.heap, offs)
+	}
+	if err != nil {
+		return err
+	}
+	c.fileKnown, c.fileRows, c.fileEnc = true, n, enc
+	return nil
 }

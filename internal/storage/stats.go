@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"math"
 
 	"monetlite/internal/mtypes"
@@ -39,18 +40,24 @@ func (t *Table) StatsFor(tv *TableVersion, ci int) *ColStats {
 		return nil
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	ix := &t.idx[ci]
-	if ix.stats != nil && ix.statsRows == tv.NRows {
-		return ix.stats
+	if st := ix.stats; st != nil && ix.statsRows == tv.NRows {
+		t.mu.Unlock()
+		return st
 	}
-	data, err := t.cols[ci].Load()
+	t.mu.Unlock()
+	// Computed off the table lock, so the columns of one table can be
+	// scanned concurrently (EncodeColumns); a racing computation of the same
+	// snapshot produces the same stats.
+	data, err := t.cols[ci].LoadSlice(tv.NRows)
 	if err != nil {
 		return nil
 	}
-	ix.stats = ComputeColStats(data.Slice(0, tv.NRows))
-	ix.statsRows = tv.NRows
-	return ix.stats
+	st := ComputeColStats(data)
+	t.mu.Lock()
+	ix.stats, ix.statsRows = st, tv.NRows
+	t.mu.Unlock()
+	return st
 }
 
 // StatsEpoch returns the table's statistics epoch: a counter bumped whenever
@@ -94,26 +101,24 @@ func ComputeColStats(v *vec.Vector) *ColStats {
 	if n == 0 {
 		return st
 	}
-	// Full pass: nulls and exact min/max.
-	first := true
-	for i := 0; i < n; i++ {
-		if v.IsNull(i) {
-			st.NullCount++
-			continue
-		}
-		val := v.Value(i)
-		if first {
-			st.Min, st.Max = val, val
-			st.HasRange = true
-			first = false
-			continue
-		}
-		if mtypes.Compare(val, st.Min) < 0 {
-			st.Min = val
-		}
-		if mtypes.Compare(val, st.Max) > 0 {
-			st.Max = val
-		}
+	// Full pass: nulls and exact min/max. Only the two extremes are boxed.
+	var lo, hi int
+	switch v.Typ.Kind {
+	case mtypes.KBool, mtypes.KTinyInt:
+		st.NullCount, lo, hi = minMaxPos(v.I8, mtypes.NullInt8)
+	case mtypes.KSmallInt:
+		st.NullCount, lo, hi = minMaxPos(v.I16, mtypes.NullInt16)
+	case mtypes.KInt, mtypes.KDate:
+		st.NullCount, lo, hi = minMaxPos(v.I32, mtypes.NullInt32)
+	case mtypes.KBigInt, mtypes.KDecimal:
+		st.NullCount, lo, hi = minMaxPos(v.I64, mtypes.NullInt64)
+	case mtypes.KDouble:
+		st.NullCount, lo, hi = minMaxPos(v.F64, mtypes.NullFloat64())
+	case mtypes.KVarchar:
+		st.NullCount, lo, hi = minMaxPos(v.Str, vec.StrNull)
+	}
+	if lo >= 0 {
+		st.Min, st.Max, st.HasRange = v.Value(lo), v.Value(hi), true
 	}
 	nonNull := st.Rows - st.NullCount
 	if nonNull == 0 {
@@ -158,6 +163,30 @@ func ComputeColStats(v *vec.Vector) *ColStats {
 		st.NDV = nonNull
 	}
 	return st
+}
+
+// minMaxPos counts the NULLs of xs and returns the positions of its first
+// minimum and first maximum non-NULL value (-1, -1 when there is none).
+// x != x holds only for NaN, so every NaN payload counts as a DOUBLE NULL;
+// strict comparisons keep the first of equal values (-0.0 before +0.0).
+func minMaxPos[T cmp.Ordered](xs []T, null T) (nulls int64, lo, hi int) {
+	lo, hi = -1, -1
+	for i, x := range xs {
+		if x == null || x != x {
+			nulls++
+			continue
+		}
+		if lo < 0 {
+			lo, hi = i, i
+			continue
+		}
+		if x < xs[lo] {
+			lo = i
+		} else if x > xs[hi] {
+			hi = i
+		}
+	}
+	return nulls, lo, hi
 }
 
 // sampleKey canonicalizes a vector element for use as a distinct-count map

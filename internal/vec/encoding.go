@@ -241,12 +241,12 @@ func EncodeColumn(v *Vector, ndvHint int) *Encoded {
 		if dict != nil {
 			candidates = append(candidates, dict)
 		}
-		if rle := encodeRLE(v); rle != nil {
+		if rle := encodeRLE(v, raw); rle != nil {
 			candidates = append(candidates, rle)
 		}
 	case mtypes.KDouble:
 		raw = int64(n) * 8
-		if rle := encodeRLE(v); rle != nil {
+		if rle := encodeRLE(v, raw); rle != nil {
 			candidates = append(candidates, rle)
 		}
 	default:
@@ -254,7 +254,7 @@ func EncodeColumn(v *Vector, ndvHint int) *Encoded {
 		if f := encodeFOR(v); f != nil {
 			candidates = append(candidates, f)
 		}
-		if rle := encodeRLE(v); rle != nil {
+		if rle := encodeRLE(v, raw); rle != nil {
 			candidates = append(candidates, rle)
 		}
 	}
@@ -270,13 +270,18 @@ func EncodeColumn(v *Vector, ndvHint int) *Encoded {
 	return best
 }
 
+// DictHintPrunes reports whether EncodeColumn, given ndvHint, skips the
+// dictionary candidate without scanning: the estimate is far enough above
+// DictMaxCard that the dictionary attempt is hopeless.
+func DictHintPrunes(ndvHint int) bool { return ndvHint > DictMaxCard+DictMaxCard/2 }
+
 // encodeDict builds a sorted-dictionary encoding of a varchar column. It
 // also returns the deduplicated heap size of the values it saw (for the raw
 // size estimate); on abort (cardinality above DictMaxCard) the heap size
 // falls back to the offsets-dominated floor.
 func encodeDict(v *Vector, ndvHint int) (*Encoded, int64) {
 	n := len(v.Str)
-	if ndvHint > DictMaxCard+DictMaxCard/2 {
+	if DictHintPrunes(ndvHint) {
 		return nil, 4 * int64(n)
 	}
 	seen := make(map[string]uint64, min(n, DictMaxCard))
@@ -363,42 +368,103 @@ func encodeFOR(v *Vector) *Encoded {
 // encodeRLE builds a run-length encoding: one (value, exclusive end) pair
 // per maximal run of equal values. NULL runs keep the kind's sentinel as the
 // run value; for doubles every NaN payload is one NULL run value (the
-// package-level canonicalization invariant).
-func encodeRLE(v *Vector) *Encoded {
+// package-level canonicalization invariant). Runs are counted first, so a
+// column whose RLE payload could never pass EncodeColumn's hysteresis
+// against raw bytes returns nil before any run is materialized.
+func encodeRLE(v *Vector, raw int64) *Encoded {
 	n := v.Len()
 	if n == 0 {
 		return nil
 	}
-	runVals := NewCap(v.Typ, 16)
-	var runEnds []int32
-	start := 0
-	for i := 1; i <= n; i++ {
-		if i < n && rleEqual(v, i-1, i) {
-			continue
-		}
-		runVals.AppendValue(v.Value(start))
-		runEnds = append(runEnds, int32(i))
-		start = i
-	}
-	return &Encoded{Typ: v.Typ, Enc: EncRLE, N: n, RunVals: runVals, RunEnds: runEnds}
-}
-
-func rleEqual(v *Vector, i, j int) bool {
-	if v.Typ.Kind == mtypes.KDouble {
-		a, b := v.F64[i], v.F64[j]
-		return a == b || (mtypes.IsNullF64(a) && mtypes.IsNullF64(b))
-	}
+	var nruns int
+	var size int64 // run-value payload bytes (see SizeBytes)
 	switch v.Typ.Kind {
 	case mtypes.KBool, mtypes.KTinyInt:
-		return v.I8[i] == v.I8[j]
+		nruns = countRuns(v.I8)
 	case mtypes.KSmallInt:
-		return v.I16[i] == v.I16[j]
+		nruns = countRuns(v.I16)
 	case mtypes.KInt, mtypes.KDate:
-		return v.I32[i] == v.I32[j]
+		nruns = countRuns(v.I32)
 	case mtypes.KBigInt, mtypes.KDecimal:
-		return v.I64[i] == v.I64[j]
+		nruns = countRuns(v.I64)
+	case mtypes.KDouble:
+		nruns = countRuns(v.F64)
+	case mtypes.KVarchar:
+		nruns, size = countStrRuns(v.Str)
 	}
-	return v.Str[i] == v.Str[j]
+	if v.Typ.Kind != mtypes.KVarchar {
+		size = int64(nruns) * int64(kindPayloadWidth(v.Typ.Kind))
+	}
+	if size += 4 * int64(nruns); size*3 > raw*2 {
+		return nil
+	}
+	rv := &Vector{Typ: v.Typ}
+	var ends []int32
+	switch v.Typ.Kind {
+	case mtypes.KBool, mtypes.KTinyInt:
+		rv.I8, ends = buildRuns(v.I8, nruns)
+	case mtypes.KSmallInt:
+		rv.I16, ends = buildRuns(v.I16, nruns)
+	case mtypes.KInt, mtypes.KDate:
+		rv.I32, ends = buildRuns(v.I32, nruns)
+	case mtypes.KBigInt, mtypes.KDecimal:
+		rv.I64, ends = buildRuns(v.I64, nruns)
+	case mtypes.KDouble:
+		rv.F64, ends = buildRuns(v.F64, nruns)
+		for i, x := range rv.F64 {
+			if mtypes.IsNullF64(x) {
+				rv.F64[i] = mtypes.NullFloat64()
+			}
+		}
+	case mtypes.KVarchar:
+		rv.Str, ends = buildRuns(v.Str, nruns)
+	}
+	return &Encoded{Typ: v.Typ, Enc: EncRLE, N: n, RunVals: rv, RunEnds: ends}
+}
+
+// runBreak reports whether b starts a new run after a. x != x holds only
+// for NaN, so every NaN payload (a DOUBLE NULL) continues a NaN run, -0.0
+// and +0.0 share a run, and the integer and string instantiations reduce to
+// plain inequality.
+func runBreak[T comparable](a, b T) bool {
+	return a != b && (a == a || b == b)
+}
+
+func countRuns[T comparable](xs []T) int {
+	runs := 1
+	for i := 1; i < len(xs); i++ {
+		if runBreak(xs[i-1], xs[i]) {
+			runs++
+		}
+	}
+	return runs
+}
+
+// countStrRuns counts varchar runs and sums their values' payload bytes
+// (length plus a 4-byte length prefix each, as rawPayloadBytes counts them).
+func countStrRuns(xs []string) (int, int64) {
+	runs, size := 1, int64(len(xs[0]))+4
+	for i := 1; i < len(xs); i++ {
+		if xs[i-1] != xs[i] {
+			runs++
+			size += int64(len(xs[i])) + 4
+		}
+	}
+	return runs, size
+}
+
+// buildRuns returns each run's first value and exclusive end.
+func buildRuns[T comparable](xs []T, nruns int) ([]T, []int32) {
+	vals := make([]T, 0, nruns)
+	ends := make([]int32, 0, nruns)
+	vals = append(vals, xs[0])
+	for i := 1; i < len(xs); i++ {
+		if runBreak(xs[i-1], xs[i]) {
+			ends = append(ends, int32(i))
+			vals = append(vals, xs[i])
+		}
+	}
+	return vals, append(ends, int32(len(xs)))
 }
 
 // ---------------------------------------------------------------------------

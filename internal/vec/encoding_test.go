@@ -137,7 +137,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			encs = append(encs, encodeFOR(v))
 		}
 		if n > 0 {
-			encs = append(encs, encodeRLE(v))
+			encs = append(encs, encodeRLE(v, rleAnySize))
 		}
 		for _, e := range encs {
 			if e == nil {
@@ -264,7 +264,7 @@ func TestEncodedKernelDifferential(t *testing.T) {
 				encs = append(encs, f)
 			}
 		}
-		if r := encodeRLE(v); r != nil {
+		if r := encodeRLE(v, rleAnySize); r != nil {
 			encs = append(encs, r)
 		}
 		// Window and candidate list (window-relative).

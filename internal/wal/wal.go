@@ -31,6 +31,7 @@ import (
 	"hash/crc32"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 
 	"monetlite/internal/faultfs"
@@ -548,10 +549,12 @@ func decodeRecord(payload []byte) (Record, error) {
 }
 
 // encodeVector serializes a vector: kind, scale, count, then values
-// (varint-encoded integers, raw float bits, length-prefixed strings).
+// (fixed-width little-endian integers, raw float bits, uvarint
+// length-prefixed strings).
 func encodeVector(buf []byte, v *vec.Vector) ([]byte, error) {
-	buf = append(buf, byte(v.Typ.Kind), byte(v.Typ.Scale))
 	n := v.Len()
+	buf = slices.Grow(buf, encodedVectorSize(v))
+	buf = append(buf, byte(v.Typ.Kind), byte(v.Typ.Scale))
 	buf = binary.AppendUvarint(buf, uint64(n))
 	switch v.Typ.Kind {
 	case mtypes.KBool, mtypes.KTinyInt:
@@ -583,6 +586,28 @@ func encodeVector(buf []byte, v *vec.Vector) ([]byte, error) {
 		return nil, fmt.Errorf("cannot log vector kind %d", v.Typ.Kind)
 	}
 	return buf, nil
+}
+
+// encodedVectorSize is the exact length of encodeVector's output for v, so
+// the record buffer grows once per vector, not once per value.
+func encodedVectorSize(v *vec.Vector) int {
+	n := v.Len()
+	size := 2 + uvarintLen(uint64(n))
+	switch v.Typ.Kind {
+	case mtypes.KBool, mtypes.KTinyInt:
+		size += n
+	case mtypes.KSmallInt:
+		size += 2 * n
+	case mtypes.KInt, mtypes.KDate:
+		size += 4 * n
+	case mtypes.KVarchar:
+		for _, s := range v.Str {
+			size += uvarintLen(uint64(len(s))) + len(s)
+		}
+	default:
+		size += 8 * n
+	}
+	return size
 }
 
 func decodeVector(b []byte) (*vec.Vector, []byte, error) {

@@ -313,3 +313,26 @@ func TestGroupCommitSequences(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEncodedVectorSizeIsExact pins the presizing of log records: the
+// computed size equals what encodeVector writes, for every kind and for
+// string lengths on both sides of a uvarint byte boundary.
+func TestEncodedVectorSizeIsExact(t *testing.T) {
+	long := string(make([]byte, 200))
+	for _, typ := range []mtypes.Type{mtypes.Bool, mtypes.TinyInt, mtypes.SmallInt, mtypes.Int,
+		mtypes.Date, mtypes.BigInt, mtypes.Decimal(9, 2), mtypes.Double, mtypes.Varchar} {
+		for _, n := range []int{0, 1, 127, 128, 300} {
+			v := vec.New(typ, n)
+			for i := range v.Str {
+				v.Str[i] = long[:i%len(long)]
+			}
+			out, err := encodeVector([]byte{'x'}, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := encodedVectorSize(v), len(out)-1; got != want {
+				t.Fatalf("%s n=%d: size %d, encodeVector wrote %d", typ, n, got, want)
+			}
+		}
+	}
+}

@@ -29,6 +29,7 @@ package workpool
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Pool is a shared budget of worker tokens.
@@ -141,6 +142,47 @@ func (l *Lease) Release(n int) {
 	}
 	l.held -= n
 	p.free += n
+}
+
+// Run executes task(0..n-1) and returns how many workers it borrowed. The
+// calling goroutine always works, plus up to n-1 workers granted by Acquire
+// (a nil Lease, outside admission control, borrows all n-1). Workers pull
+// task indexes from a shared counter, so each task's output lands in its
+// own per-index slot whoever runs it, and Run returns only after every task
+// finished (barrier), with the tokens released.
+func (l *Lease) Run(n int, task func(i int)) (granted int) {
+	if n <= 1 {
+		for i := 0; i < n; i++ {
+			task(i)
+		}
+		return 0
+	}
+	granted = n - 1
+	if l != nil {
+		granted = l.Acquire(n - 1)
+		defer l.Release(granted)
+	}
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			task(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < granted; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return granted
 }
 
 // Close returns any outstanding tokens and retires the query from the

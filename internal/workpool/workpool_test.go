@@ -108,3 +108,37 @@ func TestConcurrentLeasesNeverOversubscribe(t *testing.T) {
 		t.Fatalf("counter mismatch: %+v", s)
 	}
 }
+
+// TestRunRunsEveryTaskOnce checks Run's contract: each index runs exactly
+// once, the grant respects admission control, and the borrowed tokens are
+// back in the pool when Run returns.
+func TestRunRunsEveryTaskOnce(t *testing.T) {
+	p := New(4)
+	l := p.Register()
+	defer l.Close()
+	for _, n := range []int{0, 1, 2, 3, 50} {
+		counts := make([]int, n)
+		var mu sync.Mutex
+		granted := l.Run(n, func(i int) {
+			mu.Lock()
+			counts[i]++
+			mu.Unlock()
+		})
+		for i, c := range counts {
+			if c != 1 {
+				t.Fatalf("n=%d: task %d ran %d times", n, i, c)
+			}
+		}
+		if want := min(max(n-1, 0), 3); granted != want {
+			t.Fatalf("n=%d: granted %d, want %d", n, granted, want)
+		}
+		if s := p.Stats(); s.Free != 4 {
+			t.Fatalf("n=%d: %d tokens free after Run, want 4", n, s.Free)
+		}
+	}
+	// A nil lease is outside admission control and borrows n-1 workers.
+	var nl *Lease
+	if got := nl.Run(5, func(int) {}); got != 4 {
+		t.Fatalf("nil lease: granted %d, want 4", got)
+	}
+}
