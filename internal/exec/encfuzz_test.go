@@ -213,12 +213,26 @@ func TestEncodedExecutionTrace(t *testing.T) {
 		// ORDER BY on a dict varchar sorts codes, not strings.
 		{"SELECT id, s FROM t ORDER BY s, id LIMIT 10",
 			[]string{"sort keys: 1 dict codes"}},
+		// IN on a dict column is decided once per dictionary entry (8 cities
+		// plus NULL), never by hashing each row's string.
+		{"SELECT count(*) FROM t WHERE s IN ('berlin', 'cairo')",
+			[]string{"algebra.select", "encoded dict(8,", "domain 9"}},
+		// So are LIKE and an OR of comparisons on one FOR column.
+		{"SELECT count(*) FROM t WHERE s NOT LIKE '%er%'",
+			[]string{"encoded dict(8,", "domain 9"}},
+		{"SELECT count(*) FROM t WHERE a = 3 OR a > 17",
+			[]string{"encoded for(", "domain 21"}},
 	}
 	for _, tc := range cases {
 		out := run(encCat, tc.q)
 		for _, w := range tc.want {
 			if !strings.Contains(out, w) {
 				t.Fatalf("%q: marker %q missing from trace:\n%s", tc.q, w, out)
+			}
+		}
+		for _, w := range []string{"algebra.inselect", "algebra.likeselect"} {
+			if strings.Contains(out, w) {
+				t.Fatalf("%q: encoded table trace reached the per-row kernel %q:\n%s", tc.q, w, out)
 			}
 		}
 		// The raw oracle table must not take any encoded path.
@@ -229,4 +243,233 @@ func TestEncodedExecutionTrace(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Domain-evaluation differential: one-column conjuncts the scan decides once
+// per value of an encoded column's domain (IN, NOT IN, LIKE, NOT LIKE, ORs of
+// comparisons, IS [NOT] NULL, CASE) must select exactly the rows the raw
+// engine does — on dict, FOR and RLE columns holding NULLs, with the encoding
+// covering every row or only a prefix (a pending append tail), serial and
+// chunked. Every trial derives its own seed; a failure names it.
+
+const domainFuzzBaseSeed = 20261015
+
+// buildDomainFuzzPair returns (encoded, raw) catalogs over identical rows:
+//
+//	id INT            0..n-1                       → FOR
+//	a  INT            0..19, 10% NULL              → FOR
+//	m  DECIMAL(9,2)   0.25 steps up to 5, NULLs    → FOR
+//	s  VARCHAR        8 cities, 10% NULL           → dict
+//	r  INT            runs of 0..6 and NULL        → RLE
+//	c  VARCHAR        runs of cities and NULL      → RLE
+//
+// With tail > 0 the last tail rows are appended after encoding, so the
+// encodings stop short of the snapshot.
+func buildDomainFuzzPair(t *testing.T, rng *rand.Rand, n, tail int) (memCatalog, memCatalog) {
+	t.Helper()
+	meta := storage.TableMeta{Name: "t", Cols: []storage.ColDef{
+		{Name: "id", Typ: mtypes.Int},
+		{Name: "a", Typ: mtypes.Int},
+		{Name: "m", Typ: mtypes.Decimal(9, 2)},
+		{Name: "s", Typ: mtypes.Varchar},
+		{Name: "r", Typ: mtypes.Int},
+		{Name: "c", Typ: mtypes.Varchar},
+	}}
+	cols := make([]*vec.Vector, len(meta.Cols))
+	for i, cd := range meta.Cols {
+		cols[i] = vec.New(cd.Typ, n)
+	}
+	runLeft, runVal := 0, 0
+	for i := 0; i < n; i++ {
+		cols[0].I32[i] = int32(i)
+		if rng.Intn(10) == 0 {
+			cols[1].SetNull(i)
+		} else {
+			cols[1].I32[i] = int32(rng.Intn(20))
+		}
+		if rng.Intn(8) == 0 {
+			cols[2].SetNull(i)
+		} else {
+			cols[2].I64[i] = int64(25 * rng.Intn(21))
+		}
+		if rng.Intn(10) == 0 {
+			cols[3].SetNull(i)
+		} else {
+			cols[3].Str[i] = encFuzzCities[rng.Intn(len(encFuzzCities))]
+		}
+		if runLeft == 0 {
+			runLeft, runVal = 1+rng.Intn(80), rng.Intn(8) // 7 = a NULL run
+		}
+		runLeft--
+		if runVal == 7 {
+			cols[4].SetNull(i)
+			cols[5].SetNull(i)
+		} else {
+			cols[4].I32[i] = int32(runVal)
+			cols[5].Str[i] = encFuzzCities[runVal]
+		}
+	}
+	slice := func(lo, hi int) []*vec.Vector {
+		out := make([]*vec.Vector, len(cols))
+		for i, c := range cols {
+			out[i] = c.Slice(lo, hi).Clone()
+		}
+		return out
+	}
+	encTbl, rawTbl := storage.NewMemoryTable(meta), storage.NewMemoryTable(meta)
+	if _, err := rawTbl.Append(slice(0, n), 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := encTbl.Append(slice(0, n-tail), 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := encTbl.EncodeColumns(); err != nil {
+		t.Fatal(err)
+	}
+	if tail > 0 {
+		if _, err := encTbl.Append(slice(n-tail, n), 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rng.Intn(3) == 0 {
+		var dead []int32
+		for i := 0; i < n; i++ {
+			if rng.Intn(5) == 0 {
+				dead = append(dead, int32(i))
+			}
+		}
+		for _, tbl := range []*storage.Table{encTbl, rawTbl} {
+			if _, _, err := tbl.Delete(dead, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return memCatalog{"t": encTbl}, memCatalog{"t": rawTbl}
+}
+
+// domainFuzzPredicates draws one-column predicates over a, m, s, r and c.
+func domainFuzzPredicates(rng *rand.Rand) []string {
+	city := func() string { return "'" + encFuzzCities[rng.Intn(len(encFuzzCities))] + "'" }
+	num := func() int { return rng.Intn(22) - 1 }
+	maybeNull := func() string {
+		if rng.Intn(3) == 0 {
+			return ", NULL"
+		}
+		return ""
+	}
+	likes := []string{"%er%", "b%", "%n", "_a%", "%a%e%", "%", "cairo", "%r%r%"}
+	var out []string
+	for _, col := range []string{"a", "r"} {
+		out = append(out,
+			fmt.Sprintf("%s IN (%d, %d%s)", col, num(), num(), maybeNull()),
+			fmt.Sprintf("%s NOT IN (%d, %d%s)", col, num(), num(), maybeNull()),
+			fmt.Sprintf("NOT (%s IN (%d%s))", col, num(), maybeNull()),
+			fmt.Sprintf("(%s = %d OR %s > %d)", col, num(), col, num()),
+			fmt.Sprintf("(%s < %d OR %s IS NULL)", col, num(), col),
+			fmt.Sprintf("%s IS NULL", col),
+			fmt.Sprintf("%s IS NOT NULL", col),
+			fmt.Sprintf("CASE WHEN %s > %d THEN 1 ELSE 0 END = 1", col, num()),
+			fmt.Sprintf("%s + 1 <> %d", col, num()),
+		)
+	}
+	for _, col := range []string{"s", "c"} {
+		out = append(out,
+			fmt.Sprintf("%s IN (%s, %s%s)", col, city(), city(), maybeNull()),
+			fmt.Sprintf("%s NOT IN (%s%s)", col, city(), maybeNull()),
+			fmt.Sprintf("%s LIKE '%s'", col, likes[rng.Intn(len(likes))]),
+			fmt.Sprintf("%s NOT LIKE '%s'", col, likes[rng.Intn(len(likes))]),
+			fmt.Sprintf("(%s = %s OR %s > %s)", col, city(), col, city()),
+			fmt.Sprintf("%s IS NULL", col),
+			fmt.Sprintf("%s IS NOT NULL", col),
+		)
+	}
+	m := func() string { return fmt.Sprintf("%d.%02d", rng.Intn(6), 25*rng.Intn(4)) }
+	return append(out,
+		fmt.Sprintf("m IN (%s, %s%s)", m(), m(), maybeNull()),
+		fmt.Sprintf("m NOT IN (%s%s)", m(), maybeNull()),
+		fmt.Sprintf("(m > %s OR m IS NULL)", m()),
+	)
+}
+
+func TestEncodedDomainDifferential(t *testing.T) {
+	trials := 24
+	if testing.Short() {
+		trials = 8
+	}
+	fired := map[string]bool{}
+	for trial := 0; trial < trials; trial++ {
+		runDomainFuzzTrial(t, domainFuzzBaseSeed+int64(trial), fired)
+	}
+	// The trials must have exercised the path they check.
+	for _, enc := range []string{"dict", "for", "rle"} {
+		for _, cover := range []string{"full", "partial"} {
+			if !fired[enc+" "+cover] {
+				t.Errorf("domain evaluation never ran on a %s column with %s coverage", enc, cover)
+			}
+		}
+	}
+}
+
+// runDomainFuzzTrial runs one seed's predicates and records in fired which
+// encoding kinds and coverages ("rle partial") the serial scans evaluated
+// over their domain.
+func runDomainFuzzTrial(t *testing.T, seed int64, fired map[string]bool) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	n := []int{1, 9, 120, 700, 1800}[rng.Intn(5)]
+	tail := 0
+	if n > 1 && rng.Intn(2) == 0 {
+		tail = 1 + rng.Intn(n/2)
+	}
+	encCat, rawCat := buildDomainFuzzPair(t, rng, n, tail)
+	if n >= 700 {
+		src, _ := encCat.Source("t")
+		for ci, want := range []vec.Encoding{vec.EncFOR, vec.EncFOR, vec.EncFOR, vec.EncDict, vec.EncRLE, vec.EncRLE} {
+			en := src.EncodedCol(ci)
+			if en == nil || en.Enc != want || en.N != n-tail {
+				t.Fatalf("seed %d: column %d encoded as %+v, want %s over %d rows", seed, ci, en, want, n-tail)
+			}
+		}
+	}
+	for _, pred := range domainFuzzPredicates(rng) {
+		idLo := rng.Intn(n)
+		for _, q := range []string{
+			fmt.Sprintf("SELECT id FROM t WHERE %s ORDER BY id", pred),
+			fmt.Sprintf("SELECT count(*) FROM t WHERE id >= %d AND %s", idLo, pred),
+		} {
+			oracle := resultRows(runEngine(t, rawCat, q, &Engine{}))
+			serial := &Engine{Trace: &mal.Program{}}
+			chunked := &Engine{Parallel: true, MaxThreads: 4, testChunkRows: 16 + rng.Intn(400)}
+			for _, mode := range []struct {
+				name string
+				e    *Engine
+			}{{"serial", serial}, {fmt.Sprintf("chunked(%d)", chunked.testChunkRows), chunked}} {
+				got := resultRows(runEngine(t, encCat, q, mode.e))
+				if strings.Join(got, "\n") != strings.Join(oracle, "\n") {
+					t.Fatalf("seed %d (n=%d tail=%d) %s %q:\n got    %v\n oracle %v",
+						seed, n, tail, mode.name, q, got, oracle)
+				}
+			}
+			cover := "full"
+			if tail > 0 {
+				cover = "partial"
+			}
+			for _, in := range serial.Trace.Instrs {
+				if in.Op == "algebra.select" && len(in.Args) == 2 && strings.HasPrefix(in.Args[1], "domain ") {
+					enc, _, _ := strings.Cut(strings.TrimPrefix(in.Args[0], "encoded "), "(")
+					fired[enc+" "+cover] = true
+				}
+			}
+		}
+	}
+}
+
+func runEngine(t *testing.T, cat memCatalog, q string, e *Engine) *Result {
+	t.Helper()
+	e.Cat = cat
+	res, err := e.Execute(planFor(t, cat, q))
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	return res
 }

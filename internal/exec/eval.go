@@ -112,28 +112,27 @@ func (m *memo) compute(ex plan.Expr, b *batch, n int) (*vec.Vector, error) {
 		if err != nil {
 			return nil, err
 		}
-		hits := vec.SelIn(in, x.Vals, nil)
-		out := vec.New(mtypes.Bool, n)
+		// A miss is FALSE, or NULL when the list holds a NULL; NOT swaps
+		// TRUE and FALSE only. A NULL operand is NULL either way.
+		hit, miss := int8(1), int8(0)
 		if x.Not {
+			hit, miss = 0, 1
+		}
+		if plan.InListHasNull(x.Vals) {
+			miss = mtypes.NullInt8
+		}
+		out := vec.New(mtypes.Bool, n)
+		if miss != 0 {
 			for i := range out.I8 {
-				out.I8[i] = 1
+				out.I8[i] = miss
 			}
-			for _, c := range hits {
-				out.I8[c] = 0
-			}
-			for i := 0; i < n; i++ {
-				if in.IsNull(i) {
-					out.I8[i] = mtypes.NullInt8
-				}
-			}
-		} else {
-			for _, c := range hits {
-				out.I8[c] = 1
-			}
-			for i := 0; i < n; i++ {
-				if in.IsNull(i) {
-					out.I8[i] = mtypes.NullInt8
-				}
+		}
+		for _, c := range vec.SelIn(in, x.Vals, nil) {
+			out.I8[c] = hit
+		}
+		for i := 0; i < n; i++ {
+			if in.IsNull(i) {
+				out.I8[i] = mtypes.NullInt8
 			}
 		}
 		return out, nil

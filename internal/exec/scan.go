@@ -205,9 +205,11 @@ func (e *Engine) scanRange(x *plan.Scan, src TableSource, lo, hi int) ([]int32, 
 
 // applyScanFilter applies one conjunct over the scan window [rowLo, rowHi).
 // It adds secondary-index acceleration (hash/order indexes, imprints) on top
-// of the shared conjunct refiner for the predicate shapes indexes understand;
-// everything else delegates to refineFilter, so the scan path and the
-// post-scan Filter path share one candidate-list representation.
+// of the shared conjunct refiner for the predicate shapes indexes understand,
+// and evaluates any other one-column conjunct over an encoded column's value
+// domain (selectDomain); everything else delegates to refineFilter, so the
+// scan path and the post-scan Filter path share one candidate-list
+// representation.
 func (e *Engine) applyScanFilter(x *plan.Scan, src TableSource, f plan.Expr, cols []*vec.Vector, cands []int32, rowLo, rowHi int) ([]int32, error) {
 	switch p := f.(type) {
 	case *plan.BinOp:
@@ -237,7 +239,63 @@ func (e *Engine) applyScanFilter(x *plan.Scan, src TableSource, f plan.Expr, col
 			}
 		}
 	}
+	if sel, ok, err := e.selectDomain(x, src, f, cols, cands, rowLo, rowHi); ok || err != nil {
+		return sel, err
+	}
 	return e.refineFilter(f, cols, rowHi-rowLo, cands)
+}
+
+// selectDomain evaluates a conjunct that reads exactly one column, encoded
+// over the start of the window, once per value of the column's domain
+// (vec.Encoded.Domain: every dict or FOR code with code 0 as NULL, or every
+// run in the window) with the ordinary expression evaluator, so IN, LIKE,
+// OR-ed comparisons, IS [NOT] NULL, CASE and the rest all run per distinct
+// value instead of per row; the rows whose code or run evaluated TRUE are
+// selected. It declines (ok=false) when the domain has more entries than the
+// rows the conjunct would otherwise test, or when evaluating it fails — the
+// domain may hold values no candidate row has, and only the rows decide
+// whether the query errs. Rows past the encoding's end (an unmerged
+// append-delta) run through refineFilter.
+func (e *Engine) selectDomain(x *plan.Scan, src TableSource, f plan.Expr, cols []*vec.Vector, cands []int32, rowLo, rowHi int) ([]int32, bool, error) {
+	used := map[int]bool{}
+	plan.SlotsUsed(f, used)
+	if len(used) != 1 {
+		return nil, false, nil
+	}
+	var slot int
+	for s := range used {
+		slot = s
+	}
+	en := src.EncodedCol(x.Cols[slot])
+	if en == nil || en.N <= rowLo {
+		return nil, false, nil
+	}
+	encHi := min(rowHi, en.N)
+	below, above := splitCands(cands, int32(encHi-rowLo))
+	dom := en.Domain(rowLo, encHi, vec.NumCands(encHi-rowLo, below))
+	if dom == nil {
+		return nil, false, nil
+	}
+	domCols := make([]*vec.Vector, slot+1)
+	domCols[slot] = dom
+	bv, err := newMemo(e).evalVec(f, &batch{cols: domCols, n: dom.Len()})
+	if err != nil {
+		return nil, false, nil
+	}
+	e.Trace.Emit("algebra.select", "encoded "+en.Describe(), fmt.Sprintf("domain %d", dom.Len()))
+	sel := en.SelDomain(vec.SelTrue(bv, nil, false), below, rowLo, encHi)
+	if encHi < rowHi {
+		tailCols := make([]*vec.Vector, len(cols))
+		for i, c := range cols {
+			tailCols[i] = c.Slice(encHi-rowLo, rowHi-rowLo)
+		}
+		tail, err := e.refineFilter(f, tailCols, rowHi-encHi, above)
+		if err != nil {
+			return nil, false, err
+		}
+		sel = appendRebased(sel, tail, int32(encHi-rowLo))
+	}
+	return sel, true, nil
 }
 
 // refineFilter applies one filter conjunct under the current candidate list,

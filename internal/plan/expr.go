@@ -86,11 +86,23 @@ type LikeExpr struct {
 	Not     bool
 }
 
-// InListExpr tests membership in a constant list.
+// InListExpr tests membership in a constant list. Under SQL's three-valued
+// logic a value missing from a list that holds a NULL is neither IN nor NOT
+// IN it: both yield NULL.
 type InListExpr struct {
 	E    Expr
 	Vals []mtypes.Value
 	Not  bool
+}
+
+// InListHasNull reports whether an IN list holds a NULL element.
+func InListHasNull(vals []mtypes.Value) bool {
+	for _, v := range vals {
+		if v.Null {
+			return true
+		}
+	}
+	return false
 }
 
 // BetweenExpr is a range test, kept as a node so the executor can map it to

@@ -214,12 +214,19 @@ func optimizeLeftJoin(cat Catalog, j *Join, opts OptOpts) Node {
 func replanRegion(cat Catalog, n Node, opts OptOpts) Node {
 	r := &region{}
 	collectRegion(cat, n, 0, r, opts)
-	// OR predicates whose branches share conjuncts (TPC-H Q19's shape) are
-	// factored so the common part — often the join condition itself — becomes
-	// a separate conjunct that can serve as an equi edge or be pushed down.
+	// OR predicates are factored: the part every branch shares (TPC-H Q19's
+	// join condition) becomes separate conjuncts that can serve as equi edges
+	// or be pushed down, and a per-leaf filter is added wherever every branch
+	// constrains one leaf on its own (Q7's two nation names, Q19's part and
+	// lineitem halves), so those leaves are cut before they are joined.
 	var preds []Expr
 	for _, p := range r.preds {
-		preds = append(preds, hoistOrCommonConjuncts(p)...)
+		common, rest, implied := factorOr(p, r.predLeaves)
+		preds = append(preds, common...)
+		if rest != nil {
+			preds = append(preds, rest)
+		}
+		preds = append(preds, implied...)
 	}
 	r.preds = preds
 	if len(r.leaves) == 1 {
@@ -234,76 +241,120 @@ func replanRegion(cat Catalog, n Node, opts OptOpts) Node {
 	return orderJoins(cat, n, r, opts)
 }
 
-// hoistOrCommonConjuncts rewrites (A ∧ B1) ∨ (A ∧ B2) … into A ∧ (B1 ∨ B2 …)
-// when every OR branch shares the conjunct A (structural equality). In SQL's
-// three-valued WHERE semantics the forms reject the same rows. Returns the
-// original predicate unsplit when no conjunct is common to all branches.
-func hoistOrCommonConjuncts(p Expr) []Expr {
+// factorOr factors a WHERE-context predicate p that is an OR of conjunctions;
+// leavesOf names the leaves (relations) a predicate reads. It returns
+//
+//   - common: the conjuncts every branch shares (structural equality),
+//     hoisted out — (A ∧ B1) ∨ (A ∧ B2) becomes A ∧ (B1 ∨ B2);
+//   - rest: the OR of what remains of the branches — p itself when nothing
+//     was common, nil when a branch was exactly the common part (the OR then
+//     adds nothing);
+//   - implied: when rest reads two or more leaves, one filter per leaf L that
+//     every branch of rest constrains on its own: OR over the branches of the
+//     AND of the branch's conjuncts that read L alone, in the order the
+//     leaves first appear in branch 0.
+//
+// common ∧ rest rejects exactly the rows p rejects under three-valued logic,
+// and adding implied changes nothing: a row for which rest is TRUE has a TRUE
+// branch, so that branch's L part, and with it L's implied filter, is TRUE
+// too. rest therefore stays, as the join residual.
+func factorOr(p Expr, leavesOf func(Expr) map[int]bool) (common []Expr, rest Expr, implied []Expr) {
 	branches := splitOrBranches(p)
 	if len(branches) < 2 {
-		return []Expr{p}
+		return nil, p, nil
 	}
 	conjs := make([][]Expr, len(branches))
 	for i, b := range branches {
 		conjs[i] = splitBoundConjuncts(b)
 	}
-	var common []Expr
 	for _, c := range conjs[0] {
 		inAll := true
 		for _, other := range conjs[1:] {
-			found := false
-			for _, oc := range other {
-				if exprEqual(c, oc) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				inAll = false
-				break
-			}
+			inAll = inAll && containsExpr(other, c)
 		}
 		if inAll {
 			common = append(common, c)
 		}
 	}
-	if len(common) == 0 {
-		return []Expr{p}
-	}
-	// Rebuild each branch without the common conjuncts.
-	var rest Expr
-	restNeeded := false
-	for i, cs := range conjs {
-		var branch Expr
-		for _, c := range cs {
-			skip := false
-			for _, cm := range common {
-				if exprEqual(c, cm) {
-					skip = true
-					break
+	rest = p
+	if len(common) > 0 {
+		rest = nil
+		for i, cs := range conjs {
+			var kept []Expr
+			for _, c := range cs {
+				if !containsExpr(common, c) {
+					kept = append(kept, c)
 				}
 			}
-			if !skip {
-				branch = andExpr(branch, c)
+			if len(kept) == 0 {
+				return common, nil, nil
 			}
+			conjs[i] = kept
 		}
-		if branch == nil {
-			// One branch was exactly the common part: the OR adds nothing.
-			restNeeded = false
-			break
-		}
-		if i == 0 {
-			rest = branch
-			restNeeded = true
-		} else {
-			rest = &BinOp{Kind: BinOr, L: rest, R: branch, Typ: mtypes.Bool}
+		for _, cs := range conjs {
+			rest = orExpr(rest, andAll(cs))
 		}
 	}
-	out := common
-	if restNeeded {
-		out = append(out, rest)
+	if len(leavesOf(rest)) < 2 {
+		return common, rest, nil
+	}
+	onlyLeaf := func(c Expr) (int, bool) {
+		ls := leavesOf(c)
+		for l := range ls {
+			return l, len(ls) == 1
+		}
+		return 0, false
+	}
+	seen := map[int]bool{}
+	for _, c := range conjs[0] {
+		leaf, ok := onlyLeaf(c)
+		if !ok || seen[leaf] {
+			continue
+		}
+		seen[leaf] = true
+		var filter Expr
+		for _, cs := range conjs {
+			var part []Expr
+			for _, c := range cs {
+				if l, ok := onlyLeaf(c); ok && l == leaf {
+					part = append(part, c)
+				}
+			}
+			if part == nil {
+				filter = nil
+				break
+			}
+			filter = orExpr(filter, andAll(part))
+		}
+		if filter != nil {
+			implied = append(implied, filter)
+		}
+	}
+	return common, rest, implied
+}
+
+func containsExpr(list []Expr, e Expr) bool {
+	for _, x := range list {
+		if exprEqual(x, e) {
+			return true
+		}
+	}
+	return false
+}
+
+func andAll(cs []Expr) Expr {
+	var out Expr
+	for _, c := range cs {
+		out = andExpr(out, c)
 	}
 	return out
+}
+
+func orExpr(a, b Expr) Expr {
+	if a == nil {
+		return b
+	}
+	return &BinOp{Kind: BinOr, L: a, R: b, Typ: mtypes.Bool}
 }
 
 func splitOrBranches(e Expr) []Expr {

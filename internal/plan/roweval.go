@@ -71,9 +71,13 @@ func EvalRow(e Expr, ctx *EvalCtx) (mtypes.Value, error) {
 			return mtypes.NullValue(mtypes.Bool), nil
 		}
 		for _, c := range x.Vals {
-			if mtypes.Equal(v, c) {
+			if !c.Null && mtypes.Equal(v, c) {
 				return mtypes.NewBool(!x.Not), nil
 			}
+		}
+		if InListHasNull(x.Vals) {
+			// v = NULL is unknown, so a miss is unknown too (for NOT IN as well).
+			return mtypes.NullValue(mtypes.Bool), nil
 		}
 		return mtypes.NewBool(x.Not), nil
 	case *BetweenExpr:

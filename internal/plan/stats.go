@@ -188,10 +188,8 @@ func (est *estimator) joinCard(x *Join) float64 {
 	for i := range x.EquiL {
 		sels = append(sels, est.equiPairSel(x.Left, x.Right, x.EquiL[i], x.EquiR[i], l, r))
 	}
-	if x.Residual != nil {
-		for range splitBoundConjuncts(x.Residual) {
-			sels = append(sels, selFallbackGeneric)
-		}
+	for _, c := range splitBoundConjuncts(x.Residual) {
+		sels = append(sels, est.residualSel(x, c))
 	}
 	out := l * r * dampedProduct(sels)
 	if x.Kind == JoinLeft && out < l {
@@ -199,6 +197,52 @@ func (est *estimator) joinCard(x *Join) float64 {
 	}
 	if out < 0 {
 		out = 0
+	}
+	return out
+}
+
+// residualSel estimates one conjunct of a join residual: a fixed guess,
+// except for an inner join's OR from which the optimizer derived per-leaf
+// filters (factorOr). Those filters already cut the join's inputs, so the OR
+// is estimated given them — sel(OR) / Π sel(filter) — and the rows they
+// remove are not counted twice.
+func (est *estimator) residualSel(x *Join, c Expr) float64 {
+	if x.Kind != JoinInner {
+		return selFallbackGeneric
+	}
+	leaf := joinLeaves(x, nil)
+	_, _, implied := factorOr(c, func(e Expr) map[int]bool {
+		used := map[int]bool{}
+		SlotsUsed(e, used)
+		out := map[int]bool{}
+		for s := range used {
+			out[leaf[s]] = true
+		}
+		return out
+	})
+	if len(implied) == 0 {
+		return selFallbackGeneric
+	}
+	s := est.selOne(x, c)
+	for _, f := range implied {
+		s /= est.selOne(x, f)
+	}
+	return clampSel(s)
+}
+
+// joinLeaves appends, for each output slot of n, the number of the leaf it
+// comes from, where the leaves of an inner-join tree are its maximal inputs
+// that are not inner joins themselves — the relations join ordering joined.
+func joinLeaves(n Node, out []int) []int {
+	if j, ok := n.(*Join); ok && j.Kind == JoinInner {
+		return joinLeaves(j.Right, joinLeaves(j.Left, out))
+	}
+	id := 0
+	if len(out) > 0 {
+		id = out[len(out)-1] + 1
+	}
+	for range n.Schema() {
+		out = append(out, id)
 	}
 	return out
 }

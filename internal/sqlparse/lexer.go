@@ -1,7 +1,7 @@
 // Package sqlparse implements monetlite's SQL frontend: a hand-written lexer
 // and recursive-descent parser producing an untyped AST. The supported
-// dialect covers the DDL/DML surface of the paper plus everything the TPC-H
-// queries Q1–Q10 need verbatim (joins, subqueries, EXISTS, CASE, EXTRACT,
+// dialect covers the DDL/DML surface of the paper plus everything the 22
+// TPC-H queries need verbatim (joins, subqueries, EXISTS, CASE, EXTRACT,
 // LIKE, BETWEEN, date/interval arithmetic, GROUP BY aliases, LIMIT), and
 // window functions: fn(args) OVER (PARTITION BY … ORDER BY … [ROWS …]).
 // The window-clause keywords are soft — usable as plain identifiers — so

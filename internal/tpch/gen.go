@@ -1,8 +1,9 @@
 // Package tpch implements the TPC-H workload substrate of the paper's
 // evaluation: a deterministic dbgen-style data generator for all eight
-// tables, the SQL text of queries Q1–Q10 (the queries Table 1 reports), and
-// hand-optimized dataframe-library implementations of those queries (the
-// paper's "library implementations", built from VectorWise-style plans).
+// tables, the SQL text of all 22 queries, and hand-optimized
+// dataframe-library implementations of Q1–Q10, the queries Table 1 reports
+// (the paper's "library implementations", built from VectorWise-style
+// plans).
 //
 // The generator follows the TPC-H specification's schema, domains and
 // correlations closely enough that the published query selectivities hold

@@ -178,6 +178,65 @@ func joinsOf(n plan.Node, kind plan.JoinKind) []*plan.Join {
 	return out
 }
 
+// TestImpliedFilterPlanShapes asserts, on the typed plans, where the filters
+// implied by a disjunction across tables land: Q7's nation-pair OR leaves
+// each nation scan with a filter of its own, and Q19's three-way OR leaves
+// the part scan and the lineitem scan each with its half of the OR (the
+// parts every branch shares were already hoisted out as plain conjuncts).
+func TestImpliedFilterPlanShapes(t *testing.T) {
+	db, _, err := NewDatabase(0.01, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	conn := db.Connect()
+	conn.TraceMAL = true
+	scans := func(q int) map[string][]*plan.Scan {
+		if _, err := conn.Query(Queries[q]); err != nil {
+			t.Fatalf("Q%d: %v", q, err)
+		}
+		out := map[string][]*plan.Scan{}
+		walkPlan(conn.LastPlan, func(n plan.Node) {
+			if sc, ok := n.(*plan.Scan); ok {
+				out[sc.Table] = append(out[sc.Table], sc)
+			}
+		})
+		return out
+	}
+	hasOr := func(sc *plan.Scan) bool {
+		for _, f := range sc.Filters {
+			if bo, ok := f.(*plan.BinOp); ok && bo.Kind == plan.BinOr {
+				return true
+			}
+		}
+		return false
+	}
+
+	q7 := scans(7)
+	if len(q7["nation"]) != 2 {
+		t.Fatalf("Q7: %d nation scans", len(q7["nation"]))
+	}
+	for i, sc := range q7["nation"] {
+		if !hasOr(sc) {
+			t.Errorf("Q7: nation scan %d has no implied name filter: %v", i, filterStrings(sc))
+		}
+	}
+	q19 := scans(19)
+	for _, table := range []string{"part", "lineitem"} {
+		if len(q19[table]) != 1 || !hasOr(q19[table][0]) {
+			t.Errorf("Q19: %s scan carries no OR filter: %v", table, q19[table])
+		}
+	}
+}
+
+func filterStrings(sc *plan.Scan) []string {
+	var out []string
+	for _, f := range sc.Filters {
+		out = append(out, plan.ExprString(f))
+	}
+	return out
+}
+
 // TestSubqueryPlanShapes asserts, on the typed plans, what treating nested
 // query blocks as first-class joins buys: no query block of the 22 queries —
 // scalar subplans included — contains a pure cross product, and the

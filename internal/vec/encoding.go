@@ -625,8 +625,7 @@ func (e *Encoded) SelCmpWindow(op CmpOp, val mtypes.Value, cands []int32, lo, hi
 		}
 		return e.selCodeRange(loC, hiC, cands, lo, hi), true
 	case EncRLE:
-		runs := SelCmp(e.RunVals, op, val, nil)
-		return e.expandRuns(runs, cands, lo, hi), true
+		return e.SelDomain(SelCmp(e.Domain(lo, hi, math.MaxInt), op, val, nil), cands, lo, hi), true
 	}
 	return nil, false
 }
@@ -676,8 +675,7 @@ func (e *Encoded) SelRangeWindow(loV, hiV mtypes.Value, loIncl, hiIncl bool, can
 		}
 		return e.selCodeRange(loC, hiC, cands, lo, hi), true
 	case EncRLE:
-		runs := SelRange(e.RunVals, loV, hiV, loIncl, hiIncl, nil)
-		return e.expandRuns(runs, cands, lo, hi), true
+		return e.SelDomain(SelRange(e.Domain(lo, hi, math.MaxInt), loV, hiV, loIncl, hiIncl, nil), cands, lo, hi), true
 	}
 	return nil, false
 }
@@ -793,37 +791,113 @@ func (e *Encoded) selCodeNotEq(t uint64, cands []int32, lo, hi int) []int32 {
 	return out
 }
 
-// expandRuns turns a sorted list of matching run indexes into window-relative
-// row candidates intersected with cands.
-func (e *Encoded) expandRuns(matchRuns []int32, cands []int32, lo, hi int) []int32 {
-	match := make([]bool, len(e.RunEnds))
-	for _, r := range matchRuns {
-		match[r] = true
+// ---------------------------------------------------------------------------
+// Value domains: a predicate evaluated once per distinct value.
+// ---------------------------------------------------------------------------
+
+// Domain returns the values rows [lo, hi) are drawn from, or nil when there
+// are more than limit of them. For dict and FOR, entry k is the value of code
+// k: entry 0 is NULL, then the sorted dictionary, or Base, Base+1, … up to
+// Base+CodeMax-1 in the column's type (values no row holds included). For RLE
+// the entries are the values of the runs overlapping the window, in order.
+// A predicate evaluated over the domain therefore decides every row of the
+// window from its code or run alone (SelDomain).
+func (e *Encoded) Domain(lo, hi, limit int) *Vector {
+	switch e.Enc {
+	case EncDict:
+		if len(e.Dict)+1 > limit {
+			return nil
+		}
+		out := New(e.Typ, len(e.Dict)+1)
+		out.Str[0] = StrNull
+		copy(out.Str[1:], e.Dict)
+		return out
+	case EncFOR:
+		if limit <= 0 || e.CodeMax >= uint64(limit) {
+			return nil
+		}
+		out := New(e.Typ, int(e.CodeMax)+1)
+		out.SetNull(0)
+		for k := uint64(1); k <= e.CodeMax; k++ {
+			e.setInt(out, int(k), int64(uint64(e.Base)+k-1))
+		}
+		return out
+	case EncRLE:
+		r0, r1 := e.windowRuns(lo, hi)
+		if r1-r0 > limit {
+			return nil
+		}
+		return e.RunVals.Slice(r0, r1)
 	}
+	return nil
+}
+
+// windowRuns returns the half-open range of runs overlapping rows [lo, hi).
+func (e *Encoded) windowRuns(lo, hi int) (r0, r1 int) {
+	r0 = sort.Search(len(e.RunEnds), func(r int) bool { return int(e.RunEnds[r]) > lo })
+	r1 = sort.Search(len(e.RunEnds), func(r int) bool { return int(e.RunEnds[r]) >= hi }) + 1
+	return r0, min(r1, len(e.RunEnds))
+}
+
+// SelDomain selects the window rows [lo, hi) whose value is a domain entry
+// listed in match (ascending indexes into Domain(lo, hi, ·)), honoring the
+// candidate-list contract of SelCmpWindow.
+func (e *Encoded) SelDomain(match []int32, cands []int32, lo, hi int) []int32 {
 	out := make([]int32, 0, NumCands(hi-lo, cands)/2+8)
+	if len(match) == 0 {
+		return out
+	}
+	if e.Enc == EncRLE {
+		r0, r1 := e.windowRuns(lo, hi)
+		return e.expandRuns(match, r0, r1, cands, lo, hi, out)
+	}
+	hit := make([]bool, e.CodeMax+1)
+	for _, k := range match {
+		hit[k] = true
+	}
 	if cands == nil {
-		start := 0
-		for r, end := range e.RunEnds {
-			s, t := max(start, lo), min(int(end), hi)
-			if match[r] {
-				for g := s; g < t; g++ {
-					out = append(out, int32(g-lo))
-				}
-			}
-			start = int(end)
-			if start >= hi {
-				break
+		for g := lo; g < hi; g++ {
+			if hit[e.Codes.Get(g)] {
+				out = append(out, int32(g-lo))
 			}
 		}
 		return out
 	}
-	r := 0
 	for _, i := range cands {
-		g := lo + int(i)
-		for r < len(e.RunEnds) && int(e.RunEnds[r]) <= g {
+		if hit[e.Codes.Get(lo+int(i))] {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// expandRuns appends to out the window-relative rows of the matching runs
+// (indexes relative to r0; runs [r0, r1) cover the window), intersected with
+// cands.
+func (e *Encoded) expandRuns(matchRuns []int32, r0, r1 int, cands []int32, lo, hi int, out []int32) []int32 {
+	if cands == nil {
+		for _, k := range matchRuns {
+			r := r0 + int(k)
+			start := lo
+			if r > 0 {
+				start = max(start, int(e.RunEnds[r-1]))
+			}
+			for g := start; g < min(int(e.RunEnds[r]), hi); g++ {
+				out = append(out, int32(g-lo))
+			}
+		}
+		return out
+	}
+	match := make([]bool, r1-r0)
+	for _, k := range matchRuns {
+		match[k] = true
+	}
+	r := r0
+	for _, i := range cands {
+		for int(e.RunEnds[r]) <= lo+int(i) {
 			r++
 		}
-		if r < len(e.RunEnds) && match[r] {
+		if match[r-r0] {
 			out = append(out, i)
 		}
 	}
