@@ -37,8 +37,10 @@ import (
 
 // Config tunes an embedded database instance.
 type Config struct {
-	// Parallel enables mitosis (parallel scan/map/partial-aggregate
-	// pipelines). Default true.
+	// Parallel lets mitosis split an operator's input into more than one
+	// chunk (parallel scan, aggregate, join probe, sort and window loops).
+	// Off, every operator runs its one loop as a single chunk; the code
+	// path is the same either way. Default true.
 	Parallel bool
 	// MaxThreads caps worker goroutines (0 = GOMAXPROCS).
 	MaxThreads int

@@ -10,20 +10,22 @@
 //
 // Invariants:
 //
+//   - One path per operator: a serial run is the one-chunk case of the
+//     chunked loop, run inline on the coordinating engine and traced as
+//     serial (no optimizer.mitosis line). Parallel only sets the chunk count.
 //   - Chunk-order determinism: mitosis workers write into per-chunk slots
-//     and the coordinator merges in chunk order, so with Parallel on or off
-//     the engine returns *identical* results — same rows, same order. The
-//     serial path of each operator is kept alive as the differential-test
-//     oracle (see docs/ARCHITECTURE.md).
+//     and the coordinator merges in chunk order, so every chunk count
+//     returns *identical* results — same rows, same order — which the
+//     differential tests rely on (see docs/ARCHITECTURE.md).
 //   - Worker isolation: chunk engines (chunkEngine) never emit to the
 //     shared MAL trace; the coordinator emits summary instructions and
 //     aggregates worker counters (e.g. imprint block skips) afterwards.
 //     The scalar-subquery cache is the one shared structure, and it is
 //     lock-guarded so a subquery evaluates once per query, not per chunk.
 //   - Interrupts (context cancellation and deadlines) are checked between
-//     operators, between filter conjuncts, and per chunk in the mitosis
-//     worker loops (checkInterrupt) — never inside a kernel, so kernels stay
-//     branch-free. A cancelled query aborts within one chunk of work.
+//     operators, between filter conjuncts, and before every chunk task and
+//     after every fan-out (runTasks) — never inside a kernel, so kernels
+//     stay branch-free. A cancelled query aborts within one chunk of work.
 package exec
 
 import (
@@ -70,7 +72,7 @@ type Catalog interface {
 // Engine executes logical plans.
 type Engine struct {
 	Cat        Catalog
-	Parallel   bool // enable mitosis (parallel scan/map/partial-agg pipelines)
+	Parallel   bool // split operators into more than one chunk (mitosis)
 	MaxThreads int  // 0 = GOMAXPROCS
 	NoIndexes  bool // disable automatic index use (ablation)
 	Timeout    time.Duration
@@ -260,12 +262,16 @@ func (e *Engine) Execute(n plan.Node) (*Result, error) {
 	return res, nil
 }
 
-// chunkEngine returns a clone of e for use inside a mitosis worker
-// goroutine. The clone drops the MAL trace (Program emission is not safe for
-// concurrent use — the coordinator emits summary instructions instead) and
-// shares the coordinator's lock-guarded subquery cache. Nested operators
-// stay serial: the worker is the unit of parallelism.
-func (e *Engine) chunkEngine() *Engine {
+// chunkEngine returns the engine a task of an n-task fan-out runs on: e
+// itself for one task, else a clone for a mitosis worker goroutine. The
+// clone drops the MAL trace (Program emission is not safe for concurrent use
+// — the coordinator emits summary instructions instead) and shares the
+// coordinator's lock-guarded subquery cache. Nested operators stay serial:
+// the worker is the unit of parallelism.
+func (e *Engine) chunkEngine(n int) *Engine {
+	if n == 1 {
+		return e
+	}
 	return &Engine{
 		Cat:        e.Cat,
 		MaxThreads: 1,
@@ -280,15 +286,37 @@ func (e *Engine) chunkEngine() *Engine {
 // runTasks executes task(0..n-1) through the query's lease (see
 // workpool.Lease.Run): the calling goroutine plus the workers admission
 // control grants — fewer under concurrency, as the pool caps each query at
-// its fair share of GOMAXPROCS. Chunk outputs land in their per-index slots,
-// so the coordinator's chunk-order merge stays bit-identical to the serial
-// path no matter how many workers were granted.
-func (e *Engine) runTasks(n int, task func(i int)) {
-	granted := e.lease.Run(n, task)
+// its fair share of GOMAXPROCS; a single task runs inline on the calling
+// goroutine. Chunk outputs land in their per-index slots, so the
+// coordinator's chunk-order merge is the same whatever the number of
+// workers granted.
+//
+// Cancellation: a task that would start after the query was interrupted is
+// skipped, and the barrier re-checks, so an interrupted fan-out returns the
+// interrupt error and never a partial result.
+func (e *Engine) runTasks(n int, task func(i int)) error {
+	granted := e.lease.Run(n, func(i int) {
+		if e.checkInterrupt() == nil {
+			task(i)
+		}
+	})
 	if n > 1 {
 		e.Trace.EmitVoid("optimizer.admission",
 			fmt.Sprintf("%d workers / %d tasks", granted+1, n))
 	}
+	return e.checkInterrupt()
+}
+
+// mitosisArgs emits the optimizer.mitosis line ("4 chunks (sort)") of a
+// fan-out over more than one chunk and returns an operator line's args with
+// note, formatted with the chunk count, appended. A one-chunk run emits
+// nothing and keeps args as they are: it traces as serial execution.
+func (e *Engine) mitosisArgs(chunks int, what string, args []string, note string) []string {
+	if chunks <= 1 {
+		return args
+	}
+	e.Trace.EmitVoid("optimizer.mitosis", fmt.Sprintf("%d chunks (%s)", chunks, what))
+	return append(args, fmt.Sprintf(note, chunks))
 }
 
 // checkInterrupt reports whether the query should abort: the context was

@@ -193,145 +193,93 @@ func scaleOfT(t mtypes.Type) int {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel partitioned probe (mitosis for hash joins).
+// Hash join build and chunked probe (mitosis for hash joins).
 // ---------------------------------------------------------------------------
 
 // joinProber wraps the build-side hash table together with the probe-side
-// chunk plan. With one chunk it is the old serial path verbatim; with more,
-// the table is radix-partitioned (parallel contention-free build) and probe
-// chunks run on worker goroutines, their pair lists concatenated in chunk
-// order — bit-identical output either way, which the differential tests
-// exploit.
+// chunk plan. Probe chunks run through runTasks and their outputs are
+// concatenated in chunk order — bit-identical for every chunk count, which
+// the differential tests exploit; one chunk is the serial probe.
 type joinProber struct {
 	e   *Engine
-	tbl vec.JoinTable
+	tbl *vec.PartitionedHashTable
 	cp  mal.ChunkPlan
 }
 
-// buildJoinTable builds the join hash table over the build-side keys, picking
-// the partitioned parallel form when the probe side is big enough to split.
-// Only the probe side splits (every worker shares the one table), and each
-// probe chunk covers at least a quarter of the build side's rows: against a
-// large build side every lookup misses cache, and the fixed per-chunk cost
-// (key canonicalization, goroutine) must amortize over more probes.
+// buildJoinTable builds the join hash table over the build-side keys. Only
+// the probe side splits (every worker shares the one table), and each probe
+// chunk covers at least a quarter of the build side's rows: against a large
+// build side every lookup misses cache, and the fixed per-chunk cost (key
+// canonicalization, goroutine) must amortize over more probes. The build
+// runs on as many workers as there are probe chunks, within the worker
+// budget, over a table radix-partitioned so that they never contend; one
+// chunk builds one partition on the coordinator.
 func (e *Engine) buildJoinTable(buildKeys []*vec.Vector, buildN, probeN int, label string) *joinProber {
 	cp := e.chunkPlan(probeN, max(mal.MinChunkRows, buildN/4), 0)
-	if cp.Chunks <= 1 {
-		ht := vec.BuildHash(buildKeys, nil)
-		e.Trace.Emit("algebra.hashjoin", label, fmt.Sprintf("%d keys", ht.Len()))
-		return &joinProber{e: e, tbl: ht, cp: cp}
-	}
-	workers := e.workerBudget()
+	workers := min(cp.Chunks, e.workerBudget())
 	parts := vec.JoinPartitions(workers)
-	pt := vec.BuildHashPartitioned(buildKeys, nil, parts, workers)
-	e.Trace.EmitVoid("optimizer.mitosis", fmt.Sprintf("%d probe chunks (join)", cp.Chunks))
-	e.Trace.Emit("algebra.hashjoin", label,
-		fmt.Sprintf("partitioned %d parts", parts), fmt.Sprintf("%d keys", pt.Len()))
-	return &joinProber{e: e, tbl: pt, cp: cp}
+	tbl := vec.BuildHashPartitioned(buildKeys, nil, parts, workers)
+	args := []string{label}
+	if cp.Chunks > 1 {
+		e.Trace.EmitVoid("optimizer.mitosis", fmt.Sprintf("%d probe chunks (join)", cp.Chunks))
+		args = append(args, fmt.Sprintf("partitioned %d parts", parts))
+	}
+	e.Trace.Emit("algebra.hashjoin", append(args, fmt.Sprintf("%d keys", tbl.Len()))...)
+	return &joinProber{e: e, tbl: tbl, cp: cp}
 }
 
-// forChunks fans the probe side out over the chunk plan: each worker gets its
-// chunk index, first row and slice of the key vectors.
-//
-// Cancellation: a worker that starts after the query was cancelled skips its
-// probe, and the coordinator re-checks after the barrier — a partial result
-// must never be mistaken for an (empty) join result.
-func (jp *joinProber) forChunks(keys []*vec.Vector, n int, probe func(ci, lo int, keys []*vec.Vector)) error {
-	jp.e.runTasks(jp.cp.Chunks, func(ci int) {
-		if jp.e.checkInterrupt() != nil {
-			return
+// forChunks fans the probe side out over the chunk plan: each task gets its
+// chunk index and slice of the key vectors.
+func (jp *joinProber) forChunks(keys []*vec.Vector, n int, probe func(ci int, keys []*vec.Vector)) error {
+	return jp.e.runTasks(jp.cp.Chunks, func(ci int) {
+		if lo, hi := jp.cp.Bounds(ci, n); lo < hi {
+			probe(ci, window(keys, lo, hi))
 		}
-		lo, hi := jp.cp.Bounds(ci, n)
-		if lo >= hi {
-			return
-		}
-		sliced := make([]*vec.Vector, len(keys))
-		for i, k := range keys {
-			sliced[i] = k.Slice(lo, hi)
-		}
-		probe(ci, lo, sliced)
 	})
-	return jp.e.checkInterrupt()
-}
-
-// probeChunks runs a pair-list probe per chunk, rebases the emitted probe
-// rows and concatenates the pair lists in chunk order.
-func (jp *joinProber) probeChunks(keys []*vec.Vector, n int,
-	probe func(vec.JoinTable, []*vec.Vector) ([]int32, []int32)) ([]int32, []int32, error) {
-	type pairs struct{ p, b []int32 }
-	outs := make([]pairs, jp.cp.Chunks)
-	err := jp.forChunks(keys, n, func(ci, lo int, sliced []*vec.Vector) {
-		p, b := probe(jp.tbl, sliced)
-		for i := range p {
-			p[i] += int32(lo)
-		}
-		outs[ci] = pairs{p, b}
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	total := 0
-	for ci := range outs {
-		total += len(outs[ci].p)
-	}
-	pSel := make([]int32, 0, total)
-	var bSel []int32
-	if outs[0].b != nil || total == 0 {
-		bSel = make([]int32, 0, total)
-	}
-	for ci := range outs {
-		pSel = append(pSel, outs[ci].p...)
-		if bSel != nil {
-			bSel = append(bSel, outs[ci].b...)
-		}
-	}
-	return pSel, bSel, nil
 }
 
 // probe computes inner-join pairs (probe rows, build rows).
 func (jp *joinProber) probe(keys []*vec.Vector, n int) ([]int32, []int32, error) {
-	if jp.cp.Chunks <= 1 {
-		p, b := jp.tbl.Probe(keys, nil)
-		return p, b, nil
-	}
-	return jp.probeChunks(keys, n, func(t vec.JoinTable, ks []*vec.Vector) ([]int32, []int32) {
-		return t.Probe(ks, nil)
+	ps, bs := make([][]int32, jp.cp.Chunks), make([][]int32, jp.cp.Chunks)
+	err := jp.forChunks(keys, n, func(ci int, sliced []*vec.Vector) {
+		ps[ci], bs[ci] = jp.tbl.Probe(sliced, nil)
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return concatChunks(ps, int32(jp.cp.Rows)), concatChunks(bs, 0), nil
 }
 
 // probeSemi computes the kept probe rows of a semi (anti=false) or anti join.
 func (jp *joinProber) probeSemi(keys []*vec.Vector, n int, anti bool) ([]int32, error) {
-	if jp.cp.Chunks <= 1 {
-		return jp.tbl.ProbeSemi(keys, nil, anti), nil
-	}
-	keep, _, err := jp.probeChunks(keys, n, func(t vec.JoinTable, ks []*vec.Vector) ([]int32, []int32) {
-		return t.ProbeSemi(ks, nil, anti), nil
-	})
-	return keep, err
-}
-
-// probeMark marks the build rows (of buildN) matched by any probe row. Chunk
-// workers mark private bitmaps, OR-ed together after the barrier.
-func (jp *joinProber) probeMark(keys []*vec.Vector, n, buildN int) (vec.Bitmap, error) {
-	marks := vec.NewBitmap(buildN)
-	if jp.cp.Chunks <= 1 {
-		jp.tbl.ProbeMark(keys, nil, marks)
-		return marks, nil
-	}
-	parts := make([]vec.Bitmap, jp.cp.Chunks)
-	err := jp.forChunks(keys, n, func(ci, _ int, sliced []*vec.Vector) {
-		parts[ci] = vec.NewBitmap(buildN)
-		jp.tbl.ProbeMark(sliced, nil, parts[ci])
+	keep := make([][]int32, jp.cp.Chunks)
+	err := jp.forChunks(keys, n, func(ci int, sliced []*vec.Vector) {
+		keep[ci] = jp.tbl.ProbeSemi(sliced, nil, anti)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, part := range parts {
-		if part != nil {
-			marks.Or(part)
-		}
+	return concatChunks(keep, int32(jp.cp.Rows)), nil
+}
+
+// probeMark marks the build rows (of buildN) matched by any probe row. Each
+// chunk marks its own bitmap; the others are OR-ed into chunk 0's after the
+// barrier.
+func (jp *joinProber) probeMark(keys []*vec.Vector, n, buildN int) (vec.Bitmap, error) {
+	marks := make([]vec.Bitmap, jp.cp.Chunks)
+	for ci := range marks {
+		marks[ci] = vec.NewBitmap(buildN)
 	}
-	return marks, nil
+	err := jp.forChunks(keys, n, func(ci int, sliced []*vec.Vector) {
+		jp.tbl.ProbeMark(sliced, nil, marks[ci])
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, m := range marks[1:] {
+		marks[0].Or(m)
+	}
+	return marks[0], nil
 }
 
 // filterPairs keeps the candidate join pairs satisfying the residual
@@ -439,7 +387,7 @@ func (e *Engine) execAggregate(x *plan.Aggregate) (*batch, error) {
 	// Mitosis: an aggregate directly over a scan runs the parallelizable
 	// prefix (scan, selection, map, partial aggregation) per chunk and merges
 	// before the blocking final step (paper Figure 2).
-	if scan, ok := x.Input.(*plan.Scan); ok && e.Parallel {
+	if scan, ok := x.Input.(*plan.Scan); ok {
 		if b, handled, err := e.parallelScanAgg(x, scan); handled {
 			return b, err
 		}
@@ -451,8 +399,8 @@ func (e *Engine) execAggregate(x *plan.Aggregate) (*batch, error) {
 	return e.aggregateBatch(x, in)
 }
 
-// aggregateBatch aggregates one batch serially: the reference the parallel
-// path is differentially tested against.
+// aggregateBatch aggregates one batch: an aggregate whose input is not a
+// scan, or a scan too small to split.
 func (e *Engine) aggregateBatch(x *plan.Aggregate, in *batch) (*batch, error) {
 	memo := newMemo(e)
 	g, err := groupBatch(memo, x.GroupBy, in, in.enc, 0)
@@ -641,18 +589,25 @@ func (e *Engine) parallelScanAgg(x *plan.Aggregate, scan *plan.Scan) (*batch, bo
 	}
 	e.Trace.EmitVoid("optimizer.mitosis", fmt.Sprintf("%d %s", cp.Chunks, label))
 	encs := e.scanEncoded(scan, src)
+	cols, err := scanCols(scan, src)
+	if err != nil {
+		return nil, true, err
+	}
 	skip0, tot0 := e.imprintsCounters()
 	outs := make([]aggChunk, cp.Chunks)
 	errs := make([]error, cp.Chunks)
-	e.runTasks(cp.Chunks, func(ci int) {
+	err = e.runTasks(cp.Chunks, func(ci int) {
 		lo, hi := cp.Bounds(ci, nrows)
-		outs[ci], errs[ci] = e.chunkEngine().aggregateChunk(x, scan, src, encs, lo, hi)
+		outs[ci], errs[ci] = e.chunkEngine(cp.Chunks).aggregateChunk(x, scan, src, encs, cols, lo, hi)
 	})
+	if err == nil {
+		err = firstErr(errs)
+	}
+	if err != nil {
+		return nil, true, err
+	}
 	total := 0
-	for ci, err := range errs {
-		if err != nil {
-			return nil, true, err
-		}
+	for ci := range outs {
 		total += outs[ci].ngroups
 	}
 	e.emitImprintsDelta(skip0, tot0)
@@ -689,21 +644,16 @@ func (e *Engine) parallelScanAgg(x *plan.Aggregate, scan *plan.Scan) (*batch, bo
 	return newBatch(out), true, nil
 }
 
-// aggregateChunk computes the partial aggregate of scan rows [lo, hi) on a
-// chunk engine.
-func (e *Engine) aggregateChunk(x *plan.Aggregate, scan *plan.Scan, src TableSource, encs []*vec.Encoded, lo, hi int) (aggChunk, error) {
-	// Worker-start interrupt check: a filterless scan never reaches
-	// scanRange's per-conjunct check, so cancellation surfaces here.
-	if err := e.checkInterrupt(); err != nil {
-		return aggChunk{}, err
-	}
-	cands, cols, err := e.scanRange(scan, src, lo, hi)
+// aggregateChunk computes the partial aggregate of scan rows [lo, hi) of
+// cols (scanCols' columns) on a chunk engine.
+func (e *Engine) aggregateChunk(x *plan.Aggregate, scan *plan.Scan, src TableSource, encs []*vec.Encoded, cols []*vec.Vector, lo, hi int) (aggChunk, error) {
+	cands, win, err := e.scanRange(scan, src, cols, lo, hi)
 	if err != nil {
 		return aggChunk{}, err
 	}
 	// Selection view: keys and arguments are evaluated densely over the
 	// survivors; columns nothing references are never gathered.
-	b := newSelBatch(cols, cands)
+	b := newSelBatch(win, cands)
 	memo := newMemo(e)
 	g, err := groupBatch(memo, x.GroupBy, b, encs, lo)
 	if err != nil {

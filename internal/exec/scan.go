@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"monetlite/internal/index"
@@ -16,10 +17,10 @@ import (
 // column) go through imprints or the order index when available. The scan's
 // output is a selection view — the base columns plus the surviving row ids —
 // not a filtered copy: materialization is the downstream pipeline breaker's
-// job. Large filtered scans are split into chunks (no memory budget: chunk
-// windows are views and workers emit only row ids) and the per-chunk
-// candidate lists are concatenated in chunk order (bat.mergecand), which is
-// bit-identical to the serial list.
+// job. Mitosis (paper Figure 2) splits a filtered scan into chunks (no
+// memory budget: chunk windows are views and tasks emit only row ids) and
+// concatenates the per-chunk candidate lists in chunk order (bat.mergecand);
+// one chunk is the serial scan.
 func (e *Engine) execScan(x *plan.Scan) (*batch, error) {
 	src, ok := e.Cat.Source(x.Table)
 	if !ok {
@@ -34,80 +35,112 @@ func (e *Engine) execScan(x *plan.Scan) (*batch, error) {
 		cp = e.chunkPlan(nrows, mal.MinChunkRows, 0)
 	}
 	encs := e.scanEncoded(x, src)
-	if cp.Chunks <= 1 {
-		cands, cols, err := e.scanRange(x, src, 0, nrows)
-		if err != nil {
-			return nil, err
-		}
-		b := newSelBatch(cols, cands)
-		b.enc = encs
-		return b, nil
+	cols, err := scanCols(x, src)
+	if err != nil {
+		return nil, err
 	}
-
-	// Mitosis: chunked parallel scan+filter; the workers produce per-window
-	// candidate lists which the coordinator rebases and concatenates with
-	// bat.mergecand semantics (paper Figure 2).
-	e.Trace.EmitVoid("optimizer.mitosis", fmt.Sprintf("%d chunks (scan)", cp.Chunks))
+	if cp.Chunks > 1 {
+		e.Trace.EmitVoid("optimizer.mitosis", fmt.Sprintf("%d chunks (scan)", cp.Chunks))
+	}
 	skip0, tot0 := e.imprintsCounters()
-	type part struct {
-		cands []int32 // relative to the chunk window; nil = every row passed
-		lo    int
-		hi    int
-		err   error
-	}
-	parts := make([]part, cp.Chunks)
-	e.runTasks(cp.Chunks, func(ci int) {
-		ce := e.chunkEngine()
+	lists := make([][]int32, cp.Chunks) // relative to each chunk's window; nil = every row passed
+	errs := make([]error, cp.Chunks)
+	err = e.runTasks(cp.Chunks, func(ci int) {
 		lo, hi := cp.Bounds(ci, nrows)
-		cands, _, err := ce.scanRange(x, src, lo, hi)
-		parts[ci] = part{cands: cands, lo: lo, hi: hi, err: err}
+		lists[ci], _, errs[ci] = e.chunkEngine(cp.Chunks).scanRange(x, src, cols, lo, hi)
 	})
-	total := 0
-	allNil := true
-	for _, p := range parts {
-		if p.err != nil {
-			return nil, p.err
-		}
-		if p.cands == nil {
-			total += p.hi - p.lo
-		} else {
-			allNil = false
-			total += len(p.cands)
+	if err == nil {
+		err = firstErr(errs)
+	}
+	if err != nil {
+		return nil, err
+	}
+	sel := mergeCands(lists, cp, nrows)
+	if cp.Chunks > 1 {
+		e.emitImprintsDelta(skip0, tot0)
+		if sel != nil {
+			e.Trace.Emit("bat.mergecand", fmt.Sprintf("%d cands", len(sel)))
 		}
 	}
+	b := newSelBatch(cols, sel)
+	b.enc = encs
+	return b, nil
+}
+
+// firstErr returns the first non-nil error of errs, the chunks' own
+// failures.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// scanCols loads the scanned columns, sliced to the snapshot row count: the
+// stored vector may extend past this version's visible rows (storage's
+// append contract).
+func scanCols(x *plan.Scan, src TableSource) ([]*vec.Vector, error) {
 	cols := make([]*vec.Vector, len(x.Cols))
 	for i, ci := range x.Cols {
 		full, err := src.Col(ci)
 		if err != nil {
 			return nil, err
 		}
-		// Slice to the snapshot row count: the stored vector may extend past
-		// this version's visible rows (storage's append contract).
-		cols[i] = full.Slice(0, nrows)
+		cols[i] = full.Slice(0, src.NumRows())
 	}
-	if allNil {
-		// Every row of every chunk survived: the merged list is "all rows".
-		b := newBatch(cols)
-		b.enc = encs
-		return b, nil
+	return cols, nil
+}
+
+// mergeCands merges the chunks' window-relative candidate lists into one
+// list of table rows (bat.mergecand): nil when every chunk kept every row,
+// otherwise a chunk that did stands for all rows of its window.
+func mergeCands(lists [][]int32, cp mal.ChunkPlan, nrows int) []int32 {
+	all := true
+	for _, l := range lists {
+		all = all && l == nil
 	}
-	merged := make([]int32, 0, total)
-	for _, p := range parts {
-		if p.cands == nil {
-			for r := p.lo; r < p.hi; r++ {
-				merged = append(merged, int32(r))
-			}
-			continue
+	if all {
+		return nil
+	}
+	for ci, l := range lists {
+		if l == nil {
+			lo, hi := cp.Bounds(ci, nrows)
+			lists[ci] = vec.Range(hi - lo)
 		}
-		for _, c := range p.cands {
-			merged = append(merged, c+int32(p.lo))
-		}
 	}
-	e.emitImprintsDelta(skip0, tot0)
-	e.Trace.Emit("bat.mergecand", fmt.Sprintf("%d cands", len(merged)))
-	b := newSelBatch(cols, merged)
-	b.enc = encs
-	return b, nil
+	return concatChunks(lists, int32(cp.Rows))
+}
+
+// window returns rows [lo, hi) of equally long vectors: the vectors
+// themselves when they hold exactly those rows (a lone chunk), else slices.
+func window(vs []*vec.Vector, lo, hi int) []*vec.Vector {
+	if len(vs) == 0 || lo == 0 && vs[0].Len() == hi {
+		return vs
+	}
+	out := make([]*vec.Vector, len(vs))
+	for i, v := range vs {
+		out[i] = v.Slice(lo, hi)
+	}
+	return out
+}
+
+// concatChunks concatenates per-chunk row lists in chunk order, shifting
+// chunk ci's entries by ci*stride (its first row, for lists relative to a
+// chunk's window; 0 for lists already in table rows). Chunk 0 needs no
+// shift, so its list is the prefix as is and a lone chunk's list is
+// returned uncopied.
+func concatChunks(lists [][]int32, stride int32) []int32 {
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	out := slices.Grow(slices.Clip(lists[0]), total-len(lists[0]))
+	for ci, l := range lists[1:] {
+		out = appendRebased(out, l, int32(ci+1)*stride)
+	}
+	return out
 }
 
 // scanEncoded collects the compressed forms of the scanned columns (nil when
@@ -160,20 +193,11 @@ func (e *Engine) emitImprintsDelta(skip0, tot0 int64) {
 }
 
 // scanRange computes the candidate list of rows in [lo, hi) passing all scan
-// filters, and loads the pruned columns (full vectors; gathering is the
-// caller's job). When cands == nil every row in the slice qualifies; the
-// returned column vectors are sliced to [lo, hi) and candidates are relative
-// to lo.
-func (e *Engine) scanRange(x *plan.Scan, src TableSource, lo, hi int) ([]int32, []*vec.Vector, error) {
-	// Load the pruned columns.
-	cols := make([]*vec.Vector, len(x.Cols))
-	for i, ci := range x.Cols {
-		full, err := src.Col(ci)
-		if err != nil {
-			return nil, nil, err
-		}
-		cols[i] = full.Slice(lo, hi)
-	}
+// filters over cols (scanCols' full-width columns), and returns the columns'
+// windows [lo, hi) it filtered. When cands == nil every row in the window
+// qualifies; candidates are relative to lo.
+func (e *Engine) scanRange(x *plan.Scan, src TableSource, cols []*vec.Vector, lo, hi int) ([]int32, []*vec.Vector, error) {
+	win := window(cols, lo, hi)
 	// Deleted rows (rebased into the chunk window).
 	var cands []int32
 	if live := src.LiveCands(); live != nil {
@@ -192,7 +216,7 @@ func (e *Engine) scanRange(x *plan.Scan, src TableSource, lo, hi int) ([]int32, 
 			return nil, nil, err
 		}
 		var err error
-		cands, err = e.applyScanFilter(x, src, f, cols, cands, lo, hi)
+		cands, err = e.applyScanFilter(x, src, f, win, cands, lo, hi)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -200,7 +224,7 @@ func (e *Engine) scanRange(x *plan.Scan, src TableSource, lo, hi int) ([]int32, 
 			break
 		}
 	}
-	return cands, cols, nil
+	return cands, win, nil
 }
 
 // applyScanFilter applies one conjunct over the scan window [rowLo, rowHi).

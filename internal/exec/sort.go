@@ -11,12 +11,11 @@ import (
 // ORDER BY and ORDER BY … LIMIT execution. Sorting is a blocking operator:
 // its input is a fully materialized batch, so mitosis here parallelizes the
 // blocking step itself rather than the scan feeding it — the index range is
-// cut into contiguous runs (sortChunkPlan), each worker sorts its run with
-// the typed code kernels (vec.CodedSort), and the coordinator k-way merges.
-// Because the kernels order rows by (keys, original index), the merged
-// permutation is identical to the serial stable vec.SortOrder — which stays
-// on as the differential oracle, same convention as GroupByRefine and the
-// serial join path.
+// cut into contiguous runs (sortChunkPlan), each task sorts its run with the
+// typed code kernels (vec.CodedSort), and the coordinator k-way merges; one
+// run is the serial sort. Because the kernels order rows by (keys, original
+// index), the permutation is the stable sort's at every run count, which the
+// sort fuzzer checks against vec.SortOrder, a test-only oracle.
 
 // sortKeys evaluates the ORDER BY key expressions over the input batch.
 // pre, when non-nil, carries pre-computed key vectors (dictionary codes from
@@ -95,25 +94,13 @@ func (e *Engine) execSort(x *plan.Sort) (*batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	var order []int32
-	if cp := e.sortChunkPlan(in.n); cp.Chunks <= 1 {
-		if e.Parallel {
-			// Typed kernels, one run (input too small to split).
-			order = vec.SortOrderParallel(keys, in.n, 1)
-		} else {
-			// Serial engine: the stable closure-comparator path is the
-			// differential oracle the fuzzer holds the kernels against.
-			order = vec.SortOrder(keys, in.n)
-		}
-		e.Trace.Emit("algebra.sort", fmt.Sprintf("%d keys", len(keys)))
-	} else {
-		order, err = e.parallelSortOrder(keys, in.n, cp)
-		if err != nil {
-			return nil, err
-		}
-		e.Trace.EmitVoid("optimizer.mitosis", fmt.Sprintf("%d chunks (sort)", cp.Chunks))
-		e.Trace.Emit("algebra.sort", fmt.Sprintf("%d keys", len(keys)), fmt.Sprintf("parallel %d runs", cp.Chunks))
+	cp := e.sortChunkPlan(in.n)
+	order, err := e.sortOrder(vec.NewCodedSort(keys, in.n), in.n, cp)
+	if err != nil {
+		return nil, err
 	}
+	e.Trace.Emit("algebra.sort", e.mitosisArgs(cp.Chunks, "sort",
+		[]string{fmt.Sprintf("%d keys", len(keys))}, "parallel %d runs")...)
 	out := make([]*vec.Vector, len(in.cols))
 	for i, c := range in.cols {
 		out[i] = vec.Gather(c, order)
@@ -121,19 +108,12 @@ func (e *Engine) execSort(x *plan.Sort) (*batch, error) {
 	return newBatch(out), nil
 }
 
-// parallelSortOrder sorts each chunk's index run on its own goroutine, then
-// merges the Less-ordered runs. Runs are disjoint ascending ranges, so the
-// kernels' index tie-break makes the merge stable across runs.
-//
-// Cancellation: a worker that starts after the query was cancelled bails
-// without sorting its run, and the coordinator re-checks after the barrier so
-// a half-sorted permutation is never merged or returned.
-func (e *Engine) parallelSortOrder(keys []vec.SortKey, n int, cp mal.ChunkPlan) ([]int32, error) {
-	cs := vec.NewCodedSort(keys, n)
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
+// sortOrder sorts the rows [0, n) by cs: each chunk of cp sorts its run of
+// the index range, and the Less-ordered runs are merged. Runs are disjoint
+// ascending ranges, so the kernels' index tie-break makes the merge stable
+// across runs; a lone run is the serial sort and is returned as is.
+func (e *Engine) sortOrder(cs *vec.CodedSort, n int, cp mal.ChunkPlan) ([]int32, error) {
+	order := vec.Range(n)
 	runs := make([][]int32, 0, cp.Chunks)
 	for ci := 0; ci < cp.Chunks; ci++ {
 		lo, hi := cp.Bounds(ci, n)
@@ -141,13 +121,7 @@ func (e *Engine) parallelSortOrder(keys []vec.SortKey, n int, cp mal.ChunkPlan) 
 			runs = append(runs, order[lo:hi])
 		}
 	}
-	e.runTasks(len(runs), func(i int) {
-		if e.checkInterrupt() != nil {
-			return
-		}
-		cs.Sort(runs[i])
-	})
-	if err := e.checkInterrupt(); err != nil {
+	if err := e.runTasks(len(runs), func(i int) { cs.Sort(runs[i]) }); err != nil {
 		return nil, err
 	}
 	return cs.MergeRuns(runs), nil
@@ -180,31 +154,18 @@ func (e *Engine) execTopN(x *plan.TopN) (*batch, error) {
 	}
 	cs := vec.NewCodedSort(keys, in.n)
 	cp := e.sortChunkPlan(in.n)
-	var best []int32
-	if cp.Chunks <= 1 {
-		best = cs.TopK(0, in.n, k)
-		e.Trace.Emit("algebra.topn", fmt.Sprintf("%d keys", len(keys)), fmt.Sprintf("k=%d of %d", k, in.n))
-	} else {
-		runs := make([][]int32, cp.Chunks)
-		e.runTasks(cp.Chunks, func(ci int) {
-			if e.checkInterrupt() != nil {
-				return // cancelled: leave the run empty, coordinator bails
-			}
-			lo, hi := cp.Bounds(ci, in.n)
-			runs[ci] = cs.TopK(lo, hi, k)
-		})
-		if err := e.checkInterrupt(); err != nil {
-			return nil, err
-		}
-		merged := cs.MergeRuns(runs)
-		if len(merged) > k {
-			merged = merged[:k]
-		}
-		best = merged
-		e.Trace.EmitVoid("optimizer.mitosis", fmt.Sprintf("%d chunks (sort)", cp.Chunks))
-		e.Trace.Emit("algebra.topn", fmt.Sprintf("%d keys", len(keys)),
-			fmt.Sprintf("k=%d of %d", k, in.n), fmt.Sprintf("parallel %d heaps", cp.Chunks))
+	runs := make([][]int32, cp.Chunks)
+	err = e.runTasks(cp.Chunks, func(ci int) {
+		lo, hi := cp.Bounds(ci, in.n)
+		runs[ci] = cs.TopK(lo, hi, k)
+	})
+	if err != nil {
+		return nil, err
 	}
+	best := cs.MergeRuns(runs)
+	best = best[:min(len(best), k)]
+	e.Trace.Emit("algebra.topn", e.mitosisArgs(cp.Chunks, "sort",
+		[]string{fmt.Sprintf("%d keys", len(keys)), fmt.Sprintf("k=%d of %d", k, in.n)}, "parallel %d heaps")...)
 	lo := int(x.Offset)
 	if lo > len(best) {
 		lo = len(best)

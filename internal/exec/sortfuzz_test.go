@@ -338,3 +338,23 @@ func BenchmarkTopN(b *testing.B) {
 func BenchmarkTopNSerial(b *testing.B) {
 	benchmarkOrderedQuery(b, "SELECT * FROM s ORDER BY k1 LIMIT 10", false)
 }
+
+// ORDER BY … LIMIT 0 keeps no row on every chunk count: the one-chunk run
+// once returned the empty heap as a nil selection, which gathers every row.
+func TestTopNLimitZero(t *testing.T) {
+	cat := buildTable(t, 600)
+	p := planFor(t, cat, "SELECT i FROM nums ORDER BY i DESC LIMIT 0")
+	for _, e := range []*Engine{
+		{Cat: cat},
+		{Cat: cat, Parallel: true, MaxThreads: 4, testChunkRows: 100},
+	} {
+		e.Trace = &mal.Program{}
+		res, err := e.Execute(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NumRows() != 0 || e.Trace.Count("algebra.topn") != 1 {
+			t.Fatalf("parallel=%v: %d rows\n%s", e.Parallel, res.NumRows(), e.Trace)
+		}
+	}
+}

@@ -21,12 +21,13 @@ import (
 // count — output is input columns plus one appended column per call.
 //
 // Parallelism (windowPartRanges): partitions are fully independent, so
-// workers take contiguous runs of whole partitions and write at disjoint
-// output positions — no merge step, and output bit-identical to the serial
-// walk. The sort itself parallelizes through the same run-merge path as
-// ORDER BY. When the optimizer proved the input already ordered compatibly
-// (Window.SortFree) the sort is skipped outright: the identity permutation
-// is what the stable sort would have returned.
+// tasks take contiguous runs of whole partitions and write at disjoint
+// output positions — no merge step, and output bit-identical for every
+// fan-out; one run of all partitions is the serial walk. The sort itself
+// goes through the same run-merge path as ORDER BY. When the optimizer
+// proved the input already ordered compatibly (Window.SortFree) the sort is
+// skipped outright: the identity permutation is what the stable sort would
+// have returned.
 //
 // The volcano row engine executes the same node naively (rowstore/window.go)
 // and serves as the differential oracle; framed aggregates accumulate in the
@@ -63,28 +64,20 @@ func (e *Engine) execWindow(x *plan.Window) (*batch, error) {
 	}
 	cs := vec.NewCodedSort(keys, n)
 
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
+	var order []int32
 	switch {
 	case x.SortFree || len(keys) == 0:
 		// Input already ordered compatibly (or no keys at all): the stable
 		// sort would return the identity permutation.
+		order = vec.Range(n)
 		e.Trace.Emit("algebra.window", fmt.Sprintf("%d calls", len(x.Calls)), "sortfree")
 	default:
-		if cp := e.sortChunkPlan(n); cp.Chunks <= 1 {
-			cs.Sort(order)
-			e.Trace.Emit("algebra.windowsort", fmt.Sprintf("%d keys", len(keys)))
-		} else {
-			order, err = e.parallelSortOrder(keys, n, cp)
-			if err != nil {
-				return nil, err
-			}
-			e.Trace.EmitVoid("optimizer.mitosis", fmt.Sprintf("%d chunks (sort)", cp.Chunks))
-			e.Trace.Emit("algebra.windowsort", fmt.Sprintf("%d keys", len(keys)),
-				fmt.Sprintf("parallel %d runs", cp.Chunks))
+		cp := e.sortChunkPlan(n)
+		if order, err = e.sortOrder(cs, n, cp); err != nil {
+			return nil, err
 		}
+		e.Trace.Emit("algebra.windowsort", e.mitosisArgs(cp.Chunks, "sort",
+			[]string{fmt.Sprintf("%d keys", len(keys))}, "parallel %d runs")...)
 	}
 
 	// Partition boundary scan: starts[p] is the sorted offset of partition p,
@@ -116,14 +109,13 @@ func (e *Engine) execWindow(x *plan.Window) (*batch, error) {
 
 	// Fan whole partitions out across workers (windowPartRanges); a worker's
 	// partitions cover disjoint input rows, so the shared output vectors need
-	// no synchronization and the result equals the serial walk exactly.
+	// no synchronization and the result is the same for every fan-out. Each
+	// partition checks for interrupts (checkInterrupt only reads Engine
+	// state, so sharing e across goroutines is safe): a task that sees one
+	// stops writing, and runTasks discards the partial output.
 	ranges := e.windowPartRanges(starts, n)
-	// Per-partition interrupt check: covers the serial walk and every worker
-	// (checkInterrupt only reads Engine state, so sharing e across goroutines
-	// is safe). Workers that see the cancellation stop writing; the
-	// coordinator re-checks after the barrier and discards the partial output.
-	compute := func(loPart, hiPart int) {
-		for p := loPart; p < hiPart; p++ {
+	err = e.runTasks(len(ranges), func(i int) {
+		for p := ranges[i][0]; p < ranges[i][1]; p++ {
 			if e.checkInterrupt() != nil {
 				return
 			}
@@ -132,22 +124,12 @@ func (e *Engine) execWindow(x *plan.Window) (*batch, error) {
 				windowPartition(&x.Calls[ci], len(x.OrderBy) > 0, cs, rows, ins[ci], outs[ci])
 			}
 		}
-	}
-	if len(ranges) > 1 {
-		e.Trace.EmitVoid("optimizer.mitosis", fmt.Sprintf("%d chunks (window)", len(ranges)))
-		e.runTasks(len(ranges), func(i int) {
-			compute(ranges[i][0], ranges[i][1])
-		})
-		e.Trace.Emit("algebra.window", fmt.Sprintf("%d parts", nparts),
-			fmt.Sprintf("%d calls", len(x.Calls)), fmt.Sprintf("parallel %d part-groups", len(ranges)))
-	} else {
-		compute(0, nparts)
-		e.Trace.Emit("algebra.window", fmt.Sprintf("%d parts", nparts),
-			fmt.Sprintf("%d calls", len(x.Calls)))
-	}
-	if err := e.checkInterrupt(); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
+	e.Trace.Emit("algebra.window", e.mitosisArgs(len(ranges), "window",
+		[]string{fmt.Sprintf("%d parts", nparts), fmt.Sprintf("%d calls", len(x.Calls))}, "parallel %d part-groups")...)
 
 	cols := make([]*vec.Vector, 0, len(in.cols)+len(outs))
 	cols = append(cols, in.cols...)

@@ -305,7 +305,7 @@ func TestParallelWindowNaturalChunking(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Benchmarks (wired into the CI bench-baseline gate).
+// Benchmarks (run once by CI's bench smoke step).
 // ---------------------------------------------------------------------------
 
 func benchWindowCatalog(b *testing.B, n int) memCatalog {

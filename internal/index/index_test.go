@@ -375,7 +375,7 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 		}
 		lo, ro := BuildOrderIndex(l), BuildOrderIndex(r)
 		ls, rs := MergeJoin(l, lo, r, ro)
-		ht := vec.BuildHash([]*vec.Vector{r}, nil)
+		ht := vec.BuildHashPartitioned([]*vec.Vector{r}, nil, 1, 1)
 		hp, hb := ht.Probe([]*vec.Vector{l}, nil)
 		type pair struct{ a, b int32 }
 		got := map[pair]int{}

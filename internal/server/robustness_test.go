@@ -13,6 +13,40 @@ import (
 	"monetlite/internal/vec"
 )
 
+// Shared adapts a single Queryer into a Backend whose sessions all share it
+// behind one mutex, which is how these tests wire scripted backends; real
+// deployments use the per-session ColumnarBackend/RowstoreBackend.
+func Shared(q Queryer) Backend { return &sharedBackend{q: q} }
+
+type sharedBackend struct {
+	mu sync.Mutex
+	q  Queryer
+}
+
+func (b *sharedBackend) NewSession() (Session, error) { return &sharedSession{b: b}, nil }
+
+type sharedSession struct{ b *sharedBackend }
+
+func (s *sharedSession) Exec(ctx context.Context, sql string) (int64, error) {
+	s.b.mu.Lock()
+	defer s.b.mu.Unlock()
+	return s.b.q.Exec(ctx, sql)
+}
+
+func (s *sharedSession) QueryRows(ctx context.Context, sql string) ([]string, [][]mtypes.Value, error) {
+	s.b.mu.Lock()
+	defer s.b.mu.Unlock()
+	return s.b.q.QueryRows(ctx, sql)
+}
+
+func (s *sharedSession) QueryCols(ctx context.Context, sql string) ([]string, []*vec.Vector, error) {
+	s.b.mu.Lock()
+	defer s.b.mu.Unlock()
+	return s.b.q.QueryCols(ctx, sql)
+}
+
+func (s *sharedSession) Close() error { return nil }
+
 // blockingBackend parks every query on its context — the worst-case
 // in-flight query, which only cancellation can unstick.
 type blockingBackend struct {

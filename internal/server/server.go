@@ -60,41 +60,6 @@ type Backend interface {
 	NewSession() (Session, error)
 }
 
-// Shared adapts a single Queryer into a Backend whose sessions all share it
-// behind one mutex — the pre-session serialized behavior. Tests use it to
-// wire simple scripted backends; real deployments use the per-session
-// ColumnarBackend/RowstoreBackend.
-func Shared(q Queryer) Backend { return &sharedBackend{q: q} }
-
-type sharedBackend struct {
-	mu sync.Mutex
-	q  Queryer
-}
-
-func (b *sharedBackend) NewSession() (Session, error) { return &sharedSession{b: b}, nil }
-
-type sharedSession struct{ b *sharedBackend }
-
-func (s *sharedSession) Exec(ctx context.Context, sql string) (int64, error) {
-	s.b.mu.Lock()
-	defer s.b.mu.Unlock()
-	return s.b.q.Exec(ctx, sql)
-}
-
-func (s *sharedSession) QueryRows(ctx context.Context, sql string) ([]string, [][]mtypes.Value, error) {
-	s.b.mu.Lock()
-	defer s.b.mu.Unlock()
-	return s.b.q.QueryRows(ctx, sql)
-}
-
-func (s *sharedSession) QueryCols(ctx context.Context, sql string) ([]string, []*vec.Vector, error) {
-	s.b.mu.Lock()
-	defer s.b.mu.Unlock()
-	return s.b.q.QueryCols(ctx, sql)
-}
-
-func (s *sharedSession) Close() error { return nil }
-
 // Options tune the server's protective limits. The zero value of any field
 // selects its default; a negative duration disables that deadline.
 type Options struct {

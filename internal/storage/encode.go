@@ -167,7 +167,7 @@ func encodeTables(tables []*Table) (int, error) {
 }
 
 // ColFootprint reports one column's storage footprint for the bytes/row
-// measurements (README table, cmd/benchgate's EncodedBytesPerRow entry).
+// measurements (README table, BenchmarkEncodedScan's bytes/row).
 type ColFootprint struct {
 	Name     string
 	Enc      vec.Encoding

@@ -167,8 +167,7 @@ func TestLineitemBytesPerRowSF01(t *testing.T) {
 // BenchmarkEncodedScan compares a filtered scan-aggregate over lineitem on
 // raw and on encoded columns: running on codes must be no slower than the
 // raw path. The encoded run also reports lineitem's measured bytes/row, so
-// the CI bench gate (cmd/benchgate) tracks the compression ratio alongside
-// the throughput.
+// the compression ratio shows beside the throughput.
 func BenchmarkEncodedScan(b *testing.B) {
 	const sf = 0.05
 	data := Generate(sf, 42)

@@ -295,7 +295,7 @@ func TestGroupByWithCands(t *testing.T) {
 func TestHashJoinInner(t *testing.T) {
 	build := intVec(10, 20, 30, 20)
 	probe := intVec(20, 40, 10)
-	ht := BuildHash([]*Vector{build}, nil)
+	ht := BuildHashPartitioned([]*Vector{build}, nil, 1, 1)
 	if ht.Len() != 3 {
 		t.Fatalf("distinct keys = %d", ht.Len())
 	}
@@ -321,7 +321,7 @@ func TestHashJoinNullKeys(t *testing.T) {
 	build.SetNull(0)
 	probe := intVec(1, 2)
 	probe.SetNull(1)
-	ht := BuildHash([]*Vector{build}, nil)
+	ht := BuildHashPartitioned([]*Vector{build}, nil, 1, 1)
 	p, _ := ht.Probe([]*Vector{probe}, nil)
 	if len(p) != 0 {
 		t.Fatalf("NULL keys must not join: %v", p)
@@ -331,7 +331,7 @@ func TestHashJoinNullKeys(t *testing.T) {
 func TestHashJoinComposite(t *testing.T) {
 	b1, b2 := intVec(1, 1, 2), strVec("x", "y", "x")
 	p1, p2 := intVec(1, 2), strVec("y", "x")
-	ht := BuildHash([]*Vector{b1, b2}, nil)
+	ht := BuildHashPartitioned([]*Vector{b1, b2}, nil, 1, 1)
 	p, b := ht.Probe([]*Vector{p1, p2}, nil)
 	if len(p) != 2 {
 		t.Fatalf("composite join: %v %v", p, b)
@@ -344,7 +344,7 @@ func TestHashJoinComposite(t *testing.T) {
 func TestHashJoinSemiAnti(t *testing.T) {
 	build := strVec("a", "b")
 	probe := strVec("b", "c", "a", "b")
-	ht := BuildHash([]*Vector{build}, nil)
+	ht := BuildHashPartitioned([]*Vector{build}, nil, 1, 1)
 	semi := ht.ProbeSemi([]*Vector{probe}, nil, false)
 	if !eqCands(semi, []int32{0, 2, 3}) {
 		t.Fatalf("semi: %v", semi)
@@ -358,7 +358,7 @@ func TestHashJoinSemiAnti(t *testing.T) {
 func TestHashJoinMark(t *testing.T) {
 	build := intVec(10, 7, 10)
 	probe := intVec(10, 99, 10)
-	ht := BuildHash([]*Vector{build}, nil)
+	ht := BuildHashPartitioned([]*Vector{build}, nil, 1, 1)
 	marks := NewBitmap(3)
 	ht.ProbeMark([]*Vector{probe}, nil, marks)
 	if !marks.Get(0) || marks.Get(1) || !marks.Get(2) {
@@ -380,7 +380,7 @@ func TestHashJoinQuick(t *testing.T) {
 		rng.Seed(seed)
 		build := randomIntVecWithNulls(rng, 40)
 		probe := randomIntVecWithNulls(rng, 40)
-		ht := BuildHash([]*Vector{build}, nil)
+		ht := BuildHashPartitioned([]*Vector{build}, nil, 1, 1)
 		p, b := ht.Probe([]*Vector{probe}, nil)
 		type pair struct{ p, b int32 }
 		got := map[pair]int{}

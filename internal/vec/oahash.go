@@ -7,13 +7,13 @@ import (
 )
 
 // This file implements the open-addressing hash infrastructure shared by
-// grouping (GroupBy), hash joins (BuildHash/Probe*) and the dataframe
-// library's group/join paths: a linear-probing distinct-key table (OATable)
-// over fused multi-column key hashes, with exact-key verification against a
+// grouping (GroupBy), hash joins (parthash.go) and the dataframe library's
+// group/join paths: a linear-probing distinct-key table (OATable) over fused
+// multi-column key hashes, with exact-key verification against a
 // representative row per distinct key. It replaces the MonetDB-style
-// iterative refinement grouping (kept as GroupByRefine, the test oracle) and
-// the Go-map-based join chains: one pass over the input, power-of-two table
-// sizing, no per-column map allocations.
+// iterative refinement grouping (kept beside the tests as GroupByRefine, their
+// oracle) and the Go-map-based join chains: one pass over the input,
+// power-of-two table sizing, no per-column map allocations.
 
 // HashSeed is the initial value of a fused key hash.
 const HashSeed uint64 = 0x9e3779b97f4a7c15
@@ -403,126 +403,4 @@ func GroupBy(keys []*Vector, cands []int32) (gids []int32, ngroups int, reprs []
 		reprs[g] = ks.RowAt(int(k))
 	}
 	return gids, ngroups, reprs
-}
-
-// ---------------------------------------------------------------------------
-// Hash join over the open-addressing table.
-// ---------------------------------------------------------------------------
-
-// HashTable is a join hash table built over one or more key columns of the
-// build side: an OATable of distinct keys plus per-key row chains in build
-// order. NULL keys are excluded (SQL equi-join semantics).
-type HashTable struct {
-	ks         *KeySet
-	tbl        *OATable
-	head, tail []int32 // per distinct key: first/last effective index
-	next       []int32 // chain link per effective index, -1 = end
-}
-
-// BuildHash constructs a hash table over the candidate rows of the build-side
-// key columns. Rows with any NULL key are skipped.
-func BuildHash(keys []*Vector, cands []int32) *HashTable {
-	ks := NewKeySet(keys, cands, true)
-	ht := &HashTable{
-		ks:   ks,
-		tbl:  NewOATable(ks.n/8+16, ks.equal),
-		next: make([]int32, ks.n),
-	}
-	for k := 0; k < ks.n; k++ {
-		if ks.null[k] {
-			continue
-		}
-		ht.next[k] = -1
-		id, fresh := ht.tbl.Insert(int32(k), ks.hash[k])
-		if fresh {
-			ht.head = append(ht.head, int32(k))
-			ht.tail = append(ht.tail, int32(k))
-		} else {
-			ht.next[ht.tail[id]] = int32(k)
-			ht.tail[id] = int32(k)
-		}
-	}
-	return ht
-}
-
-// Len returns the number of distinct keys in the table.
-func (ht *HashTable) Len() int { return ht.tbl.Len() }
-
-// lookup probes the table with row k of the probe-side key set, returning
-// the dense key id or -1. Collisions verify exactly across the two key sets.
-func (ht *HashTable) lookup(pks *KeySet, k int) int32 {
-	t := ht.tbl
-	h := pks.hash[k]
-	i := h & t.mask
-	for {
-		s := t.slots[i]
-		if s < 0 {
-			return -1
-		}
-		if t.hashes[i] == h && keySetsEqual(ht.ks, t.repr[s], pks, int32(k)) {
-			return s
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-// Probe computes the inner-join match pairs between the probe-side candidate
-// rows and the build side: parallel arrays of probe row ids and build row
-// ids, one entry per matching pair. Pairs are emitted in probe order, with
-// matches in build-insertion order (ascending build row).
-func (ht *HashTable) Probe(keys []*Vector, cands []int32) (probeSel, buildSel []int32) {
-	pks := NewKeySet(keys, cands, true)
-	probeSel = make([]int32, 0, pks.n)
-	buildSel = make([]int32, 0, pks.n)
-	for k := 0; k < pks.n; k++ {
-		if pks.null[k] {
-			continue
-		}
-		id := ht.lookup(pks, k)
-		if id < 0 {
-			continue
-		}
-		r := pks.RowAt(k)
-		for b := ht.head[id]; b >= 0; b = ht.next[b] {
-			probeSel = append(probeSel, r)
-			buildSel = append(buildSel, ht.ks.RowAt(int(b)))
-		}
-	}
-	return probeSel, buildSel
-}
-
-// ProbeSemi returns the probe-side candidates that have at least one match
-// (semi join, for EXISTS); with anti=true it returns those with none
-// (anti join, for NOT EXISTS / NOT IN without NULL hazards).
-func (ht *HashTable) ProbeSemi(keys []*Vector, cands []int32, anti bool) []int32 {
-	pks := NewKeySet(keys, cands, true)
-	out := make([]int32, 0, pks.n)
-	for k := 0; k < pks.n; k++ {
-		matched := !pks.null[k] && ht.lookup(pks, k) >= 0
-		if matched != anti {
-			out = append(out, pks.RowAt(k))
-		}
-	}
-	return out
-}
-
-// ProbeMark is the build-side mirror of ProbeSemi: it sets marks[b] for every
-// build row b whose key some probe candidate holds, for joins that keep or
-// drop *build* rows by whether the other side matches (semi/anti joins built
-// on their left input). A key's rows are marked together, so a chain is
-// walked once however many probe rows hit it.
-func (ht *HashTable) ProbeMark(keys []*Vector, cands []int32, marks Bitmap) {
-	pks := NewKeySet(keys, cands, true)
-	for k := 0; k < pks.n; k++ {
-		if pks.null[k] {
-			continue
-		}
-		id := ht.lookup(pks, k)
-		if id < 0 || marks.Get(ht.ks.RowAt(int(ht.head[id]))) {
-			continue
-		}
-		for b := ht.head[id]; b >= 0; b = ht.next[b] {
-			marks.Set(ht.ks.RowAt(int(b)))
-		}
-	}
 }

@@ -9,8 +9,8 @@ import (
 	"monetlite/internal/mtypes"
 )
 
-// Cross-check tests: the open-addressing GroupBy and BuildHash/Probe* must
-// produce results identical to the retained refinement oracle (GroupByRefine)
+// Cross-check tests: the open-addressing GroupBy and the join table's Probe*
+// must produce results identical to the refinement oracle (GroupByRefine)
 // and to a brute-force join oracle, over randomized multi-column keys of
 // every kind, with NULL keys (NULLs group together; NULL join keys are
 // excluded) and with candidate lists.
@@ -167,6 +167,9 @@ func effRows(n int, cands []int32) []int32 {
 	return out
 }
 
+// The join table must answer every probe flavor exactly like a nested-loop
+// oracle — pair order included — at every partition count and worker budget:
+// one partition is the serial table, more are the mitosis build.
 func TestHashJoinMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 150; trial++ {
@@ -182,8 +185,6 @@ func TestHashJoinMatchesBruteForce(t *testing.T) {
 		}
 		bCands := randCands(rng, nb)
 		pCands := randCands(rng, np)
-
-		ht := BuildHash(buildKeys, bCands)
 		bRows := effRows(nb, bCands)
 		pRows := effRows(np, pCands)
 
@@ -210,71 +211,60 @@ func TestHashJoinMatchesBruteForce(t *testing.T) {
 				distinct++
 			}
 		}
-		if ht.Len() != distinct {
-			t.Fatalf("trial %d: table has %d keys, oracle %d", trial, ht.Len(), distinct)
-		}
-
-		// Inner join pairs (probe order, build rows ascending per probe).
-		var wantP, wantB []int32
+		// Inner join pairs (probe order, build rows ascending per probe), the
+		// probe rows with a match (semi) and the build rows with one (mark).
+		var wantP, wantB, wantSemi, wantAnti []int32
+		wantMark := NewBitmap(nb)
 		for _, p := range pRows {
+			matched := false
 			for _, b := range bRows {
 				if oracleMatch(buildKeys, probeKeys, b, p) {
 					wantP = append(wantP, p)
 					wantB = append(wantB, b)
+					wantMark.Set(b)
+					matched = true
 				}
 			}
-		}
-		gotP, gotB := ht.Probe(probeKeys, pCands)
-		if len(gotP) != len(wantP) {
-			t.Fatalf("trial %d: %d pairs, oracle %d", trial, len(gotP), len(wantP))
-		}
-		for i := range gotP {
-			if gotP[i] != wantP[i] || gotB[i] != wantB[i] {
-				t.Fatalf("trial %d: pair %d = (%d,%d), oracle (%d,%d)",
-					trial, i, gotP[i], gotB[i], wantP[i], wantB[i])
+			if matched {
+				wantSemi = append(wantSemi, p)
+			} else {
+				wantAnti = append(wantAnti, p)
 			}
 		}
 
-		// Semi / anti.
-		for _, anti := range []bool{false, true} {
-			var want []int32
-			for _, p := range pRows {
-				matched := false
-				for _, b := range bRows {
-					if oracleMatch(buildKeys, probeKeys, b, p) {
-						matched = true
-						break
+		for parts := 1; parts <= 32; parts <<= 1 {
+			for workers := 1; workers <= 4; workers++ {
+				ht := BuildHashPartitioned(buildKeys, bCands, parts, workers)
+				at := fmt.Sprintf("trial %d parts %d workers %d", trial, parts, workers)
+				if ht.Len() != distinct {
+					t.Fatalf("%s: table has %d keys, oracle %d", at, ht.Len(), distinct)
+				}
+				gotP, gotB := ht.Probe(probeKeys, pCands)
+				if len(gotP) != len(wantP) {
+					t.Fatalf("%s: %d pairs, oracle %d", at, len(gotP), len(wantP))
+				}
+				for i := range gotP {
+					if gotP[i] != wantP[i] || gotB[i] != wantB[i] {
+						t.Fatalf("%s: pair %d = (%d,%d), oracle (%d,%d)",
+							at, i, gotP[i], gotB[i], wantP[i], wantB[i])
 					}
 				}
-				if matched != anti {
-					want = append(want, p)
+				for _, anti := range []bool{false, true} {
+					want := wantSemi
+					if anti {
+						want = wantAnti
+					}
+					if got := ht.ProbeSemi(probeKeys, pCands, anti); !eqCands(got, want) {
+						t.Fatalf("%s anti=%v: rows %v, oracle %v", at, anti, got, want)
+					}
 				}
-			}
-			got := ht.ProbeSemi(probeKeys, pCands, anti)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d anti=%v: %d rows, oracle %d", trial, anti, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d anti=%v: row %d = %d, oracle %d", trial, anti, i, got[i], want[i])
+				marks := NewBitmap(nb)
+				ht.ProbeMark(probeKeys, pCands, marks)
+				for w := range marks {
+					if marks[w] != wantMark[w] {
+						t.Fatalf("%s: mark word %d = %x, oracle %x", at, w, marks[w], wantMark[w])
+					}
 				}
-			}
-		}
-
-		// Build rows marked by the probe side (semi/anti built on the left).
-		nBuild := buildKeys[0].Len()
-		marks := NewBitmap(nBuild)
-		ht.ProbeMark(probeKeys, pCands, marks)
-		for _, b := range bRows {
-			want := false
-			for _, p := range pRows {
-				if oracleMatch(buildKeys, probeKeys, b, p) {
-					want = true
-					break
-				}
-			}
-			if marks.Get(b) != want {
-				t.Fatalf("trial %d: build row %d marked=%v, oracle %v", trial, b, marks.Get(b), want)
 			}
 		}
 	}

@@ -2,26 +2,25 @@ package vec
 
 import "sync"
 
-// This file implements the radix-partitioned variant of the join hash table:
-// build-side keys are partitioned by the high bits of their fused hash into
-// independent per-partition open-addressing tables, so mitosis workers build
-// the table without contention (one goroutine per partition owns its slot
-// array exclusively). A key's hash determines its partition, so all rows of
-// one distinct key land in the same partition and probe results — pair order
-// included — are bit-identical to the serial HashTable, which the engine
-// keeps as the differential oracle.
+// This file implements the join hash table: build-side keys are partitioned
+// by the high bits of their fused hash into independent per-partition
+// open-addressing tables, so mitosis workers build the table without
+// contention (one goroutine per partition owns its slot array exclusively).
+// A key's hash determines its partition, so all rows of one distinct key land
+// in the same partition and probe results — pair order included — do not
+// depend on the partition count. One partition is the serial table.
 
 // MaxJoinPartitions bounds the partition fan-out; past ~64 partitions the
 // per-partition tables get too small to amortize their fixed cost.
 const MaxJoinPartitions = 64
 
-// JoinPartitions picks a power-of-two partition count for a partitioned
-// build on the given worker budget: enough partitions that workers rarely
-// idle (2x oversubscription smooths skewed partitions), never more than
-// MaxJoinPartitions.
+// JoinPartitions picks a power-of-two partition count for a build on the
+// given worker budget: one partition for one worker, otherwise enough that
+// workers rarely idle (2x oversubscription smooths skewed partitions), never
+// more than MaxJoinPartitions.
 func JoinPartitions(workers int) int {
-	if workers < 1 {
-		workers = 1
+	if workers <= 1 {
+		return 1
 	}
 	parts := 1
 	for parts < 2*workers && parts < MaxJoinPartitions {
@@ -39,8 +38,10 @@ type hashPart struct {
 	head, tail []int32
 }
 
-// PartitionedHashTable is the mitosis form of the join hash table. It
-// answers the same probes as HashTable with identical output ordering.
+// PartitionedHashTable is the join hash table over one or more key columns
+// of the build side: per partition, an OATable of distinct keys plus per-key
+// row chains in build order. NULL keys are excluded (SQL equi-join
+// semantics).
 type PartitionedHashTable struct {
 	ks    *KeySet
 	shift uint // partition = hash >> shift (high-bit radix)
@@ -55,11 +56,11 @@ func (pt *PartitionedHashTable) partOf(h uint64) int {
 	return int(h >> pt.shift)
 }
 
-// BuildHashPartitioned constructs a partitioned hash table over the candidate
+// BuildHashPartitioned constructs the join hash table over the candidate
 // rows of the build-side key columns using up to `workers` goroutines. Rows
 // with any NULL key are skipped (SQL equi-join semantics). parts must be a
-// power of two; workers <= 1 builds serially (still partitioned, so probes
-// are identical either way).
+// power of two; workers <= 1 builds on the calling goroutine. Probes answer
+// identically for every parts and workers.
 func BuildHashPartitioned(keys []*Vector, cands []int32, parts, workers int) *PartitionedHashTable {
 	if parts < 1 {
 		parts = 1
@@ -76,10 +77,20 @@ func BuildHashPartitioned(keys []*Vector, cands []int32, parts, workers int) *Pa
 		next:  make([]int32, ks.n),
 	}
 
-	// Counting-sort the effective rows by partition so each worker walks a
-	// dense run. The stable fill preserves row order within a partition, so
-	// per-key chains come out in ascending effective index — the same chain
-	// order the serial HashTable produces.
+	// Chains link rows in ascending effective index, so they come out in
+	// build order. One partition takes every non-NULL row as it comes; more
+	// counting-sort the rows by partition so each worker walks a dense run
+	// (the stable fill keeps row order within a partition).
+	if parts == 1 {
+		part := &pt.parts[0]
+		part.tbl = NewOATable(ks.n/4+8, ks.equal)
+		for k := 0; k < ks.n; k++ {
+			if !ks.null[k] {
+				pt.insert(part, int32(k))
+			}
+		}
+		return pt
+	}
 	counts := make([]int32, parts+1)
 	for k := 0; k < ks.n; k++ {
 		if !ks.null[k] {
@@ -106,18 +117,10 @@ func BuildHashPartitioned(keys []*Vector, cands []int32, parts, workers int) *Pa
 		part := &pt.parts[p]
 		part.tbl = NewOATable(len(rows)/4+8, ks.equal)
 		for _, k := range rows {
-			pt.next[k] = -1
-			id, fresh := part.tbl.Insert(k, ks.hash[k])
-			if fresh {
-				part.head = append(part.head, k)
-				part.tail = append(part.tail, k)
-			} else {
-				pt.next[part.tail[id]] = k
-				part.tail[id] = k
-			}
+			pt.insert(part, k)
 		}
 	}
-	if workers <= 1 || parts == 1 {
+	if workers <= 1 {
 		for p := 0; p < parts; p++ {
 			build(p)
 		}
@@ -138,6 +141,20 @@ func BuildHashPartitioned(keys []*Vector, cands []int32, parts, workers int) *Pa
 	return pt
 }
 
+// insert adds effective row k to its partition, appending it to its key's
+// chain.
+func (pt *PartitionedHashTable) insert(part *hashPart, k int32) {
+	pt.next[k] = -1
+	id, fresh := part.tbl.Insert(k, pt.ks.hash[k])
+	if fresh {
+		part.head = append(part.head, k)
+		part.tail = append(part.tail, k)
+	} else {
+		pt.next[part.tail[id]] = k
+		part.tail[id] = k
+	}
+}
+
 // Len returns the number of distinct non-NULL keys in the table.
 func (pt *PartitionedHashTable) Len() int {
 	n := 0
@@ -148,26 +165,32 @@ func (pt *PartitionedHashTable) Len() int {
 }
 
 // lookup probes the owning partition with row k of the probe-side key set,
-// returning the partition and its dense key id, or (-1, -1).
-func (pt *PartitionedHashTable) lookup(pks *KeySet, k int) (int, int32) {
+// returning the first build row of the key's chain, or -1. Collisions verify
+// exactly across the two key sets.
+func (pt *PartitionedHashTable) lookup(pks *KeySet, k int) int32 {
 	h := pks.hash[k]
-	p := pt.partOf(h)
-	t := pt.parts[p].tbl
+	part := &pt.parts[0]
+	if len(pt.parts) > 1 {
+		part = &pt.parts[pt.partOf(h)]
+	}
+	t := part.tbl
 	i := h & t.mask
 	for {
 		s := t.slots[i]
 		if s < 0 {
-			return -1, -1
+			return -1
 		}
 		if t.hashes[i] == h && keySetsEqual(pt.ks, t.repr[s], pks, int32(k)) {
-			return p, s
+			return part.head[s]
 		}
 		i = (i + 1) & t.mask
 	}
 }
 
-// Probe computes inner-join match pairs exactly like HashTable.Probe: probe
-// order, matches in ascending build row per probe row.
+// Probe computes the inner-join match pairs between the probe-side candidate
+// rows and the build side: parallel arrays of probe row ids and build row
+// ids, one entry per matching pair. Pairs are emitted in probe order, with
+// matches in build-insertion order (ascending build row).
 func (pt *PartitionedHashTable) Probe(keys []*Vector, cands []int32) (probeSel, buildSel []int32) {
 	pks := NewKeySet(keys, cands, true)
 	probeSel = make([]int32, 0, pks.n)
@@ -176,12 +199,12 @@ func (pt *PartitionedHashTable) Probe(keys []*Vector, cands []int32) (probeSel, 
 		if pks.null[k] {
 			continue
 		}
-		p, id := pt.lookup(pks, k)
-		if id < 0 {
+		head := pt.lookup(pks, k)
+		if head < 0 {
 			continue
 		}
 		r := pks.RowAt(k)
-		for b := pt.parts[p].head[id]; b >= 0; b = pt.next[b] {
+		for b := head; b >= 0; b = pt.next[b] {
 			probeSel = append(probeSel, r)
 			buildSel = append(buildSel, pt.ks.RowAt(int(b)))
 		}
@@ -189,16 +212,14 @@ func (pt *PartitionedHashTable) Probe(keys []*Vector, cands []int32) (probeSel, 
 	return probeSel, buildSel
 }
 
-// ProbeSemi mirrors HashTable.ProbeSemi over the partitioned table.
+// ProbeSemi returns the probe-side candidates that have at least one match
+// (semi join, for EXISTS); with anti=true it returns those with none (anti
+// join, for NOT EXISTS / NOT IN without NULL hazards).
 func (pt *PartitionedHashTable) ProbeSemi(keys []*Vector, cands []int32, anti bool) []int32 {
 	pks := NewKeySet(keys, cands, true)
 	out := make([]int32, 0, pks.n)
 	for k := 0; k < pks.n; k++ {
-		matched := false
-		if !pks.null[k] {
-			_, id := pt.lookup(pks, k)
-			matched = id >= 0
-		}
+		matched := !pks.null[k] && pt.lookup(pks, k) >= 0
 		if matched != anti {
 			out = append(out, pks.RowAt(k))
 		}
@@ -206,33 +227,23 @@ func (pt *PartitionedHashTable) ProbeSemi(keys []*Vector, cands []int32, anti bo
 	return out
 }
 
-// ProbeMark mirrors HashTable.ProbeMark over the partitioned table.
+// ProbeMark is the build-side mirror of ProbeSemi: it sets marks[b] for every
+// build row b whose key some probe candidate holds, for joins that keep or
+// drop *build* rows by whether the other side matches (semi/anti joins built
+// on their left input). A key's rows are marked together, so a chain is
+// walked once however many probe rows hit it.
 func (pt *PartitionedHashTable) ProbeMark(keys []*Vector, cands []int32, marks Bitmap) {
 	pks := NewKeySet(keys, cands, true)
 	for k := 0; k < pks.n; k++ {
 		if pks.null[k] {
 			continue
 		}
-		p, id := pt.lookup(pks, k)
-		if id < 0 || marks.Get(pt.ks.RowAt(int(pt.parts[p].head[id]))) {
+		head := pt.lookup(pks, k)
+		if head < 0 || marks.Get(pt.ks.RowAt(int(head))) {
 			continue
 		}
-		for b := pt.parts[p].head[id]; b >= 0; b = pt.next[b] {
+		for b := head; b >= 0; b = pt.next[b] {
 			marks.Set(pt.ks.RowAt(int(b)))
 		}
 	}
 }
-
-// JoinTable is the common probe interface of the serial and partitioned join
-// hash tables; the executor picks the implementation per query.
-type JoinTable interface {
-	Len() int
-	Probe(keys []*Vector, cands []int32) (probeSel, buildSel []int32)
-	ProbeSemi(keys []*Vector, cands []int32, anti bool) []int32
-	ProbeMark(keys []*Vector, cands []int32, marks Bitmap)
-}
-
-var (
-	_ JoinTable = (*HashTable)(nil)
-	_ JoinTable = (*PartitionedHashTable)(nil)
-)

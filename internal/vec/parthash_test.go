@@ -2,78 +2,11 @@ package vec
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"monetlite/internal/mtypes"
 )
-
-// The partitioned hash table must be a drop-in replacement for the serial
-// HashTable: identical pair lists (order included) for every probe flavor,
-// over randomized multi-column keys with NULLs and candidate lists, across
-// partition counts and worker budgets.
-func TestPartitionedHashMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 150; trial++ {
-		nb := 1 + rng.Intn(200)
-		np := 1 + rng.Intn(200)
-		ncols := 1 + rng.Intn(3)
-		buildKeys := make([]*Vector, ncols)
-		probeKeys := make([]*Vector, ncols)
-		for i := range buildKeys {
-			typ := keyKinds[rng.Intn(len(keyKinds))]
-			buildKeys[i] = randKeyVector(rng, typ, nb)
-			probeKeys[i] = randKeyVector(rng, typ, np)
-		}
-		bCands := randCands(rng, nb)
-		pCands := randCands(rng, np)
-		parts := 1 << rng.Intn(6) // 1..32
-		workers := 1 + rng.Intn(4)
-
-		ht := BuildHash(buildKeys, bCands)
-		pt := BuildHashPartitioned(buildKeys, bCands, parts, workers)
-		if ht.Len() != pt.Len() {
-			t.Fatalf("trial %d: %d distinct keys vs serial %d", trial, pt.Len(), ht.Len())
-		}
-
-		eqPairs := func(name string, gp, gb, wp, wb []int32) {
-			t.Helper()
-			if len(gp) != len(wp) {
-				t.Fatalf("trial %d %s: %d pairs, serial %d", trial, name, len(gp), len(wp))
-			}
-			for i := range gp {
-				if gp[i] != wp[i] || gb[i] != wb[i] {
-					t.Fatalf("trial %d %s: pair %d = (%d,%d), serial (%d,%d)",
-						trial, name, i, gp[i], gb[i], wp[i], wb[i])
-				}
-			}
-		}
-		wp, wb := ht.Probe(probeKeys, pCands)
-		gp, gb := pt.Probe(probeKeys, pCands)
-		eqPairs("inner", gp, gb, wp, wb)
-
-		wantM, gotM := NewBitmap(buildKeys[0].Len()), NewBitmap(buildKeys[0].Len())
-		ht.ProbeMark(probeKeys, pCands, wantM)
-		pt.ProbeMark(probeKeys, pCands, gotM)
-		for w := range wantM {
-			if gotM[w] != wantM[w] {
-				t.Fatalf("trial %d mark: word %d = %x, serial %x", trial, w, gotM[w], wantM[w])
-			}
-		}
-
-		for _, anti := range []bool{false, true} {
-			want := ht.ProbeSemi(probeKeys, pCands, anti)
-			got := pt.ProbeSemi(probeKeys, pCands, anti)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d semi anti=%v: %d rows, serial %d", trial, anti, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d semi anti=%v: row %d = %d, serial %d", trial, anti, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
 
 // A chunked probe (slice the probe keys, probe each slice, offset and
 // concatenate in chunk order) must reproduce the unchunked pair lists — the
@@ -110,9 +43,38 @@ func TestPartitionedHashChunkedProbe(t *testing.T) {
 	}
 }
 
+// The one-part table is the serial join: its build+probe on the benchmark
+// input below is pinned at the allocations of the serial table it replaced
+// (86 allocs and 8 706 176 B per build+probe), plus the one-entry partition
+// slice.
+func TestHashJoinOnePartAllocs(t *testing.T) {
+	build, probe := benchJoinInput(1<<16, 1<<18)
+	allocs, bytes := allocsPerRun(3, func() {
+		ht := BuildHashPartitioned(build, nil, 1, 1)
+		ht.Probe(probe, nil)
+	})
+	if allocs > 87 || bytes > 8706240 {
+		t.Fatalf("one-part build+probe: %d allocs, %d B per run; want at most 87 allocs, 8706240 B", allocs, bytes)
+	}
+}
+
+// allocsPerRun is testing.AllocsPerRun reporting bytes too: the mean heap
+// allocations and bytes of one call of f, after a warm-up call.
+func allocsPerRun(runs int, f func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return (m1.Mallocs - m0.Mallocs) / uint64(runs), (m1.TotalAlloc - m0.TotalAlloc) / uint64(runs)
+}
+
 // ---------------------------------------------------------------------------
-// Microbenchmarks: serial build/probe, old table vs partitioned (1 worker).
-// The partitioned path must not regress the serial case it replaces.
+// Microbenchmarks: the one-part (serial) table and an 8-part build on one
+// worker, over the same input.
 // ---------------------------------------------------------------------------
 
 func benchJoinInput(nb, np int) (build, probe []*Vector) {
@@ -128,24 +90,15 @@ func benchJoinInput(nb, np int) (build, probe []*Vector) {
 	return []*Vector{bk}, []*Vector{pk}
 }
 
-func BenchmarkHashJoinBuildProbeSerial(b *testing.B) {
-	build, probe := benchJoinInput(1<<16, 1<<18)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ht := BuildHash(build, nil)
-		p, _ := ht.Probe(probe, nil)
-		if len(p) == 0 {
-			b.Fatal("no pairs")
-		}
-	}
-	b.SetBytes(int64(probe[0].Len()))
-}
+func BenchmarkHashJoinBuildProbeSerial(b *testing.B) { benchmarkHashJoin(b, 1) }
 
-func BenchmarkHashJoinBuildProbePartitioned(b *testing.B) {
+func BenchmarkHashJoinBuildProbePartitioned(b *testing.B) { benchmarkHashJoin(b, 8) }
+
+func benchmarkHashJoin(b *testing.B, parts int) {
 	build, probe := benchJoinInput(1<<16, 1<<18)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pt := BuildHashPartitioned(build, nil, 8, 1)
+		pt := BuildHashPartitioned(build, nil, parts, 1)
 		p, _ := pt.Probe(probe, nil)
 		if len(p) == 0 {
 			b.Fatal("no pairs")

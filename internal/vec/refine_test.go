@@ -8,7 +8,7 @@ import (
 
 // This file holds the MonetDB-style iterative group refinement path. It was
 // the engine's grouping implementation before the open-addressing table in
-// oahash.go replaced it; it is kept only as a test oracle — the cross-check
+// oahash.go replaced it; it is kept as the test oracle — the cross-check
 // tests assert that GroupBy and GroupByRefine produce identical groupings
 // (including group-id numbering, which both assign in first-appearance order
 // of the composite key).
@@ -116,9 +116,8 @@ func refineGroups(key *Vector, cands []int32, gids []int32, ngroups int) ([]int3
 
 // numKeyAt extracts the canonical int64 payload of a numeric join key.
 // Doubles use their bit pattern; decimals their scaled integer (callers must
-// align scales before joining — the planner does). Shared by the
-// open-addressing tables' tests (the brute-force join oracle) and kept as
-// the reference definition of the canonical payload encoding.
+// align scales before joining — the planner does). It is the brute-force
+// join oracle's reference definition of the canonical payload encoding.
 func numKeyAt(v *Vector, i int) (int64, bool) {
 	switch v.Typ.Kind {
 	case mtypes.KDouble:

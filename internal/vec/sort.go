@@ -15,7 +15,9 @@ type SortKey struct {
 
 // SortOrder computes the stable permutation of [0,n) that orders the rows by
 // the given keys. NULL sorts smallest (first ascending, last descending),
-// matching MonetDB.
+// matching MonetDB. It compares through one closure per key and is the
+// executable specification the coded sort kernels (sortkernels.go) are
+// tested against; no engine path calls it.
 func SortOrder(keys []SortKey, n int) []int32 {
 	order := make([]int32, n)
 	for i := range order {
@@ -128,10 +130,12 @@ func nullCmp(xn, yn bool) int {
 	}
 }
 
-// SortedOrderOf returns the ascending order permutation of a single column —
-// this is exactly the payload of a CREATE ORDER INDEX.
+// SortedOrderOf returns the stable ascending order permutation of a single
+// column — this is exactly the payload of a CREATE ORDER INDEX.
 func SortedOrderOf(v *Vector) []int32 {
-	return SortOrder([]SortKey{{Vec: v}}, v.Len())
+	order := Range(v.Len())
+	NewCodedSort([]SortKey{{Vec: v}}, v.Len()).Sort(order)
+	return order
 }
 
 // MedianFloats computes the exact median of the non-NaN values (sort-based,

@@ -9,7 +9,7 @@ import (
 )
 
 // Typed sort kernels: instead of dispatching through a per-comparison closure
-// (the serial SortOrder path, kept as the differential oracle), each sort key
+// (SortOrder, the tests' oracle), each sort key
 // column is compiled once into a vector of order-preserving uint64 "sort
 // codes" such that
 //
@@ -273,7 +273,8 @@ func (cs *CodedSort) merge2(a, b, out []int32) {
 // MergeRuns k-way-merges Less-sorted runs into one sorted slice. Runs over
 // disjoint ascending index ranges (mitosis chunks) merge stably because Less
 // breaks key ties by index. A binary heap of run heads keeps the merge at
-// O(n log k); with two runs it degenerates to the plain two-way merge.
+// O(n log k); with two runs it degenerates to the plain two-way merge, and a
+// lone non-empty run is returned as is.
 func (cs *CodedSort) MergeRuns(runs [][]int32) []int32 {
 	live := runs[:0]
 	total := 0
@@ -283,14 +284,14 @@ func (cs *CodedSort) MergeRuns(runs [][]int32) []int32 {
 			total += len(r)
 		}
 	}
-	out := make([]int32, total)
 	switch len(live) {
 	case 0:
-		return out
+		return []int32{}
 	case 1:
-		copy(out, live[0])
-		return out
-	case 2:
+		return live[0]
+	}
+	out := make([]int32, total)
+	if len(live) == 2 {
 		cs.merge2(live[0], live[1], out)
 		return out
 	}
@@ -397,31 +398,4 @@ func (cs *CodedSort) maxSiftDown(h []int32, i int) {
 		h[i], h[s] = h[s], h[i]
 		i = s
 	}
-}
-
-// SortOrderParallel computes the same permutation as SortOrder using the
-// typed code kernels: the index range is cut into `chunks` contiguous runs,
-// each run is sorted independently (callers may fan runs out over
-// goroutines via SortRun) and the Less-ordered runs are k-way merged.
-// This serial convenience form underlies the vec-level differential tests;
-// the execution engine drives the same kernels with real goroutines.
-func SortOrderParallel(keys []SortKey, n, chunks int) []int32 {
-	cs := NewCodedSort(keys, n)
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	if chunks <= 1 || n < 2 {
-		cs.Sort(order)
-		return order
-	}
-	per := (n + chunks - 1) / chunks
-	runs := make([][]int32, 0, chunks)
-	for lo := 0; lo < n; lo += per {
-		hi := min(lo+per, n)
-		run := order[lo:hi]
-		cs.Sort(run)
-		runs = append(runs, run)
-	}
-	return cs.MergeRuns(runs)
 }

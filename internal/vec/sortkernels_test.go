@@ -217,3 +217,29 @@ func TestVarcharPrefixTies(t *testing.T) {
 		}
 	}
 }
+
+// SortOrderParallel computes the same permutation as SortOrder using the
+// typed code kernels: the index range is cut into `chunks` contiguous runs,
+// each run is sorted independently (callers may fan runs out over
+// goroutines via SortRun) and the Less-ordered runs are k-way merged.
+// The execution engine drives the same kernels with one goroutine per run.
+func SortOrderParallel(keys []SortKey, n, chunks int) []int32 {
+	cs := NewCodedSort(keys, n)
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	if chunks <= 1 || n < 2 {
+		cs.Sort(order)
+		return order
+	}
+	per := (n + chunks - 1) / chunks
+	runs := make([][]int32, 0, chunks)
+	for lo := 0; lo < n; lo += per {
+		hi := min(lo+per, n)
+		run := order[lo:hi]
+		cs.Sort(run)
+		runs = append(runs, run)
+	}
+	return cs.MergeRuns(runs)
+}

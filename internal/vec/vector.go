@@ -20,13 +20,15 @@
 //   - Determinism: kernels produce identical output for identical input —
 //     group ids are assigned in first-appearance order, join tables emit
 //     match chains in build order, and sorts are stable (ties keep input
-//     order). This is what lets the parallel paths (which concatenate
-//     per-chunk results in chunk order) promise output *identical* to their
-//     serial oracles, not merely equivalent.
-//   - Fast path / oracle pairs: GroupBy vs GroupByRefine, the partitioned
-//     join table vs BuildHash, the coded sort kernels (sortkernels.go) vs
-//     SortOrder. The slow twin is kept as the executable specification the
-//     randomized differential tests compare against.
+//     order). This is what lets a chunked run (which concatenates per-chunk
+//     results in chunk order) promise output *identical* to the one-chunk
+//     run, not merely equivalent.
+//   - Kernel / oracle pairs: GroupBy vs GroupByRefine (refine_test.go), the
+//     join table at every partition count vs a nested-loop oracle
+//     (oahash_test.go), the coded sort kernels (sortkernels.go) vs SortOrder.
+//     The oracle is the executable specification the randomized
+//     differential tests compare against; SortOrder stays exported only so
+//     the engine's sort fuzzer can call it, and no engine path does.
 package vec
 
 import (
