@@ -146,8 +146,9 @@ func TestCancelParallelSort(t *testing.T) {
 	}
 }
 
-// Cancellation during a parallel join probe: probeChunks must propagate the
-// context error, never an empty pair list masquerading as a real result.
+// Cancellation during a parallel join probe: the probe's fan-out must
+// propagate the context error, never an empty pair list masquerading as a
+// real result.
 func TestCancelParallelJoin(t *testing.T) {
 	cat := buildTable(t, 4096)
 	p := planFor(t, cat, "SELECT count(*) FROM nums a, nums b WHERE a.i = b.i")
