@@ -8,6 +8,74 @@ import (
 	"monetlite/internal/mtypes"
 )
 
+// The serial join table is the one-part build on one worker, which skips the
+// counting sort and the partition pick. Every partitioned build, at any part
+// count and worker budget, must agree with it on distinct keys and on every
+// probe flavor, pair for pair and in the same order.
+func TestPartitionedHashMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 150; trial++ {
+		nb := 1 + rng.Intn(200)
+		np := 1 + rng.Intn(200)
+		ncols := 1 + rng.Intn(3)
+		buildKeys := make([]*Vector, ncols)
+		probeKeys := make([]*Vector, ncols)
+		for i := range buildKeys {
+			typ := keyKinds[rng.Intn(len(keyKinds))]
+			buildKeys[i] = randKeyVector(rng, typ, nb)
+			probeKeys[i] = randKeyVector(rng, typ, np)
+		}
+		bCands := randCands(rng, nb)
+		pCands := randCands(rng, np)
+		parts := 2 << rng.Intn(5) // 2..32
+		workers := 1 + rng.Intn(4)
+
+		ht := BuildHashPartitioned(buildKeys, bCands, 1, 1)
+		pt := BuildHashPartitioned(buildKeys, bCands, parts, workers)
+		if ht.Len() != pt.Len() {
+			t.Fatalf("trial %d: %d distinct keys vs serial %d", trial, pt.Len(), ht.Len())
+		}
+
+		eqPairs := func(name string, gp, gb, wp, wb []int32) {
+			t.Helper()
+			if len(gp) != len(wp) {
+				t.Fatalf("trial %d %s: %d pairs, serial %d", trial, name, len(gp), len(wp))
+			}
+			for i := range gp {
+				if gp[i] != wp[i] || gb[i] != wb[i] {
+					t.Fatalf("trial %d %s: pair %d = (%d,%d), serial (%d,%d)",
+						trial, name, i, gp[i], gb[i], wp[i], wb[i])
+				}
+			}
+		}
+		wp, wb := ht.Probe(probeKeys, pCands)
+		gp, gb := pt.Probe(probeKeys, pCands)
+		eqPairs("inner", gp, gb, wp, wb)
+
+		wantM, gotM := NewBitmap(buildKeys[0].Len()), NewBitmap(buildKeys[0].Len())
+		ht.ProbeMark(probeKeys, pCands, wantM)
+		pt.ProbeMark(probeKeys, pCands, gotM)
+		for w := range wantM {
+			if gotM[w] != wantM[w] {
+				t.Fatalf("trial %d mark: word %d = %x, serial %x", trial, w, gotM[w], wantM[w])
+			}
+		}
+
+		for _, anti := range []bool{false, true} {
+			want := ht.ProbeSemi(probeKeys, pCands, anti)
+			got := pt.ProbeSemi(probeKeys, pCands, anti)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d semi anti=%v: %d rows, serial %d", trial, anti, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d semi anti=%v: row %d = %d, serial %d", trial, anti, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // A chunked probe (slice the probe keys, probe each slice, offset and
 // concatenate in chunk order) must reproduce the unchunked pair lists — the
 // contract the executor's parallel probe relies on.
