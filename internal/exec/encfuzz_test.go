@@ -198,15 +198,16 @@ func TestEncodedExecutionTrace(t *testing.T) {
 		q    string
 		want []string
 	}{
-		// Scan announces which columns are compressed.
+		// Scan announces which columns are compressed; a comparison on a
+		// FOR column runs once per code (20 values plus NULL).
 		{"SELECT count(*) FROM t WHERE a < 10",
-			[]string{"optimizer.encoding", "a=for(", "encoded for(", "algebra.thetaselect"}},
-		// BETWEEN runs as a range select on FOR codes.
+			[]string{"optimizer.encoding", "a=for(", "algebra.select", "encoded for(", "domain 21"}},
+		// So does BETWEEN.
 		{"SELECT count(*) FROM t WHERE a BETWEEN 3 AND 9",
-			[]string{"algebra.rangeselect", "encoded for("}},
-		// Varchar equality runs on dict codes.
+			[]string{"algebra.select", "encoded for(", "domain 21"}},
+		// Varchar equality runs once per dictionary entry.
 		{"SELECT count(*) FROM t WHERE s = 'berlin'",
-			[]string{"algebra.thetaselect", "encoded dict("}},
+			[]string{"algebra.select", "encoded dict(", "domain 9"}},
 		// GROUP BY on a dict varchar feeds codes to the grouping kernel.
 		{"SELECT s, count(*) FROM t GROUP BY s",
 			[]string{"group.group", "dict codes"}},
@@ -241,6 +242,39 @@ func TestEncodedExecutionTrace(t *testing.T) {
 			if strings.Contains(rawOut, w) {
 				t.Fatalf("%q: raw table trace has encoded marker %q:\n%s", tc.q, w, rawOut)
 			}
+		}
+	}
+}
+
+// TestEncodedSelectOrder pins where a comparison on an encoded column runs:
+// over the value domain only when that has no more entries than the rows
+// tested, else through the indexes as on a raw column. b is FOR-encoded over
+// about 5000 codes in 2048 rows, a over 20 codes plus NULL.
+func TestEncodedSelectOrder(t *testing.T) {
+	encCat, _, _ := buildEncFuzzPair(t, rand.New(rand.NewSource(7)), 2048, false)
+	src, _ := encCat.Source("t")
+	if en := src.EncodedCol(2); en == nil || en.Enc != vec.EncFOR || en.CodeMax <= 2048 {
+		t.Fatalf("column b encoded as %+v, want FOR over more codes than rows", en)
+	}
+	cases := []struct {
+		q          string
+		chunkRows  int
+		want, deny string
+	}{
+		// A point lookup on the wide column reaches the hash index.
+		{"SELECT count(*) FROM t WHERE b = 1000000000042", 0, "algebra.select(hashidx)", "domain"},
+		// A range on a mitosis chunk of 256 rows reaches imprints.
+		{"SELECT count(*) FROM t WHERE b >= 1000000004000", 256, "imprints", "domain"},
+		// The small domain still wins over the rows, in a chunk too.
+		{"SELECT count(*) FROM t WHERE a = 3", 0, "algebra.select(encoded for(base=0,5b), domain 21)", "hashidx"},
+		{"SELECT count(*) FROM t WHERE a < 3", 256, "", "imprints"},
+	}
+	for _, tc := range cases {
+		e := &Engine{Trace: &mal.Program{}, Parallel: tc.chunkRows > 0, MaxThreads: 4, testChunkRows: tc.chunkRows}
+		runEngine(t, encCat, tc.q, e)
+		out := e.Trace.String()
+		if !strings.Contains(out, tc.want) || strings.Contains(out, tc.deny) {
+			t.Fatalf("%q (chunk rows %d): want %q and no %q in trace:\n%s", tc.q, tc.chunkRows, tc.want, tc.deny, out)
 		}
 	}
 }

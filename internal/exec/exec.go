@@ -283,6 +283,17 @@ func (e *Engine) chunkEngine(n int) *Engine {
 	}
 }
 
+// untraced returns e without its MAL trace, for work whose trace lines would
+// repeat what the caller emits: e itself when it has no trace, else a copy.
+func (e *Engine) untraced() *Engine {
+	if e.Trace == nil {
+		return e
+	}
+	c := *e
+	c.Trace = nil
+	return &c
+}
+
 // runTasks executes task(0..n-1) through the query's lease (see
 // workpool.Lease.Run): the calling goroutine plus the workers admission
 // control grants — fewer under concurrency, as the pool caps each query at
@@ -393,9 +404,10 @@ func (b *batch) liveRows() int {
 
 // execFilter refines the input's candidate list conjunct by conjunct — the
 // same representation the scan path uses — instead of materializing a
-// filtered copy: each conjunct maps to a selection kernel (or a dense
-// predicate evaluation over the current survivors) and the output batch
-// carries the refined list. Nothing is gathered here; that happens once,
+// filtered copy: a one-column conjunct on an encoded column runs over its
+// value domain (selectDomain), any other maps to a selection kernel (or a
+// dense predicate evaluation over the current survivors), and the output
+// batch carries the refined list. Nothing is gathered here; that happens once,
 // downstream, at a pipeline breaker.
 func (e *Engine) execFilter(x *plan.Filter) (*batch, error) {
 	in, err := e.exec(x.Input)
@@ -406,19 +418,25 @@ func (e *Engine) execFilter(x *plan.Filter) (*batch, error) {
 	if len(in.cols) > 0 {
 		width = in.cols[0].Len()
 	}
+	enc := func(slot int) *vec.Encoded {
+		if slot < len(in.enc) {
+			return in.enc[slot]
+		}
+		return nil
+	}
 	sel := in.sel
 	for _, f := range plan.SplitConjuncts(x.Pred) {
 		if err := e.checkInterrupt(); err != nil {
 			return nil, err
 		}
-		if encSel, ok := e.refineFilterEncoded(f, in, width, sel); ok {
-			sel = encSel
-		} else {
-			sel, err = e.refineFilter(f, in.cols, width, sel)
-			if err != nil {
-				return nil, err
-			}
+		refined, ok, err := e.selectDomain(enc, f, in.cols, sel, 0, width)
+		if !ok && err == nil {
+			refined, err = e.refineFilter(f, in.cols, width, sel)
 		}
+		if err != nil {
+			return nil, err
+		}
+		sel = refined
 		if sel != nil && len(sel) == 0 {
 			break // all-false: no later conjunct can resurrect a row
 		}
@@ -426,64 +444,6 @@ func (e *Engine) execFilter(x *plan.Filter) (*batch, error) {
 	out := newSelBatch(in.cols, sel)
 	out.enc = in.enc
 	return out, nil
-}
-
-// refineFilterEncoded evaluates one conjunct directly on a batch's
-// compressed columns when the predicate shape and encoding allow it
-// (comparison or BETWEEN against a constant). ok=false means the caller
-// should take the raw refineFilter path.
-func (e *Engine) refineFilterEncoded(f plan.Expr, in *batch, width int, cands []int32) ([]int32, bool) {
-	if in.enc == nil {
-		return nil, false
-	}
-	enc := func(cr *plan.ColRef) *vec.Encoded {
-		if cr.Slot < 0 || cr.Slot >= len(in.enc) {
-			return nil
-		}
-		return in.enc[cr.Slot]
-	}
-	switch p := f.(type) {
-	case *plan.BinOp:
-		if p.Kind != plan.BinCmp {
-			return nil, false
-		}
-		cr, op := (*plan.ColRef)(nil), p.Cmp
-		var val mtypes.Value
-		if l, ok := p.L.(*plan.ColRef); ok {
-			if c, ok := p.R.(*plan.Const); ok {
-				cr, val = l, c.Val
-			}
-		} else if r, ok := p.R.(*plan.ColRef); ok {
-			if c, ok := p.L.(*plan.Const); ok {
-				cr, op, val = r, p.Cmp.Flip(), c.Val
-			}
-		}
-		if cr == nil {
-			return nil, false
-		}
-		en := enc(cr)
-		if en == nil {
-			return nil, false
-		}
-		if sel, ok := en.SelCmpWindow(op, val, cands, 0, width); ok {
-			e.Trace.Emit("algebra.thetaselect", "encoded "+en.Describe(), op.String())
-			return sel, true
-		}
-	case *plan.BetweenExpr:
-		if cr, ok := p.E.(*plan.ColRef); ok && !p.Not {
-			if lo, hi, ok := constBounds(p); ok {
-				en := enc(cr)
-				if en == nil {
-					return nil, false
-				}
-				if sel, ok := en.SelRangeWindow(lo, hi, !p.LoExcl, !p.HiExcl, cands, 0, width); ok {
-					e.Trace.Emit("algebra.rangeselect", "encoded "+en.Describe())
-					return sel, true
-				}
-			}
-		}
-	}
-	return nil, false
 }
 
 func (e *Engine) execProject(x *plan.Project) (*batch, error) {

@@ -154,9 +154,9 @@ func (e *Engine) scanEncoded(x *plan.Scan, src TableSource) []*vec.Encoded {
 		en := src.EncodedCol(ci)
 		if en == nil || en.N < src.NumRows() {
 			// A batch-wide encoding must cover every visible row; one that
-			// stops short (an unmerged append-delta) is still used by the
-			// window-aware filter kernels below, but downstream operators
-			// (group-by on codes, sort by code) need full coverage.
+			// stops short (an unmerged append-delta) still serves the scan's
+			// filters (selectDomain), but downstream operators (group-by on
+			// codes, sort by code) need full coverage.
 			continue
 		}
 		if encs == nil {
@@ -228,13 +228,17 @@ func (e *Engine) scanRange(x *plan.Scan, src TableSource, cols []*vec.Vector, lo
 }
 
 // applyScanFilter applies one conjunct over the scan window [rowLo, rowHi).
-// It adds secondary-index acceleration (hash/order indexes, imprints) on top
-// of the shared conjunct refiner for the predicate shapes indexes understand,
-// and evaluates any other one-column conjunct over an encoded column's value
-// domain (selectDomain); everything else delegates to refineFilter, so the
-// scan path and the post-scan Filter path share one candidate-list
-// representation.
+// A one-column conjunct on an encoded column runs over the column's value
+// domain when that is smaller than the rows it would test (selectDomain);
+// otherwise the predicate shapes indexes understand get secondary-index
+// acceleration (hash/order indexes, imprints), and everything else delegates
+// to refineFilter, so the scan path and the post-scan Filter path share one
+// candidate-list representation.
 func (e *Engine) applyScanFilter(x *plan.Scan, src TableSource, f plan.Expr, cols []*vec.Vector, cands []int32, rowLo, rowHi int) ([]int32, error) {
+	enc := func(slot int) *vec.Encoded { return src.EncodedCol(x.Cols[slot]) }
+	if sel, ok, err := e.selectDomain(enc, f, cols, cands, rowLo, rowHi); ok || err != nil {
+		return sel, err
+	}
 	switch p := f.(type) {
 	case *plan.BinOp:
 		if p.Kind == plan.BinCmp {
@@ -263,24 +267,22 @@ func (e *Engine) applyScanFilter(x *plan.Scan, src TableSource, f plan.Expr, col
 			}
 		}
 	}
-	if sel, ok, err := e.selectDomain(x, src, f, cols, cands, rowLo, rowHi); ok || err != nil {
-		return sel, err
-	}
 	return e.refineFilter(f, cols, rowHi-rowLo, cands)
 }
 
-// selectDomain evaluates a conjunct that reads exactly one column, encoded
-// over the start of the window, once per value of the column's domain
-// (vec.Encoded.Domain: every dict or FOR code with code 0 as NULL, or every
-// run in the window) with the ordinary expression evaluator, so IN, LIKE,
-// OR-ed comparisons, IS [NOT] NULL, CASE and the rest all run per distinct
-// value instead of per row; the rows whose code or run evaluated TRUE are
-// selected. It declines (ok=false) when the domain has more entries than the
+// selectDomain evaluates a conjunct that reads exactly one column — encoded,
+// per enc(slot), over the start of the window — once per entry of the
+// column's value domain (vec.Encoded.Domain: every dict or FOR code with code
+// 0 as NULL, or every run in the window), with the same refineFilter the rows
+// would run, so every predicate shape selects exactly the rows the raw path
+// does while running per distinct value instead of per row; the rows whose
+// code or run matched are selected. Only this function's algebra.select line
+// is traced. It declines (ok=false) when the domain has more entries than the
 // rows the conjunct would otherwise test, or when evaluating it fails — the
 // domain may hold values no candidate row has, and only the rows decide
 // whether the query errs. Rows past the encoding's end (an unmerged
 // append-delta) run through refineFilter.
-func (e *Engine) selectDomain(x *plan.Scan, src TableSource, f plan.Expr, cols []*vec.Vector, cands []int32, rowLo, rowHi int) ([]int32, bool, error) {
+func (e *Engine) selectDomain(enc func(slot int) *vec.Encoded, f plan.Expr, cols []*vec.Vector, cands []int32, rowLo, rowHi int) ([]int32, bool, error) {
 	used := map[int]bool{}
 	plan.SlotsUsed(f, used)
 	if len(used) != 1 {
@@ -290,7 +292,7 @@ func (e *Engine) selectDomain(x *plan.Scan, src TableSource, f plan.Expr, cols [
 	for s := range used {
 		slot = s
 	}
-	en := src.EncodedCol(x.Cols[slot])
+	en := enc(slot)
 	if en == nil || en.N <= rowLo {
 		return nil, false, nil
 	}
@@ -302,12 +304,12 @@ func (e *Engine) selectDomain(x *plan.Scan, src TableSource, f plan.Expr, cols [
 	}
 	domCols := make([]*vec.Vector, slot+1)
 	domCols[slot] = dom
-	bv, err := newMemo(e).evalVec(f, &batch{cols: domCols, n: dom.Len()})
+	match, err := e.untraced().refineFilter(f, domCols, dom.Len(), nil)
 	if err != nil {
 		return nil, false, nil
 	}
 	e.Trace.Emit("algebra.select", "encoded "+en.Describe(), fmt.Sprintf("domain %d", dom.Len()))
-	sel := en.SelDomain(vec.SelTrue(bv, nil, false), below, rowLo, encHi)
+	sel := en.SelDomain(match, below, rowLo, encHi)
 	if encHi < rowHi {
 		tailCols := make([]*vec.Vector, len(cols))
 		for i, c := range cols {
@@ -424,24 +426,6 @@ func (e *Engine) refineFilter(f plan.Expr, cols []*vec.Vector, width int, cands 
 func (e *Engine) selectCmp(x *plan.Scan, src TableSource, cols []*vec.Vector, cr *plan.ColRef, op vec.CmpOp, val mtypes.Value, cands []int32, rowLo, rowHi int) ([]int32, error) {
 	col := cols[cr.Slot]
 	tableCol := x.Cols[cr.Slot]
-	// Encoded columns evaluate the predicate on codes without decoding (dict
-	// predicates become code-range tests, FOR predicates code arithmetic, RLE
-	// predicates per-run tests). The encoding is the physical data, not an
-	// optional index, so this path is not gated by NoIndexes. An encoding may
-	// stop short of the window (unmerged append-delta): the covered prefix
-	// runs on codes and the raw tail is scanned with the plain kernel.
-	if en := src.EncodedCol(tableCol); en != nil && en.N > rowLo {
-		encHi := min(rowHi, en.N)
-		below, above := splitCands(cands, int32(encHi-rowLo))
-		if sel, ok := en.SelCmpWindow(op, val, below, rowLo, encHi); ok {
-			e.Trace.Emit("algebra.thetaselect", "encoded "+en.Describe(), op.String())
-			if encHi < rowHi {
-				tail := vec.SelCmp(col.Slice(encHi-rowLo, rowHi-rowLo), op, val, above)
-				sel = appendRebased(sel, tail, int32(encHi-rowLo))
-			}
-			return sel, nil
-		}
-	}
 	fullScan := rowLo == 0 && rowHi == src.NumRows()
 	if !e.NoIndexes && !val.Null {
 		switch op {
@@ -483,18 +467,6 @@ func (e *Engine) selectCmp(x *plan.Scan, src TableSource, cols []*vec.Vector, cr
 func (e *Engine) selectRange(x *plan.Scan, src TableSource, cols []*vec.Vector, cr *plan.ColRef, lo, hi mtypes.Value, loI, hiI bool, cands []int32, rowLo, rowHi int) ([]int32, error) {
 	col := cols[cr.Slot]
 	tableCol := x.Cols[cr.Slot]
-	if en := src.EncodedCol(tableCol); en != nil && en.N > rowLo {
-		encHi := min(rowHi, en.N)
-		below, above := splitCands(cands, int32(encHi-rowLo))
-		if sel, ok := en.SelRangeWindow(lo, hi, loI, hiI, below, rowLo, encHi); ok {
-			e.Trace.Emit("algebra.rangeselect", "encoded "+en.Describe())
-			if encHi < rowHi {
-				tail := vec.SelRange(col.Slice(encHi-rowLo, rowHi-rowLo), lo, hi, loI, hiI, above)
-				sel = appendRebased(sel, tail, int32(encHi-rowLo))
-			}
-			return sel, nil
-		}
-	}
 	fullScan := rowLo == 0 && rowHi == src.NumRows()
 	if !e.NoIndexes {
 		if fullScan {

@@ -2,9 +2,9 @@ package vec
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
+	"sync/atomic"
 
 	"monetlite/internal/mtypes"
 )
@@ -14,22 +14,22 @@ import (
 // size estimation over the actual data:
 //
 //   - EncDict: varchar values become bit-packed codes over a *sorted*
-//     dictionary. Because the dictionary is sorted, every ordered comparison
-//     against a constant becomes a code-range test, group-by keys hash the
-//     integer codes instead of strings, and sort can order by code.
+//     dictionary. Because the dictionary is sorted, group-by keys hash the
+//     integer codes instead of strings and sort can order by code.
 //   - EncFOR: integer-family values become frame-of-reference codes
 //     (value - min + 1) bit-packed to the width of the observed range.
-//     Range and equality predicates evaluate directly on the codes.
 //   - EncRLE: sorted/clustered columns of any kind become (run value,
-//     run end) pairs; predicates are evaluated once per run and the
-//     matching runs expand to row ids.
+//     run end) pairs.
 //
 // All three reserve a NULL representation: Dict and FOR use code 0, RLE
 // carries the kind's null sentinel in its run values. Decode() rebuilds the
 // exact raw vector (modulo NaN-payload canonicalization for doubles, which
-// the package invariants already require), and the windowed selection
-// kernels mirror SelCmp/SelRange semantics bit-for-bit — the raw-slice
-// kernels stay on as the differential oracle (encoding_test.go).
+// the package invariants already require). Predicates run on encoded data
+// one way for all three: the raw kernels evaluate them once per entry of the
+// value domain (Domain: one entry per code, or per run of the window) and
+// SelDomain expands the matching entries to rows, so an encoded selection is
+// the raw one by construction (encoding_test.go holds the two against each
+// other).
 
 // Encoding identifies a column's physical representation.
 type Encoding uint8
@@ -129,6 +129,11 @@ type Encoded struct {
 
 	RunVals *Vector
 	RunEnds []int32
+
+	// domain caches the dict/FOR value domain (Domain), built on first use.
+	// An Encoded is immutable once built, so the domain never goes stale;
+	// callers must not mutate it.
+	domain atomic.Pointer[Vector]
 }
 
 // Describe renders a short human-readable form for trace lines.
@@ -539,259 +544,6 @@ func fill[T any](dst []T, v T) {
 }
 
 // ---------------------------------------------------------------------------
-// Windowed selection kernels (execution on encoded data).
-// ---------------------------------------------------------------------------
-
-// SelCmpWindow evaluates `value op val` over encoded rows [lo, hi) without
-// decoding, honoring the usual candidate-list contract (cands are relative
-// to lo; nil = all rows in the window; NULL never matches). ok reports
-// whether the encoding could evaluate the predicate — on false the caller
-// must fall back to the raw kernels (e.g. a float constant against FOR
-// codes, where SelCmp switches to float comparison semantics).
-func (e *Encoded) SelCmpWindow(op CmpOp, val mtypes.Value, cands []int32, lo, hi int) ([]int32, bool) {
-	if val.Null {
-		return []int32{}, true
-	}
-	switch e.Enc {
-	case EncDict:
-		if val.Typ.Kind != mtypes.KVarchar {
-			return nil, false
-		}
-		i := sort.SearchStrings(e.Dict, val.S)
-		found := i < len(e.Dict) && e.Dict[i] == val.S
-		k := len(e.Dict)
-		var loC, hiC uint64
-		switch op {
-		case CmpEq:
-			if !found {
-				return []int32{}, true
-			}
-			loC, hiC = uint64(i+1), uint64(i+1)
-		case CmpNe:
-			t := uint64(0)
-			if found {
-				t = uint64(i + 1)
-			}
-			return e.selCodeNotEq(t, cands, lo, hi), true
-		case CmpLt:
-			loC, hiC = 1, uint64(i)
-		case CmpLe:
-			loC, hiC = 1, uint64(i)
-			if found {
-				hiC++
-			}
-		case CmpGt:
-			loC, hiC = uint64(i+1), uint64(k)
-			if found {
-				loC++
-			}
-		default: // CmpGe
-			loC, hiC = uint64(i+1), uint64(k)
-		}
-		return e.selCodeRange(loC, hiC, cands, lo, hi), true
-	case EncFOR:
-		c, ok := e.forConst(val)
-		if !ok {
-			return nil, false
-		}
-		var hasL, hasU bool
-		var l, u int64
-		switch op {
-		case CmpEq:
-			hasL, hasU, l, u = true, true, c, c
-		case CmpNe:
-			if loC, inRange := e.forCode(c); inRange {
-				return e.selCodeNotEq(loC, cands, lo, hi), true
-			}
-			return e.selCodeNotEq(0, cands, lo, hi), true
-		case CmpLt:
-			if c == math.MinInt64 {
-				return []int32{}, true
-			}
-			hasU, u = true, c-1
-		case CmpLe:
-			hasU, u = true, c
-		case CmpGt:
-			if c == math.MaxInt64 {
-				return []int32{}, true
-			}
-			hasL, l = true, c+1
-		default: // CmpGe
-			hasL, l = true, c
-		}
-		loC, hiC, empty := e.forCodeBounds(hasL, l, hasU, u)
-		if empty {
-			return []int32{}, true
-		}
-		return e.selCodeRange(loC, hiC, cands, lo, hi), true
-	case EncRLE:
-		return e.SelDomain(SelCmp(e.Domain(lo, hi, math.MaxInt), op, val, nil), cands, lo, hi), true
-	}
-	return nil, false
-}
-
-// SelRangeWindow is the BETWEEN analogue of SelCmpWindow.
-func (e *Encoded) SelRangeWindow(loV, hiV mtypes.Value, loIncl, hiIncl bool, cands []int32, lo, hi int) ([]int32, bool) {
-	if loV.Null || hiV.Null {
-		return []int32{}, true
-	}
-	switch e.Enc {
-	case EncDict:
-		// Mirrors SelRange's varchar arm: bounds are taken as strings.
-		iLo := sort.SearchStrings(e.Dict, loV.S)
-		foundLo := iLo < len(e.Dict) && e.Dict[iLo] == loV.S
-		loC := uint64(iLo + 1)
-		if !loIncl && foundLo {
-			loC++
-		}
-		iHi := sort.SearchStrings(e.Dict, hiV.S)
-		foundHi := iHi < len(e.Dict) && e.Dict[iHi] == hiV.S
-		hiC := uint64(iHi)
-		if hiIncl && foundHi {
-			hiC++
-		}
-		return e.selCodeRange(loC, hiC, cands, lo, hi), true
-	case EncFOR:
-		l, okL := e.forConst(loV)
-		u, okU := e.forConst(hiV)
-		if !okL || !okU {
-			return nil, false
-		}
-		if !loIncl {
-			if l == math.MaxInt64 {
-				return []int32{}, true
-			}
-			l++
-		}
-		if !hiIncl {
-			if u == math.MinInt64 {
-				return []int32{}, true
-			}
-			u--
-		}
-		loC, hiC, empty := e.forCodeBounds(true, l, true, u)
-		if empty {
-			return []int32{}, true
-		}
-		return e.selCodeRange(loC, hiC, cands, lo, hi), true
-	case EncRLE:
-		return e.SelDomain(SelRange(e.Domain(lo, hi, math.MaxInt), loV, hiV, loIncl, hiIncl, nil), cands, lo, hi), true
-	}
-	return nil, false
-}
-
-// forConst coerces a comparison constant into the FOR column's physical
-// int64 domain, mirroring SelCmp's coercion exactly — including the narrow
-// integer truncation the typed raw kernels perform. ok=false means the raw
-// kernel would compare in the float domain (or the constant kind is not
-// integer-comparable) and the caller must fall back.
-func (e *Encoded) forConst(val mtypes.Value) (int64, bool) {
-	switch val.Typ.Kind {
-	case mtypes.KDouble, mtypes.KVarchar:
-		return 0, false
-	}
-	c := val.I
-	if e.Typ.Kind == mtypes.KDecimal {
-		if val.Typ.Kind == mtypes.KDecimal {
-			if val.Typ.Scale != e.Typ.Scale {
-				c = mtypes.RescaleDecimal(c, val.Typ.Scale, e.Typ.Scale)
-			}
-		} else {
-			c = c * mtypes.Pow10[e.Typ.Scale]
-		}
-	}
-	// Match the raw kernels' narrowing conversions (int8(x) etc. wrap).
-	switch e.Typ.Kind {
-	case mtypes.KBool, mtypes.KTinyInt:
-		c = int64(int8(c))
-	case mtypes.KSmallInt:
-		c = int64(int16(c))
-	case mtypes.KInt, mtypes.KDate:
-		c = int64(int32(c))
-	}
-	return c, true
-}
-
-// forCode maps a domain value to its code if it falls inside [Base, Max].
-func (e *Encoded) forCode(x int64) (uint64, bool) {
-	maxV := int64(uint64(e.Base) + e.CodeMax - 1)
-	if x < e.Base || x > maxV {
-		return 0, false
-	}
-	return uint64(x) - uint64(e.Base) + 1, true
-}
-
-// forCodeBounds converts an inclusive value interval (open sides flagged
-// off) into an inclusive code interval, clamped to the encoded domain.
-func (e *Encoded) forCodeBounds(hasL bool, l int64, hasU bool, u int64) (loC, hiC uint64, empty bool) {
-	maxV := int64(uint64(e.Base) + e.CodeMax - 1)
-	loC = 1
-	if hasL {
-		if l > maxV {
-			return 0, 0, true
-		}
-		if l > e.Base {
-			loC = uint64(l) - uint64(e.Base) + 1
-		}
-	}
-	hiC = e.CodeMax
-	if hasU {
-		if u < e.Base {
-			return 0, 0, true
-		}
-		if u < maxV {
-			hiC = uint64(u) - uint64(e.Base) + 1
-		}
-	}
-	if loC > hiC {
-		return 0, 0, true
-	}
-	return loC, hiC, false
-}
-
-// selCodeRange selects window rows whose code lies in [loC, hiC]; code 0
-// (NULL) never matches since loC >= 1.
-func (e *Encoded) selCodeRange(loC, hiC uint64, cands []int32, lo, hi int) []int32 {
-	out := make([]int32, 0, NumCands(hi-lo, cands)/2+8)
-	if loC > hiC || loC == 0 {
-		return out
-	}
-	if cands == nil {
-		for g := lo; g < hi; g++ {
-			if c := e.Codes.Get(g); c >= loC && c <= hiC {
-				out = append(out, int32(g-lo))
-			}
-		}
-		return out
-	}
-	for _, i := range cands {
-		if c := e.Codes.Get(lo + int(i)); c >= loC && c <= hiC {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// selCodeNotEq selects window rows whose code is neither 0 (NULL) nor t.
-func (e *Encoded) selCodeNotEq(t uint64, cands []int32, lo, hi int) []int32 {
-	out := make([]int32, 0, NumCands(hi-lo, cands)/2+8)
-	if cands == nil {
-		for g := lo; g < hi; g++ {
-			if c := e.Codes.Get(g); c != 0 && c != t {
-				out = append(out, int32(g-lo))
-			}
-		}
-		return out
-	}
-	for _, i := range cands {
-		if c := e.Codes.Get(lo + int(i)); c != 0 && c != t {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
 // Value domains: a predicate evaluated once per distinct value.
 // ---------------------------------------------------------------------------
 
@@ -801,26 +553,27 @@ func (e *Encoded) selCodeNotEq(t uint64, cands []int32, lo, hi int) []int32 {
 // Base+CodeMax-1 in the column's type (values no row holds included). For RLE
 // the entries are the values of the runs overlapping the window, in order.
 // A predicate evaluated over the domain therefore decides every row of the
-// window from its code or run alone (SelDomain).
+// window from its code or run alone (SelDomain). A dict or FOR domain is
+// built once per Encoded and shared by every caller, who must not mutate it.
 func (e *Encoded) Domain(lo, hi, limit int) *Vector {
 	switch e.Enc {
-	case EncDict:
-		if len(e.Dict)+1 > limit {
-			return nil
-		}
-		out := New(e.Typ, len(e.Dict)+1)
-		out.Str[0] = StrNull
-		copy(out.Str[1:], e.Dict)
-		return out
-	case EncFOR:
+	case EncDict, EncFOR:
 		if limit <= 0 || e.CodeMax >= uint64(limit) {
 			return nil
 		}
+		if d := e.domain.Load(); d != nil {
+			return d
+		}
 		out := New(e.Typ, int(e.CodeMax)+1)
 		out.SetNull(0)
-		for k := uint64(1); k <= e.CodeMax; k++ {
-			e.setInt(out, int(k), int64(uint64(e.Base)+k-1))
+		if e.Enc == EncDict {
+			copy(out.Str[1:], e.Dict)
+		} else {
+			for k := uint64(1); k <= e.CodeMax; k++ {
+				e.setInt(out, int(k), int64(uint64(e.Base)+k-1))
+			}
 		}
+		e.domain.Store(out)
 		return out
 	case EncRLE:
 		r0, r1 := e.windowRuns(lo, hi)
@@ -840,9 +593,16 @@ func (e *Encoded) windowRuns(lo, hi int) (r0, r1 int) {
 }
 
 // SelDomain selects the window rows [lo, hi) whose value is a domain entry
-// listed in match (ascending indexes into Domain(lo, hi, ·)), honoring the
-// candidate-list contract of SelCmpWindow.
+// listed in match (ascending indexes into Domain(lo, hi, ·); nil = every
+// entry) under the usual candidate-list contract: cands are relative to lo,
+// nil means every row of the window, and the result is never nil.
 func (e *Encoded) SelDomain(match []int32, cands []int32, lo, hi int) []int32 {
+	if match == nil {
+		if cands == nil {
+			return Range(hi - lo)
+		}
+		return cands
+	}
 	out := make([]int32, 0, NumCands(hi-lo, cands)/2+8)
 	if len(match) == 0 {
 		return out

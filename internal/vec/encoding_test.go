@@ -241,10 +241,37 @@ func randCmpConst(rng *rand.Rand, typ mtypes.Type, v *Vector) mtypes.Value {
 
 var cmpOps = []CmpOp{CmpEq, CmpNe, CmpLt, CmpLe, CmpGt, CmpGe}
 
-// TestEncodedKernelDifferential holds the windowed encoded kernels against
-// the raw-slice kernels (the differential oracle): for random vectors,
-// encodings, windows, candidate lists, operators and constants, an encoded
-// kernel that claims ok must return exactly the raw kernel's selection.
+// domainSel is selection on encoded data as the engine runs it: a raw kernel
+// evaluated over the value domain of window [lo, hi), its matches expanded to
+// the window's rows by SelDomain.
+func domainSel(e *Encoded, lo, hi int, cands []int32, kernel func(v *Vector, cands []int32) []int32) []int32 {
+	return e.SelDomain(kernel(e.Domain(lo, hi, math.MaxInt), nil), cands, lo, hi)
+}
+
+// selKernel is a raw selection kernel bound to its constants.
+type selKernel struct {
+	name string
+	run  func(v *Vector, cands []int32) []int32
+}
+
+// selKernels binds SelCmp, SelRange, SelIn and SelNull to the given
+// constants.
+func selKernels(op CmpOp, val, loV, hiV mtypes.Value, loI, hiI bool, in []mtypes.Value) []selKernel {
+	return []selKernel{
+		{fmt.Sprintf("%v %v", op, val), func(v *Vector, c []int32) []int32 { return SelCmp(v, op, val, c) }},
+		{fmt.Sprintf("range [%v,%v] %v%v", loV, hiV, loI, hiI), func(v *Vector, c []int32) []int32 {
+			return SelRange(v, loV, hiV, loI, hiI, c)
+		}},
+		{fmt.Sprintf("in %v", in), func(v *Vector, c []int32) []int32 { return SelIn(v, in, c) }},
+		{"is null", SelNull},
+	}
+}
+
+// TestEncodedKernelDifferential holds selection on encoded data (domainSel)
+// against the raw-slice kernels over the same window: for random vectors,
+// encodings, windows, candidate lists and constants, SelCmp, SelRange, SelIn
+// and SelNull over the domain must select exactly the rows they select over
+// the raw window.
 func TestEncodedKernelDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for iter := 0; iter < 600; iter++ {
@@ -285,21 +312,17 @@ func TestEncodedKernelDifferential(t *testing.T) {
 		for _, e := range encs {
 			op := cmpOps[rng.Intn(len(cmpOps))]
 			val := randCmpConst(rng, typ, v)
-			if got, ok := e.SelCmpWindow(op, val, cands, lo, hi); ok {
-				want := SelCmp(win, op, val, cands)
-				if !eqCands(got, want) {
-					t.Fatalf("iter %d %s %s %v %v window [%d,%d): got %v want %v",
-						iter, typ, e.Describe(), op, val, lo, hi, got, want)
-				}
-			}
-			loV := randCmpConst(rng, typ, v)
-			hiV := randCmpConst(rng, typ, v)
+			loV, hiV := randCmpConst(rng, typ, v), randCmpConst(rng, typ, v)
 			loI, hiI := rng.Intn(2) == 0, rng.Intn(2) == 0
-			if got, ok := e.SelRangeWindow(loV, hiV, loI, hiI, cands, lo, hi); ok {
-				want := SelRange(win, loV, hiV, loI, hiI, cands)
-				if !eqCands(got, want) {
-					t.Fatalf("iter %d %s %s range [%v,%v] %v%v window [%d,%d): got %v want %v",
-						iter, typ, e.Describe(), loV, hiV, loI, hiI, lo, hi, got, want)
+			in := make([]mtypes.Value, 1+rng.Intn(4))
+			for i := range in {
+				in[i] = randCmpConst(rng, typ, v)
+			}
+			for _, k := range selKernels(op, val, loV, hiV, loI, hiI, in) {
+				got := domainSel(e, lo, hi, cands, k.run)
+				if want := k.run(win, cands); !eqCands(got, want) {
+					t.Fatalf("iter %d %s %s %s window [%d,%d): got %v want %v",
+						iter, typ, e.Describe(), k.name, lo, hi, got, want)
 				}
 			}
 		}
@@ -334,4 +357,118 @@ func TestDictCodesRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzVec decodes one row per byte into a vector of typ: 0x80 is NULL, any
+// other byte b is int8(b) — spanning TINYINT's whole range and SMALLINT's
+// nearly so, narrower than the other kinds' so a FOR domain stays small — or
+// a short string for varchar.
+func fuzzVec(typ mtypes.Type, data []byte) *Vector {
+	v := New(typ, len(data))
+	for i, b := range data {
+		if b == 0x80 {
+			v.SetNull(i)
+			continue
+		}
+		x := int64(int8(b))
+		switch typ.Kind {
+		case mtypes.KVarchar:
+			v.Str[i] = fmt.Sprintf("s%02x", b%32)
+		case mtypes.KDouble:
+			v.F64[i] = float64(x) / 4
+		case mtypes.KBool:
+			v.I8[i] = int8(x & 1)
+		case mtypes.KTinyInt:
+			v.I8[i] = int8(x)
+		case mtypes.KSmallInt:
+			v.I16[i] = int16(x * 258)
+		case mtypes.KInt, mtypes.KDate:
+			v.I32[i] = int32(x * 5)
+		default:
+			v.I64[i] = x * 7
+		}
+	}
+	return v
+}
+
+// fuzzConst builds a comparison constant of one of four kinds: the column's
+// own type, INT, DOUBLE or NULL.
+func fuzzConst(typ mtypes.Type, kind uint8, c int64) mtypes.Value {
+	switch kind % 4 {
+	case 1:
+		return mtypes.NewInt(mtypes.Int, c)
+	case 2:
+		return mtypes.NewDouble(float64(c) / 8)
+	case 3:
+		return mtypes.NullValue(typ)
+	}
+	switch typ.Kind {
+	case mtypes.KVarchar:
+		return mtypes.NewString(fmt.Sprintf("s%02x", uint8(c)%32))
+	case mtypes.KDouble:
+		return mtypes.NewDouble(float64(c) / 4)
+	}
+	return mtypes.Value{Typ: typ, I: c}
+}
+
+// FuzzEncodedSelect checks selection on encoded data (domainSel) against the
+// raw kernels over the same window: the fuzz bytes become a vector, encoded
+// as dict, FOR or RLE (RLE where the picked encoding does not apply), and
+// SelCmp, SelRange, SelIn and SelNull run over a fuzzed window and candidate
+// list with fuzzed constants. The committed corpus in
+// testdata/fuzz/FuzzEncodedSelect is its seed set.
+func FuzzEncodedSelect(f *testing.F) {
+	f.Fuzz(func(t *testing.T, kind, enc, op uint8, c, d int64, lo, hi uint16, candBits uint64, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		typ := encTestTypes[int(kind)%len(encTestTypes)]
+		v := fuzzVec(typ, data)
+		var e *Encoded
+		switch enc % 3 {
+		case 0:
+			if typ.Kind == mtypes.KVarchar {
+				e, _ = encodeDict(v, 0)
+			}
+		case 1:
+			if typ.Kind != mtypes.KVarchar && typ.Kind != mtypes.KDouble {
+				e = encodeFOR(v)
+			}
+		}
+		if e == nil {
+			e = encodeRLE(v, rleAnySize)
+		}
+		n := len(data)
+		wlo := int(lo) % n
+		whi := wlo + 1 + int(hi)%(n-wlo)
+		var cands []int32
+		if candBits != 0 {
+			cands = []int32{}
+			for i := 0; i < whi-wlo; i++ {
+				if candBits>>(i%64)&1 == 1 {
+					cands = append(cands, int32(i))
+				}
+			}
+		}
+		cmp := cmpOps[int(op)%len(cmpOps)]
+		val := fuzzConst(typ, op/6, c)
+		loV, hiV := fuzzConst(typ, op/24, c), fuzzConst(typ, op/96, d)
+		loI, hiI := op&1 == 0, op&2 == 0
+		win := v.Slice(wlo, whi)
+		for _, k := range selKernels(cmp, val, loV, hiV, loI, hiI, []mtypes.Value{loV, hiV}) {
+			want := k.run(win, cands)
+			if got := domainSel(e, wlo, whi, cands, k.run); !eqCands(got, want) {
+				t.Fatalf("%s %s %s window [%d,%d): got %v want %v", typ, e.Describe(), k.name, wlo, whi, got, want)
+			}
+			// A narrow integer column selects what its values widened to
+			// BIGINT select: no constant wraps.
+			switch typ.Kind {
+			case mtypes.KBool, mtypes.KTinyInt, mtypes.KSmallInt, mtypes.KInt, mtypes.KDate:
+				wide := &Vector{Typ: mtypes.BigInt, I64: AsInts64(win)}
+				if wideSel := k.run(wide, cands); !eqCands(want, wideSel) {
+					t.Fatalf("%s %s: selects %v, widened to BIGINT %v", typ, k.name, want, wideSel)
+				}
+			}
+		}
+	})
 }

@@ -134,27 +134,61 @@ func SelCmp(v *Vector, op CmpOp, val mtypes.Value, cands []int32) []int32 {
 		return out
 	}
 	val = coerceConst(v, val)
+	switch {
+	case v.Typ.Kind == mtypes.KVarchar:
+		return selStr(v.Str, op, val.S, cands, out)
+	case v.Typ.Kind == mtypes.KDouble:
+		return selCmp(v.F64, op, val.AsFloat(), mtypes.NullFloat64(), cands, out)
+	case val.Typ.Kind == mtypes.KDouble:
+		return selFloatOnInts(v, op, val.F, cands, out)
+	}
+	c := val.AsInt()
 	switch v.Typ.Kind {
 	case mtypes.KBool, mtypes.KTinyInt:
-		return selCmp(v.I8, op, int8(val.AsInt()), mtypes.NullInt8, cands, out)
+		return selCmpNarrow(v.I8, op, c, mtypes.NullInt8, cands, out)
 	case mtypes.KSmallInt:
-		return selCmp(v.I16, op, int16(val.AsInt()), mtypes.NullInt16, cands, out)
+		return selCmpNarrow(v.I16, op, c, mtypes.NullInt16, cands, out)
 	case mtypes.KInt, mtypes.KDate:
-		if val.Typ.Kind == mtypes.KDouble {
-			return selFloatOnInts(v, op, val.F, cands, out)
-		}
-		return selCmp(v.I32, op, int32(val.AsInt()), mtypes.NullInt32, cands, out)
-	case mtypes.KBigInt, mtypes.KDecimal:
-		if val.Typ.Kind == mtypes.KDouble {
-			return selFloatOnInts(v, op, val.F, cands, out)
-		}
-		return selCmp(v.I64, op, val.AsInt(), mtypes.NullInt64, cands, out)
-	case mtypes.KDouble:
-		return selCmp(v.F64, op, val.AsFloat(), mtypes.NullFloat64(), cands, out)
-	case mtypes.KVarchar:
-		return selStr(v.Str, op, val.S, cands, out)
+		return selCmpNarrow(v.I32, op, c, mtypes.NullInt32, cands, out)
+	}
+	return selCmp(v.I64, op, c, mtypes.NullInt64, cands, out)
+}
+
+// narrowInt is an integer kind narrower than int64, whose null sentinel is
+// its minimum: the values a column holds lie in [null+1, -(null+1)].
+type narrowInt interface{ ~int8 | ~int16 | ~int32 }
+
+// selCmpNarrow is selCmp for a constant that may lie outside T's range,
+// where converting it to T would wrap. Such a constant is decided from the
+// bounds: above the maximum, <, <= and <> keep every non-NULL row and =, >
+// and >= keep none; below the minimum the mirror holds.
+func selCmpNarrow[T narrowInt](data []T, op CmpOp, c int64, null T, cands []int32, out []int32) []int32 {
+	minT, maxT := int64(null), -int64(null)-1
+	if c >= minT && c <= maxT {
+		return selCmp(data, op, T(c), null, cands, out)
+	}
+	below := op == CmpLt || op == CmpLe
+	above := op == CmpGt || op == CmpGe
+	if op == CmpNe || c > maxT && below || c < minT && above {
+		return selCmp(data, CmpNe, null, null, cands, out) // every non-NULL row
 	}
 	return out
+}
+
+// selRangeNarrow is selRange for bounds that may lie outside T's range: they
+// are clamped to it, and a range that misses it selects nothing.
+func selRangeNarrow[T narrowInt](data []T, lo, hi int64, loIncl, hiIncl bool, null T, cands []int32, out []int32) []int32 {
+	minT, maxT := int64(null), -int64(null)-1
+	if lo > maxT || hi < minT {
+		return out
+	}
+	if lo < minT {
+		lo, loIncl = minT, true
+	}
+	if hi > maxT {
+		hi, hiIncl = maxT, true
+	}
+	return selRange(data, T(lo), T(hi), loIncl, hiIncl, null, cands, out)
 }
 
 // selFloatOnInts compares an integer-backed column against a float constant.
@@ -209,24 +243,8 @@ func SelRange(v *Vector, lo, hi mtypes.Value, loIncl, hiIncl bool, cands []int32
 		return out
 	}
 	lo, hi = coerceConst(v, lo), coerceConst(v, hi)
-	switch v.Typ.Kind {
-	case mtypes.KBool, mtypes.KTinyInt:
-		return selRange(v.I8, int8(lo.AsInt()), int8(hi.AsInt()), loIncl, hiIncl, mtypes.NullInt8, cands, out)
-	case mtypes.KSmallInt:
-		return selRange(v.I16, int16(lo.AsInt()), int16(hi.AsInt()), loIncl, hiIncl, mtypes.NullInt16, cands, out)
-	case mtypes.KInt, mtypes.KDate:
-		if lo.Typ.Kind == mtypes.KDouble || hi.Typ.Kind == mtypes.KDouble {
-			return selRange(AsFloats(v), lo.AsFloat(), hi.AsFloat(), loIncl, hiIncl, mtypes.NullFloat64(), cands, out)
-		}
-		return selRange(v.I32, int32(lo.AsInt()), int32(hi.AsInt()), loIncl, hiIncl, mtypes.NullInt32, cands, out)
-	case mtypes.KBigInt, mtypes.KDecimal:
-		if lo.Typ.Kind == mtypes.KDouble || hi.Typ.Kind == mtypes.KDouble {
-			return selRange(AsFloats(v), lo.AsFloat(), hi.AsFloat(), loIncl, hiIncl, mtypes.NullFloat64(), cands, out)
-		}
-		return selRange(v.I64, lo.AsInt(), hi.AsInt(), loIncl, hiIncl, mtypes.NullInt64, cands, out)
-	case mtypes.KDouble:
-		return selRange(v.F64, lo.AsFloat(), hi.AsFloat(), loIncl, hiIncl, mtypes.NullFloat64(), cands, out)
-	case mtypes.KVarchar:
+	switch {
+	case v.Typ.Kind == mtypes.KVarchar:
 		for _, i := range candIter(v.Len(), cands) {
 			x := v.Str[i]
 			if x == StrNull {
@@ -239,8 +257,21 @@ func SelRange(v *Vector, lo, hi mtypes.Value, loIncl, hiIncl bool, cands []int32
 			}
 		}
 		return out
+	case v.Typ.Kind == mtypes.KDouble:
+		return selRange(v.F64, lo.AsFloat(), hi.AsFloat(), loIncl, hiIncl, mtypes.NullFloat64(), cands, out)
+	case lo.Typ.Kind == mtypes.KDouble || hi.Typ.Kind == mtypes.KDouble:
+		return selRange(AsFloats(v), lo.AsFloat(), hi.AsFloat(), loIncl, hiIncl, mtypes.NullFloat64(), cands, out)
 	}
-	return out
+	l, h := lo.AsInt(), hi.AsInt()
+	switch v.Typ.Kind {
+	case mtypes.KBool, mtypes.KTinyInt:
+		return selRangeNarrow(v.I8, l, h, loIncl, hiIncl, mtypes.NullInt8, cands, out)
+	case mtypes.KSmallInt:
+		return selRangeNarrow(v.I16, l, h, loIncl, hiIncl, mtypes.NullInt16, cands, out)
+	case mtypes.KInt, mtypes.KDate:
+		return selRangeNarrow(v.I32, l, h, loIncl, hiIncl, mtypes.NullInt32, cands, out)
+	}
+	return selRange(v.I64, l, h, loIncl, hiIncl, mtypes.NullInt64, cands, out)
 }
 
 // candIter materializes the effective candidate list (small helper for
