@@ -12,7 +12,6 @@ import (
 	"monetlite/internal/sqlparse"
 	"monetlite/internal/storage"
 	"monetlite/internal/txn"
-	"monetlite/internal/vec"
 )
 
 // Conn is a database connection: a lightweight query context with its own
@@ -320,11 +319,7 @@ func (c *Conn) runInTxn(stmt sqlparse.Statement, tx *txn.Txn, params []mtypes.Va
 		if err != nil {
 			return nil, 0, err
 		}
-		view, ok := tx.View(del.Table)
-		if !ok {
-			return nil, 0, fmt.Errorf("monetlite: no such table %q", del.Table)
-		}
-		rows, err := c.engine(tx).SelectRows(viewSource{view}, del.Pred)
+		rows, _, err := c.engine(tx).SelectRows(del.Table, del.Pred, nil)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -345,43 +340,21 @@ func (c *Conn) runUpdate(tx *txn.Txn, cat snapshotCatalog, x *sqlparse.UpdateStm
 	if err != nil {
 		return nil, 0, err
 	}
-	view, ok := tx.View(up.Table)
+	meta, ok := cat.TableMeta(up.Table)
 	if !ok {
 		return nil, 0, fmt.Errorf("monetlite: no such table %q", up.Table)
 	}
-	eng := c.engine(tx)
-	rows, err := eng.SelectRows(viewSource{view}, up.Pred)
-	if err != nil {
-		return nil, 0, err
+	// The new rows: each SET expression, and every other column as it is.
+	exprs := make([]plan.Expr, len(meta.Cols))
+	for i, cd := range meta.Cols {
+		exprs[i] = &plan.ColRef{Slot: i, Typ: cd.Typ, Name: cd.Name}
 	}
-	if len(rows) == 0 {
-		return nil, 0, nil
-	}
-	meta := view.Meta()
-	// Gather the affected rows, compute the new column values.
-	oldCols := make([]*vec.Vector, len(meta.Cols))
-	for i := range meta.Cols {
-		full, err := view.Col(i)
-		if err != nil {
-			return nil, 0, err
-		}
-		oldCols[i] = vec.Gather(full, rows)
-	}
-	setFor := map[int]plan.Expr{}
 	for k, ci := range up.SetCols {
-		setFor[ci] = up.SetExprs[k]
+		exprs[ci] = up.SetExprs[k]
 	}
-	newCols := make([]*vec.Vector, len(meta.Cols))
-	for i := range meta.Cols {
-		if e, ok := setFor[i]; ok {
-			v, err := evalOverRows(e, oldCols, len(rows))
-			if err != nil {
-				return nil, 0, err
-			}
-			newCols[i] = v
-		} else {
-			newCols[i] = oldCols[i]
-		}
+	rows, newCols, err := c.engine(tx).SelectRows(up.Table, up.Pred, exprs)
+	if err != nil || len(rows) == 0 {
+		return nil, 0, err
 	}
 	if _, err := tx.Delete(up.Table, rows); err != nil {
 		return nil, 0, err
@@ -390,24 +363,6 @@ func (c *Conn) runUpdate(tx *txn.Txn, cat snapshotCatalog, x *sqlparse.UpdateStm
 		return nil, 0, err
 	}
 	return nil, int64(len(rows)), nil
-}
-
-// evalOverRows evaluates a bound expression row-wise over gathered columns
-// (UPDATE SET expressions are row-oriented by nature).
-func evalOverRows(e plan.Expr, cols []*vec.Vector, n int) (*vec.Vector, error) {
-	out := vec.NewCap(e.Type(), n)
-	row := make([]mtypes.Value, len(cols))
-	for i := 0; i < n; i++ {
-		for k, c := range cols {
-			row[k] = c.Value(i)
-		}
-		v, err := plan.EvalRow(e, &plan.EvalCtx{Row: row})
-		if err != nil {
-			return nil, err
-		}
-		out.AppendValue(v)
-	}
-	return out, nil
 }
 
 func (c *Conn) createIndex(x *sqlparse.CreateIndexStmt) error {

@@ -192,6 +192,3 @@ func AblationAppendVsInsert(cfg Config) (*Report, error) {
 	})}})
 	return rep, nil
 }
-
-// AblationMitosis wraps Figure2 for the ablation suite.
-func AblationMitosis(cfg Config, rows int) (*Report, error) { return Figure2(cfg, rows) }

@@ -3,16 +3,20 @@
 // every operator processes whole columns, intermediates are materialized
 // vectors, selections flow as candidate lists, and operators are
 // parallelized by mitosis (§3.1), every fan-out split by the one rule
-// mal.Split through Engine.chunkPlan: chunked scan/map/partial-aggregation
-// pipelines, partitioned hash-join probes, per-run parallel sorts with a
-// k-way merge (plus the bounded-heap TopN for ORDER BY … LIMIT), and
-// per-partition window-function fan-out.
+// mal.Split through Engine.chunkPlan: chunked scan/map pipelines, partial
+// aggregation over the aggregate's input rows, partitioned hash-join
+// probes, per-run parallel sorts with a k-way merge (plus the bounded-heap
+// TopN for ORDER BY … LIMIT), and per-partition window-function fan-out.
 //
 // Invariants:
 //
-//   - One path per operator: a serial run is the one-chunk case of the
-//     chunked loop, run inline on the coordinating engine and traced as
-//     serial (no optimizer.mitosis line). Parallel only sets the chunk count.
+//   - One path per operator: scan, aggregate (DISTINCT is a key-only
+//     aggregate), join probe, sort, TopN and window each run one chunked
+//     loop, and a serial run is its one-chunk case, run inline on the
+//     coordinating engine and traced as serial (no optimizer.mitosis line).
+//     Parallel only sets the chunk count. Every row the engine reads goes
+//     through these loops: DELETE and UPDATE select theirs with the scan
+//     (SelectRows), under the same setup as Execute (run).
 //   - Chunk-order determinism: mitosis workers write into per-chunk slots
 //     and the coordinator merges in chunk order, so every chunk count
 //     returns *identical* results — same rows, same order — which the
@@ -217,6 +221,68 @@ func (e *Engine) materialize(b *batch) *batch {
 
 // Execute runs a plan to completion.
 func (e *Engine) Execute(n plan.Node) (*Result, error) {
+	var b *batch
+	err := e.run(func() (err error) {
+		if plan.HasJoin(n) {
+			e.Trace.EmitVoid("optimizer.joinorder", plan.JoinTreeString(n))
+		}
+		if b, err = e.exec(n); err == nil {
+			b = e.materialize(b) // result assembly is a pipeline breaker
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Cols: b.cols}
+	for _, c := range n.Schema() {
+		res.Names = append(res.Names, c.Name)
+	}
+	return res, nil
+}
+
+// SelectRows returns the live rows of table that satisfy pred (nil = every
+// live row), in table order, and exprs evaluated over those rows: what DELETE
+// and UPDATE read. The rows come from the query executor's scan, with pred's
+// conjuncts as its filters, so they take the indexes, encoded domains,
+// mitosis and subquery cache a SELECT would.
+func (e *Engine) SelectRows(table string, pred plan.Expr, exprs []plan.Expr) ([]int32, []*vec.Vector, error) {
+	src, ok := e.Cat.Source(table)
+	if !ok {
+		return nil, nil, fmt.Errorf("exec: no such table %q", table)
+	}
+	scan := &plan.Scan{Table: table, Filters: plan.SplitConjuncts(pred)}
+	for ci := range src.Meta().Cols {
+		scan.Cols = append(scan.Cols, ci)
+	}
+	var rows []int32
+	var vals []*vec.Vector
+	err := e.run(func() error {
+		b, err := e.exec(scan)
+		if err != nil {
+			return err
+		}
+		if rows = b.sel; rows == nil {
+			rows = vec.Range(b.n)
+		}
+		memo, sel := newMemo(e), newSelBatch(b.cols, rows)
+		for _, ex := range exprs {
+			v, err := memo.evalVec(ex, sel)
+			if err != nil {
+				return err
+			}
+			vals = append(vals, v)
+		}
+		return nil
+	})
+	return rows, vals, err
+}
+
+// run is the setup every execution shares: a fresh subquery cache and
+// counters, the query's worker lease when parallel, and the deadline. It runs
+// body, then splices the programs of the scalar subqueries body evaluated
+// into the trace.
+func (e *Engine) run(body func() error) error {
 	e.subCache = &subplanCache{m: map[plan.Node]mtypes.Value{}}
 	if e.Trace != nil {
 		e.subCache.progs = map[int]*mal.Program{}
@@ -238,14 +304,9 @@ func (e *Engine) Execute(n plan.Node) (*Result, error) {
 	} else {
 		e.deadline = time.Time{}
 	}
-	if plan.HasJoin(n) {
-		e.Trace.EmitVoid("optimizer.joinorder", plan.JoinTreeString(n))
+	if err := body(); err != nil {
+		return err
 	}
-	b, err := e.exec(n)
-	if err != nil {
-		return nil, err
-	}
-	b = e.materialize(b) // result assembly is a pipeline breaker
 	ids := make([]int, 0, len(e.subCache.progs))
 	for id := range e.subCache.progs {
 		ids = append(ids, id)
@@ -254,12 +315,7 @@ func (e *Engine) Execute(n plan.Node) (*Result, error) {
 	for _, id := range ids {
 		e.Trace.Splice(fmt.Sprintf("subplan#%d", id), e.subCache.progs[id])
 	}
-	sch := n.Schema()
-	res := &Result{Cols: b.cols}
-	for _, c := range sch {
-		res.Names = append(res.Names, c.Name)
-	}
-	return res, nil
+	return nil
 }
 
 // chunkEngine returns the engine a task of an n-task fan-out runs on: e
@@ -535,22 +591,15 @@ func (e *Engine) execLimit(x *plan.Limit) (*batch, error) {
 	return newBatch(out), nil
 }
 
+// execDistinct is a key-only aggregate: it groups on every input column and
+// returns one row per group, in first-appearance order.
 func (e *Engine) execDistinct(x *plan.Distinct) (*batch, error) {
-	in, err := e.exec(x.Input)
-	if err != nil {
-		return nil, err
+	sch := x.Input.Schema()
+	keys := make([]plan.Expr, len(sch))
+	for i, c := range sch {
+		keys[i] = &plan.ColRef{Slot: i, Typ: c.Typ, Name: c.Name}
 	}
-	in = e.materialize(in) // grouping is a pipeline breaker
-	if in.n == 0 || len(in.cols) == 0 {
-		return in, nil
-	}
-	_, _, reprs := vec.GroupBy(in.cols, nil)
-	e.Trace.Emit("group.distinct")
-	out := make([]*vec.Vector, len(in.cols))
-	for i, c := range in.cols {
-		out[i] = vec.Gather(c, reprs)
-	}
-	return newBatch(out), nil
+	return e.execAggregate(&plan.Aggregate{Input: x.Input, GroupBy: keys})
 }
 
 // evalSubplan computes an uncorrelated scalar subquery once, caching by

@@ -311,25 +311,29 @@ func TestEngineTimeout(t *testing.T) {
 	}
 }
 
+// SelectRows is what DELETE and UPDATE read: the rows passing the predicate
+// through the scan, and the SET expressions evaluated over those rows.
 func TestSelectRowsHelper(t *testing.T) {
 	cat := buildTable(t, 100)
 	e := &Engine{Cat: cat}
-	src, _ := cat.Source("nums")
-	st, _ := sqlparse.ParseOne("DELETE FROM nums WHERE i < 10")
-	del, err := plan.BindDelete(cat, st.(*sqlparse.DeleteStmt), nil)
+	st, _ := sqlparse.ParseOne("UPDATE nums SET i = i * 2 WHERE i < 10")
+	up, err := plan.BindUpdate(cat, st.(*sqlparse.UpdateStmt), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := e.SelectRows(src, del.Pred)
+	rows, vals, err := e.SelectRows("nums", up.Pred, up.SetExprs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 10 || rows[9] != 9 {
-		t.Fatalf("select rows: %v", rows)
+	if len(rows) != 10 || rows[9] != 9 || len(vals) != 1 || vals[0].Len() != 10 || vals[0].I32[9] != 18 {
+		t.Fatalf("select rows: %v %v", rows, vals)
 	}
-	all, err := e.SelectRows(src, nil)
+	all, _, err := e.SelectRows("nums", nil, nil)
 	if err != nil || len(all) != 100 {
 		t.Fatalf("all rows: %d %v", len(all), err)
+	}
+	if _, _, err := e.SelectRows("nope", nil, nil); err == nil {
+		t.Fatal("no error for a missing table")
 	}
 }
 

@@ -383,38 +383,94 @@ func (e *Engine) crossPairs(nl, nr int) ([]int32, []int32, error) {
 // Aggregation.
 // ---------------------------------------------------------------------------
 
+// execAggregate runs an aggregate with mitosis (paper Figure 2): the input's
+// live rows split into chunks, each chunk groups its rows and aggregates them
+// per group (aggregateChunk), and the merge re-groups the chunks' key
+// representatives into global groups (gidMaps) and folds the partials into
+// them (mergeAgg). A global aggregate is the zero-key case, one group per
+// chunk. One chunk is the serial aggregate: its groups are the global groups,
+// so nothing is re-grouped.
 func (e *Engine) execAggregate(x *plan.Aggregate) (*batch, error) {
-	// Mitosis: an aggregate directly over a scan runs the parallelizable
-	// prefix (scan, selection, map, partial aggregation) per chunk and merges
-	// before the blocking final step (paper Figure 2).
-	if scan, ok := x.Input.(*plan.Scan); ok {
-		if b, handled, err := e.parallelScanAgg(x, scan); handled {
-			return b, err
-		}
-	}
 	in, err := e.exec(x.Input)
 	if err != nil {
 		return nil, err
 	}
-	return e.aggregateBatch(x, in)
+	// A grouped chunk builds its own hash table and adds a keyed merge, so
+	// it must be twice the plain minimum to pay.
+	minRows, label := mal.MinChunkRows, "chunks"
+	if len(x.GroupBy) > 0 {
+		minRows, label = 2*mal.MinChunkRows, "chunks (grouped)"
+	}
+	n := in.liveRows()
+	cp := e.chunkPlan(n, minRows, 8*len(in.cols))
+	if cp.Chunks > 1 {
+		e.Trace.EmitVoid("optimizer.mitosis", fmt.Sprintf("%d %s", cp.Chunks, label))
+	}
+	outs := make([]aggChunk, cp.Chunks)
+	errs := make([]error, cp.Chunks)
+	err = e.runTasks(cp.Chunks, func(ci int) {
+		rows, off := in.rows(cp.Bounds(ci, n))
+		outs[ci], errs[ci] = e.chunkEngine(cp.Chunks).aggregateChunk(x, rows, in.enc, off)
+	})
+	if err == nil {
+		err = firstErr(errs)
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	keys, ngroups, note := outs[0].keys, outs[0].ngroups, ""
+	var gidMaps [][]int32 // nil: one chunk, whose groups are the global ones
+	var reprs []int32     // nil: keys already hold one row per group
+	if cp.Chunks > 1 {
+		total := 0
+		for ci := range outs {
+			total += outs[ci].ngroups
+		}
+		keys = make([]*vec.Vector, len(x.GroupBy))
+		for i := range keys {
+			pieces := make([]*vec.Vector, cp.Chunks)
+			for ci := range outs {
+				pieces[ci] = outs[ci].keys[i]
+			}
+			keys[i] = vec.Concat(pieces...)
+		}
+		var gids []int32
+		gids, ngroups, reprs = groupIDs(keys, total)
+		gidMaps = make([][]int32, cp.Chunks)
+		for ci, off := 0, 0; ci < cp.Chunks; ci++ {
+			gidMaps[ci] = gids[off : off+outs[ci].ngroups]
+			off += outs[ci].ngroups
+		}
+		note = " (parallel merge)"
+	}
+	if len(keys) > 0 {
+		e.traceGroup(len(keys), ngroups, outs[0].dict, note)
+	}
+	out := keyColumns(keys, outs[0].dict, reprs)
+	for ai, a := range x.Aggs {
+		parts := make([]aggPart, cp.Chunks)
+		for ci := range outs {
+			parts[ci] = outs[ci].parts[ai]
+		}
+		res, err := e.mergeAgg(a, parts, gidMaps, ngroups)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, res)
+	}
+	return newBatch(out), nil
 }
 
-// aggregateBatch aggregates one batch: an aggregate whose input is not a
-// scan, or a scan too small to split.
-func (e *Engine) aggregateBatch(x *plan.Aggregate, in *batch) (*batch, error) {
-	memo := newMemo(e)
-	g, err := groupBatch(memo, x.GroupBy, in, in.enc, 0)
-	if err != nil {
-		return nil, err
+// rows returns the live rows [lo, hi) of b as a batch, with the table row
+// its columns start at: a selection view's candidates sel[lo:hi] over the
+// full columns (which start at row 0), or a dense batch's column window.
+// Either way b.enc, slot-indexed from table row 0, still lines up.
+func (b *batch) rows(lo, hi int) (*batch, int) {
+	if b.sel != nil {
+		return &batch{cols: b.cols, sel: b.sel[lo:hi], n: hi - lo}, 0
 	}
-	if len(x.GroupBy) > 0 {
-		e.traceGroup(len(g.keys), g.ngroups, g.dict, "")
-	}
-	aggCols, err := e.computeAggs(x, in, memo, g.gids, g.ngroups)
-	if err != nil {
-		return nil, err
-	}
-	return newBatch(append(keyColumns(g.keys, g.dict, g.reprs), aggCols...)), nil
+	return &batch{cols: window(b.cols, lo, hi), n: hi - lo}, lo
 }
 
 // grouping assigns the rows of a batch to groups.
@@ -464,8 +520,9 @@ func groupIDs(keys []*vec.Vector, n int) ([]int32, int, []int32) {
 	return vec.GroupBy(keys, nil)
 }
 
-// keyColumns gathers the key vectors at the group representatives, decoding
-// dictionary codes back to strings (a nil dict keeps the codes).
+// keyColumns gathers the key vectors at the group representatives (nil:
+// every row), decoding dictionary codes back to strings (a nil dict keeps
+// the codes).
 func keyColumns(keys []*vec.Vector, dict []*vec.Encoded, reprs []int32) []*vec.Vector {
 	out := make([]*vec.Vector, len(keys))
 	for i, kv := range keys {
@@ -492,51 +549,16 @@ func (e *Engine) traceGroup(nkeys, ngroups int, dict []*vec.Encoded, note string
 	e.Trace.Emit("group.group", args...)
 }
 
-func (e *Engine) computeAggs(x *plan.Aggregate, in *batch, memo *memo, gids []int32, ngroups int) ([]*vec.Vector, error) {
-	out := make([]*vec.Vector, len(x.Aggs))
-	for ai, a := range x.Aggs {
-		var vals *vec.Vector
-		var err error
-		if a.Arg != nil {
-			vals, err = memo.evalVec(a.Arg, in)
-			if err != nil {
-				return nil, err
-			}
-		}
-		g, v := gids, vals
-		if a.Distinct && a.Arg != nil {
-			g, v = dedupPerGroup(gids, vals)
-		}
-		e.Trace.Emit("aggr."+a.Kind.String(), a.Name)
-		res, err := vec.Aggregate(a.Kind, v, g, ngroups)
-		if err != nil {
-			return nil, err
-		}
-		out[ai] = res
-	}
-	return out, nil
-}
-
-// dedupPerGroup filters (gid, value) pairs to distinct values per group
-// (COUNT(DISTINCT x) and friends), keeping each pair's first occurrence.
+// dedupPerGroup keeps the first occurrence of each (group, value) pair
+// (COUNT(DISTINCT x) and friends): the pairs grouped by vec.GroupBy, whose
+// representatives are those first occurrences, in row order.
 func dedupPerGroup(gids []int32, vals *vec.Vector) ([]int32, *vec.Vector) {
-	type key struct {
-		g int32
-		v string
+	_, _, reprs := vec.GroupBy([]*vec.Vector{{Typ: mtypes.Int, I32: gids}, vals}, nil)
+	outG := make([]int32, len(reprs))
+	for i, r := range reprs {
+		outG[i] = gids[r]
 	}
-	seen := map[key]bool{}
-	outG := make([]int32, 0, len(gids))
-	keep := make([]int32, 0, len(gids))
-	for i, g := range gids {
-		k := key{g, vals.Value(i).String()}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		outG = append(outG, g)
-		keep = append(keep, int32(i))
-	}
-	return outG, vec.Gather(vals, keep)
+	return outG, vec.Gather(vals, reprs)
 }
 
 // blocking reports whether an aggregate cannot be merged from per-chunk
@@ -546,8 +568,18 @@ func blocking(a plan.AggCall) bool {
 	return a.Kind == vec.AggMedian || (a.Distinct && a.Arg != nil)
 }
 
+// partialKinds lists the aggregates an aggregate is computed from: SUM and
+// COUNT for AVG, which mergeAgg divides once whatever the chunk count, and
+// the aggregate itself otherwise.
+func partialKinds(k vec.AggKind) []vec.AggKind {
+	if k == vec.AggAvg {
+		return []vec.AggKind{vec.AggSum, vec.AggCount}
+	}
+	return []vec.AggKind{k}
+}
+
 // aggPart is one chunk's share of one aggregate. A mergeable aggregate
-// carries its partial per chunk group ([SUM, COUNT] for AVG); a blocking one
+// carries its partials per chunk group (partialKinds); a blocking one
 // carries its argument values and each value's chunk-local group.
 type aggPart struct {
 	vecs []*vec.Vector
@@ -562,100 +594,14 @@ type aggChunk struct {
 	parts   []aggPart // per aggregate
 }
 
-// parallelScanAgg runs an aggregate directly over a scan with mitosis (paper
-// Figure 2): each chunk scans and filters its rows, groups the survivors and
-// aggregates them per group; the merge re-groups the chunks' key
-// representatives into global groups (gidMaps) and folds the partials into
-// them (vec.MergeKeyedAggPartials). A global aggregate is the zero-key case,
-// one group per chunk. Blocking aggregates merge their chunks' (group, value)
-// pairs instead — deduplicated per group for DISTINCT, which keeps each
-// pair's first occurrence — concatenated in chunk order, which is row order,
-// then deduplicated and aggregated once: the serial path's input, so its
-// result bit for bit. handled is false when the input is too small to split.
-func (e *Engine) parallelScanAgg(x *plan.Aggregate, scan *plan.Scan) (*batch, bool, error) {
-	src, ok := e.Cat.Source(scan.Table)
-	if !ok {
-		return nil, true, fmt.Errorf("exec: no such table %q", scan.Table)
-	}
-	// A grouped chunk builds its own hash table and adds a keyed merge, so
-	// it must be twice the plain minimum to pay.
-	nrows, minRows, label := src.NumRows(), mal.MinChunkRows, "chunks"
-	if len(x.GroupBy) > 0 {
-		minRows, label = 2*mal.MinChunkRows, "chunks (grouped)"
-	}
-	cp := e.chunkPlan(nrows, minRows, 8*len(scan.Cols))
-	if cp.Chunks <= 1 {
-		return nil, false, nil
-	}
-	e.Trace.EmitVoid("optimizer.mitosis", fmt.Sprintf("%d %s", cp.Chunks, label))
-	encs := e.scanEncoded(scan, src)
-	cols, err := scanCols(scan, src)
-	if err != nil {
-		return nil, true, err
-	}
-	skip0, tot0 := e.imprintsCounters()
-	outs := make([]aggChunk, cp.Chunks)
-	errs := make([]error, cp.Chunks)
-	err = e.runTasks(cp.Chunks, func(ci int) {
-		lo, hi := cp.Bounds(ci, nrows)
-		outs[ci], errs[ci] = e.chunkEngine(cp.Chunks).aggregateChunk(x, scan, src, encs, cols, lo, hi)
-	})
-	if err == nil {
-		err = firstErr(errs)
-	}
-	if err != nil {
-		return nil, true, err
-	}
-	total := 0
-	for ci := range outs {
-		total += outs[ci].ngroups
-	}
-	e.emitImprintsDelta(skip0, tot0)
-
-	keys := make([]*vec.Vector, len(x.GroupBy))
-	for i := range keys {
-		pieces := make([]*vec.Vector, cp.Chunks)
-		for ci := range outs {
-			pieces[ci] = outs[ci].keys[i]
-		}
-		keys[i] = vec.Concat(pieces...)
-	}
-	gids, ngroups, reprs := groupIDs(keys, total)
-	gidMaps := make([][]int32, cp.Chunks)
-	for ci, off := 0, 0; ci < cp.Chunks; ci++ {
-		gidMaps[ci] = gids[off : off+outs[ci].ngroups]
-		off += outs[ci].ngroups
-	}
-	if len(keys) > 0 {
-		e.traceGroup(len(keys), ngroups, outs[0].dict, " (parallel merge)")
-	}
-	out := keyColumns(keys, outs[0].dict, reprs)
-	for ai, a := range x.Aggs {
-		parts := make([]aggPart, cp.Chunks)
-		for ci := range outs {
-			parts[ci] = outs[ci].parts[ai]
-		}
-		res, err := e.mergeAgg(a, parts, gidMaps, ngroups)
-		if err != nil {
-			return nil, true, err
-		}
-		out = append(out, res)
-	}
-	return newBatch(out), true, nil
-}
-
-// aggregateChunk computes the partial aggregate of scan rows [lo, hi) of
-// cols (scanCols' columns) on a chunk engine.
-func (e *Engine) aggregateChunk(x *plan.Aggregate, scan *plan.Scan, src TableSource, encs []*vec.Encoded, cols []*vec.Vector, lo, hi int) (aggChunk, error) {
-	cands, win, err := e.scanRange(scan, src, cols, lo, hi)
-	if err != nil {
-		return aggChunk{}, err
-	}
-	// Selection view: keys and arguments are evaluated densely over the
-	// survivors; columns nothing references are never gathered.
-	b := newSelBatch(win, cands)
+// aggregateChunk computes the partial aggregate of one chunk of the
+// aggregate's input rows, b, whose columns start at table row off (encs is
+// the input's encodings), on a chunk engine. Keys and arguments are
+// evaluated densely over the chunk's rows; columns nothing references are
+// never gathered.
+func (e *Engine) aggregateChunk(x *plan.Aggregate, b *batch, encs []*vec.Encoded, off int) (aggChunk, error) {
 	memo := newMemo(e)
-	g, err := groupBatch(memo, x.GroupBy, b, encs, lo)
+	g, err := groupBatch(memo, x.GroupBy, b, encs, off)
 	if err != nil {
 		return aggChunk{}, err
 	}
@@ -677,11 +623,7 @@ func (e *Engine) aggregateChunk(x *plan.Aggregate, scan *plan.Scan, src TableSou
 			p.vecs = []*vec.Vector{vals}
 			continue
 		}
-		kinds := []vec.AggKind{a.Kind}
-		if a.Kind == vec.AggAvg {
-			kinds = []vec.AggKind{vec.AggSum, vec.AggCount}
-		}
-		for _, k := range kinds {
+		for _, k := range partialKinds(a.Kind) {
 			partial, err := vec.Aggregate(k, vals, g.gids, g.ngroups)
 			if err != nil {
 				return aggChunk{}, err
@@ -693,54 +635,81 @@ func (e *Engine) aggregateChunk(x *plan.Aggregate, scan *plan.Scan, src TableSou
 }
 
 // mergeAgg folds one aggregate's chunk parts into ngroups global groups;
-// gidMaps[ci] maps chunk ci's groups to global ones.
+// gidMaps[ci] maps chunk ci's groups to global ones. A nil gidMaps is the
+// one-chunk run: its partials are the results, and it traces as a serial
+// aggregate. Blocking aggregates aggregate their (group, value) pairs once
+// (blockingPairs); AVG divides its SUM by its COUNT.
 func (e *Engine) mergeAgg(a plan.AggCall, parts []aggPart, gidMaps [][]int32, ngroups int) (*vec.Vector, error) {
-	vecs := func(j int) []*vec.Vector {
-		out := make([]*vec.Vector, len(parts))
-		for ci, p := range parts {
-			out[ci] = p.vecs[j]
-		}
-		return out
-	}
+	kinds := partialKinds(a.Kind)
+	res := make([]*vec.Vector, len(kinds))
+	note := a.Name
+	var err error
 	switch {
 	case blocking(a):
-		n := 0
-		for _, p := range parts {
-			n += len(p.gids)
-		}
-		gids := make([]int32, 0, n)
-		for ci, p := range parts {
-			for _, g := range p.gids {
-				gids = append(gids, gidMaps[ci][g])
+		gids, vals := blockingPairs(parts, gidMaps, a.Distinct)
+		for j, k := range kinds {
+			if res[j], err = vec.Aggregate(k, vals, gids, ngroups); err != nil {
+				return nil, err
 			}
 		}
-		vals := vec.Concat(vecs(0)...)
-		if a.Distinct {
-			gids, vals = dedupPerGroup(gids, vals)
+		if gidMaps != nil {
+			note = "blocking"
 		}
-		e.Trace.Emit("aggr."+a.Kind.String(), "blocking")
-		return vec.Aggregate(a.Kind, vals, gids, ngroups)
-	case a.Kind == vec.AggAvg:
-		sums, err := vec.MergeKeyedAggPartials(vec.AggSum, vecs(0), gidMaps, ngroups)
-		if err != nil {
-			return nil, err
-		}
-		cnts, err := vec.MergeKeyedAggPartials(vec.AggCount, vecs(1), gidMaps, ngroups)
-		if err != nil {
-			return nil, err
-		}
-		fs := vec.AsFloats(sums)
-		avg := vec.New(mtypes.Double, ngroups)
-		for g := range avg.F64 {
-			if cnts.I64[g] == 0 {
-				avg.SetNull(g)
-			} else {
-				avg.F64[g] = fs[g] / float64(cnts.I64[g])
+	case gidMaps == nil:
+		res = parts[0].vecs
+	default:
+		for j, k := range kinds {
+			partials := make([]*vec.Vector, len(parts))
+			for ci, p := range parts {
+				partials[ci] = p.vecs[j]
+			}
+			if res[j], err = vec.MergeKeyedAggPartials(k, partials, gidMaps, ngroups); err != nil {
+				return nil, err
 			}
 		}
-		e.Trace.Emit("aggr.AVG", "merged")
-		return avg, nil
+		note = "merged"
 	}
-	e.Trace.Emit("aggr."+a.Kind.String(), "merged")
-	return vec.MergeKeyedAggPartials(a.Kind, vecs(0), gidMaps, ngroups)
+	e.Trace.Emit("aggr."+a.Kind.String(), note)
+	if a.Kind == vec.AggAvg {
+		return avgOf(res[0], res[1]), nil
+	}
+	return res[0], nil
+}
+
+// blockingPairs returns a blocking aggregate's (global group, value) pairs:
+// a lone chunk's as they are, else every chunk's concatenated in chunk order,
+// which is row order, and deduplicated across chunks for DISTINCT — the
+// one-chunk run's pairs, so its result bit for bit.
+func blockingPairs(parts []aggPart, gidMaps [][]int32, distinct bool) ([]int32, *vec.Vector) {
+	if gidMaps == nil {
+		return parts[0].gids, parts[0].vecs[0]
+	}
+	var gids []int32
+	vals := make([]*vec.Vector, len(parts))
+	for ci, p := range parts {
+		for _, g := range p.gids {
+			gids = append(gids, gidMaps[ci][g])
+		}
+		vals[ci] = p.vecs[0]
+	}
+	if distinct {
+		return dedupPerGroup(gids, vec.Concat(vals...))
+	}
+	return gids, vec.Concat(vals...)
+}
+
+// avgOf divides per-group sums by per-group counts, the one AVG formula: a
+// serial AVG and a merged one see the same exact sum and equal bit for bit.
+// A group without a non-NULL value averages to NULL.
+func avgOf(sums, counts *vec.Vector) *vec.Vector {
+	fs := vec.AsFloats(sums)
+	out := vec.New(mtypes.Double, counts.Len())
+	for g, c := range counts.I64 {
+		if c == 0 {
+			out.SetNull(g)
+		} else {
+			out.F64[g] = fs[g] / float64(c)
+		}
+	}
+	return out
 }

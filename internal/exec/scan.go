@@ -437,7 +437,7 @@ func (e *Engine) selectCmp(x *plan.Scan, src TableSource, cols []*vec.Vector, cr
 					// Never nil: an absent key means zero matches, and a nil
 					// candidate list would mean "all rows" to Intersect.
 					sorted := append(make([]int32, 0, len(rows)), rows...)
-					insertionSort(sorted)
+					slices.Sort(sorted)
 					if hr := h.Rows(); hr < rowHi {
 						// The index stops at the merged base; raw-scan the
 						// append-delta tail (already sorted above any entry).
@@ -580,39 +580,4 @@ func coerceForIndex(col *vec.Vector, val mtypes.Value) mtypes.Value {
 		}
 	}
 	return val
-}
-
-func insertionSort(xs []int32) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-// SelectRows returns the row ids (table coordinates) of src's live rows
-// satisfying pred (nil = all live rows). Used by DELETE and UPDATE.
-func (e *Engine) SelectRows(src TableSource, pred plan.Expr) ([]int32, error) {
-	n := src.NumRows()
-	cands := src.LiveCands()
-	if pred == nil {
-		if cands == nil {
-			return vec.Range(n), nil
-		}
-		return cands, nil
-	}
-	cols := make([]*vec.Vector, len(src.Meta().Cols))
-	for i := range cols {
-		c, err := src.Col(i)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = c
-	}
-	memo := newMemo(e)
-	bv, err := memo.evalVec(pred, &batch{cols: cols, n: n})
-	if err != nil {
-		return nil, err
-	}
-	return vec.SelTrue(bv, cands, false), nil
 }

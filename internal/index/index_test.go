@@ -397,21 +397,21 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 	}
 }
 
-func TestSortInt32sBothPaths(t *testing.T) {
-	small := []int32{3, 1, 2}
-	sortInt32s(small)
-	if !eq(small, []int32{1, 2, 3}) {
-		t.Fatal("small sort")
-	}
+// The order index answers a range with the matching row ids ascending, the
+// candidate-list order the selection kernels return, for ranges of a few rows
+// and of hundreds.
+func TestOrderIndexSelectRangeSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	big := make([]int32, 500)
-	for i := range big {
-		big[i] = int32(rng.Intn(1000))
+	v := vec.New(mtypes.Int, 2000)
+	for i := range v.I32 {
+		v.I32[i] = int32(rng.Intn(1000))
 	}
-	sortInt32s(big)
-	for i := 1; i < len(big); i++ {
-		if big[i] < big[i-1] {
-			t.Fatal("big sort not ordered")
+	oi := BuildOrderIndex(v)
+	for _, hi := range []int64{2, 500} {
+		lo, hiV := mtypes.NewInt(mtypes.Int, 0), mtypes.NewInt(mtypes.Int, hi)
+		got := oi.SelectRange(v, lo, hiV, true, true)
+		if want := vec.SelRange(v, lo, hiV, true, true, nil); !eq(got, want) {
+			t.Fatalf("range [0, %d]: %d rows, want %d ascending", hi, len(got), len(want))
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package index
 
 import (
+	"slices"
+
 	"monetlite/internal/mtypes"
 	"monetlite/internal/vec"
 )
@@ -28,7 +30,7 @@ func (oi *OrderIndex) SelectRange(v *vec.Vector, lo, hi mtypes.Value, loIncl, hi
 	a, b := vec.BinarySearchRange(v, oi.Order, lo, hi, loIncl, hiIncl)
 	out := make([]int32, b-a)
 	copy(out, oi.Order[a:b])
-	sortInt32s(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -79,41 +81,4 @@ func MergeJoin(lv *vec.Vector, lo *OrderIndex, rv *vec.Vector, ro *OrderIndex) (
 		}
 	}
 	return lsel, rsel
-}
-
-func sortInt32s(xs []int32) {
-	// insertion sort is fine for the typically small range outputs; fall back
-	// to a simple quicksort for larger ones.
-	if len(xs) < 32 {
-		for i := 1; i < len(xs); i++ {
-			for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-				xs[j], xs[j-1] = xs[j-1], xs[j]
-			}
-		}
-		return
-	}
-	quickInt32s(xs)
-}
-
-func quickInt32s(xs []int32) {
-	if len(xs) < 2 {
-		return
-	}
-	pivot := xs[len(xs)/2]
-	left, right := 0, len(xs)-1
-	for left <= right {
-		for xs[left] < pivot {
-			left++
-		}
-		for xs[right] > pivot {
-			right--
-		}
-		if left <= right {
-			xs[left], xs[right] = xs[right], xs[left]
-			left++
-			right--
-		}
-	}
-	quickInt32s(xs[:right+1])
-	quickInt32s(xs[left:])
 }

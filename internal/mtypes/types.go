@@ -100,10 +100,6 @@ func (t Type) String() string {
 	}
 }
 
-// Fixed reports whether values of the type are fixed-width (everything except
-// VARCHAR, which lives in a variable-sized heap).
-func (t Type) Fixed() bool { return t.Kind != KVarchar }
-
 // ByteWidth returns the width in bytes of one fixed-width value, or 0 for
 // variable-width types.
 func (t Type) ByteWidth() int {

@@ -53,12 +53,8 @@ func Map(path string) (*Mapping, error) {
 }
 
 // Bytes returns the mapped contents. The slice must be treated as read-only
-// when Mapped() is true: writing faults at the OS level.
+// when it is an OS memory mapping: writing faults at the OS level.
 func (m *Mapping) Bytes() []byte { return m.data }
-
-// Mapped reports whether the data is an OS memory mapping (true) or a plain
-// in-memory copy (false).
-func (m *Mapping) Mapped() bool { return m.mapped }
 
 // Close releases the mapping. The typed views obtained from it must not be
 // used afterwards.

@@ -23,9 +23,6 @@ const mergerTick = 500 * time.Millisecond
 // (db.Open wires it from Config).
 func (m *Manager) SetMergePolicy(p delta.Policy) { m.policy = p }
 
-// MergePolicy returns the active fold policy.
-func (m *Manager) MergePolicy() delta.Policy { return m.policy }
-
 // wakeMerger nudges the background merger without blocking; wakeups
 // coalesce in the buffered channel.
 func (m *Manager) wakeMerger() {

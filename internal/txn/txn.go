@@ -298,13 +298,6 @@ func (t *Txn) Delete(name string, rowids []int32) (int, error) {
 	return n, nil
 }
 
-// HasWrites reports whether the transaction buffered any mutation.
-func (t *Txn) HasWrites() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.pend) > 0
-}
-
 // Rollback discards all buffered writes.
 func (t *Txn) Rollback() error {
 	t.mu.Lock()

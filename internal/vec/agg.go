@@ -48,7 +48,8 @@ func AggResultType(kind AggKind, t mtypes.Type) mtypes.Type {
 // Aggregate computes one aggregate over vals, partitioned by gids (which are
 // positionally aligned with vals; ngroups is the number of partitions).
 // For AggCountStar vals may be nil. NULL inputs are skipped; empty groups
-// yield NULL (COUNT yields 0).
+// yield NULL (COUNT yields 0). AVG is not computed here: it is SUM divided by
+// COUNT, once, by the caller.
 func Aggregate(kind AggKind, vals *Vector, gids []int32, ngroups int) (*Vector, error) {
 	switch kind {
 	case AggCountStar:
@@ -69,26 +70,6 @@ func Aggregate(kind AggKind, vals *Vector, gids []int32, ngroups int) (*Vector, 
 		return aggSum(vals, gids, ngroups)
 	case AggMin, AggMax:
 		return aggMinMax(kind, vals, gids, ngroups)
-	case AggAvg:
-		sums, err := aggSumFloat(vals, gids, ngroups)
-		if err != nil {
-			return nil, err
-		}
-		counts := make([]int64, ngroups)
-		for k, g := range gids {
-			if !vals.IsNull(k) {
-				counts[g]++
-			}
-		}
-		out := New(mtypes.Double, ngroups)
-		for g := 0; g < ngroups; g++ {
-			if counts[g] == 0 {
-				out.F64[g] = mtypes.NullFloat64()
-			} else {
-				out.F64[g] = sums[g] / float64(counts[g])
-			}
-		}
-		return out, nil
 	case AggMedian:
 		fs := AsFloats(vals)
 		buckets := make([][]float64, ngroups)
@@ -107,58 +88,32 @@ func Aggregate(kind AggKind, vals *Vector, gids []int32, ngroups int) (*Vector, 
 }
 
 func aggSum(vals *Vector, gids []int32, ngroups int) (*Vector, error) {
-	rt := AggResultType(AggSum, vals.Typ)
-	out := New(rt, ngroups)
-	if rt.Kind == mtypes.KDouble {
-		sums, err := aggSumFloat(vals, gids, ngroups)
-		if err != nil {
-			return nil, err
-		}
-		copy(out.F64, sums)
-		nonNull := make([]bool, ngroups)
-		for k, g := range gids {
-			if !vals.IsNull(k) {
-				nonNull[g] = true
-			}
-		}
-		for g := range nonNull {
-			if !nonNull[g] {
-				out.F64[g] = mtypes.NullFloat64()
-			}
-		}
-		return out, nil
-	}
-	xs := AsInts64(vals)
-	nonNull := make([]bool, ngroups)
-	for k, g := range gids {
-		x := xs[k]
-		if x == mtypes.NullInt64 {
-			continue
-		}
-		out.I64[g] += x
-		nonNull[g] = true
-	}
-	for g := range nonNull {
-		if !nonNull[g] {
-			out.I64[g] = mtypes.NullInt64
-		}
-	}
-	return out, nil
-}
-
-func aggSumFloat(vals *Vector, gids []int32, ngroups int) ([]float64, error) {
 	if !vals.Typ.IsNumeric() {
 		return nil, fmt.Errorf("vec: SUM/AVG over non-numeric type %s", vals.Typ)
 	}
-	fs := AsFloats(vals)
-	sums := make([]float64, ngroups)
-	for k, g := range gids {
-		f := fs[k]
-		if !mtypes.IsNullF64(f) {
-			sums[g] += f
+	out := New(AggResultType(AggSum, vals.Typ), ngroups)
+	nonNull := make([]bool, ngroups)
+	if vals.Typ.Kind == mtypes.KDouble {
+		for k, g := range gids {
+			if f := vals.F64[k]; !mtypes.IsNullF64(f) {
+				out.F64[g] += f
+				nonNull[g] = true
+			}
+		}
+	} else {
+		for k, x := range AsInts64(vals) {
+			if x != mtypes.NullInt64 {
+				out.I64[gids[k]] += x
+				nonNull[gids[k]] = true
+			}
 		}
 	}
-	return sums, nil
+	for g, ok := range nonNull {
+		if !ok {
+			out.SetNull(g)
+		}
+	}
+	return out, nil
 }
 
 func aggMinMax(kind AggKind, vals *Vector, gids []int32, ngroups int) (*Vector, error) {
@@ -188,22 +143,12 @@ func aggMinMax(kind AggKind, vals *Vector, gids []int32, ngroups int) (*Vector, 
 	return out, nil
 }
 
-// MergeAggPartials merges per-chunk partial aggregate vectors into a final
-// one, for the mitosis (parallel execution) merge phase. Partials must share
-// group numbering: partial p's row g corresponds to global group g (vectors
-// may be shorter than ngroups if trailing groups were absent from the chunk).
-// AVG and MEDIAN cannot be merged from partials; the mitosis pass decomposes
-// AVG into SUM+COUNT and merges MEDIAN from its values (it is a blocking op).
-func MergeAggPartials(kind AggKind, partials []*Vector, ngroups int) (*Vector, error) {
-	return MergeKeyedAggPartials(kind, partials, nil, ngroups)
-}
-
 // MergeKeyedAggPartials merges grouped per-chunk partials whose local group
 // numbering differs chunk to chunk: local group g of partial p corresponds
 // to global group gidMaps[p][g] (the mapping the parallel grouped-aggregation
 // merge phase derives by re-grouping the chunks' key representatives).
-// gidMaps == nil means aligned numbering (local g == global g), which is the
-// plain MergeAggPartials case. AVG and MEDIAN cannot be merged from partials.
+// gidMaps == nil means aligned numbering (local g == global g). AVG and
+// MEDIAN cannot be merged from partials.
 func MergeKeyedAggPartials(kind AggKind, partials []*Vector, gidMaps [][]int32, ngroups int) (*Vector, error) {
 	switch kind {
 	case AggAvg, AggMedian:

@@ -440,10 +440,6 @@ func TestAggregates(t *testing.T) {
 	if mn.I32[0] != 5 || mn.I32[1] != 3 || mx.I32[0] != 9 || mx.I32[1] != 3 {
 		t.Fatalf("min/max: %v %v", mn.I32, mx.I32)
 	}
-	av, _ := Aggregate(AggAvg, vals, gids, 2)
-	if math.Abs(av.F64[0]-22.0/3) > 1e-12 || av.F64[1] != 3 {
-		t.Fatalf("avg: %v", av.F64)
-	}
 	md, _ := Aggregate(AggMedian, vals, gids, 2)
 	if md.F64[0] != 8 || md.F64[1] != 3 {
 		t.Fatalf("median: %v", md.F64)
@@ -468,6 +464,19 @@ func TestAggregateEmptyGroupNull(t *testing.T) {
 	}
 }
 
+// SUM (and AVG, which is SUM / COUNT) over a non-numeric column is an error,
+// not a panic in the host process.
+func TestSumNonNumericIsError(t *testing.T) {
+	s := New(mtypes.Varchar, 2)
+	s.Str[0], s.Str[1] = "a", "b"
+	d := New(mtypes.Date, 2)
+	for _, v := range []*Vector{s, d} {
+		if _, err := Aggregate(AggSum, v, []int32{0, 0}, 1); err == nil {
+			t.Fatalf("SUM over %s: no error", v.Typ)
+		}
+	}
+}
+
 func TestAggDecimalSum(t *testing.T) {
 	d := New(mtypes.Decimal(10, 2), 3)
 	d.I64[0], d.I64[1], d.I64[2] = 150, 250, 100
@@ -480,7 +489,7 @@ func TestAggDecimalSum(t *testing.T) {
 func TestMergeAggPartials(t *testing.T) {
 	p1, _ := Aggregate(AggSum, intVec(1, 2), []int32{0, 1}, 2)
 	p2, _ := Aggregate(AggSum, intVec(10, 20), []int32{0, 0}, 2) // group 1 empty -> null
-	merged, err := MergeAggPartials(AggSum, []*Vector{p1, p2}, 2)
+	merged, err := MergeKeyedAggPartials(AggSum, []*Vector{p1, p2}, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,17 +498,17 @@ func TestMergeAggPartials(t *testing.T) {
 	}
 	c1, _ := Aggregate(AggCountStar, nil, []int32{0, 1, 1}, 2)
 	c2, _ := Aggregate(AggCountStar, nil, []int32{0}, 2)
-	mc, _ := MergeAggPartials(AggCountStar, []*Vector{c1, c2}, 2)
+	mc, _ := MergeKeyedAggPartials(AggCountStar, []*Vector{c1, c2}, nil, 2)
 	if mc.I64[0] != 2 || mc.I64[1] != 2 {
 		t.Fatalf("merged counts: %v", mc.I64)
 	}
 	m1, _ := Aggregate(AggMin, intVec(5, 7), []int32{0, 1}, 2)
 	m2, _ := Aggregate(AggMin, intVec(3), []int32{1}, 2)
-	mm, _ := MergeAggPartials(AggMin, []*Vector{m1, m2}, 2)
+	mm, _ := MergeKeyedAggPartials(AggMin, []*Vector{m1, m2}, nil, 2)
 	if mm.I32[0] != 5 || mm.I32[1] != 3 {
 		t.Fatalf("merged mins: %v", mm.I32)
 	}
-	if _, err := MergeAggPartials(AggAvg, []*Vector{p1}, 2); err == nil {
+	if _, err := MergeKeyedAggPartials(AggAvg, []*Vector{p1}, nil, 2); err == nil {
 		t.Fatal("AVG partials must not merge")
 	}
 }
