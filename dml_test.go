@@ -80,8 +80,8 @@ func TestDMLScalarSubquery(t *testing.T) {
 }
 
 // A point DELETE selects its row through the hash index, as the same WHERE
-// in a SELECT would; a DELETE whose context is already cancelled returns
-// context.Canceled and deletes nothing.
+// in a SELECT would, a constant of another type included; a DELETE whose
+// context is already cancelled returns context.Canceled and deletes nothing.
 func TestDMLReadsThroughExecutor(t *testing.T) {
 	db := memDB(t)
 	c := db.Connect()
@@ -99,6 +99,13 @@ func TestDMLReadsThroughExecutor(t *testing.T) {
 	if tr := c.LastTrace.String(); !strings.Contains(tr, "algebra.select(hashidx)") {
 		t.Fatalf("point delete did not use the hash index:\n%s", tr)
 	}
+	// A constant of another type selects what the general evaluator would:
+	// 7.0 is the integer 7 to the hash index, and 7.5 matches no row.
+	for k, want := range map[string]int64{"7.0": 1, "7.5": 0} {
+		if n := mustExec(t, c, "DELETE FROM orders WHERE o_orderkey = "+k); n != want {
+			t.Fatalf("DELETE ... o_orderkey = %s: %d rows, want %d", k, n, want)
+		}
+	}
 	c.TraceMAL = false
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -106,7 +113,7 @@ func TestDMLReadsThroughExecutor(t *testing.T) {
 	if _, err := c.QueryContext(ctx, "DELETE FROM orders WHERE o_custkey > 3"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled delete: want context.Canceled, got %v", err)
 	}
-	if got := resultGrid(mustQuery(t, c, "SELECT count(*) FROM orders")); got[0] != "999" {
+	if got := resultGrid(mustQuery(t, c, "SELECT count(*) FROM orders")); got[0] != "998" {
 		t.Fatalf("cancelled delete removed rows: count %v", got)
 	}
 }

@@ -22,6 +22,7 @@ import (
 //	c  INT        -1000..1000, NULLs        → FOR
 //	r  TINYINT    runs of 1, 100, -5, NULL  → RLE
 //	q  SMALLINT   runs of 1, 30000, -3, NULL → RLE
+//	m  DECIMAL(9,2) -5.00..5.00, NULLs
 func buildNarrowPair(t *testing.T, n int) (memCatalog, memCatalog) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(29))
@@ -32,6 +33,7 @@ func buildNarrowPair(t *testing.T, n int) (memCatalog, memCatalog) {
 		{Name: "c", Typ: mtypes.Int},
 		{Name: "r", Typ: mtypes.TinyInt},
 		{Name: "q", Typ: mtypes.SmallInt},
+		{Name: "m", Typ: mtypes.Decimal(9, 2)},
 	}}
 	cols := make([]*vec.Vector, len(meta.Cols))
 	for i, cd := range meta.Cols {
@@ -41,15 +43,19 @@ func buildNarrowPair(t *testing.T, n int) (memCatalog, memCatalog) {
 	for i := 0; i < n; i++ {
 		cols[0].I32[i] = int32(i)
 		null := rng.Intn(10) == 0
-		for ci, set := range []func(){
-			func() { cols[1].I8[i] = int8(rng.Intn(16) - 5) },
-			func() { cols[2].I16[i] = int16(rng.Intn(304) - 3) },
-			func() { cols[3].I32[i] = int32(rng.Intn(2001) - 1000) },
+		for _, c := range []struct {
+			ci  int
+			set func()
+		}{
+			{1, func() { cols[1].I8[i] = int8(rng.Intn(16) - 5) }},
+			{2, func() { cols[2].I16[i] = int16(rng.Intn(304) - 3) }},
+			{3, func() { cols[3].I32[i] = int32(rng.Intn(2001) - 1000) }},
+			{6, func() { cols[6].I64[i] = int64(rng.Intn(1001) - 500) }},
 		} {
 			if null {
-				cols[ci+1].SetNull(i)
+				cols[c.ci].SetNull(i)
 			} else {
-				set()
+				c.set()
 			}
 		}
 		if runLeft == 0 {
@@ -116,31 +122,45 @@ func liftFilters(n plan.Node) plan.Node {
 	return n
 }
 
-// TestNarrowConstantCompare checks comparisons and BETWEEN on TINYINT,
-// SMALLINT and INT columns against constants beyond the type's range, where
-// converting the constant to the column's width would wrap (a TINYINT
-// `a < 300` compared against 44). Each query must select what its `col + 0`
-// form selects, which the general evaluator computes in a wider type: on raw
-// and encoded columns, serial and chunked, with and without indexes, in the
-// scan and in the Filter operator.
+// TestNarrowConstantCompare checks comparisons, BETWEEN and IN on TINYINT,
+// SMALLINT, INT and DECIMAL columns against constants the column's type
+// cannot hold: integers beyond its range, where converting the constant to
+// the column's width would wrap (a TINYINT `a < 300` compared against 44),
+// and decimals or doubles with a fraction the column cannot represent (an
+// INTEGER `a > 1.5` compared as `a > 15`, a DECIMAL(9,2) `m >= 1.234` as
+// `m >= 1.23`). Each query must select what its `col + 0` form selects,
+// which the general evaluator computes in a wider type: on raw and encoded
+// columns, serial and chunked, with and without indexes, in the scan and in
+// the Filter operator.
 func TestNarrowConstantCompare(t *testing.T) {
 	encCat, rawCat := buildNarrowPair(t, 600)
-	consts := []int64{300, -300, 70000, -70000, 3000000000, -3000000000, 127, -127, 128, -128, 32767, -32768, 0, 100}
+	ints := []string{"300", "-300", "70000", "-70000", "3000000000", "-3000000000", "127", "-127", "128", "-128", "32767", "-32768", "0", "100"}
+	fracs := []string{"1.5", "-2.5", "2.0", "100.0", "0.5", "127.5", "-128.5", "3e0", "2.5e0"}
 	type pair struct{ q, ref string }
 	var pairs []pair
+	add := func(col, format string, args ...any) {
+		pairs = append(pairs, pair{fmt.Sprintf("%s "+format, append([]any{col}, args...)...),
+			fmt.Sprintf("%s + 0 "+format, append([]any{col}, args...)...)})
+	}
 	for _, col := range []string{"a", "b", "c", "r", "q"} {
 		for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
-			for _, k := range consts {
-				pairs = append(pairs, pair{fmt.Sprintf("%s %s %d", col, op, k), fmt.Sprintf("%s + 0 %s %d", col, op, k)})
+			for _, k := range append(ints, fracs...) {
+				add(col, "%s %s", op, k)
 			}
 		}
-		for _, b := range [][2]int64{{-300, 300}, {-70000, 70000}, {100, 300}, {-300, -100}, {300, -300}, {-3000000000, 3000000000}, {-128, 127}} {
-			pairs = append(pairs, pair{
-				fmt.Sprintf("%s BETWEEN %d AND %d", col, b[0], b[1]),
-				fmt.Sprintf("%s + 0 BETWEEN %d AND %d", col, b[0], b[1]),
-			})
+		for _, b := range [][2]string{{"-300", "300"}, {"-70000", "70000"}, {"100", "300"}, {"-300", "-100"}, {"300", "-300"}, {"-3000000000", "3000000000"}, {"-128", "127"}, {"-2.5", "3.5"}, {"0.5", "0.9"}, {"0.5e0", "99.5"}} {
+			add(col, "BETWEEN %s AND %s", b[0], b[1])
+		}
+		add(col, "IN (1.5, 2.0, 100, -5.0)")
+		add(col, "IN (2.5e0, 3e0)")
+	}
+	for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
+		for _, k := range []string{"1.234", "1.23", "-0.005", "2", "2.5e0", "5", "-5.01", "0.1e0"} {
+			add("m", "%s %s", op, k)
 		}
 	}
+	add("m", "BETWEEN %s AND %s", "-1.234", "1.239")
+	add("m", "IN (1.230, 2.0001, 3, 0.5e0)")
 	for _, p := range pairs {
 		q := "SELECT count(*), sum(id) FROM t WHERE "
 		want := strings.Join(resultRows(runEngine(t, rawCat, q+p.ref, &Engine{NoIndexes: true})), "\n")

@@ -430,10 +430,10 @@ func (e *Engine) selectCmp(x *plan.Scan, src TableSource, cols []*vec.Vector, cr
 	if !e.NoIndexes && !val.Null {
 		switch op {
 		case vec.CmpEq:
-			if fullScan {
+			if key, ok := indexKey(col, val); ok && fullScan {
 				if h := src.HashIdx(tableCol); h != nil {
 					e.Trace.Emit("algebra.select", "hashidx")
-					rows := h.Lookup(coerceForIndex(col, val))
+					rows := h.Lookup(key)
 					// Never nil: an absent key means zero matches, and a nil
 					// candidate list would mean "all rows" to Intersect.
 					sorted := append(make([]int32, 0, len(rows)), rows...)
@@ -568,16 +568,14 @@ func typeExtremes(t mtypes.Type) (mtypes.Value, mtypes.Value) {
 	}
 }
 
-// coerceForIndex aligns a constant with the column's physical domain before
-// a hash-index lookup (decimal rescale, int widening).
-func coerceForIndex(col *vec.Vector, val mtypes.Value) mtypes.Value {
-	if col.Typ.Kind == mtypes.KDecimal {
-		if val.Typ.Kind == mtypes.KDecimal {
-			return mtypes.Value{Typ: col.Typ, I: mtypes.RescaleDecimal(val.I, val.Typ.Scale, col.Typ.Scale)}
-		}
-		if val.Typ.IsInteger() {
-			return mtypes.Value{Typ: col.Typ, I: val.I * mtypes.Pow10[col.Typ.Scale]}
-		}
+// indexKey converts a constant to the key col's hash index holds for it:
+// col's physical value (vec.CoerceConst), or a DOUBLE for a DOUBLE column.
+// ok is false when col's domain cannot hold the constant exactly; the
+// selection kernel, which compares it as a double, decides then.
+func indexKey(col *vec.Vector, val mtypes.Value) (mtypes.Value, bool) {
+	if col.Typ.Kind == mtypes.KDouble {
+		return mtypes.NewDouble(val.AsFloat()), true
 	}
-	return val
+	key := vec.CoerceConst(col, val)
+	return key, key.Typ.Kind != mtypes.KDouble
 }

@@ -44,10 +44,11 @@ type number interface {
 
 // selCmp is the generic typed selection kernel: it appends to out the row ids
 // (from cands, or [0,len(data)) if cands is nil) where data[i] op c holds and
-// data[i] is not the null sentinel.
+// data[i] is not NULL: the null sentinel, or for doubles any NaN (x != x),
+// which no sentinel comparison catches.
 func selCmp[T number](data []T, op CmpOp, c T, null T, cands []int32, out []int32) []int32 {
 	pred := func(x T) bool {
-		if x == null {
+		if x == null || x != x {
 			return false
 		}
 		switch op {
@@ -114,17 +115,33 @@ func selRange[T number](data []T, lo, hi T, loIncl, hiIncl bool, null T, cands [
 	return out
 }
 
-// coerce converts a boxed constant to the target vector's physical domain.
-// Decimal constants are rescaled; doubles compared against integer columns
-// are handled by the caller via promotion to a double comparison.
-func coerceConst(v *Vector, val mtypes.Value) mtypes.Value {
-	if v.Typ.Kind == mtypes.KDecimal && val.Typ.Kind == mtypes.KDecimal && val.Typ.Scale != v.Typ.Scale {
-		return mtypes.Value{Typ: v.Typ, I: mtypes.RescaleDecimal(val.I, val.Typ.Scale, v.Typ.Scale)}
+// CoerceConst converts a constant to the physical domain of v when the
+// domain holds it exactly: a DECIMAL is rescaled to a DECIMAL column's scale
+// or, without a fraction, becomes an integer; an integer is scaled up for a
+// DECIMAL column. A DECIMAL the domain cannot hold (1.5 on an INTEGER column,
+// 1.234 on DECIMAL(9,2)) becomes a DOUBLE; a DOUBLE stays one. The kernels
+// compare a DOUBLE as doubles, as the general evaluator (CmpVec) does.
+func CoerceConst(v *Vector, val mtypes.Value) mtypes.Value {
+	if val.Null || v.Typ.Kind == mtypes.KVarchar || v.Typ.Kind == mtypes.KDouble {
+		return val
 	}
-	if v.Typ.Kind == mtypes.KDecimal && val.Typ.IsInteger() {
-		return mtypes.Value{Typ: v.Typ, I: val.I * mtypes.Pow10[v.Typ.Scale]}
+	scale := 0
+	if v.Typ.Kind == mtypes.KDecimal {
+		scale = v.Typ.Scale
 	}
-	return val
+	if val.Typ.Kind != mtypes.KDecimal {
+		if scale > 0 && val.Typ.IsInteger() {
+			return mtypes.Value{Typ: v.Typ, I: val.I * mtypes.Pow10[scale]}
+		}
+		return val
+	}
+	switch d := val.Typ.Scale - scale; {
+	case d <= 0:
+		return mtypes.Value{Typ: v.Typ, I: val.I * mtypes.Pow10[-d]}
+	case val.I%mtypes.Pow10[d] == 0:
+		return mtypes.Value{Typ: v.Typ, I: val.I / mtypes.Pow10[d]}
+	}
+	return mtypes.NewDouble(val.AsFloat())
 }
 
 // SelCmp returns the candidates where v op val holds (NULL never matches).
@@ -133,7 +150,7 @@ func SelCmp(v *Vector, op CmpOp, val mtypes.Value, cands []int32) []int32 {
 	if val.Null {
 		return out
 	}
-	val = coerceConst(v, val)
+	val = CoerceConst(v, val)
 	switch {
 	case v.Typ.Kind == mtypes.KVarchar:
 		return selStr(v.Str, op, val.S, cands, out)
@@ -242,7 +259,7 @@ func SelRange(v *Vector, lo, hi mtypes.Value, loIncl, hiIncl bool, cands []int32
 	if lo.Null || hi.Null {
 		return out
 	}
-	lo, hi = coerceConst(v, lo), coerceConst(v, hi)
+	lo, hi = CoerceConst(v, lo), CoerceConst(v, hi)
 	switch {
 	case v.Typ.Kind == mtypes.KVarchar:
 		for _, i := range candIter(v.Len(), cands) {
@@ -302,15 +319,25 @@ func SelIn(v *Vector, vals []mtypes.Value, cands []int32) []int32 {
 		}
 		return out
 	}
-	if v.Typ.Kind == mtypes.KDouble {
-		set := make(map[float64]struct{}, len(vals))
-		for _, val := range vals {
-			if !val.Null {
-				set[val.AsFloat()] = struct{}{}
-			}
+	// Constants in the column's domain compare as its integers; if one is
+	// not (CoerceConst made it a DOUBLE), the list compares as doubles.
+	consts := make([]mtypes.Value, 0, len(vals))
+	asFloats := v.Typ.Kind == mtypes.KDouble
+	for _, val := range vals {
+		if !val.Null {
+			c := CoerceConst(v, val)
+			consts = append(consts, c)
+			asFloats = asFloats || c.Typ.Kind == mtypes.KDouble
 		}
+	}
+	if asFloats {
+		set := make(map[float64]struct{}, len(consts))
+		for _, c := range consts {
+			set[c.AsFloat()] = struct{}{}
+		}
+		fs := AsFloats(v)
 		for _, i := range candIter(v.Len(), cands) {
-			x := v.F64[i]
+			x := fs[i]
 			if mtypes.IsNullF64(x) {
 				continue
 			}
@@ -320,11 +347,9 @@ func SelIn(v *Vector, vals []mtypes.Value, cands []int32) []int32 {
 		}
 		return out
 	}
-	set := make(map[int64]struct{}, len(vals))
-	for _, val := range vals {
-		if !val.Null {
-			set[coerceConst(v, val).AsInt()] = struct{}{}
-		}
+	set := make(map[int64]struct{}, len(consts))
+	for _, c := range consts {
+		set[c.AsInt()] = struct{}{}
 	}
 	xs := AsInts64(v)
 	for _, i := range candIter(v.Len(), cands) {

@@ -165,7 +165,7 @@ func MedianFloats(vals []float64) float64 {
 func BinarySearchRange(v *Vector, order []int32, loV, hiV mtypes.Value, loIncl, hiIncl bool) (int, int) {
 	cmpLo := func(i int) bool { // first position with value >= loV (or > if !loIncl)
 		val := v.Value(int(order[i]))
-		c := mtypes.Compare(val, coerceConst(v, loV))
+		c := mtypes.Compare(val, CoerceConst(v, loV))
 		if loIncl {
 			return c >= 0
 		}
@@ -173,7 +173,7 @@ func BinarySearchRange(v *Vector, order []int32, loV, hiV mtypes.Value, loIncl, 
 	}
 	cmpHi := func(i int) bool { // first position with value > hiV (or >= if !hiIncl)
 		val := v.Value(int(order[i]))
-		c := mtypes.Compare(val, coerceConst(v, hiV))
+		c := mtypes.Compare(val, CoerceConst(v, hiV))
 		if hiIncl {
 			return c > 0
 		}
