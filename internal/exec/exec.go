@@ -515,7 +515,7 @@ func (e *Engine) execProject(x *plan.Project) (*batch, error) {
 			}
 			out[i] = v
 		}
-		return newBatch(out), nil
+		return &batch{cols: out, n: 1}, nil // one row, even with no columns
 	}
 	in, err := e.exec(x.Input)
 	if err != nil {

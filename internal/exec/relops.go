@@ -218,13 +218,17 @@ func (e *Engine) buildJoinTable(buildKeys []*vec.Vector, buildN, probeN int, lab
 	cp := e.chunkPlan(probeN, max(mal.MinChunkRows, buildN/4), 0)
 	workers := min(cp.Chunks, e.workerBudget())
 	parts := vec.JoinPartitions(workers)
-	tbl := vec.BuildHashPartitioned(buildKeys, nil, parts, workers)
+	tbl := vec.BuildHashPartitioned(buildKeys, parts, workers)
 	args := []string{label}
 	if cp.Chunks > 1 {
 		e.Trace.EmitVoid("optimizer.mitosis", fmt.Sprintf("%d probe chunks (join)", cp.Chunks))
 		args = append(args, fmt.Sprintf("partitioned %d parts", parts))
 	}
-	e.Trace.Emit("algebra.hashjoin", append(args, fmt.Sprintf("%d keys", tbl.Len()))...)
+	args = append(args, fmt.Sprintf("%d keys", tbl.Len()))
+	if bits, ok := tbl.FilterBits(); ok {
+		args = append(args, fmt.Sprintf("filter %d bits", bits))
+	}
+	e.Trace.Emit("algebra.hashjoin", args...)
 	return &joinProber{e: e, tbl: tbl, cp: cp}
 }
 
@@ -242,7 +246,7 @@ func (jp *joinProber) forChunks(keys []*vec.Vector, n int, probe func(ci int, ke
 func (jp *joinProber) probe(keys []*vec.Vector, n int) ([]int32, []int32, error) {
 	ps, bs := make([][]int32, jp.cp.Chunks), make([][]int32, jp.cp.Chunks)
 	err := jp.forChunks(keys, n, func(ci int, sliced []*vec.Vector) {
-		ps[ci], bs[ci] = jp.tbl.Probe(sliced, nil)
+		ps[ci], bs[ci] = jp.tbl.Probe(sliced)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -254,7 +258,7 @@ func (jp *joinProber) probe(keys []*vec.Vector, n int) ([]int32, []int32, error)
 func (jp *joinProber) probeSemi(keys []*vec.Vector, n int, anti bool) ([]int32, error) {
 	keep := make([][]int32, jp.cp.Chunks)
 	err := jp.forChunks(keys, n, func(ci int, sliced []*vec.Vector) {
-		keep[ci] = jp.tbl.ProbeSemi(sliced, nil, anti)
+		keep[ci] = jp.tbl.ProbeSemi(sliced, anti)
 	})
 	if err != nil {
 		return nil, err
@@ -271,7 +275,7 @@ func (jp *joinProber) probeMark(keys []*vec.Vector, n, buildN int) (vec.Bitmap, 
 		marks[ci] = vec.NewBitmap(buildN)
 	}
 	err := jp.forChunks(keys, n, func(ci int, sliced []*vec.Vector) {
-		jp.tbl.ProbeMark(sliced, nil, marks[ci])
+		jp.tbl.ProbeMark(sliced, marks[ci])
 	})
 	if err != nil {
 		return nil, err
@@ -436,7 +440,7 @@ func (e *Engine) execAggregate(x *plan.Aggregate) (*batch, error) {
 			keys[i] = vec.Concat(pieces...)
 		}
 		var gids []int32
-		gids, ngroups, reprs = groupIDs(keys, total)
+		gids, ngroups, reprs, _ = groupIDs(keys, total)
 		gidMaps = make([][]int32, cp.Chunks)
 		for ci, off := 0, 0; ci < cp.Chunks; ci++ {
 			gidMaps[ci] = gids[off : off+outs[ci].ngroups]
@@ -445,7 +449,11 @@ func (e *Engine) execAggregate(x *plan.Aggregate) (*batch, error) {
 		note = " (parallel merge)"
 	}
 	if len(keys) > 0 {
-		e.traceGroup(len(keys), ngroups, outs[0].dict, note)
+		dense := true
+		for ci := range outs {
+			dense = dense && outs[ci].dense
+		}
+		e.traceGroup(len(keys), ngroups, outs[0].dict, dense, note)
 	}
 	out := keyColumns(keys, outs[0].dict, reprs)
 	for ai, a := range x.Aggs {
@@ -480,6 +488,7 @@ type grouping struct {
 	gids    []int32        // group of each row
 	ngroups int
 	reprs   []int32 // first row of each group
+	dense   bool    // grouped by direct addressing
 }
 
 // groupBatch groups b's rows on the GROUP BY keys. A bare reference to a
@@ -507,17 +516,17 @@ func groupBatch(memo *memo, exprs []plan.Expr, b *batch, encs []*vec.Encoded, lo
 		}
 		g.keys[i] = kv
 	}
-	g.gids, g.ngroups, g.reprs = groupIDs(g.keys, b.n)
+	g.gids, g.ngroups, g.reprs, g.dense = groupIDs(g.keys, b.n)
 	return g, nil
 }
 
 // groupIDs groups n rows on keys. With no keys the rows form one group: a
 // global aggregate has one output row, even over no input.
-func groupIDs(keys []*vec.Vector, n int) ([]int32, int, []int32) {
+func groupIDs(keys []*vec.Vector, n int) ([]int32, int, []int32, bool) {
 	if len(keys) == 0 {
-		return make([]int32, n), 1, nil
+		return make([]int32, n), 1, nil, false
 	}
-	return vec.GroupBy(keys, nil)
+	return vec.GroupBy(keys)
 }
 
 // keyColumns gathers the key vectors at the group representatives (nil:
@@ -534,9 +543,13 @@ func keyColumns(keys []*vec.Vector, dict []*vec.Encoded, reprs []int32) []*vec.V
 	return out
 }
 
-// traceGroup emits a grouped aggregate's group.group instruction.
-func (e *Engine) traceGroup(nkeys, ngroups int, dict []*vec.Encoded, note string) {
+// traceGroup emits a grouped aggregate's group.group instruction; dense
+// marks keys grouped by direct addressing in every chunk.
+func (e *Engine) traceGroup(nkeys, ngroups int, dict []*vec.Encoded, dense bool, note string) {
 	args := []string{fmt.Sprintf("%d keys -> %d groups%s", nkeys, ngroups, note)}
+	if dense {
+		args = append(args, "dense")
+	}
 	nDict := 0
 	for _, d := range dict {
 		if d != nil {
@@ -553,7 +566,7 @@ func (e *Engine) traceGroup(nkeys, ngroups int, dict []*vec.Encoded, note string
 // (COUNT(DISTINCT x) and friends): the pairs grouped by vec.GroupBy, whose
 // representatives are those first occurrences, in row order.
 func dedupPerGroup(gids []int32, vals *vec.Vector) ([]int32, *vec.Vector) {
-	_, _, reprs := vec.GroupBy([]*vec.Vector{{Typ: mtypes.Int, I32: gids}, vals}, nil)
+	_, _, reprs, _ := vec.GroupBy([]*vec.Vector{{Typ: mtypes.Int, I32: gids}, vals})
 	outG := make([]int32, len(reprs))
 	for i, r := range reprs {
 		outG[i] = gids[r]
@@ -591,6 +604,7 @@ type aggChunk struct {
 	keys    []*vec.Vector // the chunk's group keys, at their representatives
 	dict    []*vec.Encoded
 	ngroups int
+	dense   bool
 	parts   []aggPart // per aggregate
 }
 
@@ -606,7 +620,7 @@ func (e *Engine) aggregateChunk(x *plan.Aggregate, b *batch, encs []*vec.Encoded
 		return aggChunk{}, err
 	}
 	c := aggChunk{keys: keyColumns(g.keys, nil, g.reprs), dict: g.dict, ngroups: g.ngroups,
-		parts: make([]aggPart, len(x.Aggs))}
+		dense: g.dense, parts: make([]aggPart, len(x.Aggs))}
 	for ai, a := range x.Aggs {
 		var vals *vec.Vector
 		if a.Arg != nil {

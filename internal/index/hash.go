@@ -1,8 +1,6 @@
 package index
 
 import (
-	"math"
-
 	"monetlite/internal/mtypes"
 	"monetlite/internal/vec"
 )
@@ -46,7 +44,7 @@ func (h *HashIndex) Extend(v *vec.Vector, from int) {
 			if mtypes.IsNullF64(f) {
 				continue
 			}
-			k := int64(math.Float64bits(f))
+			k := vec.FloatKey(f) // -0.0 and +0.0 are one key
 			h.num[k] = append(h.num[k], int32(i))
 		}
 	default:
@@ -106,7 +104,7 @@ func (h *HashIndex) Lookup(val mtypes.Value) []int32 {
 		return h.str[val.S]
 	}
 	if val.Typ.Kind == mtypes.KDouble {
-		return h.num[int64(math.Float64bits(val.F))]
+		return h.num[vec.FloatKey(val.F)]
 	}
 	return h.num[val.I]
 }

@@ -375,8 +375,8 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 		}
 		lo, ro := BuildOrderIndex(l), BuildOrderIndex(r)
 		ls, rs := MergeJoin(l, lo, r, ro)
-		ht := vec.BuildHashPartitioned([]*vec.Vector{r}, nil, 1, 1)
-		hp, hb := ht.Probe([]*vec.Vector{l}, nil)
+		ht := vec.BuildHashPartitioned([]*vec.Vector{r}, 1, 1)
+		hp, hb := ht.Probe([]*vec.Vector{l})
 		type pair struct{ a, b int32 }
 		got := map[pair]int{}
 		for i := range ls {

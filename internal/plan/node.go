@@ -248,7 +248,12 @@ func (n *Filter) Children() []Node { return []Node{n.Input} }
 func (n *Project) Schema() Schema { return n.Out }
 
 // Children returns the single input.
-func (n *Project) Children() []Node { return []Node{n.Input} }
+func (n *Project) Children() []Node {
+	if n.Input == nil { // SELECT without FROM
+		return nil
+	}
+	return []Node{n.Input}
+}
 
 // Schema returns left ++ right (inner/left) or left (semi/anti).
 func (n *Join) Schema() Schema {

@@ -645,7 +645,10 @@ func pruneNode(n Node, required []bool) (Node, map[int]int) {
 		in, m := pruneNode(x.Input, req)
 		return &Filter{Input: in, Pred: mapExprSlots(x.Pred, m)}, m
 	case *Project:
-		childReq := make([]bool, len(x.Input.Schema()))
+		var childReq []bool // a Project without FROM has no input
+		if x.Input != nil {
+			childReq = make([]bool, len(x.Input.Schema()))
+		}
 		var exprs []Expr
 		var out Schema
 		m := map[int]int{}

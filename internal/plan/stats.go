@@ -120,6 +120,9 @@ func (est *estimator) cardUncached(n Node) float64 {
 		}
 		return clampCard(in*dampedProduct(sels), in)
 	case *Project:
+		if x.Input == nil { // SELECT without FROM: one row
+			return 1
+		}
 		return est.card(x.Input)
 	case *Join:
 		return est.joinCard(x)

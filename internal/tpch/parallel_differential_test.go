@@ -11,10 +11,10 @@ import (
 	"monetlite/internal/mal"
 )
 
-// compareResults checks parallel vs serial results column by column:
-// decimal/integer/string cells must match exactly (decimal SUMs and COUNTs
-// merge losslessly through integer partials), doubles within relative ulps
-// (parallel AVG divides one exact merged sum, serial accumulates floats).
+// compareResults checks parallel vs serial results column by column, every
+// cell exactly and doubles bit for bit: decimal SUMs and COUNTs merge
+// losslessly through integer partials, and AVG is SUM / COUNT divided once
+// at every chunk count.
 func compareResults(t *testing.T, label string, ser, par *monetlite.Result) {
 	t.Helper()
 	if ser.NumRows() != par.NumRows() {
@@ -32,7 +32,7 @@ func compareResults(t *testing.T, label string, ser, par *monetlite.Result) {
 			sv, pv := ser.Column(c).Value(i), par.Column(c).Value(i)
 			if sf, ok := sv.(float64); ok {
 				pf := pv.(float64)
-				if math.Abs(sf-pf) > 1e-9*math.Max(1, math.Abs(sf)) {
+				if math.Float64bits(sf) != math.Float64bits(pf) {
 					t.Fatalf("%s: col %d row %d: %v vs %v", label, c, i, sv, pv)
 				}
 				continue
@@ -47,10 +47,8 @@ func compareResults(t *testing.T, label string, ser, par *monetlite.Result) {
 // The parallel partitioned hash-aggregation path (per-chunk group tables +
 // keyed partial merge) must agree with the serial engine on TPC-H Q1 at a
 // scale factor large enough to split the lineitem scan into grouped chunks
-// (2*mal.MinChunkRows each). Decimal SUMs must match exactly (integer
-// partials merge losslessly); AVG doubles may differ in the last ulps
-// because the parallel path divides one exact merged sum while the serial
-// path accumulates floats row by row.
+// (2*mal.MinChunkRows each). Every cell must match bit for bit, AVG
+// included (see compareResults).
 func TestParallelQ1MatchesSerial(t *testing.T) {
 	// ~90k lineitem rows: two grouped chunks or more, so 4 threads split it.
 	const sf = 0.015

@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -260,24 +261,7 @@ func CmpVec(op CmpOp, a, b *Vector) (*Vector, error) {
 	set := func(i int, null bool, r int) {
 		if null {
 			out.I8[i] = mtypes.NullInt8
-			return
-		}
-		ok := false
-		switch op {
-		case CmpEq:
-			ok = r == 0
-		case CmpNe:
-			ok = r != 0
-		case CmpLt:
-			ok = r < 0
-		case CmpLe:
-			ok = r <= 0
-		case CmpGt:
-			ok = r > 0
-		default:
-			ok = r >= 0
-		}
-		if ok {
+		} else if cmpHolds(op, r) {
 			out.I8[i] = 1
 		}
 	}
@@ -303,20 +287,36 @@ func CmpVec(op CmpOp, a, b *Vector) (*Vector, error) {
 			set(i, mtypes.IsNullF64(x) || mtypes.IsNullF64(y), r)
 		}
 	default:
+		// One payload width (two DATEs, two INTs, ...) compares in place;
+		// mixed widths widen to int64.
+		if ia, ib := intsOf(a), intsOf(b); ia != nil && ib != nil && ia.cmp(op, ib, out.I8) {
+			break
+		}
 		ai, bi := AsInts64(a), AsInts64(b)
 		for i := 0; i < n; i++ {
 			x, y := ai[i], bi[i]
-			r := 0
-			switch {
-			case x < y:
-				r = -1
-			case x > y:
-				r = 1
-			}
-			set(i, x == mtypes.NullInt64 || y == mtypes.NullInt64, r)
+			set(i, x == mtypes.NullInt64 || y == mtypes.NullInt64, cmp.Compare(x, y))
 		}
 	}
 	return out, nil
+}
+
+// cmpHolds reports whether op holds for a three-way comparison result r.
+func cmpHolds(op CmpOp, r int) bool {
+	switch op {
+	case CmpEq:
+		return r == 0
+	case CmpNe:
+		return r != 0
+	case CmpLt:
+		return r < 0
+	case CmpLe:
+		return r <= 0
+	case CmpGt:
+		return r > 0
+	default:
+		return r >= 0
+	}
 }
 
 // BoolAnd / BoolOr implement SQL three-valued logic on BOOLEAN vectors.
@@ -389,6 +389,9 @@ func Cast(v *Vector, to mtypes.Type) (*Vector, error) {
 	if v.Typ == to {
 		return v, nil
 	}
+	if v.Typ.Kind == mtypes.KVarchar && to.Kind != mtypes.KVarchar && to.Kind != mtypes.KDate {
+		return nil, fmt.Errorf("vec: unsupported cast %s -> %s", v.Typ, to)
+	}
 	n := v.Len()
 	out := New(to, n)
 	switch to.Kind {
@@ -412,8 +415,6 @@ func Cast(v *Vector, to mtypes.Type) (*Vector, error) {
 			for i, x := range v.I64 {
 				xs[i] = mtypes.RescaleDecimal(x, v.Typ.Scale, 0)
 			}
-		case mtypes.KVarchar:
-			return nil, fmt.Errorf("vec: unsupported cast %s -> %s", v.Typ, to)
 		default:
 			xs = AsInts64(v)
 		}

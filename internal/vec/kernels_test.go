@@ -166,6 +166,45 @@ func TestCmpVec(t *testing.T) {
 	}
 }
 
+// Two columns of one integer width compare in place; the answer must be the
+// one their values widened to int64 give, NULLs included.
+func TestCmpVecSameWidthMatchesWidened(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ops := []struct {
+		op    CmpOp
+		holds func(x, y int64) bool
+	}{
+		{CmpEq, func(x, y int64) bool { return x == y }},
+		{CmpNe, func(x, y int64) bool { return x != y }},
+		{CmpLt, func(x, y int64) bool { return x < y }},
+		{CmpLe, func(x, y int64) bool { return x <= y }},
+		{CmpGt, func(x, y int64) bool { return x > y }},
+		{CmpGe, func(x, y int64) bool { return x >= y }},
+	}
+	for _, typ := range []mtypes.Type{mtypes.Bool, mtypes.TinyInt, mtypes.SmallInt, mtypes.Int, mtypes.Date, mtypes.BigInt, mtypes.Decimal(9, 2)} {
+		a, b := randKeyVector(rng, typ, 300), randKeyVector(rng, typ, 300)
+		for _, o := range ops {
+			got, err := CmpVec(o.op, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range got.I8 {
+				x, xnull := numKeyAt(a, i)
+				y, ynull := numKeyAt(b, i)
+				want := int8(0)
+				if xnull || ynull {
+					want = mtypes.NullInt8
+				} else if o.holds(x, y) {
+					want = 1
+				}
+				if got.I8[i] != want {
+					t.Fatalf("%s op %d row %d (%v vs %v): %d, want %d", typ, o.op, i, a.Value(i), b.Value(i), got.I8[i], want)
+				}
+			}
+		}
+	}
+}
+
 func TestBoolLogic(t *testing.T) {
 	tr, fa, nu := int8(1), int8(0), mtypes.NullInt8
 	a := New(mtypes.Bool, 9)
@@ -250,7 +289,7 @@ func TestCast(t *testing.T) {
 
 func TestGroupBySingleKey(t *testing.T) {
 	v := strVec("a", "b", "a", "c", "b", "a")
-	gids, n, reprs := GroupBy([]*Vector{v}, nil)
+	gids, n, reprs, _ := GroupBy([]*Vector{v})
 	if n != 3 {
 		t.Fatalf("ngroups = %d", n)
 	}
@@ -266,7 +305,7 @@ func TestGroupByMultiKeyAndNulls(t *testing.T) {
 	k1 := intVec(1, 1, 2, 1)
 	k2 := strVec("x", "y", "x", "x")
 	k1.SetNull(2)
-	gids, n, _ := GroupBy([]*Vector{k1, k2}, nil)
+	gids, n, _, _ := GroupBy([]*Vector{k1, k2})
 	// groups: (1,x) rows 0,3; (1,y) row 1; (null,x) row 2
 	if n != 3 || gids[0] != gids[3] || gids[1] == gids[0] || gids[2] == gids[0] {
 		t.Fatalf("multi-key groups: %v n=%d", gids, n)
@@ -275,7 +314,7 @@ func TestGroupByMultiKeyAndNulls(t *testing.T) {
 	k3 := intVec(7, 8, 9)
 	k3.SetNull(0)
 	k3.SetNull(2)
-	gids2, n2, _ := GroupBy([]*Vector{k3}, nil)
+	gids2, n2, _, _ := GroupBy([]*Vector{k3})
 	if n2 != 2 || gids2[0] != gids2[2] {
 		t.Fatalf("null grouping: %v", gids2)
 	}
@@ -283,11 +322,12 @@ func TestGroupByMultiKeyAndNulls(t *testing.T) {
 
 func TestGroupByWithCands(t *testing.T) {
 	v := intVec(1, 2, 1, 2, 3)
-	gids, n, reprs := GroupBy([]*Vector{v}, []int32{0, 2, 4})
+	cands := []int32{0, 2, 4}
+	gids, n, reprs, _ := GroupBy([]*Vector{Gather(v, cands)})
 	if n != 2 || gids[0] != gids[1] || gids[2] == gids[0] {
 		t.Fatalf("cands grouping: %v n=%d", gids, n)
 	}
-	if v.I32[reprs[gids[0]]] != 1 || v.I32[reprs[gids[2]]] != 3 {
+	if v.I32[cands[reprs[gids[0]]]] != 1 || v.I32[cands[reprs[gids[2]]]] != 3 {
 		t.Fatal("repr rows wrong")
 	}
 }
@@ -295,11 +335,11 @@ func TestGroupByWithCands(t *testing.T) {
 func TestHashJoinInner(t *testing.T) {
 	build := intVec(10, 20, 30, 20)
 	probe := intVec(20, 40, 10)
-	ht := BuildHashPartitioned([]*Vector{build}, nil, 1, 1)
+	ht := BuildHashPartitioned([]*Vector{build}, 1, 1)
 	if ht.Len() != 3 {
 		t.Fatalf("distinct keys = %d", ht.Len())
 	}
-	p, b := ht.Probe([]*Vector{probe}, nil)
+	p, b := ht.Probe([]*Vector{probe})
 	// probe row 0 (20) matches build 1,3; probe row 2 (10) matches build 0.
 	if len(p) != 3 {
 		t.Fatalf("pairs: %v %v", p, b)
@@ -321,8 +361,8 @@ func TestHashJoinNullKeys(t *testing.T) {
 	build.SetNull(0)
 	probe := intVec(1, 2)
 	probe.SetNull(1)
-	ht := BuildHashPartitioned([]*Vector{build}, nil, 1, 1)
-	p, _ := ht.Probe([]*Vector{probe}, nil)
+	ht := BuildHashPartitioned([]*Vector{build}, 1, 1)
+	p, _ := ht.Probe([]*Vector{probe})
 	if len(p) != 0 {
 		t.Fatalf("NULL keys must not join: %v", p)
 	}
@@ -331,8 +371,8 @@ func TestHashJoinNullKeys(t *testing.T) {
 func TestHashJoinComposite(t *testing.T) {
 	b1, b2 := intVec(1, 1, 2), strVec("x", "y", "x")
 	p1, p2 := intVec(1, 2), strVec("y", "x")
-	ht := BuildHashPartitioned([]*Vector{b1, b2}, nil, 1, 1)
-	p, b := ht.Probe([]*Vector{p1, p2}, nil)
+	ht := BuildHashPartitioned([]*Vector{b1, b2}, 1, 1)
+	p, b := ht.Probe([]*Vector{p1, p2})
 	if len(p) != 2 {
 		t.Fatalf("composite join: %v %v", p, b)
 	}
@@ -344,12 +384,12 @@ func TestHashJoinComposite(t *testing.T) {
 func TestHashJoinSemiAnti(t *testing.T) {
 	build := strVec("a", "b")
 	probe := strVec("b", "c", "a", "b")
-	ht := BuildHashPartitioned([]*Vector{build}, nil, 1, 1)
-	semi := ht.ProbeSemi([]*Vector{probe}, nil, false)
+	ht := BuildHashPartitioned([]*Vector{build}, 1, 1)
+	semi := ht.ProbeSemi([]*Vector{probe}, false)
 	if !eqCands(semi, []int32{0, 2, 3}) {
 		t.Fatalf("semi: %v", semi)
 	}
-	anti := ht.ProbeSemi([]*Vector{probe}, nil, true)
+	anti := ht.ProbeSemi([]*Vector{probe}, true)
 	if !eqCands(anti, []int32{1}) {
 		t.Fatalf("anti: %v", anti)
 	}
@@ -358,9 +398,9 @@ func TestHashJoinSemiAnti(t *testing.T) {
 func TestHashJoinMark(t *testing.T) {
 	build := intVec(10, 7, 10)
 	probe := intVec(10, 99, 10)
-	ht := BuildHashPartitioned([]*Vector{build}, nil, 1, 1)
+	ht := BuildHashPartitioned([]*Vector{build}, 1, 1)
 	marks := NewBitmap(3)
-	ht.ProbeMark([]*Vector{probe}, nil, marks)
+	ht.ProbeMark([]*Vector{probe}, marks)
 	if !marks.Get(0) || marks.Get(1) || !marks.Get(2) {
 		t.Fatalf("marks: %b", marks[0])
 	}
@@ -380,8 +420,8 @@ func TestHashJoinQuick(t *testing.T) {
 		rng.Seed(seed)
 		build := randomIntVecWithNulls(rng, 40)
 		probe := randomIntVecWithNulls(rng, 40)
-		ht := BuildHashPartitioned([]*Vector{build}, nil, 1, 1)
-		p, b := ht.Probe([]*Vector{probe}, nil)
+		ht := BuildHashPartitioned([]*Vector{build}, 1, 1)
+		p, b := ht.Probe([]*Vector{probe})
 		type pair struct{ p, b int32 }
 		got := map[pair]int{}
 		for i := range p {

@@ -1,18 +1,20 @@
 package vec
 
 import (
+	"cmp"
 	"math"
 
 	"monetlite/internal/mtypes"
 )
 
-// This file implements the open-addressing hash infrastructure shared by
-// grouping (GroupBy), hash joins (parthash.go) and the dataframe library's
-// group/join paths: a linear-probing distinct-key table (OATable) over fused
-// multi-column key hashes, with exact-key verification against a
-// representative row per distinct key. It replaces the MonetDB-style
-// iterative refinement grouping (kept beside the tests as GroupByRefine, their
-// oracle) and the Go-map-based join chains: one pass over the input,
+// This file implements the key machinery shared by grouping (GroupBy), hash
+// joins (parthash.go) and the dataframe library's group/join paths: a
+// linear-probing distinct-key table (OATable) over fused multi-column key
+// hashes, with exact-key verification against a representative row per
+// distinct key, and KeySet, a typed view that reads key vectors in place.
+// GroupBy addresses small integer key boxes directly and hashes the rest.
+// It replaces the MonetDB-style iterative refinement grouping (kept beside
+// the tests as GroupByRefine, their oracle): one pass over the input,
 // power-of-two table sizing, no per-column map allocations.
 
 // HashSeed is the initial value of a fused key hash.
@@ -158,249 +160,363 @@ func (t *OATable) grow() {
 }
 
 // ---------------------------------------------------------------------------
-// KeySet: canonical hash-ready form of a multi-column key set.
+// KeySet: a typed view of a multi-column key set.
 // ---------------------------------------------------------------------------
 
-// keyCol is one canonicalized key column: exactly one of i64/str is set.
-// Numeric payloads follow the engine's canonical encoding: integer kinds
-// widen to int64 (NULL sentinels widen with them), DECIMAL keeps its scaled
-// integer, DOUBLE uses its bit pattern with every NaN payload collapsed to
-// mtypes.NullInt64 (float NULL canonicalization).
+// hashBlock is how many rows probes and GroupBy hash at a time, into one
+// reused buffer rather than a per-row hash array.
+const hashBlock = 1024
+
+// keyCol is one key column read where it lies: the vector's own payload,
+// compared in its own width. Only DOUBLE keys canonicalize (FloatKey), as
+// they are read.
 type keyCol struct {
-	i64 []int64
-	str []string
+	v    *Vector
+	ints intCol // the integer view; nil for DOUBLE and VARCHAR
 }
 
-// KeySet holds the canonical payloads and fused per-row hashes of the
-// effective candidate rows of a multi-column key, plus (optionally) which
-// rows carry at least one NULL key — joins exclude those, grouping keeps
-// them (NULLs group together).
+// KeySet is a typed view of the key vectors of a join side or a grouping.
+// The join build also fills the per-row fused hashes and NULL flags it
+// partitions by; probes and GroupBy hash in blocks instead.
 type KeySet struct {
-	n     int
-	cols  []keyCol
-	hash  []uint64
-	null  []bool  // nil unless trackNulls
-	cands []int32 // effective index -> original row id (nil = identity)
+	n    int
+	cols []keyCol
+	one  [1]keyCol // backs cols for a one-column key, the common case
+	hash []uint64  // per-row fused hash; join build only
+	null []bool    // rows with a NULL in any key column; join build only
 }
 
-// NewKeySet canonicalizes keys over the candidate list and fuses per-row
-// hashes in one column-at-a-time pass.
-func NewKeySet(keys []*Vector, cands []int32, trackNulls bool) *KeySet {
-	n := NumCands(keys[0].Len(), cands)
-	ks := &KeySet{n: n, cols: make([]keyCol, len(keys)), cands: cands}
-	ks.hash = make([]uint64, n)
-	for k := range ks.hash {
-		ks.hash[k] = HashSeed
-	}
-	if trackNulls {
-		ks.null = make([]bool, n)
-	}
-	for ci, key := range keys {
-		ks.addCol(ci, key, cands)
+// NewKeySet views keys in place; nothing is copied.
+func NewKeySet(keys []*Vector) *KeySet {
+	ks := &KeySet{n: keys[0].Len()}
+	ks.cols = ks.one[:0]
+	for _, v := range keys {
+		ks.cols = append(ks.cols, keyCol{v: v, ints: intsOf(v)})
 	}
 	return ks
 }
 
-// RowAt maps an effective index back to its original row id.
-func (ks *KeySet) RowAt(k int) int32 {
-	if ks.cands == nil {
-		return int32(k)
-	}
-	return ks.cands[k]
+// hashAll fills the per-row hash and NULL arrays of every row.
+func (ks *KeySet) hashAll() {
+	ks.hash = make([]uint64, ks.n)
+	ks.null = make([]bool, ks.n)
+	ks.hashRows(0, ks.n, ks.hash, ks.null)
 }
 
-func (ks *KeySet) addCol(ci int, key *Vector, cands []int32) {
-	if key.Typ.Kind == mtypes.KVarchar {
-		ss := key.Str
-		if cands != nil {
-			ss = make([]string, ks.n)
-			for k, c := range cands {
-				ss[k] = key.Str[c]
-			}
-		}
-		ks.cols[ci].str = ss
-		for k, s := range ss {
-			ks.hash[k] = HashString(ks.hash[k], s)
-			if ks.null != nil && s == StrNull {
-				ks.null[k] = true
-			}
-		}
-		return
+// hashRows fuses the key hashes of rows [lo, hi) into h and, unless null is
+// nil, flags the rows with a NULL key in null.
+func (ks *KeySet) hashRows(lo, hi int, h []uint64, null []bool) {
+	h = h[:hi-lo]
+	for k := range h {
+		h[k] = HashSeed
 	}
-	pay := canonPayloads(key, cands)
-	ks.cols[ci].i64 = pay
-	for k, v := range pay {
-		ks.hash[k] = HashInt64(ks.hash[k], v)
+	if null != nil {
+		clear(null[:hi-lo])
 	}
-	if ks.null != nil {
-		markNulls(key, cands, pay, ks.null)
-	}
-}
-
-// canonPayloads widens one numeric column into canonical int64 payloads over
-// the candidate list. BIGINT/DECIMAL vectors with no candidate list are
-// aliased, not copied.
-func canonPayloads(v *Vector, cands []int32) []int64 {
-	switch v.Typ.Kind {
-	case mtypes.KBigInt, mtypes.KDecimal:
-		if cands == nil {
-			return v.I64
-		}
-		out := make([]int64, len(cands))
-		for k, c := range cands {
-			out[k] = v.I64[c]
-		}
-		return out
-	case mtypes.KInt, mtypes.KDate:
-		out := make([]int64, NumCands(len(v.I32), cands))
-		if cands == nil {
-			for k, x := range v.I32 {
-				out[k] = int64(x)
+	for _, c := range ks.cols {
+		switch {
+		case c.ints != nil:
+			c.ints.fold(lo, hi, h, null)
+		case c.v.Typ.Kind == mtypes.KDouble:
+			for k, f := range c.v.F64[lo:hi] {
+				h[k] = HashInt64(h[k], FloatKey(f))
+				if null != nil && mtypes.IsNullF64(f) {
+					null[k] = true
+				}
 			}
-		} else {
-			for k, c := range cands {
-				out[k] = int64(v.I32[c])
+		default:
+			for k, s := range c.v.Str[lo:hi] {
+				h[k] = HashString(h[k], s)
+				if null != nil && s == StrNull {
+					null[k] = true
+				}
 			}
 		}
-		return out
-	case mtypes.KSmallInt:
-		out := make([]int64, NumCands(len(v.I16), cands))
-		if cands == nil {
-			for k, x := range v.I16 {
-				out[k] = int64(x)
-			}
-		} else {
-			for k, c := range cands {
-				out[k] = int64(v.I16[c])
-			}
-		}
-		return out
-	case mtypes.KDouble:
-		out := make([]int64, NumCands(len(v.F64), cands))
-		if cands == nil {
-			for k, f := range v.F64 {
-				out[k] = canonF64(f)
-			}
-		} else {
-			for k, c := range cands {
-				out[k] = canonF64(v.F64[c])
-			}
-		}
-		return out
-	default: // KBool, KTinyInt
-		out := make([]int64, NumCands(len(v.I8), cands))
-		if cands == nil {
-			for k, x := range v.I8 {
-				out[k] = int64(x)
-			}
-		} else {
-			for k, c := range cands {
-				out[k] = int64(v.I8[c])
-			}
-		}
-		return out
 	}
 }
 
-// canonF64 maps a double to its canonical payload: every NaN bit pattern
-// becomes the NULL sentinel, everything else its raw bits.
-func canonF64(f float64) int64 {
+// nullF64Key is the key payload of every NaN: a quiet-NaN bit pattern, which
+// no non-NaN double has.
+const nullF64Key = int64(0x7ff8000000000001)
+
+// FloatKey is a double's key payload: every NaN is the one NULL payload and
+// -0.0 is +0.0, so doubles SQL calls equal hash and compare equal.
+func FloatKey(f float64) int64 {
 	if mtypes.IsNullF64(f) {
-		return mtypes.NullInt64
+		return nullF64Key
+	}
+	if f == 0 {
+		return 0
 	}
 	return int64(math.Float64bits(f))
 }
 
-// markNulls flags rows whose key is the column's NULL sentinel. For doubles
-// the canonical payload already equals NullInt64 exactly when the value is
-// NaN or -0.0; only NaN is SQL NULL, so doubles are re-checked on the raw
-// vector.
-func markNulls(v *Vector, cands []int32, pay []int64, null []bool) {
-	var sentinel int64
-	switch v.Typ.Kind {
-	case mtypes.KBigInt, mtypes.KDecimal:
-		sentinel = mtypes.NullInt64
-	case mtypes.KInt, mtypes.KDate:
-		sentinel = int64(mtypes.NullInt32)
+// eqAt reports whether row a of c and row b of o hold equal keys. Both
+// columns have the same payload width: the planner unifies join key types.
+func (c keyCol) eqAt(a int32, o keyCol, b int32) bool {
+	switch v, w := c.v, o.v; v.Typ.Kind {
+	case mtypes.KBool, mtypes.KTinyInt:
+		return v.I8[a] == w.I8[b]
 	case mtypes.KSmallInt:
-		sentinel = int64(mtypes.NullInt16)
+		return v.I16[a] == w.I16[b]
+	case mtypes.KInt, mtypes.KDate:
+		return v.I32[a] == w.I32[b]
+	case mtypes.KBigInt, mtypes.KDecimal:
+		return v.I64[a] == w.I64[b]
 	case mtypes.KDouble:
-		for k := range pay {
-			i := k
-			if cands != nil {
-				i = int(cands[k])
-			}
-			if mtypes.IsNullF64(v.F64[i]) {
-				null[k] = true
-			}
-		}
-		return
+		return FloatKey(v.F64[a]) == FloatKey(w.F64[b])
 	default:
-		sentinel = int64(mtypes.NullInt8)
+		return v.Str[a] == w.Str[b]
 	}
-	for k, p := range pay {
-		if p == sentinel {
+}
+
+// keySetsEqual compares row a of ks with row b of other.
+func keySetsEqual(ks *KeySet, a int32, other *KeySet, b int32) bool {
+	for i, c := range ks.cols {
+		if !c.eqAt(a, other.cols[i], b) {
+			return false
+		}
+	}
+	return true
+}
+
+// eqFunc returns the row equality an OATable over ks verifies collisions
+// with: a direct comparison for one integer column, keySetsEqual otherwise.
+func (ks *KeySet) eqFunc() func(a, b int32) bool {
+	if len(ks.cols) == 1 && ks.cols[0].ints != nil {
+		return ks.cols[0].ints.eqFunc()
+	}
+	return func(a, b int32) bool { return keySetsEqual(ks, a, ks, b) }
+}
+
+// ---------------------------------------------------------------------------
+// intCol: the typed loops over an integer column.
+// ---------------------------------------------------------------------------
+
+// intCol is an integer column of one payload width, read in place: the
+// loops the join table, GroupBy and CmpVec run over it, each instantiated
+// for the width.
+type intCol interface {
+	// fold folds rows [lo, hi) into the fused hashes h, flagging NULLs in
+	// null unless it is nil.
+	fold(lo, hi int, h []uint64, null []bool)
+	// eqFunc compares two rows.
+	eqFunc() func(a, b int32) bool
+	// bounds returns the smallest and largest non-NULL value; ok is false
+	// when every row is NULL.
+	bounds() (lo, hi int64, ok bool)
+	// addDigits adds the dense-group digit of rows [lo, hi) times stride
+	// to their slots: x - base for a value, null for NULL.
+	addDigits(lo, hi int, base int64, null, stride int, slots []int)
+	// setBits sets the key filter's bit of every non-NULL row.
+	setBits(f *keyFilter)
+	// heads looks rows [lo, hi) up in pt, whose build keys are build (of
+	// the same width), and sets each row's chain head, -1 for none.
+	heads(pt *PartitionedHashTable, build intCol, lo, hi int, heads []int32)
+	// cmp sets out to the comparison of each row with the same row of o and
+	// reports true, or reports false when o is of another width.
+	cmp(op CmpOp, o intCol, out []int8) bool
+}
+
+type intKey interface {
+	~int8 | ~int16 | ~int32 | ~int64
+}
+
+// ints is the intCol of one width. nullv, the width's NULL sentinel, is its
+// smallest value, below every non-NULL value.
+type ints[T intKey] struct {
+	xs    []T
+	nullv T
+}
+
+// intsOf returns the intCol of a vector of integer kind (BOOL, TINYINT,
+// SMALLINT, INT, DATE, BIGINT, DECIMAL), or nil.
+func intsOf(v *Vector) intCol {
+	switch v.Typ.Kind {
+	case mtypes.KBool, mtypes.KTinyInt:
+		return ints[int8]{v.I8, mtypes.NullInt8}
+	case mtypes.KSmallInt:
+		return ints[int16]{v.I16, mtypes.NullInt16}
+	case mtypes.KInt, mtypes.KDate:
+		return ints[int32]{v.I32, mtypes.NullInt32}
+	case mtypes.KBigInt, mtypes.KDecimal:
+		return ints[int64]{v.I64, mtypes.NullInt64}
+	}
+	return nil
+}
+
+func (c ints[T]) fold(lo, hi int, h []uint64, null []bool) {
+	for k, x := range c.xs[lo:hi] {
+		h[k] = HashInt64(h[k], int64(x))
+		if null != nil && x == c.nullv {
 			null[k] = true
 		}
 	}
 }
 
-// equal reports whether effective rows a and b hold equal keys.
-func (ks *KeySet) equal(a, b int32) bool {
-	for i := range ks.cols {
-		c := &ks.cols[i]
-		if c.i64 != nil {
-			if c.i64[a] != c.i64[b] {
-				return false
-			}
-		} else if c.str[a] != c.str[b] {
-			return false
-		}
-	}
-	return true
+func (c ints[T]) eqFunc() func(a, b int32) bool {
+	xs := c.xs
+	return func(a, b int32) bool { return xs[a] == xs[b] }
 }
 
-// keySetsEqual compares row a of ks with row b of other (aligned layouts:
-// the planner unifies join key types before building).
-func keySetsEqual(ks *KeySet, a int32, other *KeySet, b int32) bool {
-	for i := range ks.cols {
-		ca, cb := &ks.cols[i], &other.cols[i]
-		if ca.i64 != nil {
-			if cb.i64 == nil || ca.i64[a] != cb.i64[b] {
-				return false
+func (c ints[T]) bounds() (lo, hi int64, ok bool) {
+	mn, mx := c.nullv, c.nullv
+	for _, x := range c.xs {
+		mx = max(mx, x)
+		if x != c.nullv && (x < mn || mn == c.nullv) {
+			mn = x
+		}
+	}
+	return int64(mn), int64(mx), mx != c.nullv
+}
+
+func (c ints[T]) addDigits(lo, hi int, base int64, null, stride int, slots []int) {
+	for k, x := range c.xs[lo:hi] {
+		d := null
+		if x != c.nullv {
+			d = int(int64(x) - base)
+		}
+		slots[k] += d * stride
+	}
+}
+
+func (c ints[T]) setBits(f *keyFilter) {
+	for _, x := range c.xs {
+		if x != c.nullv {
+			f.bits.Set(int32(int64(x) - f.lo))
+		}
+	}
+}
+
+func (c ints[T]) heads(pt *PartitionedHashTable, build intCol, lo, hi int, heads []int32) {
+	bx := build.(ints[T]).xs
+	f := pt.filter
+	for k, x := range c.xs[lo:hi] {
+		heads[k] = -1
+		if f != nil {
+			if !f.has(int64(x)) {
+				continue
 			}
-		} else if cb.str == nil || ca.str[a] != cb.str[b] {
-			return false
+		} else if x == c.nullv {
+			continue
+		}
+		heads[k] = lookupInt(pt, bx, x)
+	}
+}
+
+func (c ints[T]) cmp(op CmpOp, o intCol, out []int8) bool {
+	ys, ok := o.(ints[T])
+	if !ok {
+		return false
+	}
+	for i, x := range c.xs {
+		switch y := ys.xs[i]; {
+		case x == c.nullv || y == c.nullv:
+			out[i] = mtypes.NullInt8
+		case cmpHolds(op, cmp.Compare(x, y)):
+			out[i] = 1
 		}
 	}
 	return true
 }
 
 // ---------------------------------------------------------------------------
-// GroupBy over the open-addressing table.
+// GroupBy: direct addressing for dense integer keys, else the OATable.
 // ---------------------------------------------------------------------------
 
-// GroupBy assigns group ids to the candidate rows of a multi-column key in a
-// single pass: fused per-row hashes feed an open-addressing table that
-// allocates dense group ids in first-appearance order (the same numbering
-// the refinement oracle GroupByRefine produces). The returned gids are
-// positionally aligned with the effective candidate list; reprs holds one
-// representative row id per group (the first member), used to materialize
-// the key output columns.
+// GroupBy assigns group ids to the rows of a multi-column key in a single
+// pass, in first-appearance order (the numbering the refinement oracle
+// GroupByRefine produces). reprs holds one representative row per group (its
+// first member), used to materialize the key output columns. Integer keys
+// whose value box is small (denseBox) index a table of group ids directly,
+// and dense reports that; other keys are hashed in blocks into an
+// open-addressing table.
 //
 // SQL semantics: NULL keys form their own group (NULLs group together).
-func GroupBy(keys []*Vector, cands []int32) (gids []int32, ngroups int, reprs []int32) {
-	ks := NewKeySet(keys, cands, false)
+func GroupBy(keys []*Vector) (gids []int32, ngroups int, reprs []int32, dense bool) {
+	ks := NewKeySet(keys)
 	gids = make([]int32, ks.n)
-	t := NewOATable(ks.n/8+16, ks.equal)
-	for k := 0; k < ks.n; k++ {
-		id, _ := t.Insert(int32(k), ks.hash[k])
-		gids[k] = id
+	if box := ks.denseBox(); box != nil {
+		reprs = box.group(ks, gids)
+		return gids, len(reprs), reprs, true
 	}
-	ngroups = t.Len()
-	reprs = make([]int32, ngroups)
-	for g, k := range t.Reprs() {
-		reprs[g] = ks.RowAt(int(k))
+	t := NewOATable(ks.n/8+16, ks.eqFunc())
+	h := make([]uint64, min(ks.n, hashBlock))
+	for lo := 0; lo < ks.n; lo += hashBlock {
+		hi := min(lo+hashBlock, ks.n)
+		ks.hashRows(lo, hi, h, nil)
+		for k := lo; k < hi; k++ {
+			gids[k], _ = t.Insert(int32(k), h[k-lo])
+		}
 	}
-	return gids, ngroups, reprs
+	reprs = t.Reprs()
+	if reprs == nil {
+		reprs = []int32{} // nil would gather every row
+	}
+	return gids, len(reprs), reprs, false
+}
+
+// groupBox is the direct-address layout of integer group keys. Column c's
+// digit is x - lo[c] for a value and span[c]-1 for NULL; a row's slot is the
+// mixed-radix number of its digits, column 0 least significant.
+type groupBox struct {
+	lo, span []int64
+	size     int
+}
+
+// denseBox returns the key box when every key column is of integer kind and
+// the product of the column spans (each [min, max] plus one NULL slot) is at
+// most max(2 x rows, 1024) slots, else nil.
+func (ks *KeySet) denseBox() *groupBox {
+	limit := int64(max(2*ks.n, 1024))
+	box := &groupBox{lo: make([]int64, len(ks.cols)), span: make([]int64, len(ks.cols)), size: 1}
+	for i, c := range ks.cols {
+		if c.ints == nil {
+			return nil
+		}
+		span := int64(1)
+		if lo, hi, ok := c.ints.bounds(); ok {
+			if d := uint64(hi) - uint64(lo); d >= uint64(limit) {
+				return nil
+			}
+			box.lo[i], span = lo, hi-lo+2
+		}
+		if span > limit/int64(box.size) {
+			return nil
+		}
+		box.span[i] = span
+		box.size *= int(span)
+	}
+	return box
+}
+
+// group numbers the rows' slots in first-appearance order through a table
+// of group ids (-1: unseen) and returns the first row of each group.
+func (box *groupBox) group(ks *KeySet, gids []int32) []int32 {
+	table := make([]int32, box.size)
+	for i := range table {
+		table[i] = -1
+	}
+	reprs := []int32{}
+	slots := make([]int, min(ks.n, hashBlock))
+	for lo := 0; lo < ks.n; lo += hashBlock {
+		hi := min(lo+hashBlock, ks.n)
+		s := slots[:hi-lo]
+		clear(s)
+		stride := 1
+		for i, c := range ks.cols {
+			c.ints.addDigits(lo, hi, box.lo[i], int(box.span[i]-1), stride, s)
+			stride *= int(box.span[i])
+		}
+		for k, slot := range s {
+			g := table[slot]
+			if g < 0 {
+				g = int32(len(reprs))
+				table[slot] = g
+				reprs = append(reprs, int32(lo+k))
+			}
+			gids[lo+k] = g
+		}
+	}
+	return reprs
 }

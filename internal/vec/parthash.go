@@ -29,24 +29,37 @@ func JoinPartitions(workers int) int {
 	return parts
 }
 
+// MaxKeyFilterBits bounds the key filter: a build range wider than this
+// many values (1 MiB of bitmap) gets none.
+const MaxKeyFilterBits = 1 << 23
+
 // hashPart is one partition of a PartitionedHashTable: a distinct-key table
 // plus per-key chain heads/tails. Chain links live in the shared next array
-// (each effective row belongs to exactly one partition, so partitions write
+// (each build row belongs to exactly one partition, so partitions write
 // disjoint entries).
 type hashPart struct {
 	tbl        *OATable
 	head, tail []int32
 }
 
+// keyFilter is the exact key filter: bit x-lo is set for each non-NULL
+// build key x in [lo, lo+n).
+type keyFilter struct {
+	lo   int64
+	n    uint64
+	bits Bitmap
+}
+
 // PartitionedHashTable is the join hash table over one or more key columns
 // of the build side: per partition, an OATable of distinct keys plus per-key
-// row chains in build order. NULL keys are excluded (SQL equi-join
-// semantics).
+// row chains in build order, and the key filter where there is one. NULL
+// keys are excluded (SQL equi-join semantics).
 type PartitionedHashTable struct {
-	ks    *KeySet
-	shift uint // partition = hash >> shift (high-bit radix)
-	parts []hashPart
-	next  []int32 // chain link per effective index, -1 = end
+	ks     *KeySet
+	shift  uint // partition = hash >> shift (high-bit radix)
+	parts  []hashPart
+	next   []int32 // chain link per build row, -1 = end
+	filter *keyFilter
 }
 
 // partOf maps a fused hash to its partition by high-bit prefix. High bits are
@@ -56,12 +69,12 @@ func (pt *PartitionedHashTable) partOf(h uint64) int {
 	return int(h >> pt.shift)
 }
 
-// BuildHashPartitioned constructs the join hash table over the candidate
-// rows of the build-side key columns using up to `workers` goroutines. Rows
-// with any NULL key are skipped (SQL equi-join semantics). parts must be a
-// power of two; workers <= 1 builds on the calling goroutine. Probes answer
-// identically for every parts and workers.
-func BuildHashPartitioned(keys []*Vector, cands []int32, parts, workers int) *PartitionedHashTable {
+// BuildHashPartitioned constructs the join hash table over the build-side
+// key columns using up to `workers` goroutines. Rows with any NULL key are
+// skipped (SQL equi-join semantics). parts must be a power of two; workers
+// <= 1 builds on the calling goroutine. Probes answer identically for every
+// parts and workers.
+func BuildHashPartitioned(keys []*Vector, parts, workers int) *PartitionedHashTable {
 	if parts < 1 {
 		parts = 1
 	}
@@ -69,21 +82,24 @@ func BuildHashPartitioned(keys []*Vector, cands []int32, parts, workers int) *Pa
 	for p := parts; p > 1; p >>= 1 {
 		shift--
 	}
-	ks := NewKeySet(keys, cands, true)
+	ks := NewKeySet(keys)
+	ks.hashAll()
 	pt := &PartitionedHashTable{
-		ks:    ks,
-		shift: shift,
-		parts: make([]hashPart, parts),
-		next:  make([]int32, ks.n),
+		ks:     ks,
+		shift:  shift,
+		parts:  make([]hashPart, parts),
+		next:   make([]int32, ks.n),
+		filter: newKeyFilter(ks),
 	}
+	eq := ks.eqFunc()
 
-	// Chains link rows in ascending effective index, so they come out in
-	// build order. One partition takes every non-NULL row as it comes; more
+	// Chains link rows in ascending row order, so they come out in build
+	// order. One partition takes every non-NULL row as it comes; more
 	// counting-sort the rows by partition so each worker walks a dense run
 	// (the stable fill keeps row order within a partition).
 	if parts == 1 {
 		part := &pt.parts[0]
-		part.tbl = NewOATable(ks.n/4+8, ks.equal)
+		part.tbl = NewOATable(ks.n/4+8, eq)
 		for k := 0; k < ks.n; k++ {
 			if !ks.null[k] {
 				pt.insert(part, int32(k))
@@ -115,7 +131,7 @@ func BuildHashPartitioned(keys []*Vector, cands []int32, parts, workers int) *Pa
 	build := func(p int) {
 		rows := order[counts[p]:counts[p+1]]
 		part := &pt.parts[p]
-		part.tbl = NewOATable(len(rows)/4+8, ks.equal)
+		part.tbl = NewOATable(len(rows)/4+8, eq)
 		for _, k := range rows {
 			pt.insert(part, k)
 		}
@@ -141,8 +157,46 @@ func BuildHashPartitioned(keys []*Vector, cands []int32, parts, workers int) *Pa
 	return pt
 }
 
-// insert adds effective row k to its partition, appending it to its key's
-// chain.
+// newKeyFilter builds the key filter of a one-column integer key whose
+// non-NULL range spans at most MaxKeyFilterBits values, else returns nil. A
+// build side with no non-NULL key gets an empty filter, which rejects every
+// probe row.
+func newKeyFilter(ks *KeySet) *keyFilter {
+	if len(ks.cols) != 1 || ks.cols[0].ints == nil {
+		return nil
+	}
+	c := ks.cols[0].ints
+	lo, hi, ok := c.bounds()
+	if !ok {
+		return &keyFilter{}
+	}
+	if uint64(hi)-uint64(lo) >= MaxKeyFilterBits {
+		return nil
+	}
+	f := &keyFilter{lo: lo, n: uint64(hi-lo) + 1}
+	f.bits = NewBitmap(int(f.n))
+	c.setBits(f)
+	return f
+}
+
+// has reports whether some build row holds key x. A NULL probe key is the
+// type's smallest value, below every non-NULL key, so it fails the range
+// test like any key outside [lo, lo+n).
+func (f *keyFilter) has(x int64) bool {
+	d := uint64(x) - uint64(f.lo)
+	return d < f.n && f.bits.Get(int32(d))
+}
+
+// FilterBits returns the width of the key filter in bits; ok is false when
+// the table has none.
+func (pt *PartitionedHashTable) FilterBits() (bits int, ok bool) {
+	if pt.filter == nil {
+		return 0, false
+	}
+	return int(pt.filter.n), true
+}
+
+// insert adds build row k to its partition, appending it to its key's chain.
 func (pt *PartitionedHashTable) insert(part *hashPart, k int32) {
 	pt.next[k] = -1
 	id, fresh := part.tbl.Insert(k, pt.ks.hash[k])
@@ -164,86 +218,171 @@ func (pt *PartitionedHashTable) Len() int {
 	return n
 }
 
-// lookup probes the owning partition with row k of the probe-side key set,
+// partFor returns the partition owning fused hash h.
+func (pt *PartitionedHashTable) partFor(h uint64) *hashPart {
+	if len(pt.parts) == 1 {
+		return &pt.parts[0]
+	}
+	return &pt.parts[pt.partOf(h)]
+}
+
+// lookup probes with row k of the probe-side key set, whose fused hash is h,
 // returning the first build row of the key's chain, or -1. Collisions verify
 // exactly across the two key sets.
-func (pt *PartitionedHashTable) lookup(pks *KeySet, k int) int32 {
-	h := pks.hash[k]
-	part := &pt.parts[0]
-	if len(pt.parts) > 1 {
-		part = &pt.parts[pt.partOf(h)]
-	}
+func (pt *PartitionedHashTable) lookup(pks *KeySet, k int32, h uint64) int32 {
+	part := pt.partFor(h)
 	t := part.tbl
-	i := h & t.mask
-	for {
+	for i := h & t.mask; ; i = (i + 1) & t.mask {
 		s := t.slots[i]
 		if s < 0 {
 			return -1
 		}
-		if t.hashes[i] == h && keySetsEqual(pt.ks, t.repr[s], pks, int32(k)) {
+		if t.hashes[i] == h && keySetsEqual(pt.ks, t.repr[s], pks, k) {
 			return part.head[s]
 		}
-		i = (i + 1) & t.mask
 	}
 }
 
-// Probe computes the inner-join match pairs between the probe-side candidate
-// rows and the build side: parallel arrays of probe row ids and build row
-// ids, one entry per matching pair. Pairs are emitted in probe order, with
-// matches in build-insertion order (ascending build row).
-func (pt *PartitionedHashTable) Probe(keys []*Vector, cands []int32) (probeSel, buildSel []int32) {
-	pks := NewKeySet(keys, cands, true)
-	probeSel = make([]int32, 0, pks.n)
-	buildSel = make([]int32, 0, pks.n)
-	for k := 0; k < pks.n; k++ {
-		if pks.null[k] {
-			continue
+// lookupInt is lookup for a one-column integer key x, compared directly
+// against the build column.
+func lookupInt[T intKey](pt *PartitionedHashTable, build []T, x T) int32 {
+	h := HashInt64(HashSeed, int64(x))
+	part := pt.partFor(h)
+	t := part.tbl
+	for i := h & t.mask; ; i = (i + 1) & t.mask {
+		s := t.slots[i]
+		if s < 0 {
+			return -1
 		}
-		head := pt.lookup(pks, k)
-		if head < 0 {
-			continue
+		if t.hashes[i] == h && build[t.repr[s]] == x {
+			return part.head[s]
 		}
-		r := pks.RowAt(k)
-		for b := head; b >= 0; b = pt.next[b] {
-			probeSel = append(probeSel, r)
-			buildSel = append(buildSel, pt.ks.RowAt(int(b)))
+	}
+}
+
+// probeBlock is a probe's reused buffer: the chain heads of one block of
+// probe rows and, unless the key is one integer column, the hashes and NULL
+// flags they were found by.
+type probeBlock struct {
+	heads []int32
+	hash  []uint64
+	null  []bool
+}
+
+func newProbeBlock(pks *KeySet) *probeBlock {
+	m := min(pks.n, hashBlock)
+	b := &probeBlock{heads: make([]int32, m)}
+	if len(pks.cols) > 1 || pks.cols[0].ints == nil {
+		b.hash, b.null = make([]uint64, m), make([]bool, m)
+	}
+	return b
+}
+
+// chainHeads returns the first build row of the key chain of each probe row
+// in [lo, hi), -1 where the key is NULL or absent. A one-column integer key
+// is compared in place, behind the key filter if the table has one; other
+// keys are hashed as a block first.
+func (pt *PartitionedHashTable) chainHeads(pks *KeySet, lo, hi int, b *probeBlock) []int32 {
+	heads := b.heads[:hi-lo]
+	if b.hash == nil {
+		pks.cols[0].ints.heads(pt, pt.ks.cols[0].ints, lo, hi, heads)
+		return heads
+	}
+	pks.hashRows(lo, hi, b.hash, b.null)
+	for k := range heads {
+		heads[k] = -1
+		if !b.null[k] {
+			heads[k] = pt.lookup(pks, int32(lo+k), b.hash[k])
+		}
+	}
+	return heads
+}
+
+// outCap is the capacity of a probe's output given the yield of its first
+// block of probed rows: the yield extrapolated over all n rows, plus an
+// eighth and a block, but no more than the extrapolation or n rows,
+// whichever is larger. Most probes keep few of their rows, so sizing the
+// output for every row would mostly allocate memory never used.
+func outCap(yield, probed, n int) int {
+	est := yield * n / probed
+	return min(est+est/8+hashBlock, max(est, n))
+}
+
+// Probe computes the inner-join match pairs between the probe-side rows and
+// the build side: parallel arrays of probe row ids and build row ids, one
+// entry per matching pair. Pairs are emitted in probe order, with matches in
+// build-insertion order (ascending build row).
+func (pt *PartitionedHashTable) Probe(keys []*Vector) (probeSel, buildSel []int32) {
+	pks := NewKeySet(keys)
+	probeSel, buildSel = []int32{}, []int32{}
+	b := newProbeBlock(pks)
+	for lo := 0; lo < pks.n; lo += hashBlock {
+		hi := min(lo+hashBlock, pks.n)
+		heads := pt.chainHeads(pks, lo, hi, b)
+		if lo == 0 {
+			pairs := 0
+			for _, head := range heads {
+				for r := head; r >= 0; r = pt.next[r] {
+					pairs++
+				}
+			}
+			c := outCap(pairs, hi, pks.n)
+			probeSel, buildSel = make([]int32, 0, c), make([]int32, 0, c)
+		}
+		for k, head := range heads {
+			for r := head; r >= 0; r = pt.next[r] {
+				probeSel = append(probeSel, int32(lo+k))
+				buildSel = append(buildSel, r)
+			}
 		}
 	}
 	return probeSel, buildSel
 }
 
-// ProbeSemi returns the probe-side candidates that have at least one match
-// (semi join, for EXISTS); with anti=true it returns those with none (anti
-// join, for NOT EXISTS / NOT IN without NULL hazards).
-func (pt *PartitionedHashTable) ProbeSemi(keys []*Vector, cands []int32, anti bool) []int32 {
-	pks := NewKeySet(keys, cands, true)
-	out := make([]int32, 0, pks.n)
-	for k := 0; k < pks.n; k++ {
-		matched := !pks.null[k] && pt.lookup(pks, k) >= 0
-		if matched != anti {
-			out = append(out, pks.RowAt(k))
+// ProbeSemi returns the probe-side rows that have at least one match (semi
+// join, for EXISTS); with anti=true it returns those with none (anti join,
+// for NOT EXISTS / NOT IN without NULL hazards).
+func (pt *PartitionedHashTable) ProbeSemi(keys []*Vector, anti bool) []int32 {
+	pks := NewKeySet(keys)
+	out := []int32{}
+	b := newProbeBlock(pks)
+	for lo := 0; lo < pks.n; lo += hashBlock {
+		hi := min(lo+hashBlock, pks.n)
+		heads := pt.chainHeads(pks, lo, hi, b)
+		if lo == 0 {
+			kept := 0
+			for _, head := range heads {
+				if (head >= 0) != anti {
+					kept++
+				}
+			}
+			out = make([]int32, 0, outCap(kept, hi, pks.n))
+		}
+		for k, head := range heads {
+			if (head >= 0) != anti {
+				out = append(out, int32(lo+k))
+			}
 		}
 	}
 	return out
 }
 
 // ProbeMark is the build-side mirror of ProbeSemi: it sets marks[b] for every
-// build row b whose key some probe candidate holds, for joins that keep or
-// drop *build* rows by whether the other side matches (semi/anti joins built
-// on their left input). A key's rows are marked together, so a chain is
-// walked once however many probe rows hit it.
-func (pt *PartitionedHashTable) ProbeMark(keys []*Vector, cands []int32, marks Bitmap) {
-	pks := NewKeySet(keys, cands, true)
-	for k := 0; k < pks.n; k++ {
-		if pks.null[k] {
-			continue
-		}
-		head := pt.lookup(pks, k)
-		if head < 0 || marks.Get(pt.ks.RowAt(int(head))) {
-			continue
-		}
-		for b := head; b >= 0; b = pt.next[b] {
-			marks.Set(pt.ks.RowAt(int(b)))
+// build row b whose key some probe row holds, for joins that keep or drop
+// *build* rows by whether the other side matches (semi/anti joins built on
+// their left input). A key's rows are marked together, so a chain is walked
+// once however many probe rows hit it.
+func (pt *PartitionedHashTable) ProbeMark(keys []*Vector, marks Bitmap) {
+	pks := NewKeySet(keys)
+	b := newProbeBlock(pks)
+	for lo := 0; lo < pks.n; lo += hashBlock {
+		for _, head := range pt.chainHeads(pks, lo, min(lo+hashBlock, pks.n), b) {
+			if head < 0 || marks.Get(head) {
+				continue
+			}
+			for r := head; r >= 0; r = pt.next[r] {
+				marks.Set(r)
+			}
 		}
 	}
 }

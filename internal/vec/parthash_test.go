@@ -17,23 +17,20 @@ func TestPartitionedHashMatchesSerial(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		nb := 1 + rng.Intn(200)
 		np := 1 + rng.Intn(200)
-		ncols := 1 + rng.Intn(3)
-		buildKeys := make([]*Vector, ncols)
-		probeKeys := make([]*Vector, ncols)
-		for i := range buildKeys {
-			typ := keyKinds[rng.Intn(len(keyKinds))]
-			buildKeys[i] = randKeyVector(rng, typ, nb)
-			probeKeys[i] = randKeyVector(rng, typ, np)
-		}
-		bCands := randCands(rng, nb)
-		pCands := randCands(rng, np)
+		buildKeys, probeKeys := randJoinKeys(rng, nb, np)
+		buildKeys = gatherKeys(buildKeys, randCands(rng, nb))
+		probeKeys = gatherKeys(probeKeys, randCands(rng, np))
 		parts := 2 << rng.Intn(5) // 2..32
 		workers := 1 + rng.Intn(4)
 
-		ht := BuildHashPartitioned(buildKeys, bCands, 1, 1)
-		pt := BuildHashPartitioned(buildKeys, bCands, parts, workers)
+		ht := BuildHashPartitioned(buildKeys, 1, 1)
+		pt := BuildHashPartitioned(buildKeys, parts, workers)
 		if ht.Len() != pt.Len() {
 			t.Fatalf("trial %d: %d distinct keys vs serial %d", trial, pt.Len(), ht.Len())
+		}
+		hb, hok := ht.FilterBits()
+		if pb, pok := pt.FilterBits(); pb != hb || pok != hok {
+			t.Fatalf("trial %d: key filter %d bits (%v) vs serial %d (%v)", trial, pb, pok, hb, hok)
 		}
 
 		eqPairs := func(name string, gp, gb, wp, wb []int32) {
@@ -48,13 +45,13 @@ func TestPartitionedHashMatchesSerial(t *testing.T) {
 				}
 			}
 		}
-		wp, wb := ht.Probe(probeKeys, pCands)
-		gp, gb := pt.Probe(probeKeys, pCands)
+		wp, wb := ht.Probe(probeKeys)
+		gp, gb := pt.Probe(probeKeys)
 		eqPairs("inner", gp, gb, wp, wb)
 
 		wantM, gotM := NewBitmap(buildKeys[0].Len()), NewBitmap(buildKeys[0].Len())
-		ht.ProbeMark(probeKeys, pCands, wantM)
-		pt.ProbeMark(probeKeys, pCands, gotM)
+		ht.ProbeMark(probeKeys, wantM)
+		pt.ProbeMark(probeKeys, gotM)
 		for w := range wantM {
 			if gotM[w] != wantM[w] {
 				t.Fatalf("trial %d mark: word %d = %x, serial %x", trial, w, gotM[w], wantM[w])
@@ -62,8 +59,8 @@ func TestPartitionedHashMatchesSerial(t *testing.T) {
 		}
 
 		for _, anti := range []bool{false, true} {
-			want := ht.ProbeSemi(probeKeys, pCands, anti)
-			got := pt.ProbeSemi(probeKeys, pCands, anti)
+			want := ht.ProbeSemi(probeKeys, anti)
+			got := pt.ProbeSemi(probeKeys, anti)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d semi anti=%v: %d rows, serial %d", trial, anti, len(got), len(want))
 			}
@@ -86,14 +83,14 @@ func TestPartitionedHashChunkedProbe(t *testing.T) {
 		np := 2 + rng.Intn(400)
 		buildKeys := []*Vector{randKeyVector(rng, keyKinds[rng.Intn(len(keyKinds))], nb)}
 		probeKeys := []*Vector{randKeyVector(rng, buildKeys[0].Typ, np)}
-		pt := BuildHashPartitioned(buildKeys, nil, 8, 2)
-		wantP, wantB := pt.Probe(probeKeys, nil)
+		pt := BuildHashPartitioned(buildKeys, 8, 2)
+		wantP, wantB := pt.Probe(probeKeys)
 
 		chunk := 1 + rng.Intn(np)
 		var gotP, gotB []int32
 		for lo := 0; lo < np; lo += chunk {
 			hi := min(lo+chunk, np)
-			cp, cb := pt.Probe([]*Vector{probeKeys[0].Slice(lo, hi)}, nil)
+			cp, cb := pt.Probe([]*Vector{probeKeys[0].Slice(lo, hi)})
 			for i := range cp {
 				gotP = append(gotP, cp[i]+int32(lo))
 				gotB = append(gotB, cb[i])
@@ -111,18 +108,65 @@ func TestPartitionedHashChunkedProbe(t *testing.T) {
 	}
 }
 
-// The one-part table is the serial join: its build+probe on the benchmark
-// input below is pinned at the allocations of the serial table it replaced
-// (86 allocs and 8 706 176 B per build+probe), plus the one-entry partition
-// slice.
+// The one-part table is the serial join. Its build+probe on the benchmark
+// input below (a BIGINT key, so one filtered probe) allocates 86 times and
+// 6 293 728 B; the pin leaves 1% for the runtime. The table it replaced took
+// 86 allocs and 8 706 176 B.
 func TestHashJoinOnePartAllocs(t *testing.T) {
 	build, probe := benchJoinInput(1<<16, 1<<18)
 	allocs, bytes := allocsPerRun(3, func() {
-		ht := BuildHashPartitioned(build, nil, 1, 1)
-		ht.Probe(probe, nil)
+		ht := BuildHashPartitioned(build, 1, 1)
+		ht.Probe(probe)
 	})
-	if allocs > 87 || bytes > 8706240 {
-		t.Fatalf("one-part build+probe: %d allocs, %d B per run; want at most 87 allocs, 8706240 B", allocs, bytes)
+	if allocs > 86 || bytes > 6360000 {
+		t.Fatalf("one-part build+probe: %d allocs, %d B per run; want at most 86 allocs, 6360000 B", allocs, bytes)
+	}
+}
+
+// Probes and GroupBy read keys where they lie. A probe allocates its output
+// (two pair lists or one row list, sized by the first block's yield,
+// outCap) and one block of chain heads, GroupBy its group ids, the
+// direct-address table (at most 2 slots per row) or the hash table, and the
+// representatives. Per row on 2^18 rows, as measured: Probe 8.52 B where
+// about every row matches once and 0.18 B where 1% do, the anti join 1.64 B
+// (37% of rows kept), ProbeMark 0.02 B (the block), dense GroupBy 9.54 B,
+// hashed GroupBy 17.51 B. The per-row hash and
+// canonical key copies this replaced cost 17 B per probe row, on top of an
+// output sized for every row, and 34.5 B per grouped row. Each pin leaves
+// about 1%.
+func TestKeyKernelBytesPerRow(t *testing.T) {
+	build, probe := benchJoinInput(1<<16, 1<<18)
+	n := float64(probe[0].Len())
+	ht := BuildHashPartitioned(build, 1, 1)
+	marks := NewBitmap(build[0].Len())
+	rng := rand.New(rand.NewSource(1))
+	rare := New(mtypes.BigInt, probe[0].Len())
+	for i := range rare.I64 {
+		rare.I64[i] = int64(rng.Intn(100 << 16))
+	}
+	dense, hashed := New(mtypes.Int, 1<<18), New(mtypes.Int, 1<<18)
+	for i := range dense.I32 {
+		dense.I32[i] = int32(rng.Intn(1 << 16))
+		hashed.I32[i] = dense.I32[i] * 1000
+	}
+	for _, tc := range []struct {
+		name string
+		max  float64
+		f    func()
+	}{
+		{"Probe", 8.61, func() { ht.Probe(probe) }},
+		{"Probe, 1% matching", 0.19, func() { ht.Probe([]*Vector{rare}) }},
+		{"ProbeSemi anti", 1.66, func() { ht.ProbeSemi(probe, true) }},
+		{"ProbeMark", 0.02, func() { ht.ProbeMark(probe, marks) }},
+		{"dense GroupBy", 9.64, func() { GroupBy([]*Vector{dense}) }},
+		{"hashed GroupBy", 17.7, func() { GroupBy([]*Vector{hashed}) }},
+	} {
+		_, bytes := allocsPerRun(3, tc.f)
+		perRow := float64(bytes) / n
+		t.Logf("%s: %.3f B per row", tc.name, perRow)
+		if perRow > tc.max {
+			t.Errorf("%s: %.2f B per row, want at most %.2f", tc.name, perRow, tc.max)
+		}
 	}
 }
 
@@ -166,8 +210,8 @@ func benchmarkHashJoin(b *testing.B, parts int) {
 	build, probe := benchJoinInput(1<<16, 1<<18)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pt := BuildHashPartitioned(build, nil, parts, 1)
-		p, _ := pt.Probe(probe, nil)
+		pt := BuildHashPartitioned(build, parts, 1)
+		p, _ := pt.Probe(probe)
 		if len(p) == 0 {
 			b.Fatal("no pairs")
 		}

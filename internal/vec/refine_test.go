@@ -13,18 +13,17 @@ import (
 // (including group-id numbering, which both assign in first-appearance order
 // of the composite key).
 
-// GroupByRefine assigns group ids to the candidate rows of a multi-column
-// key using iterative group refinement: start with one group and refine it
+// GroupByRefine assigns group ids to the rows of a multi-column key using
+// iterative group refinement: start with one group and refine it
 // per key column, allocating a fresh map per column. Semantics and output
 // numbering match GroupBy exactly; GroupBy is a single-pass replacement.
 //
 // SQL semantics: NULL keys form their own group (NULLs group together).
-func GroupByRefine(keys []*Vector, cands []int32) (gids []int32, ngroups int, reprs []int32) {
-	n := NumCands(keys[0].Len(), cands)
-	gids = make([]int32, n)
+func GroupByRefine(keys []*Vector) (gids []int32, ngroups int, reprs []int32) {
+	gids = make([]int32, keys[0].Len())
 	ngroups = 1
 	for _, key := range keys {
-		gids, ngroups = refineGroups(key, cands, gids, ngroups)
+		gids, ngroups = refineGroups(key, gids, ngroups)
 	}
 	reprs = make([]int32, ngroups)
 	seen := make([]bool, ngroups)
@@ -32,11 +31,7 @@ func GroupByRefine(keys []*Vector, cands []int32) (gids []int32, ngroups int, re
 	for k, g := range gids {
 		if !seen[g] {
 			seen[g] = true
-			if cands == nil {
-				reprs[g] = int32(k)
-			} else {
-				reprs[g] = cands[k]
-			}
+			reprs[g] = int32(k)
 			found++
 			if found == ngroups {
 				break
@@ -57,20 +52,14 @@ type strGroupKey struct {
 }
 
 // refineGroups splits the current grouping by one more key column.
-func refineGroups(key *Vector, cands []int32, gids []int32, ngroups int) ([]int32, int) {
+func refineGroups(key *Vector, gids []int32, ngroups int) ([]int32, int) {
 	n := len(gids)
 	out := make([]int32, n)
 	next := int32(0)
-	rowAt := func(k int) int {
-		if cands == nil {
-			return k
-		}
-		return int(cands[k])
-	}
 	if key.Typ.Kind == mtypes.KVarchar {
 		m := make(map[strGroupKey]int32, ngroups*2)
 		for k := 0; k < n; k++ {
-			gk := strGroupKey{gids[k], key.Str[rowAt(k)]}
+			gk := strGroupKey{gids[k], key.Str[k]}
 			id, ok := m[gk]
 			if !ok {
 				id = next
@@ -88,7 +77,10 @@ func refineGroups(key *Vector, cands []int32, gids []int32, ngroups int) ([]int3
 		payload = func(i int) int64 {
 			f := key.F64[i]
 			if mtypes.IsNullF64(f) {
-				return mtypes.NullInt64 // canonical NULL payload
+				return mtypes.NullInt64 // canonical NULL payload: -0.0's bits, which no key keeps
+			}
+			if f == 0 {
+				f = 0 // -0.0 equals +0.0
 			}
 			return int64(math.Float64bits(f))
 		}
@@ -102,7 +94,7 @@ func refineGroups(key *Vector, cands []int32, gids []int32, ngroups int) ([]int3
 		payload = func(i int) int64 { return int64(key.I8[i]) }
 	}
 	for k := 0; k < n; k++ {
-		gk := numGroupKey{gids[k], payload(rowAt(k))}
+		gk := numGroupKey{gids[k], payload(k)}
 		id, ok := m[gk]
 		if !ok {
 			id = next
@@ -124,6 +116,9 @@ func numKeyAt(v *Vector, i int) (int64, bool) {
 		f := v.F64[i]
 		if mtypes.IsNullF64(f) {
 			return 0, true
+		}
+		if f == 0 {
+			f = 0 // -0.0 equals +0.0
 		}
 		return int64(math.Float64bits(f)), false
 	case mtypes.KBigInt, mtypes.KDecimal:

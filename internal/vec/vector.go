@@ -10,10 +10,12 @@
 //
 // Invariants every kernel upholds:
 //
-//   - NULL/NaN canonicalization: for DOUBLE columns, every NaN payload is
-//     SQL NULL (mtypes.IsNullF64), and kernels canonicalize before hashing,
-//     encoding or comparing — a non-stock NaN payload groups, joins and
-//     sorts exactly like the stock sentinel. NULL never matches a join key,
+//   - NULL/NaN and -0.0 canonicalization: for DOUBLE columns, every NaN
+//     payload is SQL NULL (mtypes.IsNullF64), and kernels canonicalize
+//     before hashing, encoding or comparing — a non-stock NaN payload
+//     groups, joins and sorts exactly like the stock sentinel. -0.0 is
+//     +0.0, never NULL: it groups, joins and sorts as +0.0 (FloatKey is the
+//     key payload of a double). NULL never matches a join key,
 //     groups with itself in GROUP BY, and sorts smallest (first ascending,
 //     last descending); the sort kernels check NULL explicitly per kind
 //     rather than relying on the sentinel values being domain minima.
@@ -23,8 +25,9 @@
 //     order). This is what lets a chunked run (which concatenates per-chunk
 //     results in chunk order) promise output *identical* to the one-chunk
 //     run, not merely equivalent.
-//   - Kernel / oracle pairs: GroupBy vs GroupByRefine (refine_test.go), the
-//     join table at every partition count vs a nested-loop oracle
+//   - Kernel / oracle pairs: GroupBy, direct-addressed or hashed, vs
+//     GroupByRefine (refine_test.go), the join table at every partition
+//     count, with and without its key filter, vs a nested-loop oracle
 //     (oahash_test.go), the coded sort kernels (sortkernels.go) vs SortOrder.
 //     The oracle is the executable specification the randomized
 //     differential tests compare against; SortOrder stays exported only so
