@@ -346,53 +346,60 @@ func runJoinFuzzTrial(t *testing.T, seed int64) {
 
 // A join big enough for mal.Split to cut the probe naturally (no test
 // override) must agree with the serial engine and emit the partitioned-probe
-// trace markers.
+// trace markers. Keys drawn from [0, 5000) are dense for the 4 000-row build
+// side, which becomes a positional table; spread 10 007-fold, they span more
+// than the key filter takes, and the build is radix-partitioned.
 func TestParallelJoinNaturalChunking(t *testing.T) {
-	n := 3 * 16384 // > 2*MinChunkRows probe side
-	lt := storage.NewMemoryTable(storage.TableMeta{Name: "l", Cols: []storage.ColDef{
-		{Name: "k1", Typ: mtypes.Int}, {Name: "kpay", Typ: mtypes.BigInt}}})
-	rt := storage.NewMemoryTable(storage.TableMeta{Name: "r", Cols: []storage.ColDef{
-		{Name: "j1", Typ: mtypes.Int}, {Name: "jpay", Typ: mtypes.BigInt}}})
-	rng := rand.New(rand.NewSource(99))
-	lk, lp := vec.New(mtypes.Int, n), vec.New(mtypes.BigInt, n)
-	for i := 0; i < n; i++ {
-		lk.I32[i] = int32(rng.Intn(5000))
-		lp.I64[i] = int64(i)
-	}
-	nr := 4000
-	rk, rp := vec.New(mtypes.Int, nr), vec.New(mtypes.BigInt, nr)
-	for i := 0; i < nr; i++ {
-		rk.I32[i] = int32(rng.Intn(5000))
-		rp.I64[i] = int64(i)
-	}
-	lt.Append([]*vec.Vector{lk, lp}, 1)
-	rt.Append([]*vec.Vector{rk, rp}, 1)
-	cat := memCatalog{"l": lt, "r": rt}
-
-	q := "SELECT sum(kpay), sum(jpay), count(*) FROM l, r WHERE l.k1 = r.j1"
-	p := planFor(t, cat, q)
-	ser := &Engine{Cat: cat, Parallel: false}
-	serRes, err := ser.Execute(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace := &mal.Program{}
-	par := &Engine{Cat: cat, Parallel: true, MaxThreads: 4, Trace: trace}
-	parRes, err := par.Execute(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := range serRes.Cols {
-		a, b := serRes.Cols[c].Value(0), parRes.Cols[c].Value(0)
-		if a.String() != b.String() {
-			t.Fatalf("col %d: serial %s parallel %s", c, a, b)
+	for _, tc := range []struct {
+		spread int32
+		table  string
+	}{{1, "positional"}, {10007, "partitioned"}} {
+		n := 3 * 16384 // > 2*MinChunkRows probe side
+		lt := storage.NewMemoryTable(storage.TableMeta{Name: "l", Cols: []storage.ColDef{
+			{Name: "k1", Typ: mtypes.Int}, {Name: "kpay", Typ: mtypes.BigInt}}})
+		rt := storage.NewMemoryTable(storage.TableMeta{Name: "r", Cols: []storage.ColDef{
+			{Name: "j1", Typ: mtypes.Int}, {Name: "jpay", Typ: mtypes.BigInt}}})
+		rng := rand.New(rand.NewSource(99))
+		lk, lp := vec.New(mtypes.Int, n), vec.New(mtypes.BigInt, n)
+		for i := 0; i < n; i++ {
+			lk.I32[i] = int32(rng.Intn(5000)) * tc.spread
+			lp.I64[i] = int64(i)
 		}
-	}
-	out := trace.String()
-	if !strings.Contains(out, "probe chunks (join)") {
-		t.Fatalf("parallel join did not chunk the probe side:\n%s", out)
-	}
-	if !strings.Contains(out, "partitioned") {
-		t.Fatalf("parallel join did not build a partitioned table:\n%s", out)
+		nr := 4000
+		rk, rp := vec.New(mtypes.Int, nr), vec.New(mtypes.BigInt, nr)
+		for i := 0; i < nr; i++ {
+			rk.I32[i] = int32(rng.Intn(5000)) * tc.spread
+			rp.I64[i] = int64(i)
+		}
+		lt.Append([]*vec.Vector{lk, lp}, 1)
+		rt.Append([]*vec.Vector{rk, rp}, 1)
+		cat := memCatalog{"l": lt, "r": rt}
+
+		q := "SELECT sum(kpay), sum(jpay), count(*) FROM l, r WHERE l.k1 = r.j1"
+		p := planFor(t, cat, q)
+		ser := &Engine{Cat: cat, Parallel: false}
+		serRes, err := ser.Execute(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace := &mal.Program{}
+		par := &Engine{Cat: cat, Parallel: true, MaxThreads: 4, Trace: trace}
+		parRes, err := par.Execute(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range serRes.Cols {
+			a, b := serRes.Cols[c].Value(0), parRes.Cols[c].Value(0)
+			if a.String() != b.String() {
+				t.Fatalf("spread %d col %d: serial %s parallel %s", tc.spread, c, a, b)
+			}
+		}
+		out := trace.String()
+		if !strings.Contains(out, "probe chunks (join)") {
+			t.Fatalf("spread %d: parallel join did not chunk the probe side:\n%s", tc.spread, out)
+		}
+		if !strings.Contains(out, tc.table) {
+			t.Fatalf("spread %d: parallel join did not build a %s table:\n%s", tc.spread, tc.table, out)
+		}
 	}
 }

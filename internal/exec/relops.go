@@ -219,14 +219,20 @@ func (e *Engine) buildJoinTable(buildKeys []*vec.Vector, buildN, probeN int, lab
 	workers := min(cp.Chunks, e.workerBudget())
 	parts := vec.JoinPartitions(workers)
 	tbl := vec.BuildHashPartitioned(buildKeys, parts, workers)
+	width, positional, filtered := tbl.KeyFilter()
 	args := []string{label}
 	if cp.Chunks > 1 {
 		e.Trace.EmitVoid("optimizer.mitosis", fmt.Sprintf("%d probe chunks (join)", cp.Chunks))
-		args = append(args, fmt.Sprintf("partitioned %d parts", parts))
+		if !positional {
+			args = append(args, fmt.Sprintf("partitioned %d parts", parts))
+		}
 	}
 	args = append(args, fmt.Sprintf("%d keys", tbl.Len()))
-	if bits, ok := tbl.FilterBits(); ok {
-		args = append(args, fmt.Sprintf("filter %d bits", bits))
+	switch {
+	case positional:
+		args = append(args, fmt.Sprintf("positional %d slots", width))
+	case filtered:
+		args = append(args, fmt.Sprintf("filter %d bits", width))
 	}
 	e.Trace.Emit("algebra.hashjoin", args...)
 	return &joinProber{e: e, tbl: tbl, cp: cp}

@@ -310,6 +310,9 @@ type intCol interface {
 	addDigits(lo, hi int, base int64, null, stride int, slots []int)
 	// setBits sets the key filter's bit of every non-NULL row.
 	setBits(f *keyFilter)
+	// chain links the non-NULL rows of each key into the key filter's
+	// positional table, in row order, through next.
+	chain(f *keyFilter, next []int32)
 	// heads looks rows [lo, hi) up in pt, whose build keys are build (of
 	// the same width), and sets each row's chain head, -1 for none.
 	heads(pt *PartitionedHashTable, build intCol, lo, hi int, heads []int32)
@@ -388,9 +391,33 @@ func (c ints[T]) setBits(f *keyFilter) {
 	}
 }
 
+// chain walks the rows backwards, so that pushing each on its key's chain
+// leaves every chain in ascending row order.
+func (c ints[T]) chain(f *keyFilter, next []int32) {
+	for r := len(c.xs) - 1; r >= 0; r-- {
+		next[r] = -1
+		if x := c.xs[r]; x != c.nullv {
+			d := int64(x) - f.lo
+			if f.pos[d] < 0 {
+				f.keys++
+			}
+			next[r], f.pos[d] = f.pos[d], int32(r)
+		}
+	}
+}
+
 func (c ints[T]) heads(pt *PartitionedHashTable, build intCol, lo, hi int, heads []int32) {
-	bx := build.(ints[T]).xs
 	f := pt.filter
+	if f != nil && f.pos != nil {
+		for k, x := range c.xs[lo:hi] {
+			heads[k] = -1
+			if d := uint64(int64(x)) - uint64(f.lo); d < f.n {
+				heads[k] = f.pos[d]
+			}
+		}
+		return
+	}
+	bx := build.(ints[T]).xs
 	for k, x := range c.xs[lo:hi] {
 		heads[k] = -1
 		if f != nil {

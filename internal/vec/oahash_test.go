@@ -119,11 +119,14 @@ func randRangeKeys(rng *rand.Rand, typ mtypes.Type, tmin, tmax int64, n int, lo,
 }
 
 // randIntRange picks an integer key kind and a value range [lo, lo+span)
-// around the key filter's limit: span 1, a few, exactly MaxKeyFilterBits or
-// one more, clamped to what the kind holds; lo is negative half the time.
+// around the key filter's limits: span 1, a few, exactly 1024 (the smallest
+// positional limit) or one more, several thousand (a bitmap for the tests'
+// build sizes), exactly MaxKeyFilterBits or one more, clamped to what the
+// kind holds; lo is negative half the time.
 func randIntRange(rng *rand.Rand) (typ mtypes.Type, tmin, tmax, lo, span int64) {
 	k := intKeyKinds[rng.Intn(len(intKeyKinds))]
-	span = []int64{1, 3, 200, MaxKeyFilterBits, MaxKeyFilterBits + 1}[rng.Intn(5)]
+	spans := []int64{1, 3, 200, 1024, 1025, 5000, MaxKeyFilterBits, MaxKeyFilterBits + 1}
+	span = spans[rng.Intn(len(spans))]
 	if w := k.max - k.min + 1; w > 0 { // wraps for the 64-bit kinds
 		span = min(span, w)
 	}
@@ -366,15 +369,16 @@ func oracleMatch(buildKeys, probeKeys []*Vector, b, p int32) bool {
 // candidate rows of both sides: the inner pairs (probe order, build rows
 // ascending per probe), the probe rows with and without a match, the build
 // rows with one, the distinct non-NULL build keys and the key filter the
-// table must carry (-1: none).
+// table must carry: its width (-1: none) and whether it is positional.
 type joinOracle struct {
-	pairsP, pairsB   []int32
-	semi, anti       []int32
-	mark             Bitmap
-	distinct         int
-	filterBits       int
-	bCands, pCands   []int32
-	buildRows, nrows int
+	pairsP, pairsB []int32
+	semi, anti     []int32
+	mark           Bitmap
+	distinct       int
+	filterWidth    int
+	positional     bool
+	bCands, pCands []int32
+	buildRows      int
 }
 
 func effRows(n int, cands []int32) []int32 {
@@ -391,7 +395,7 @@ func effRows(n int, cands []int32) []int32 {
 func newJoinOracle(buildKeys, probeKeys []*Vector, bCands, pCands []int32) *joinOracle {
 	nb := buildKeys[0].Len()
 	bRows, pRows := effRows(nb, bCands), effRows(probeKeys[0].Len(), pCands)
-	o := &joinOracle{mark: NewBitmap(nb), filterBits: -1, bCands: bCands, pCands: pCands, buildRows: len(bRows)}
+	o := &joinOracle{mark: NewBitmap(nb), filterWidth: -1, bCands: bCands, pCands: pCands, buildRows: len(bRows)}
 	var nonNull []int32
 	for _, b := range bRows {
 		null := false
@@ -415,8 +419,11 @@ func newJoinOracle(buildKeys, probeKeys []*Vector, bCands, pCands []int32) *join
 		}
 		nonNull = append(nonNull, b)
 	}
+	// A one-column integer key gets a positional table over [min, max] when
+	// that spans at most max(2 x build rows, 1024) values, else a bitmap up
+	// to MaxKeyFilterBits values; an all-NULL build an empty positional one.
 	if k := buildKeys[0].Typ.Kind; len(buildKeys) == 1 && k != mtypes.KDouble && k != mtypes.KVarchar {
-		o.filterBits = 0
+		o.filterWidth, o.positional = 0, true
 		if len(nonNull) > 0 {
 			lo, _ := numKeyAt(buildKeys[0], int(nonNull[0]))
 			hi := lo
@@ -424,10 +431,10 @@ func newJoinOracle(buildKeys, probeKeys []*Vector, bCands, pCands []int32) *join
 				x, _ := numKeyAt(buildKeys[0], int(b))
 				lo, hi = min(lo, x), max(hi, x)
 			}
-			if w := uint64(hi) - uint64(lo) + 1; w <= MaxKeyFilterBits {
-				o.filterBits = int(w)
-			} else {
-				o.filterBits = -1
+			w := uint64(hi) - uint64(lo) + 1
+			o.filterWidth, o.positional = int(w), w <= uint64(max(2*len(bRows), 1024))
+			if w > MaxKeyFilterBits {
+				o.filterWidth = -1
 			}
 		}
 	}
@@ -465,8 +472,8 @@ func (o *joinOracle) check(t *testing.T, at string, ht *PartitionedHashTable, pr
 	if ht.Len() != o.distinct {
 		t.Fatalf("%s: table has %d keys, oracle %d", at, ht.Len(), o.distinct)
 	}
-	if bits, ok := ht.FilterBits(); ok != (o.filterBits >= 0) || ok && bits != o.filterBits {
-		t.Fatalf("%s: key filter %d bits (ok=%v), want %d", at, bits, ok, o.filterBits)
+	if w, pos, ok := ht.KeyFilter(); ok != (o.filterWidth >= 0) || ok && (w != o.filterWidth || pos != o.positional) {
+		t.Fatalf("%s: key filter of %d keys (positional %v, ok %v), want %d (positional %v)", at, w, pos, ok, o.filterWidth, o.positional)
 	}
 	gotP, gotB := ht.Probe(probe)
 	gotP, gotB = back(gotP, o.pCands), back(gotB, o.bCands)

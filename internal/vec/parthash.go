@@ -9,6 +9,14 @@ import "sync"
 // A key's hash determines its partition, so all rows of one distinct key land
 // in the same partition and probe results — pair order included — do not
 // depend on the partition count. One partition is the serial table.
+//
+// A one-column integer key whose build range is narrow also gets an exact
+// key filter over [min, max], so that a probe row whose key the build side
+// lacks is rejected before it is hashed. Where the range is dense (at most
+// max(2 x build rows, 1024) values, the rule GroupBy addresses its groups
+// by) the filter is a positional table of chain heads, indexed by key, and
+// replaces the hash table; otherwise it is a presence bitmap tested before
+// each hash lookup.
 
 // MaxJoinPartitions bounds the partition fan-out; past ~64 partitions the
 // per-partition tables get too small to amortize their fixed cost.
@@ -42,18 +50,22 @@ type hashPart struct {
 	head, tail []int32
 }
 
-// keyFilter is the exact key filter: bit x-lo is set for each non-NULL
-// build key x in [lo, lo+n).
+// keyFilter is the exact key filter over the build keys x in [lo, lo+n):
+// either pos, the first build row of each key's chain at x-lo (-1: no such
+// key), or bits, whose bit x-lo is set for each non-NULL build key.
 type keyFilter struct {
 	lo   int64
 	n    uint64
+	pos  []int32 // positional table; nil for a bitmap
+	keys int     // distinct keys in pos
 	bits Bitmap
 }
 
 // PartitionedHashTable is the join hash table over one or more key columns
 // of the build side: per partition, an OATable of distinct keys plus per-key
-// row chains in build order, and the key filter where there is one. NULL
-// keys are excluded (SQL equi-join semantics).
+// row chains in build order, and the key filter where there is one; a
+// positional filter holds the chain heads itself, and there are no
+// partitions. NULL keys are excluded (SQL equi-join semantics).
 type PartitionedHashTable struct {
 	ks     *KeySet
 	shift  uint // partition = hash >> shift (high-bit radix)
@@ -83,14 +95,12 @@ func BuildHashPartitioned(keys []*Vector, parts, workers int) *PartitionedHashTa
 		shift--
 	}
 	ks := NewKeySet(keys)
-	ks.hashAll()
-	pt := &PartitionedHashTable{
-		ks:     ks,
-		shift:  shift,
-		parts:  make([]hashPart, parts),
-		next:   make([]int32, ks.n),
-		filter: newKeyFilter(ks),
+	pt := &PartitionedHashTable{ks: ks, next: make([]int32, ks.n)}
+	if pt.filter = newKeyFilter(ks, pt.next); pt.filter != nil && pt.filter.pos != nil {
+		return pt
 	}
+	ks.hashAll()
+	pt.shift, pt.parts = shift, make([]hashPart, parts)
 	eq := ks.eqFunc()
 
 	// Chains link rows in ascending row order, so they come out in build
@@ -157,25 +167,37 @@ func BuildHashPartitioned(keys []*Vector, parts, workers int) *PartitionedHashTa
 	return pt
 }
 
-// newKeyFilter builds the key filter of a one-column integer key whose
-// non-NULL range spans at most MaxKeyFilterBits values, else returns nil. A
-// build side with no non-NULL key gets an empty filter, which rejects every
-// probe row.
-func newKeyFilter(ks *KeySet) *keyFilter {
+// newKeyFilter builds the key filter of a one-column integer key: a
+// positional table, with the build rows chained through next, when its
+// non-NULL range spans at most max(2 x rows, 1024) values; a bitmap when it
+// spans at most MaxKeyFilterBits; else none (nil). A build side with no
+// non-NULL key gets an empty positional table, which rejects every probe
+// row.
+func newKeyFilter(ks *KeySet, next []int32) *keyFilter {
 	if len(ks.cols) != 1 || ks.cols[0].ints == nil {
 		return nil
 	}
 	c := ks.cols[0].ints
 	lo, hi, ok := c.bounds()
+	f := &keyFilter{lo: lo, pos: []int32{}}
 	if !ok {
-		return &keyFilter{}
+		return f
 	}
-	if uint64(hi)-uint64(lo) >= MaxKeyFilterBits {
+	switch d := uint64(hi) - uint64(lo); {
+	case d < uint64(max(2*ks.n, 1024)):
+		f.n = d + 1
+		f.pos = make([]int32, f.n)
+		for i := range f.pos {
+			f.pos[i] = -1
+		}
+		c.chain(f, next)
+	case d < MaxKeyFilterBits:
+		f.n, f.pos = d+1, nil
+		f.bits = NewBitmap(int(f.n))
+		c.setBits(f)
+	default:
 		return nil
 	}
-	f := &keyFilter{lo: lo, n: uint64(hi-lo) + 1}
-	f.bits = NewBitmap(int(f.n))
-	c.setBits(f)
 	return f
 }
 
@@ -187,13 +209,14 @@ func (f *keyFilter) has(x int64) bool {
 	return d < f.n && f.bits.Get(int32(d))
 }
 
-// FilterBits returns the width of the key filter in bits; ok is false when
+// KeyFilter describes the table's key filter: its width in keys, and
+// whether it is a positional table rather than a bitmap; ok is false when
 // the table has none.
-func (pt *PartitionedHashTable) FilterBits() (bits int, ok bool) {
+func (pt *PartitionedHashTable) KeyFilter() (width int, positional, ok bool) {
 	if pt.filter == nil {
-		return 0, false
+		return 0, false, false
 	}
-	return int(pt.filter.n), true
+	return int(pt.filter.n), pt.filter.pos != nil, true
 }
 
 // insert adds build row k to its partition, appending it to its key's chain.
@@ -211,6 +234,9 @@ func (pt *PartitionedHashTable) insert(part *hashPart, k int32) {
 
 // Len returns the number of distinct non-NULL keys in the table.
 func (pt *PartitionedHashTable) Len() int {
+	if pt.filter != nil && pt.filter.pos != nil {
+		return pt.filter.keys
+	}
 	n := 0
 	for p := range pt.parts {
 		n += pt.parts[p].tbl.Len()
@@ -280,8 +306,8 @@ func newProbeBlock(pks *KeySet) *probeBlock {
 
 // chainHeads returns the first build row of the key chain of each probe row
 // in [lo, hi), -1 where the key is NULL or absent. A one-column integer key
-// is compared in place, behind the key filter if the table has one; other
-// keys are hashed as a block first.
+// is read in place: looked up in a positional table, or behind a bitmap
+// filter if the table has one; other keys are hashed as a block first.
 func (pt *PartitionedHashTable) chainHeads(pks *KeySet, lo, hi int, b *probeBlock) []int32 {
 	heads := b.heads[:hi-lo]
 	if b.hash == nil {

@@ -28,9 +28,9 @@ func TestPartitionedHashMatchesSerial(t *testing.T) {
 		if ht.Len() != pt.Len() {
 			t.Fatalf("trial %d: %d distinct keys vs serial %d", trial, pt.Len(), ht.Len())
 		}
-		hb, hok := ht.FilterBits()
-		if pb, pok := pt.FilterBits(); pb != hb || pok != hok {
-			t.Fatalf("trial %d: key filter %d bits (%v) vs serial %d (%v)", trial, pb, pok, hb, hok)
+		hw, hpos, hok := ht.KeyFilter()
+		if pw, ppos, pok := pt.KeyFilter(); pw != hw || ppos != hpos || pok != hok {
+			t.Fatalf("trial %d: key filter %d %v %v vs serial %d %v %v", trial, pw, ppos, pok, hw, hpos, hok)
 		}
 
 		eqPairs := func(name string, gp, gb, wp, wb []int32) {
@@ -108,18 +108,31 @@ func TestPartitionedHashChunkedProbe(t *testing.T) {
 	}
 }
 
-// The one-part table is the serial join. Its build+probe on the benchmark
-// input below (a BIGINT key, so one filtered probe) allocates 86 times and
-// 6 293 728 B; the pin leaves 1% for the runtime. The table it replaced took
-// 86 allocs and 8 706 176 B.
+// The one-part table is the serial join. On the benchmark input below, its
+// BIGINT keys are dense, so the build is a positional table: build+probe
+// allocates 11 times and 2 757 056 B. Spread a thousandfold, the same keys
+// span more than MaxKeyFilterBits values and go through the hash table: 85
+// allocs and 6 285 568 B. Each pin leaves 1% for the runtime. The table
+// this replaced took 86 allocs and 8 706 176 B on the dense input.
 func TestHashJoinOnePartAllocs(t *testing.T) {
-	build, probe := benchJoinInput(1<<16, 1<<18)
-	allocs, bytes := allocsPerRun(3, func() {
-		ht := BuildHashPartitioned(build, 1, 1)
-		ht.Probe(probe)
-	})
-	if allocs > 86 || bytes > 6360000 {
-		t.Fatalf("one-part build+probe: %d allocs, %d B per run; want at most 86 allocs, 6360000 B", allocs, bytes)
+	for _, tc := range []struct {
+		spread     int64
+		allocs     uint64
+		bytes      uint64
+		positional bool
+	}{{1, 11, 2785000, true}, {1000, 85, 6350000, false}} {
+		build, probe := benchJoinInput(1<<16, 1<<18, tc.spread)
+		if _, pos, _ := BuildHashPartitioned(build, 1, 1).KeyFilter(); pos != tc.positional {
+			t.Fatalf("spread %d: positional %v, want %v", tc.spread, pos, tc.positional)
+		}
+		allocs, bytes := allocsPerRun(3, func() {
+			ht := BuildHashPartitioned(build, 1, 1)
+			ht.Probe(probe)
+		})
+		if allocs > tc.allocs || bytes > tc.bytes {
+			t.Fatalf("spread %d: one-part build+probe: %d allocs, %d B per run; want at most %d allocs, %d B",
+				tc.spread, allocs, bytes, tc.allocs, tc.bytes)
+		}
 	}
 }
 
@@ -135,7 +148,7 @@ func TestHashJoinOnePartAllocs(t *testing.T) {
 // output sized for every row, and 34.5 B per grouped row. Each pin leaves
 // about 1%.
 func TestKeyKernelBytesPerRow(t *testing.T) {
-	build, probe := benchJoinInput(1<<16, 1<<18)
+	build, probe := benchJoinInput(1<<16, 1<<18, 1)
 	n := float64(probe[0].Len())
 	ht := BuildHashPartitioned(build, 1, 1)
 	marks := NewBitmap(build[0].Len())
@@ -186,28 +199,34 @@ func allocsPerRun(runs int, f func()) (allocs, bytes uint64) {
 
 // ---------------------------------------------------------------------------
 // Microbenchmarks: the one-part (serial) table and an 8-part build on one
-// worker, over the same input.
+// worker, over the same input, whose keys are spread beyond the key
+// filter's range so that both hash; and the positional table over the dense
+// keys.
 // ---------------------------------------------------------------------------
 
-func benchJoinInput(nb, np int) (build, probe []*Vector) {
+// benchJoinInput draws nb build and np probe BIGINT keys from [0, nb), times
+// spread.
+func benchJoinInput(nb, np int, spread int64) (build, probe []*Vector) {
 	rng := rand.New(rand.NewSource(3))
 	bk := New(mtypes.BigInt, nb)
 	for i := range bk.I64 {
-		bk.I64[i] = int64(rng.Intn(nb))
+		bk.I64[i] = int64(rng.Intn(nb)) * spread
 	}
 	pk := New(mtypes.BigInt, np)
 	for i := range pk.I64 {
-		pk.I64[i] = int64(rng.Intn(nb))
+		pk.I64[i] = int64(rng.Intn(nb)) * spread
 	}
 	return []*Vector{bk}, []*Vector{pk}
 }
 
-func BenchmarkHashJoinBuildProbeSerial(b *testing.B) { benchmarkHashJoin(b, 1) }
+func BenchmarkHashJoinBuildProbeSerial(b *testing.B) { benchmarkHashJoin(b, 1, 1000) }
 
-func BenchmarkHashJoinBuildProbePartitioned(b *testing.B) { benchmarkHashJoin(b, 8) }
+func BenchmarkHashJoinBuildProbePartitioned(b *testing.B) { benchmarkHashJoin(b, 8, 1000) }
 
-func benchmarkHashJoin(b *testing.B, parts int) {
-	build, probe := benchJoinInput(1<<16, 1<<18)
+func BenchmarkHashJoinBuildProbePositional(b *testing.B) { benchmarkHashJoin(b, 1, 1) }
+
+func benchmarkHashJoin(b *testing.B, parts int, spread int64) {
+	build, probe := benchJoinInput(1<<16, 1<<18, spread)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pt := BuildHashPartitioned(build, parts, 1)
