@@ -210,10 +210,11 @@ type joinProber struct {
 // the probe side splits (every worker shares the one table), and each probe
 // chunk covers at least a quarter of the build side's rows: against a large
 // build side every lookup misses cache, and the fixed per-chunk cost (key
-// canonicalization, goroutine) must amortize over more probes. The build
+// view, block buffer, goroutine) must amortize over more probes. The build
 // runs on as many workers as there are probe chunks, within the worker
 // budget, over a table radix-partitioned so that they never contend; one
-// chunk builds one partition on the coordinator.
+// chunk builds one partition on the coordinator. A dense integer key skips
+// all that: its positional table is one pass on the coordinator.
 func (e *Engine) buildJoinTable(buildKeys []*vec.Vector, buildN, probeN int, label string) *joinProber {
 	cp := e.chunkPlan(probeN, max(mal.MinChunkRows, buildN/4), 0)
 	workers := min(cp.Chunks, e.workerBudget())

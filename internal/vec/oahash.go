@@ -176,7 +176,7 @@ type keyCol struct {
 }
 
 // KeySet is a typed view of the key vectors of a join side or a grouping.
-// The join build also fills the per-row fused hashes and NULL flags it
+// A hashed join build also fills the per-row fused hashes and NULL flags it
 // partitions by; probes and GroupBy hash in blocks instead.
 type KeySet struct {
 	n    int
