@@ -495,12 +495,14 @@ type groupBox struct {
 // the product of the column spans (each [min, max] plus one NULL slot) is at
 // most max(2 x rows, 1024) slots, else nil.
 func (ks *KeySet) denseBox() *groupBox {
-	limit := int64(max(2*ks.n, 1024))
-	box := &groupBox{lo: make([]int64, len(ks.cols)), span: make([]int64, len(ks.cols)), size: 1}
-	for i, c := range ks.cols {
+	for _, c := range ks.cols {
 		if c.ints == nil {
 			return nil
 		}
+	}
+	limit := int64(max(2*ks.n, 1024))
+	box := &groupBox{lo: make([]int64, len(ks.cols)), span: make([]int64, len(ks.cols)), size: 1}
+	for i, c := range ks.cols {
 		span := int64(1)
 		if lo, hi, ok := c.ints.bounds(); ok {
 			if d := uint64(hi) - uint64(lo); d >= uint64(limit) {

@@ -185,15 +185,6 @@ func gatherKeys(keys []*Vector, cands []int32) []*Vector {
 	return out
 }
 
-// mapRows maps row ids of gathered keys back to rows of the original keys.
-func mapRows(rows []int32, cands []int32) []int32 {
-	out := make([]int32, len(rows))
-	for i, r := range rows {
-		out[i] = cands[r]
-	}
-	return out
-}
-
 // checkGroupBy compares GroupBy with the refinement oracle on keys, and
 // whether it chose direct addressing with wantDense (unless nil).
 func checkGroupBy(t *testing.T, at string, keys []*Vector, wantDense *bool) {
@@ -457,12 +448,17 @@ func newJoinOracle(buildKeys, probeKeys []*Vector, bCands, pCands []int32) *join
 	return o
 }
 
-// back maps gathered row ids to original ones (nil cands: unchanged).
+// back maps row ids of keys gathered at cands back to rows of the original
+// keys (nil cands: unchanged).
 func back(rows, cands []int32) []int32 {
 	if cands == nil {
 		return rows
 	}
-	return mapRows(rows, cands)
+	out := make([]int32, len(rows))
+	for i, r := range rows {
+		out[i] = cands[r]
+	}
+	return out
 }
 
 // check runs every probe flavor of ht, built over the build keys gathered at
@@ -496,11 +492,15 @@ func (o *joinOracle) check(t *testing.T, at string, ht *PartitionedHashTable, pr
 	}
 	gm := NewBitmap(o.buildRows)
 	ht.ProbeMark(probe, gm)
-	marks := NewBitmap(len(o.mark) * 64)
-	for r := 0; r < o.buildRows; r++ {
-		if gm.Get(int32(r)) {
-			marks.Set(back([]int32{int32(r)}, o.bCands)[0])
+	var marked []int32
+	for r := int32(0); r < int32(o.buildRows); r++ {
+		if gm.Get(r) {
+			marked = append(marked, r)
 		}
+	}
+	marks := NewBitmap(len(o.mark) * 64)
+	for _, r := range back(marked, o.bCands) {
+		marks.Set(r)
 	}
 	for w := range marks {
 		if marks[w] != o.mark[w] {

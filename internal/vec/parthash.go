@@ -37,8 +37,9 @@ func JoinPartitions(workers int) int {
 	return parts
 }
 
-// MaxKeyFilterBits bounds the key filter: a build range wider than this
-// many values (1 MiB of bitmap) gets none.
+// MaxKeyFilterBits bounds the bitmap key filter: a build range too sparse
+// for a positional table and wider than this many values (1 MiB of bitmap)
+// gets no filter.
 const MaxKeyFilterBits = 1 << 23
 
 // hashPart is one partition of a PartitionedHashTable: a distinct-key table
