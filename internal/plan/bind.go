@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -155,7 +156,7 @@ func BindDelete(cat Catalog, del *sqlparse.DeleteStmt, params []mtypes.Value) (*
 	if del.Where != nil {
 		b := &binder{cat: cat, params: params}
 		s := scopeForTable(meta, del.Table)
-		e, err := b.bindExpr(del.Where, s)
+		e, err := b.bindPredicate(del.Where, s)
 		if err != nil {
 			return nil, err
 		}
@@ -186,7 +187,7 @@ func BindUpdate(cat Catalog, up *sqlparse.UpdateStmt, params []mtypes.Value) (*B
 		out.SetExprs = append(out.SetExprs, castTo(e, meta.Cols[ci].Typ))
 	}
 	if up.Where != nil {
-		e, err := b.bindExpr(up.Where, s)
+		e, err := b.bindPredicate(up.Where, s)
 		if err != nil {
 			return nil, err
 		}
@@ -276,6 +277,10 @@ type binder struct {
 	// win collects window calls while one SELECT's items are bound; nil
 	// anywhere else, which is what rejects OVER outside the select list.
 	win *windowCtx
+	// agg is set while a query block's select list, HAVING and ORDER BY
+	// bind over its Aggregate (and while a correlated scalar subquery's
+	// item binds); nil anywhere else, aggregate arguments included.
+	agg *aggCtx
 }
 
 var aggNames = map[string]vec.AggKind{
@@ -312,10 +317,11 @@ func containsAgg(e sqlparse.Expr) bool {
 // bindSelect binds a full SELECT (outer = enclosing scope for correlated
 // subqueries; nil at top level).
 func (b *binder) bindSelect(sel *sqlparse.SelectStmt, outer *scope) (Node, error) {
-	// Window collection is per SELECT; nested binds get a clean slate.
-	savedWin := b.win
-	b.win = nil
-	defer func() { b.win = savedWin }()
+	// The window and aggregate contexts are per query block; nested binds
+	// get a clean slate.
+	savedWin, savedAgg := b.win, b.agg
+	b.win, b.agg = nil, nil
+	defer func() { b.win, b.agg = savedWin, savedAgg }()
 
 	plan, s, err := b.bindFromWhere(sel, outer)
 	if err != nil {
@@ -328,73 +334,74 @@ func (b *binder) bindSelect(sel *sqlparse.SelectStmt, outer *scope) (Node, error
 			hasAgg = true
 		}
 	}
+	if hasAgg {
+		if plan, err = b.bindAggregate(sel, plan, s); err != nil {
+			return nil, err
+		}
+	}
 
+	win := &windowCtx{}
+	b.win = win
 	var projExprs []Expr
 	var projNames []string
-	if hasAgg {
-		plan, projExprs, projNames, err = b.bindAggregate(sel, plan, s)
+	for _, it := range sel.Items {
+		if it.Star {
+			if hasAgg {
+				return nil, fmt.Errorf("plan: SELECT * cannot be combined with aggregation")
+			}
+			for i, c := range s.cols {
+				projExprs = append(projExprs, &ColRef{Slot: i, Typ: c.typ, Name: c.name})
+				projNames = append(projNames, c.name)
+			}
+			continue
+		}
+		e, err := b.bindExpr(it.Expr, s)
 		if err != nil {
 			return nil, err
 		}
-	} else {
-		b.win = &windowCtx{bind: func(ast sqlparse.Expr) (Expr, error) { return b.bindExpr(ast, s) }}
-		for _, it := range sel.Items {
-			if it.Star {
-				for i, c := range s.cols {
-					projExprs = append(projExprs, &ColRef{Slot: i, Typ: c.typ, Name: c.name})
-					projNames = append(projNames, c.name)
-				}
-				continue
-			}
-			e, err := b.bindExpr(it.Expr, s)
-			if err != nil {
-				return nil, err
-			}
-			projExprs = append(projExprs, e)
-			projNames = append(projNames, itemName(it))
-		}
+		projExprs = append(projExprs, e)
+		projNames = append(projNames, itemName(it))
 	}
-
-	// Bound after projection resolution, like the hidden-sort-column path:
-	// one Window node per distinct spec is stacked over the plan and the
-	// placeholders become ColRefs into the appended window columns.
-	if b.win != nil && len(b.win.groups) > 0 {
-		var offsets []int
-		plan, offsets = attachWindows(plan, b.win.groups)
-		for i := range projExprs {
-			projExprs[i] = resolveWindowRefs(projExprs[i], offsets, b.win.groups)
-		}
-	}
-	// Window functions are not allowed past this point (DISTINCT/ORDER BY).
+	// HAVING and ORDER BY evaluate below the Window nodes: no window calls
+	// there. Both may still add Aggregate outputs, so they bind before the
+	// Window nodes are stacked over the Aggregate.
 	b.win = nil
+	if sel.Having != nil {
+		h, err := b.bindPredicate(sel.Having, s)
+		if err != nil {
+			return nil, err
+		}
+		plan = &Filter{Input: plan, Pred: h}
+	}
+	nVisible := len(projExprs)
+	var keys []SortSpec
+	if len(sel.OrderBy) > 0 {
+		if keys, projExprs, projNames, err = b.bindOrderBy(sel, projExprs, projNames, s); err != nil {
+			return nil, err
+		}
+	}
+	b.agg = nil
+	if len(win.groups) > 0 {
+		plan = attachWindows(plan, win.groups, projExprs)
+	}
 
 	out := make(Schema, len(projExprs))
 	for i := range projExprs {
 		out[i] = ColInfo{Name: projNames[i], Typ: projExprs[i].Type()}
 	}
-	proj := &Project{Input: plan, Exprs: projExprs, Out: out}
-	nVisible := len(projExprs)
-	var result Node = proj
-
+	var result Node = &Project{Input: plan, Exprs: projExprs, Out: out}
 	if sel.Distinct {
 		result = &Distinct{Input: result}
 	}
-
-	if len(sel.OrderBy) > 0 {
-		keys, err := b.bindOrderBy(sel, proj, projExprs, projNames, s, hasAgg, plan)
-		if err != nil {
-			return nil, err
-		}
+	if len(keys) > 0 {
 		result = &Sort{Input: result, Keys: keys}
-		if len(proj.Exprs) > nVisible {
-			// Strip hidden sort columns appended by bindOrderBy.
+		if len(projExprs) > nVisible {
+			// Strip the hidden sort columns bindOrderBy appended.
 			strip := make([]Expr, nVisible)
-			sch := make(Schema, nVisible)
-			for i := 0; i < nVisible; i++ {
-				strip[i] = &ColRef{Slot: i, Typ: proj.Out[i].Typ, Name: proj.Out[i].Name}
-				sch[i] = proj.Out[i]
+			for i := range strip {
+				strip[i] = &ColRef{Slot: i, Typ: out[i].Typ, Name: out[i].Name}
 			}
-			result = &Project{Input: result, Exprs: strip, Out: sch}
+			result = &Project{Input: result, Exprs: strip, Out: out[:nVisible:nVisible]}
 		}
 	}
 	if sel.Limit >= 0 || sel.Offset > 0 {
@@ -486,7 +493,7 @@ func (b *binder) applyConjunct(plan Node, s *scope, c sqlparse.Expr) (Node, erro
 			}
 		}
 	}
-	e, err := b.bindExpr(c, s)
+	e, err := b.bindPredicate(c, s)
 	if err != nil {
 		return nil, err
 	}
@@ -563,9 +570,12 @@ func (b *binder) bindTableRef(ref sqlparse.TableRef, outer *scope) (Node, []scop
 		}
 		j := &Join{Kind: kind, Left: ln, Right: rn}
 		if x.On != nil {
-			on, err := b.bindExpr(x.On, joined)
+			on, err := b.bindPredicate(x.On, joined)
 			if err != nil {
 				return nil, nil, err
+			}
+			if hasOuterRef(on) {
+				return nil, nil, fmt.Errorf("plan: JOIN ... ON cannot reference an enclosing query")
 			}
 			// Split equi conditions referencing exactly one side each.
 			nLeft := len(lcols)
@@ -649,303 +659,148 @@ func andExpr(a, b Expr) Expr {
 // Aggregation binding.
 // ---------------------------------------------------------------------------
 
-func (b *binder) bindAggregate(sel *sqlparse.SelectStmt, plan Node, s *scope) (Node, []Expr, []string, error) {
-	// 1. Bind GROUP BY expressions (ordinals, aliases, plain expressions).
-	var groupASTs []sqlparse.Expr
-	var groupExprs []Expr
-	var groupNames []string
-	aliasToAST := map[string]sqlparse.Expr{}
+// aggCtx is the aggregate context of one query block. While it is set,
+// bindExpr binds over the Aggregate's output (bindInAgg): a whole subtree
+// equal to a GROUP BY key becomes a ColRef to its slot, an aggregate call an
+// output of agg, and any other column is an error. Every other node binds as
+// anywhere else, over its bound children.
+type aggCtx struct {
+	agg     *Aggregate
+	s       *scope // the Aggregate's input: aggregate arguments bind over it
+	aliases map[string]sqlparse.Expr
+	// corr marks a correlated scalar subquery's item: no GROUP BY keys to
+	// match, and aggregate k becomes a ColRef to slot base+k of the join
+	// the Aggregate feeds.
+	corr bool
+	base int
+}
+
+// bindAggregate binds GROUP BY (ordinals, aliases, plain expressions) over
+// plan and sets the aggregate context the select list, HAVING and ORDER BY
+// bind in.
+func (b *binder) bindAggregate(sel *sqlparse.SelectStmt, plan Node, s *scope) (*Aggregate, error) {
+	aliases := map[string]sqlparse.Expr{}
 	for _, it := range sel.Items {
 		if it.Alias != "" && !it.Star {
-			aliasToAST[it.Alias] = it.Expr
+			aliases[it.Alias] = it.Expr
 		}
 	}
+	agg := &Aggregate{Input: plan}
 	for _, g := range sel.GroupBy {
 		ast := g
 		name := ""
 		if num, ok := g.(*sqlparse.NumberLit); ok && !strings.Contains(num.Text, ".") {
 			ord, err := strconv.Atoi(num.Text)
 			if err != nil || ord < 1 || ord > len(sel.Items) || sel.Items[ord-1].Star {
-				return nil, nil, nil, fmt.Errorf("plan: invalid GROUP BY ordinal %s", num.Text)
+				return nil, fmt.Errorf("plan: invalid GROUP BY ordinal %s", num.Text)
 			}
 			ast = sel.Items[ord-1].Expr
 			name = itemName(sel.Items[ord-1])
 		} else if id, ok := g.(*sqlparse.Ident); ok && id.Qualifier == "" {
-			if a, found := aliasToAST[id.Name]; found {
-				// Alias wins only when the name is not a real input column.
-				if _, _, _, err := s.resolve("", id.Name); err != nil {
-					ast = a
-				}
-			}
+			ast = resolveAlias(id, aliases, s)
 			name = id.Name
 		}
 		e, err := b.bindExpr(ast, s)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		if name == "" {
 			name = ExprString(e)
 		}
-		groupASTs = append(groupASTs, ast)
-		groupExprs = append(groupExprs, e)
-		groupNames = append(groupNames, name)
+		agg.GroupBy = append(agg.GroupBy, e)
+		agg.Names = append(agg.Names, name)
 	}
-
-	agg := &Aggregate{Input: plan, GroupBy: groupExprs, Names: groupNames}
-
-	// 2. Post-aggregation rebinding of select items. Window calls bind their
-	// arguments and spec in the same post-agg context (a window may order by
-	// an aggregate result), so they land above the Aggregate.
-	pa := &postAggBinder{b: b, s: s, agg: agg, groupASTs: groupASTs, aliasToAST: aliasToAST}
-	b.win = &windowCtx{bind: pa.rebind}
-	var projExprs []Expr
-	var projNames []string
-	for _, it := range sel.Items {
-		if it.Star {
-			return nil, nil, nil, fmt.Errorf("plan: SELECT * cannot be combined with aggregation")
-		}
-		e, err := pa.rebind(it.Expr)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		projExprs = append(projExprs, e)
-		projNames = append(projNames, itemName(it))
-	}
-
-	var result Node = agg
-	if sel.Having != nil {
-		// HAVING runs below the Window nodes: no window functions here.
-		win := b.win
-		b.win = nil
-		h, err := pa.rebind(sel.Having)
-		b.win = win
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		result = &Filter{Input: agg, Pred: h}
-	}
-	// Projection slots reference the aggregate output schema, which the
-	// HAVING filter preserves.
-	return result, projExprs, projNames, nil
+	b.agg = &aggCtx{agg: agg, s: s, aliases: aliases}
+	return agg, nil
 }
 
-// postAggBinder rebinds expressions over the aggregate output schema:
-// group expressions become ColRefs to group slots, aggregate calls become
-// AggRefs.
-type postAggBinder struct {
-	b          *binder
-	s          *scope
-	agg        *Aggregate
-	groupASTs  []sqlparse.Expr
-	aliasToAST map[string]sqlparse.Expr
+// resolveAlias returns the select item an unqualified name aliases; an alias
+// wins only when the name is not a real input column.
+func resolveAlias(id *sqlparse.Ident, aliases map[string]sqlparse.Expr, s *scope) sqlparse.Expr {
+	if a, found := aliases[id.Name]; found {
+		if _, _, _, err := s.resolve("", id.Name); err != nil {
+			return a
+		}
+	}
+	return id
 }
 
-func (pa *postAggBinder) rebind(ast sqlparse.Expr) (Expr, error) {
-	// Window calls first: they look like aggregate calls but bind above the
-	// Aggregate, with their arguments rebound in this post-agg context.
-	if fc, ok := ast.(*sqlparse.FuncCall); ok && fc.Over != nil {
-		return pa.b.bindWindowCall(fc)
-	}
-	// Whole-subtree match against a GROUP BY expression? (Not for a scalar
-	// subquery: matching binds the subtree, and binding one optimizes it.)
-	if _, isSub := ast.(*sqlparse.SubqueryExpr); !isSub && !containsAgg(ast) {
-		if slot, ok := pa.matchGroup(ast); ok {
-			g := pa.agg.GroupBy[slot]
-			return &ColRef{Slot: slot, Typ: g.Type(), Name: pa.agg.Names[slot]}, nil
+// bindInAgg binds the nodes the aggregate context owns; done is false for
+// every other node, which then binds as anywhere else.
+func (b *binder) bindInAgg(ast sqlparse.Expr) (e Expr, done bool, err error) {
+	a := b.agg
+	if !a.corr {
+		if e, ok := b.matchGroup(ast); ok {
+			return e, true, nil
 		}
 	}
-	switch x := ast.(type) {
-	case *sqlparse.FuncCall:
-		if kind, ok := aggNames[x.Name]; ok {
-			return pa.addAgg(kind, x)
-		}
-		// Scalar function over rebindable args.
-		return pa.rebindScalar(ast)
-	case *sqlparse.Ident:
-		// Unmatched plain column: must be functionally dependent on a group
-		// key; we require exact membership.
-		return nil, fmt.Errorf("plan: column %q must appear in GROUP BY or an aggregate", x.Name)
-	default:
-		return pa.rebindScalar(ast)
+	if fc, ok := isAggCall(ast); ok {
+		e, err := b.addAgg(fc)
+		return e, true, err
 	}
+	if id, ok := ast.(*sqlparse.Ident); ok {
+		if a.corr {
+			return nil, true, fmt.Errorf("plan: correlated scalar subquery item must combine aggregates and constants")
+		}
+		return nil, true, fmt.Errorf("plan: column %q must appear in GROUP BY or an aggregate", id.Name)
+	}
+	return nil, false, nil
 }
 
-// rebindScalar rebuilds a scalar AST node with post-agg-rebound children by
-// temporarily binding through a child-rewriting pass.
-func (pa *postAggBinder) rebindScalar(ast sqlparse.Expr) (Expr, error) {
-	switch x := ast.(type) {
-	case *sqlparse.NumberLit, *sqlparse.StringLit, *sqlparse.DateLit, *sqlparse.NullLit, *sqlparse.BoolLit, *sqlparse.IntervalLit, *sqlparse.ParamRef:
-		return pa.b.bindExpr(ast, pa.s)
-	case *sqlparse.BinaryExpr:
-		l, err := pa.rebind(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := pa.rebind(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return makeBinOp(x.Op, l, r)
-	case *sqlparse.UnaryExpr:
-		e, err := pa.rebind(x.E)
-		if err != nil {
-			return nil, err
-		}
-		if x.Op == "NOT" {
-			return &NotExpr{E: e}, nil
-		}
-		return &FuncExpr{Kind: FuncNeg, Args: []Expr{e}, Typ: e.Type()}, nil
-	case *sqlparse.CaseExpr:
-		return pa.rebindCase(x)
-	case *sqlparse.CastExpr:
-		e, err := pa.rebind(x.E)
-		if err != nil {
-			return nil, err
-		}
-		to, err := typeFromAST(x.TypeName, x.Prec, x.Scale, x.Width)
-		if err != nil {
-			return nil, err
-		}
-		return &CastExpr{E: e, To: to}, nil
-	case *sqlparse.ExtractExpr:
-		e, err := pa.rebind(x.E)
-		if err != nil {
-			return nil, err
-		}
-		return extractExpr(x.Field, e), nil
-	case *sqlparse.IsNullExpr:
-		e, err := pa.rebind(x.E)
-		if err != nil {
-			return nil, err
-		}
-		return &IsNullExpr{E: e, Not: x.Not}, nil
-	case *sqlparse.BetweenExpr:
-		e, err := pa.rebind(x.E)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := pa.rebind(x.Lo)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := pa.rebind(x.Hi)
-		if err != nil {
-			return nil, err
-		}
-		return &BetweenExpr{E: e, Lo: lo, Hi: hi, Not: x.Not}, nil
-	case *sqlparse.LikeExpr:
-		e, err := pa.rebind(x.E)
-		if err != nil {
-			return nil, err
-		}
-		pat, err := pa.b.bindExpr(x.Pattern, pa.s)
-		if err != nil {
-			return nil, err
-		}
-		pc, ok := pat.(*Const)
-		if !ok || pc.Val.Typ.Kind != mtypes.KVarchar {
-			return nil, fmt.Errorf("plan: LIKE pattern must be a string constant")
-		}
-		return &LikeExpr{E: e, Pattern: pc.Val.S, Not: x.Not}, nil
-	case *sqlparse.InExpr:
-		if x.Subquery != nil {
-			return nil, fmt.Errorf("plan: IN (subquery) not supported in aggregate context")
-		}
-		e, err := pa.rebind(x.E)
-		if err != nil {
-			return nil, err
-		}
-		var vals []mtypes.Value
-		for _, item := range x.List {
-			ie, err := pa.b.bindExpr(item, pa.s)
-			if err != nil {
-				return nil, err
-			}
-			c, ok := FoldConst(ie).(*Const)
-			if !ok {
-				return nil, fmt.Errorf("plan: IN list elements must be constants")
-			}
-			vals = append(vals, c.Val)
-		}
-		return &InListExpr{E: e, Vals: vals, Not: x.Not}, nil
-	case *sqlparse.SubqueryExpr:
-		// HAVING ... > (SELECT ...): an uncorrelated scalar subquery binds to
-		// a subplan constant evaluated once per query (Q11's threshold).
-		return pa.b.bindExpr(ast, pa.s)
-	case *sqlparse.FuncCall:
-		return nil, fmt.Errorf("plan: unsupported function %q in aggregate context", x.Name)
-	}
-	return nil, fmt.Errorf("plan: unsupported expression %T in aggregate context", ast)
+// bindPlain binds ast over s outside the aggregate and window contexts.
+func (b *binder) bindPlain(ast sqlparse.Expr, s *scope) (Expr, error) {
+	agg, win := b.agg, b.win
+	b.agg, b.win = nil, nil
+	e, err := b.bindExpr(ast, s)
+	b.agg, b.win = agg, win
+	return e, err
 }
 
-func (pa *postAggBinder) rebindCase(x *sqlparse.CaseExpr) (Expr, error) {
-	ce := &CaseExpr{}
-	var operand Expr
-	var err error
-	if x.Operand != nil {
-		operand, err = pa.rebind(x.Operand)
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, w := range x.Whens {
-		var cond Expr
-		if operand != nil {
-			r, err := pa.rebind(w.Cond)
-			if err != nil {
-				return nil, err
-			}
-			cond, err = makeBinOp("=", operand, r)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			cond, err = pa.rebind(w.Cond)
-			if err != nil {
-				return nil, err
-			}
-		}
-		res, err := pa.rebind(w.Result)
-		if err != nil {
-			return nil, err
-		}
-		ce.Whens = append(ce.Whens, WhenClause{Cond: cond, Result: res})
-	}
-	if x.Else != nil {
-		ce.Else, err = pa.rebind(x.Else)
-		if err != nil {
-			return nil, err
-		}
-	}
-	ce.Typ = caseResultType(ce)
-	return ce, nil
-}
-
-func (pa *postAggBinder) matchGroup(ast sqlparse.Expr) (int, bool) {
-	// Resolve aliases first.
+// matchGroup matches a whole subtree against the GROUP BY keys. Only a
+// subtree that reads a column and holds no aggregate, window call or
+// subquery can match; binding one of those to try would have side effects.
+func (b *binder) matchGroup(ast sqlparse.Expr) (Expr, bool) {
+	a := b.agg
 	if id, ok := ast.(*sqlparse.Ident); ok && id.Qualifier == "" {
-		if a, found := pa.aliasToAST[id.Name]; found {
-			if _, _, _, err := pa.s.resolve("", id.Name); err != nil {
-				ast = a
-			}
-		}
+		ast = resolveAlias(id, a.aliases, a.s)
 	}
-	bound, err := pa.b.bindExpr(ast, pa.s)
+	col, ok := false, true
+	walkAST(ast, func(x sqlparse.Expr) bool {
+		switch y := x.(type) {
+		case *sqlparse.Ident:
+			col = true
+		case *sqlparse.FuncCall:
+			_, isAgg := aggNames[y.Name]
+			ok = y.Over == nil && !isAgg
+		case *sqlparse.SubqueryExpr, *sqlparse.ExistsExpr:
+			ok = false
+		case *sqlparse.InExpr:
+			ok = y.Subquery == nil
+		}
+		return ok
+	})
+	if !ok || !col {
+		return nil, false
+	}
+	bound, err := b.bindPlain(ast, a.s)
 	if err != nil {
-		return 0, false
+		return nil, false
 	}
-	for i, g := range pa.agg.GroupBy {
+	for i, g := range a.agg.GroupBy {
 		if reflect.DeepEqual(bound, g) {
-			return i, true
+			return &ColRef{Slot: i, Typ: g.Type(), Name: a.agg.Names[i]}, true
 		}
 	}
-	return 0, false
+	return nil, false
 }
 
-func (pa *postAggBinder) addAgg(kind vec.AggKind, x *sqlparse.FuncCall) (Expr, error) {
-	call := AggCall{Kind: kind, Distinct: x.Distinct, Name: x.Name}
+// addAgg adds an aggregate call to the context's Aggregate (an identical
+// call is shared) and returns the reference to its result.
+func (b *binder) addAgg(x *sqlparse.FuncCall) (Expr, error) {
+	a := b.agg
+	call := AggCall{Kind: aggNames[x.Name], Distinct: x.Distinct, Name: x.Name}
 	if x.Star {
-		if kind != vec.AggCount {
+		if call.Kind != vec.AggCount {
 			return nil, fmt.Errorf("plan: %s(*) is not valid", x.Name)
 		}
 		call.Kind = vec.AggCountStar
@@ -955,25 +810,32 @@ func (pa *postAggBinder) addAgg(kind vec.AggKind, x *sqlparse.FuncCall) (Expr, e
 		}
 		// Aggregate arguments evaluate below the Window nodes: a window call
 		// inside one must error, not leak an unresolved placeholder.
-		win := pa.b.win
-		pa.b.win = nil
-		arg, err := pa.b.bindExpr(x.Args[0], pa.s)
-		pa.b.win = win
+		arg, err := b.bindPlain(x.Args[0], a.s)
 		if err != nil {
 			return nil, err
 		}
+		if a.corr && hasOuterRef(arg) {
+			return nil, fmt.Errorf("plan: outer reference inside an aggregate of a correlated subquery is not supported")
+		}
+		if (call.Kind == vec.AggSum || call.Kind == vec.AggAvg) && !arg.Type().IsNumeric() {
+			return nil, fmt.Errorf("plan: %s over %s is not valid", x.Name, arg.Type())
+		}
 		call.Arg = arg
 	}
-	// Reuse identical aggregate calls (shared computation).
-	for i, a := range pa.agg.Aggs {
-		if a.Kind == call.Kind && a.Distinct == call.Distinct && reflect.DeepEqual(a.Arg, call.Arg) {
-			slot := len(pa.agg.GroupBy) + i
-			return &AggRef{Slot: slot, Typ: aggType(a)}, nil
+	k := len(a.agg.Aggs)
+	for i, c := range a.agg.Aggs {
+		if c.Kind == call.Kind && c.Distinct == call.Distinct && reflect.DeepEqual(c.Arg, call.Arg) {
+			k = i
+			break
 		}
 	}
-	pa.agg.Aggs = append(pa.agg.Aggs, call)
-	slot := len(pa.agg.GroupBy) + len(pa.agg.Aggs) - 1
-	return &AggRef{Slot: slot, Typ: aggType(call)}, nil
+	if k == len(a.agg.Aggs) {
+		a.agg.Aggs = append(a.agg.Aggs, call)
+	}
+	if a.corr {
+		return &ColRef{Slot: a.base + k, Typ: aggType(call), Name: x.Name}, nil
+	}
+	return &AggRef{Slot: len(a.agg.GroupBy) + k, Typ: aggType(call)}, nil
 }
 
 func aggType(a AggCall) mtypes.Type {
@@ -988,53 +850,41 @@ func aggType(a AggCall) mtypes.Type {
 // ORDER BY binding.
 // ---------------------------------------------------------------------------
 
-func (b *binder) bindOrderBy(sel *sqlparse.SelectStmt, proj *Project, projExprs []Expr, projNames []string, s *scope, hasAgg bool, aggInput Node) ([]SortSpec, error) {
+// bindOrderBy resolves each ORDER BY key to a slot of the select list: an
+// ordinal, an output name, or an expression bound in the select list's
+// context (the aggregate context under aggregation) that either equals a
+// select item or is appended as a hidden sort column. Under DISTINCT a
+// hidden column would change what is distinct, so it is an error there.
+func (b *binder) bindOrderBy(sel *sqlparse.SelectStmt, exprs []Expr, names []string, s *scope) ([]SortSpec, []Expr, []string, error) {
+	nVisible := len(exprs)
 	var keys []SortSpec
 	for _, oi := range sel.OrderBy {
 		slot := -1
-		// (a) ordinal
 		if num, ok := oi.Expr.(*sqlparse.NumberLit); ok && !strings.Contains(num.Text, ".") {
 			ord, err := strconv.Atoi(num.Text)
-			if err != nil || ord < 1 || ord > len(projExprs) {
-				return nil, fmt.Errorf("plan: invalid ORDER BY ordinal %s", num.Text)
+			if err != nil || ord < 1 || ord > nVisible {
+				return nil, nil, nil, fmt.Errorf("plan: invalid ORDER BY ordinal %s", num.Text)
 			}
 			slot = ord - 1
-		}
-		// (b) alias / output name
-		if slot < 0 {
-			if id, ok := oi.Expr.(*sqlparse.Ident); ok && id.Qualifier == "" {
-				for i, n := range projNames {
-					if n == id.Name {
-						slot = i
-						break
-					}
-				}
-			}
-		}
-		// (c) structural match with a projected expression
-		if slot < 0 && !hasAgg {
-			if bound, err := b.bindExpr(oi.Expr, s); err == nil {
-				for i, pe := range projExprs {
-					if reflect.DeepEqual(bound, pe) {
-						slot = i
-						break
-					}
-				}
-				if slot < 0 {
-					// (d) hidden sort column appended to the projection
-					proj.Exprs = append(proj.Exprs, bound)
-					proj.Out = append(proj.Out, ColInfo{Name: "$sort", Typ: bound.Type()})
-					slot = len(proj.Exprs) - 1
-				}
-			}
+		} else if id, ok := oi.Expr.(*sqlparse.Ident); ok && id.Qualifier == "" {
+			slot = slices.Index(names[:nVisible], id.Name)
 		}
 		if slot < 0 {
-			return nil, fmt.Errorf("plan: cannot resolve ORDER BY expression")
+			bound, err := b.bindExpr(oi.Expr, s)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			slot = slices.IndexFunc(exprs[:nVisible], func(e Expr) bool { return reflect.DeepEqual(bound, e) })
+			if slot < 0 {
+				if sel.Distinct {
+					return nil, nil, nil, fmt.Errorf("plan: for SELECT DISTINCT, ORDER BY expressions must appear in the select list")
+				}
+				exprs = append(exprs, bound)
+				names = append(names, "$sort")
+				slot = len(exprs) - 1
+			}
 		}
-		keys = append(keys, SortSpec{
-			E:    &ColRef{Slot: slot, Typ: proj.Out[slot].Typ, Name: proj.Out[slot].Name},
-			Desc: oi.Desc,
-		})
+		keys = append(keys, SortSpec{E: &ColRef{Slot: slot, Typ: exprs[slot].Type(), Name: names[slot]}, Desc: oi.Desc})
 	}
-	return keys, nil
+	return keys, exprs, names, nil
 }

@@ -63,10 +63,16 @@ func walkAST(e sqlparse.Expr, fn func(sqlparse.Expr) bool) {
 	}
 }
 
-// bindExpr binds an AST expression over a scope into a typed Expr. References
-// resolving to a parent scope become outerRef markers (handled only inside
-// subquery decorrelation; anywhere else they are an error surfaced later).
+// bindExpr binds an AST expression over a scope into a typed Expr; it is the
+// only expression binder. In an aggregate context (b.agg) the nodes that
+// context owns bind first (bindInAgg). References resolving to a parent scope
+// become outerRef markers, which subquery decorrelation rewrites (outerCols).
 func (b *binder) bindExpr(ast sqlparse.Expr, s *scope) (Expr, error) {
+	if b.agg != nil {
+		if e, done, err := b.bindInAgg(ast); done {
+			return e, err
+		}
+	}
 	switch x := ast.(type) {
 	case *sqlparse.Ident:
 		if s == nil {
@@ -113,12 +119,15 @@ func (b *binder) bindExpr(ast sqlparse.Expr, s *scope) (Expr, error) {
 			return nil, err
 		}
 		if x.Op == "NOT" {
+			if e, err = truthValue(e); err != nil {
+				return nil, err
+			}
 			return &NotExpr{E: e}, nil
 		}
 		return FoldConst(&FuncExpr{Kind: FuncNeg, Args: []Expr{e}, Typ: e.Type()}).(Expr), nil
 	case *sqlparse.FuncCall:
 		if x.Over != nil {
-			return b.bindWindowCall(x)
+			return b.bindWindowCall(x, s)
 		}
 		return b.bindFunc(x, s)
 	case *sqlparse.CaseExpr:
@@ -192,6 +201,12 @@ func (b *binder) bindExpr(ast sqlparse.Expr, s *scope) (Expr, error) {
 		e, err := b.bindExpr(x.E, s)
 		if err != nil {
 			return nil, err
+		}
+		if n, ok := retypeNullConst(e, mtypes.Date); ok {
+			e = n
+		}
+		if e.Type().Kind != mtypes.KDate {
+			return nil, fmt.Errorf("plan: EXTRACT needs a DATE, got %s", e.Type())
 		}
 		return FoldConst(extractExpr(x.Field, e)), nil
 	case *sqlparse.SubstringExpr:
@@ -349,10 +364,20 @@ func bindDateInterval(e Expr, op string, iv *sqlparse.IntervalLit) (Expr, error)
 // makeBinOp type-checks and constant-folds a bound binary operation.
 func makeBinOp(op string, l, r Expr) (Expr, error) {
 	switch op {
-	case "AND":
-		return &BinOp{Kind: BinAnd, L: l, R: r, Typ: mtypes.Bool}, nil
-	case "OR":
-		return &BinOp{Kind: BinOr, L: l, R: r, Typ: mtypes.Bool}, nil
+	case "AND", "OR":
+		l, err := truthValue(l)
+		if err != nil {
+			return nil, err
+		}
+		r, err := truthValue(r)
+		if err != nil {
+			return nil, err
+		}
+		kind := BinAnd
+		if op == "OR" {
+			kind = BinOr
+		}
+		return &BinOp{Kind: kind, L: l, R: r, Typ: mtypes.Bool}, nil
 	case "||":
 		return FoldConst(&BinOp{Kind: BinConcat, L: l, R: r, Typ: mtypes.Varchar}), nil
 	case "=", "<>", "<", "<=", ">", ">=":
@@ -406,6 +431,28 @@ func makeBinOp(op string, l, r Expr) (Expr, error) {
 		return FoldConst(&BinOp{Kind: BinArith, Arith: ar, L: l, R: r, Typ: typ}), nil
 	}
 	return nil, fmt.Errorf("plan: unknown operator %q", op)
+}
+
+// truthValue checks an operand SQL reads as a truth value (AND, OR, NOT, a
+// CASE WHEN condition, WHERE, HAVING, ON): a BOOLEAN, or an untyped NULL,
+// which it retypes.
+func truthValue(e Expr) (Expr, error) {
+	if n, ok := retypeNullConst(e, mtypes.Bool); ok {
+		return n, nil
+	}
+	if e.Type().Kind != mtypes.KBool {
+		return nil, fmt.Errorf("plan: %s is not a truth value", e.Type())
+	}
+	return e, nil
+}
+
+// bindPredicate binds a condition: an expression that must be a truth value.
+func (b *binder) bindPredicate(ast sqlparse.Expr, s *scope) (Expr, error) {
+	e, err := b.bindExpr(ast, s)
+	if err != nil {
+		return nil, err
+	}
+	return truthValue(e)
 }
 
 // retypeNullConst rewrites an untyped NULL constant — a bare NULL literal or
@@ -465,28 +512,25 @@ func (b *binder) bindFunc(x *sqlparse.FuncCall, s *scope) (Expr, error) {
 	}
 	var kind FuncKind
 	var typ mtypes.Type
+	minArgs, maxArgs := 1, 1
 	switch x.Name {
 	case "sqrt":
 		kind, typ = FuncSqrt, mtypes.Double
 	case "abs":
-		if len(x.Args) != 1 {
-			return nil, fmt.Errorf("plan: abs takes one argument")
-		}
-		a, err := b.bindExpr(x.Args[0], s)
-		if err != nil {
-			return nil, err
-		}
-		return FoldConst(&FuncExpr{Kind: FuncAbs, Args: []Expr{a}, Typ: a.Type()}), nil
+		kind = FuncAbs // typed by its argument
 	case "upper", "ucase":
 		kind, typ = FuncUpper, mtypes.Varchar
 	case "lower", "lcase":
 		kind, typ = FuncLower, mtypes.Varchar
 	case "concat":
-		kind, typ = FuncConcat, mtypes.Varchar
+		kind, typ, maxArgs = FuncConcat, mtypes.Varchar, len(x.Args)
 	case "substring", "substr":
-		kind, typ = FuncSubstring, mtypes.Varchar
+		kind, typ, minArgs, maxArgs = FuncSubstring, mtypes.Varchar, 2, 3
 	default:
 		return nil, fmt.Errorf("plan: unknown function %q", x.Name)
+	}
+	if len(x.Args) < minArgs || len(x.Args) > maxArgs {
+		return nil, fmt.Errorf("plan: wrong number of arguments to %s", x.Name)
 	}
 	args := make([]Expr, len(x.Args))
 	for i, a := range x.Args {
@@ -495,6 +539,17 @@ func (b *binder) bindFunc(x *sqlparse.FuncCall, s *scope) (Expr, error) {
 			return nil, err
 		}
 		args[i] = e
+	}
+	switch kind {
+	case FuncAbs:
+		typ = args[0].Type()
+	case FuncSqrt:
+		if n, ok := retypeNullConst(args[0], mtypes.Double); ok {
+			args[0] = n
+		}
+		if !args[0].Type().IsNumeric() {
+			return nil, fmt.Errorf("plan: sqrt needs a number, got %s", args[0].Type())
+		}
 	}
 	return FoldConst(&FuncExpr{Kind: kind, Args: args, Typ: typ}), nil
 }
@@ -521,7 +576,7 @@ func (b *binder) bindCase(x *sqlparse.CaseExpr, s *scope) (Expr, error) {
 				return nil, err
 			}
 		} else {
-			cond, err = b.bindExpr(w.Cond, s)
+			cond, err = b.bindPredicate(w.Cond, s)
 			if err != nil {
 				return nil, err
 			}
@@ -649,7 +704,7 @@ func (b *binder) bindSubqueryParts(sel *sqlparse.SelectStmt, outer *scope) (*sub
 		return parts, nil
 	}
 	for _, c := range splitConjuncts(sel.Where) {
-		e, err := b.bindExpr(c, inner)
+		e, err := b.bindPredicate(c, inner)
 		if err != nil {
 			return nil, err
 		}
@@ -662,11 +717,11 @@ func (b *binder) bindSubqueryParts(sel *sqlparse.SelectStmt, outer *scope) (*sub
 			lOuter, lInner := hasOuterRef(bo.L), hasOuterRef(bo.R)
 			switch {
 			case lOuter && !lInner && onlyOuterRefs(bo.L):
-				parts.corrOuter = append(parts.corrOuter, outerToColRef(bo.L))
+				parts.corrOuter = append(parts.corrOuter, outerCols(bo.L, 0))
 				parts.corrInner = append(parts.corrInner, bo.R)
 				continue
 			case lInner && !lOuter && onlyOuterRefs(bo.R):
-				parts.corrOuter = append(parts.corrOuter, outerToColRef(bo.R))
+				parts.corrOuter = append(parts.corrOuter, outerCols(bo.R, 0))
 				parts.corrInner = append(parts.corrInner, bo.L)
 				continue
 			}
@@ -699,64 +754,19 @@ func onlyOuterRefs(e Expr) bool {
 	return ok
 }
 
-// outerToColRef rewrites outerRef markers into ColRefs over the outer schema.
-func outerToColRef(e Expr) Expr {
-	switch x := e.(type) {
-	case *outerRef:
-		return &ColRef{Slot: x.Slot, Typ: x.Typ, Name: x.Name}
-	case *BinOp:
-		c := *x
-		c.L, c.R = outerToColRef(x.L), outerToColRef(x.R)
-		return &c
-	case *FuncExpr:
-		c := *x
-		c.Args = make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			c.Args[i] = outerToColRef(a)
+// outerCols rewrites outerRef markers into ColRefs over the outer schema and
+// shifts the inner ColRefs by shift: a correlated residual over
+// (outer ++ inner) takes shift = len(outer).
+func outerCols(e Expr, shift int) Expr {
+	return MapExpr(e, func(x Expr) Expr {
+		switch y := x.(type) {
+		case *outerRef:
+			return &ColRef{Slot: y.Slot, Typ: y.Typ, Name: y.Name}
+		case *ColRef:
+			return &ColRef{Slot: y.Slot + shift, Typ: y.Typ, Name: y.Name}
 		}
-		return &c
-	case *CastExpr:
-		return &CastExpr{E: outerToColRef(x.E), To: x.To}
-	default:
-		return e
-	}
-}
-
-// rebaseMixedExpr rewrites a correlated residual over (outer ++ inner):
-// outerRefs keep their slots, inner ColRefs shift by nOuter.
-func rebaseMixedExpr(e Expr, nOuter int) Expr {
-	shifted := MapSlots(e, func(s int) int { return s + nOuter })
-	return replaceOuterRefs(shifted)
-}
-
-func replaceOuterRefs(e Expr) Expr {
-	switch x := e.(type) {
-	case *outerRef:
-		return &ColRef{Slot: x.Slot, Typ: x.Typ, Name: x.Name}
-	case *BinOp:
-		c := *x
-		c.L, c.R = replaceOuterRefs(x.L), replaceOuterRefs(x.R)
-		return &c
-	case *NotExpr:
-		return &NotExpr{E: replaceOuterRefs(x.E)}
-	case *IsNullExpr:
-		return &IsNullExpr{E: replaceOuterRefs(x.E), Not: x.Not}
-	case *BetweenExpr:
-		c := *x
-		c.E, c.Lo, c.Hi = replaceOuterRefs(x.E), replaceOuterRefs(x.Lo), replaceOuterRefs(x.Hi)
-		return &c
-	case *FuncExpr:
-		c := *x
-		c.Args = make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			c.Args[i] = replaceOuterRefs(a)
-		}
-		return &c
-	case *CastExpr:
-		return &CastExpr{E: replaceOuterRefs(x.E), To: x.To}
-	default:
-		return e
-	}
+		return x
+	})
 }
 
 // bindExists turns [NOT] EXISTS(corr-subquery) into a semi/anti join.
@@ -772,7 +782,7 @@ func (b *binder) bindExists(outerPlan Node, s *scope, sub *sqlparse.SelectStmt, 
 	j := &Join{Kind: kind, Left: outerPlan, Right: parts.plan, EquiL: parts.corrOuter, EquiR: parts.corrInner}
 	nOuter := len(s.cols)
 	for _, res := range parts.residual {
-		j.Residual = andExpr(j.Residual, rebaseMixedExpr(res, nOuter))
+		j.Residual = andExpr(j.Residual, outerCols(res, nOuter))
 	}
 	if len(j.EquiL) == 0 && j.Residual == nil {
 		return nil, fmt.Errorf("plan: uncorrelated EXISTS is not supported")
@@ -817,6 +827,9 @@ func (b *binder) bindInSubquery(outerPlan Node, s *scope, x *sqlparse.InExpr) (N
 	if err != nil {
 		return nil, err
 	}
+	if hasOuterRef(innerCol) {
+		return nil, fmt.Errorf("plan: IN subquery must select a column of its own FROM")
+	}
 	outerE, err := b.bindExpr(x.E, s)
 	if err != nil {
 		return nil, err
@@ -837,7 +850,7 @@ func (b *binder) bindInSubquery(outerPlan Node, s *scope, x *sqlparse.InExpr) (N
 	}
 	nOuter := len(s.cols)
 	for _, res := range parts.residual {
-		j.Residual = andExpr(j.Residual, rebaseMixedExpr(res, nOuter))
+		j.Residual = andExpr(j.Residual, outerCols(res, nOuter))
 	}
 	return j, nil
 }
@@ -883,28 +896,25 @@ func (b *binder) bindScalarSubqueryCmp(outerPlan Node, s *scope, lhs sqlparse.Ex
 	}
 	// Build the grouped aggregate keyed by the inner correlation columns. The
 	// item may be an expression over aggregate calls (Q17's 0.2*avg(...)):
-	// each call becomes an output of the Aggregate and the surrounding
-	// expression is rebuilt over the join-output slots where those land.
+	// it binds in an aggregate context where each call becomes an output of
+	// the Aggregate, referenced at the join-output slot where it lands.
 	nOuter := len(s.cols)
-	var aggs []AggCall
-	r, err := b.bindCorrAggItem(sub.Items[0].Expr, parts.s, &aggs, nOuter+len(parts.corrInner))
+	agg := &Aggregate{Input: parts.plan}
+	saved := b.agg
+	b.agg = &aggCtx{agg: agg, s: parts.s, corr: true, base: nOuter + len(parts.corrInner)}
+	r, err := b.bindExpr(sub.Items[0].Expr, parts.s)
+	b.agg = saved
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(parts.corrInner))
-	for i := range names {
-		names[i] = fmt.Sprintf("k%d", i)
-	}
-	agg := &Aggregate{
-		Input:   parts.plan,
-		GroupBy: parts.corrInner,
-		Aggs:    aggs,
-		Names:   names,
+	agg.GroupBy = parts.corrInner
+	for i := range parts.corrInner {
+		agg.Names = append(agg.Names, fmt.Sprintf("k%d", i))
 	}
 	// Join outer with the grouped result on the correlation keys.
 	equiR := make([]Expr, len(parts.corrInner))
 	for i, g := range parts.corrInner {
-		equiR[i] = &ColRef{Slot: i, Typ: g.Type(), Name: names[i]}
+		equiR[i] = &ColRef{Slot: i, Typ: g.Type(), Name: agg.Names[i]}
 	}
 	j := &Join{Kind: JoinInner, Left: outerPlan, Right: agg, EquiL: parts.corrOuter, EquiR: equiR}
 	// Filter: outerExpr CMP the rebuilt item expression.
@@ -925,84 +935,6 @@ func (b *binder) bindScalarSubqueryCmp(outerPlan Node, s *scope, lhs sqlparse.Ex
 		out[i] = ColInfo{Qual: c.qual, Name: c.name, Typ: c.typ}
 	}
 	return &Project{Input: filtered, Exprs: exprs, Out: out}, nil
-}
-
-// bindCorrAggItem binds the select item of a correlated scalar subquery.
-// Every aggregate call is appended to aggs (its argument bound over the inner
-// scope) and replaced by a ColRef to the join-output slot base+k where the
-// k-th aggregate result will sit; the rest of the expression must be built
-// from constants so it stays valid above the Aggregate.
-func (b *binder) bindCorrAggItem(ast sqlparse.Expr, inner *scope, aggs *[]AggCall, base int) (Expr, error) {
-	if fc, ok := isAggCall(ast); ok {
-		var arg Expr
-		kind := aggNames[fc.Name]
-		if fc.Star {
-			kind = vec.AggCountStar
-		} else {
-			if len(fc.Args) != 1 {
-				return nil, fmt.Errorf("plan: aggregate %s takes one argument", fc.Name)
-			}
-			var err error
-			arg, err = b.bindExpr(fc.Args[0], inner)
-			if err != nil {
-				return nil, err
-			}
-		}
-		call := AggCall{Kind: kind, Arg: arg, Name: fc.Name}
-		slot := base + len(*aggs)
-		*aggs = append(*aggs, call)
-		return &ColRef{Slot: slot, Typ: aggType(call), Name: fc.Name}, nil
-	}
-	if !containsAgg(ast) {
-		e, err := b.bindExpr(ast, inner)
-		if err != nil {
-			return nil, err
-		}
-		constOK := true
-		WalkExpr(e, func(x Expr) bool {
-			switch x.(type) {
-			case *ColRef, *outerRef, *AggRef:
-				constOK = false
-			}
-			return constOK
-		})
-		if !constOK {
-			return nil, fmt.Errorf("plan: correlated scalar subquery item must combine aggregates and constants")
-		}
-		return e, nil
-	}
-	switch x := ast.(type) {
-	case *sqlparse.BinaryExpr:
-		l, err := b.bindCorrAggItem(x.L, inner, aggs, base)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.bindCorrAggItem(x.R, inner, aggs, base)
-		if err != nil {
-			return nil, err
-		}
-		return makeBinOp(x.Op, l, r)
-	case *sqlparse.UnaryExpr:
-		e, err := b.bindCorrAggItem(x.E, inner, aggs, base)
-		if err != nil {
-			return nil, err
-		}
-		if x.Op == "NOT" {
-			return &NotExpr{E: e}, nil
-		}
-		return &FuncExpr{Kind: FuncNeg, Args: []Expr{e}, Typ: e.Type()}, nil
-	case *sqlparse.CastExpr:
-		e, err := b.bindCorrAggItem(x.E, inner, aggs, base)
-		if err != nil {
-			return nil, err
-		}
-		to, err := typeFromAST(x.TypeName, x.Prec, x.Scale, x.Width)
-		if err != nil {
-			return nil, err
-		}
-		return &CastExpr{E: e, To: to}, nil
-	}
-	return nil, fmt.Errorf("plan: unsupported expression %T over aggregate in scalar subquery", ast)
 }
 
 // selectIsCorrelated reports whether sub references columns of s.

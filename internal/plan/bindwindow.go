@@ -9,22 +9,18 @@ import (
 )
 
 // Window-function binding. Window calls are collected while the select items
-// are bound (in both the plain and the post-aggregation context): each
+// are bound (in both the plain and the aggregate context): each
 // fn(args) OVER (spec) becomes a windowRef placeholder, and calls sharing one
 // (PARTITION BY, ORDER BY) specification are grouped so they share a single
-// Window node — and therefore a single physical sort. After every item is
-// bound (and the aggregate schema is final), attachWindows stacks one Window
-// node per distinct spec over the plan — after projection resolution, like
-// the hidden-sort-column path — and the placeholders are rewritten into
-// ColRefs over the appended window columns.
+// Window node — and therefore a single physical sort. Once the select list,
+// HAVING and ORDER BY are bound (so the aggregate schema is final),
+// attachWindows stacks one Window node per distinct spec over the plan and
+// rewrites the placeholders into ColRefs over the appended window columns.
 
 // windowCtx is the per-SELECT collection state; it is non-nil only while the
 // select items are being bound, which is what rejects window functions in
 // WHERE, GROUP BY, HAVING and ORDER BY.
 type windowCtx struct {
-	// bind resolves an AST expression in the current context: the plain
-	// scope binder, or postAggBinder.rebind under aggregation.
-	bind   func(sqlparse.Expr) (Expr, error)
 	groups []*windowGroup
 	// binding guards against nested OVER: while one call's arguments and
 	// spec are being bound, an inner window call is a clean error — a
@@ -61,11 +57,11 @@ func isRankFamily(f WinFunc) bool {
 	return f == WinRowNumber || f == WinRank || f == WinDenseRank
 }
 
-// bindWindowCall binds one fn(args) OVER (spec) call, deduplicating both the
-// specification (same-spec calls share one Window node and its sort) and the
-// call itself.
-func (b *binder) bindWindowCall(fc *sqlparse.FuncCall) (Expr, error) {
-	if b.win == nil || b.win.bind == nil {
+// bindWindowCall binds one fn(args) OVER (spec) call over s, in the current
+// (plain or aggregate) context, deduplicating both the specification
+// (same-spec calls share one Window node and its sort) and the call itself.
+func (b *binder) bindWindowCall(fc *sqlparse.FuncCall, s *scope) (Expr, error) {
+	if b.win == nil {
 		return nil, fmt.Errorf("plan: window function %q is only allowed in the SELECT list", fc.Name)
 	}
 	if b.win.binding {
@@ -96,14 +92,14 @@ func (b *binder) bindWindowCall(fc *sqlparse.FuncCall) (Expr, error) {
 		if fc.Over.Frame != nil {
 			return nil, fmt.Errorf("plan: %s does not accept a frame clause", fc.Name)
 		}
-		arg, err := b.win.bind(fc.Args[0])
+		arg, err := b.bindExpr(fc.Args[0], s)
 		if err != nil {
 			return nil, err
 		}
 		call.Arg = arg
 		call.Offset = 1
 		if len(fc.Args) >= 2 {
-			off, err := b.win.bind(fc.Args[1])
+			off, err := b.bindExpr(fc.Args[1], s)
 			if err != nil {
 				return nil, err
 			}
@@ -114,7 +110,7 @@ func (b *binder) bindWindowCall(fc *sqlparse.FuncCall) (Expr, error) {
 			call.Offset = c.Val.I
 		}
 		if len(fc.Args) == 3 {
-			def, err := b.win.bind(fc.Args[2])
+			def, err := b.bindExpr(fc.Args[2], s)
 			if err != nil {
 				return nil, err
 			}
@@ -129,7 +125,7 @@ func (b *binder) bindWindowCall(fc *sqlparse.FuncCall) (Expr, error) {
 		if len(fc.Args) != 1 {
 			return nil, fmt.Errorf("plan: %s takes exactly one argument", fc.Name)
 		}
-		arg, err := b.win.bind(fc.Args[0])
+		arg, err := b.bindExpr(fc.Args[0], s)
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +141,7 @@ func (b *binder) bindWindowCall(fc *sqlparse.FuncCall) (Expr, error) {
 	// Bind the shared specification.
 	var partitionBy []Expr
 	for _, pe := range fc.Over.PartitionBy {
-		e, err := b.win.bind(pe)
+		e, err := b.bindExpr(pe, s)
 		if err != nil {
 			return nil, err
 		}
@@ -153,7 +149,7 @@ func (b *binder) bindWindowCall(fc *sqlparse.FuncCall) (Expr, error) {
 	}
 	var orderBy []SortSpec
 	for _, oi := range fc.Over.OrderBy {
-		e, err := b.win.bind(oi.Expr)
+		e, err := b.bindExpr(oi.Expr, s)
 		if err != nil {
 			return nil, err
 		}
@@ -202,10 +198,11 @@ func frameFromAST(fs *sqlparse.FrameSpec) *Frame {
 
 // attachWindows stacks one Window node per collected spec group over n (the
 // aggregate/HAVING output under aggregation, the FROM/WHERE plan otherwise)
-// and returns the output slot offset of each group's first call. Stacking is
-// prefix-stable: every node's schema extends its input's, so expressions over
-// the original input schema stay valid at any level.
-func attachWindows(n Node, groups []*windowGroup) (Node, []int) {
+// and rewrites the windowRef placeholders in exprs, in place, into ColRefs
+// over the appended window columns. Stacking is prefix-stable: every node's
+// schema extends its input's, so expressions over the original input schema
+// stay valid at any level.
+func attachWindows(n Node, groups []*windowGroup, exprs []Expr) Node {
 	offsets := make([]int, len(groups))
 	off := len(n.Schema())
 	for gi, g := range groups {
@@ -213,63 +210,14 @@ func attachWindows(n Node, groups []*windowGroup) (Node, []int) {
 		off += len(g.calls)
 		n = &Window{Input: n, PartitionBy: g.partitionBy, OrderBy: g.orderBy, Calls: g.calls}
 	}
-	return n, offsets
-}
-
-// resolveWindowRefs rewrites windowRef placeholders into ColRefs over the
-// window output columns.
-func resolveWindowRefs(e Expr, offsets []int, groups []*windowGroup) Expr {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *windowRef:
-		return &ColRef{Slot: offsets[x.group] + x.call, Typ: x.typ, Name: groups[x.group].calls[x.call].Name}
-	case *ColRef, *Const, *SubplanExpr, *AggRef, *outerRef:
-		return e
-	case *BinOp:
-		c := *x
-		c.L = resolveWindowRefs(x.L, offsets, groups)
-		c.R = resolveWindowRefs(x.R, offsets, groups)
-		return &c
-	case *NotExpr:
-		return &NotExpr{E: resolveWindowRefs(x.E, offsets, groups)}
-	case *IsNullExpr:
-		return &IsNullExpr{E: resolveWindowRefs(x.E, offsets, groups), Not: x.Not}
-	case *LikeExpr:
-		c := *x
-		c.E = resolveWindowRefs(x.E, offsets, groups)
-		return &c
-	case *InListExpr:
-		c := *x
-		c.E = resolveWindowRefs(x.E, offsets, groups)
-		return &c
-	case *BetweenExpr:
-		c := *x
-		c.E = resolveWindowRefs(x.E, offsets, groups)
-		c.Lo = resolveWindowRefs(x.Lo, offsets, groups)
-		c.Hi = resolveWindowRefs(x.Hi, offsets, groups)
-		return &c
-	case *CaseExpr:
-		c := *x
-		c.Whens = make([]WhenClause, len(x.Whens))
-		for i, w := range x.Whens {
-			c.Whens[i] = WhenClause{
-				Cond:   resolveWindowRefs(w.Cond, offsets, groups),
-				Result: resolveWindowRefs(w.Result, offsets, groups),
-			}
+	resolve := func(e Expr) Expr {
+		if w, ok := e.(*windowRef); ok {
+			return &ColRef{Slot: offsets[w.group] + w.call, Typ: w.typ, Name: groups[w.group].calls[w.call].Name}
 		}
-		c.Else = resolveWindowRefs(x.Else, offsets, groups)
-		return &c
-	case *FuncExpr:
-		c := *x
-		c.Args = make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			c.Args[i] = resolveWindowRefs(a, offsets, groups)
-		}
-		return &c
-	case *CastExpr:
-		return &CastExpr{E: resolveWindowRefs(x.E, offsets, groups), To: x.To}
-	default:
 		return e
 	}
+	for i, e := range exprs {
+		exprs[i] = MapExpr(e, resolve)
+	}
+	return n
 }

@@ -239,55 +239,64 @@ func WalkExpr(e Expr, fn func(Expr) bool) {
 	}
 }
 
-// MapSlots rewrites every ColRef slot through fn, returning a new tree.
-func MapSlots(e Expr, fn func(slot int) int) Expr {
+// MapExpr returns a copy of e in which every leaf (ColRef, Const,
+// SubplanExpr, AggRef and the binder's placeholders) is replaced by fn(leaf).
+// It is the one Expr rewriter: slot remapping, window-call resolution and the
+// outer-reference rewrite are all calls of it.
+func MapExpr(e Expr, fn func(Expr) Expr) Expr {
+	m := func(x Expr) Expr { return MapExpr(x, fn) }
 	switch x := e.(type) {
 	case nil:
 		return nil
-	case *ColRef:
-		return &ColRef{Slot: fn(x.Slot), Typ: x.Typ, Name: x.Name}
-	case *Const, *SubplanExpr, *AggRef, *outerRef:
-		return e
 	case *BinOp:
 		c := *x
-		c.L, c.R = MapSlots(x.L, fn), MapSlots(x.R, fn)
+		c.L, c.R = m(x.L), m(x.R)
 		return &c
 	case *NotExpr:
-		return &NotExpr{E: MapSlots(x.E, fn)}
+		return &NotExpr{E: m(x.E)}
 	case *IsNullExpr:
-		return &IsNullExpr{E: MapSlots(x.E, fn), Not: x.Not}
+		return &IsNullExpr{E: m(x.E), Not: x.Not}
 	case *LikeExpr:
 		c := *x
-		c.E = MapSlots(x.E, fn)
+		c.E = m(x.E)
 		return &c
 	case *InListExpr:
 		c := *x
-		c.E = MapSlots(x.E, fn)
+		c.E = m(x.E)
 		return &c
 	case *BetweenExpr:
 		c := *x
-		c.E, c.Lo, c.Hi = MapSlots(x.E, fn), MapSlots(x.Lo, fn), MapSlots(x.Hi, fn)
+		c.E, c.Lo, c.Hi = m(x.E), m(x.Lo), m(x.Hi)
 		return &c
 	case *CaseExpr:
 		c := *x
 		c.Whens = make([]WhenClause, len(x.Whens))
 		for i, w := range x.Whens {
-			c.Whens[i] = WhenClause{Cond: MapSlots(w.Cond, fn), Result: MapSlots(w.Result, fn)}
+			c.Whens[i] = WhenClause{Cond: m(w.Cond), Result: m(w.Result)}
 		}
-		c.Else = MapSlots(x.Else, fn)
+		c.Else = m(x.Else)
 		return &c
 	case *FuncExpr:
 		c := *x
 		c.Args = make([]Expr, len(x.Args))
 		for i, a := range x.Args {
-			c.Args[i] = MapSlots(a, fn)
+			c.Args[i] = m(a)
 		}
 		return &c
 	case *CastExpr:
-		return &CastExpr{E: MapSlots(x.E, fn), To: x.To}
-	default:
-		panic(fmt.Sprintf("plan: MapSlots: unknown expr %T", e))
+		return &CastExpr{E: m(x.E), To: x.To}
 	}
+	return fn(e)
+}
+
+// MapSlots rewrites every ColRef slot through fn, returning a new tree.
+func MapSlots(e Expr, fn func(slot int) int) Expr {
+	return MapExpr(e, func(x Expr) Expr {
+		if c, ok := x.(*ColRef); ok {
+			return &ColRef{Slot: fn(c.Slot), Typ: c.Typ, Name: c.Name}
+		}
+		return x
+	})
 }
 
 // SlotsUsed collects the set of input slots referenced by e.

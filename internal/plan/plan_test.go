@@ -40,6 +40,7 @@ func newTestCatalog() *testCatalog {
 	add(mk("u", 10,
 		storage.ColDef{Name: "a", Typ: mtypes.Int},
 		storage.ColDef{Name: "x", Typ: mtypes.Varchar},
+		storage.ColDef{Name: "e", Typ: mtypes.Date},
 	))
 	add(mk("big", 1000000,
 		storage.ColDef{Name: "k", Typ: mtypes.Int},

@@ -525,7 +525,7 @@ func cmpColConst(x *BinOp) (col Expr, c mtypes.Value, op vec.CmpOp, ok bool) {
 		return x.L, *cv, x.Cmp, true
 	}
 	if cv := constOf(x.L); cv != nil && isColExpr(x.R) {
-		return x.R, *cv, flipCmp(x.Cmp), true
+		return x.R, *cv, x.Cmp.Flip(), true
 	}
 	return nil, mtypes.Value{}, 0, false
 }
@@ -555,20 +555,6 @@ func constOf(e Expr) *mtypes.Value {
 		}
 	}
 	return nil
-}
-
-func flipCmp(op vec.CmpOp) vec.CmpOp {
-	switch op {
-	case vec.CmpLt:
-		return vec.CmpGt
-	case vec.CmpLe:
-		return vec.CmpGe
-	case vec.CmpGt:
-		return vec.CmpLt
-	case vec.CmpGe:
-		return vec.CmpLe
-	}
-	return op
 }
 
 // outsideRange reports whether an equality constant falls outside the
