@@ -3,8 +3,6 @@ package monetlite
 import (
 	"strings"
 	"testing"
-
-	"monetlite/internal/rowstore"
 )
 
 // TestAggregateContextExpressions runs every expression form over aggregate
@@ -28,46 +26,7 @@ func TestAggregateContextExpressions(t *testing.T) {
 		`CREATE TABLE u (g INT, y INT)`,
 		`INSERT INTO u VALUES (1, 10), (2, 20), (3, 30)`,
 	}
-	c := memDB(t).Connect()
-	rdb, err := rowstore.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rdb.Close()
-	for _, q := range setup {
-		mustExec(t, c, q)
-		if _, err := rdb.Exec(q); err != nil {
-			t.Fatalf("rowstore %s: %v", q, err)
-		}
-	}
-	engines := map[string]func(q string) ([]string, error){
-		"columnar": func(q string) ([]string, error) {
-			res, err := c.Query(q)
-			if err != nil {
-				return nil, err
-			}
-			rows := make([]string, res.NumRows())
-			for i := range rows {
-				rows[i] = strings.Join(res.RowStrings(i), "|")
-			}
-			return rows, nil
-		},
-		"rowstore": func(q string) ([]string, error) {
-			res, err := rdb.Query(q)
-			if err != nil {
-				return nil, err
-			}
-			rows := make([]string, len(res.Rows))
-			for i, r := range res.Rows {
-				cells := make([]string, len(r))
-				for k, v := range r {
-					cells[k] = v.String()
-				}
-				rows[i] = strings.Join(cells, "|")
-			}
-			return rows, nil
-		},
-	}
+	engines := bothEngines(t, setup)
 
 	cases := []struct {
 		q    string

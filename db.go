@@ -30,6 +30,7 @@ import (
 
 	"monetlite/internal/delta"
 	"monetlite/internal/faultfs"
+	"monetlite/internal/mtypes"
 	"monetlite/internal/storage"
 	"monetlite/internal/txn"
 	"monetlite/internal/wal"
@@ -95,6 +96,12 @@ type Database struct {
 
 // ErrClosed is returned when using a closed database.
 var ErrClosed = errors.New("monetlite: database is closed")
+
+// ErrOverflow is returned, wrapped, when a query computes a value outside
+// its SQL type's range: an integer or decimal result of + - * / %, a
+// narrowing CAST, or a SUM (or AVG) whose exact total does not fit. It is
+// MonetDB's SQLSTATE 22003; match it with errors.Is.
+var ErrOverflow = mtypes.ErrOverflow
 
 // Open opens (creating if necessary) a persistent database in dir. Existing
 // data is recovered from the last checkpoint plus the write-ahead log.

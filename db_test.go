@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"monetlite/internal/rowstore"
 	"monetlite/internal/txn"
 )
 
@@ -550,5 +551,52 @@ func TestCommonSubexpressionElimination(t *testing.T) {
 	mustQuery(t, c, `SELECT sum(p * (1 - disc)), sum(p * (1 - disc) * (1 + tax)) FROM t`)
 	if c.LastTrace.Count("cse.reuse") == 0 {
 		t.Fatalf("expected CSE reuse in trace:\n%s", c.LastTrace)
+	}
+}
+
+// bothEngines runs the setup statements in a fresh in-memory database and a
+// fresh rowstore, and returns a query function per engine that renders
+// each result row as its cells joined by "|".
+func bothEngines(t *testing.T, setup []string) map[string]func(q string) ([]string, error) {
+	t.Helper()
+	c := memDB(t).Connect()
+	rdb, err := rowstore.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rdb.Close() })
+	for _, q := range setup {
+		mustExec(t, c, q)
+		if _, err := rdb.Exec(q); err != nil {
+			t.Fatalf("rowstore %s: %v", q, err)
+		}
+	}
+	return map[string]func(q string) ([]string, error){
+		"columnar": func(q string) ([]string, error) {
+			res, err := c.Query(q)
+			if err != nil {
+				return nil, err
+			}
+			rows := make([]string, res.NumRows())
+			for i := range rows {
+				rows[i] = strings.Join(res.RowStrings(i), "|")
+			}
+			return rows, nil
+		},
+		"rowstore": func(q string) ([]string, error) {
+			res, err := rdb.Query(q)
+			if err != nil {
+				return nil, err
+			}
+			rows := make([]string, len(res.Rows))
+			for i, r := range res.Rows {
+				cells := make([]string, len(r))
+				for k, v := range r {
+					cells[k] = v.String()
+				}
+				rows[i] = strings.Join(cells, "|")
+			}
+			return rows, nil
+		},
 	}
 }

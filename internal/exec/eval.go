@@ -211,14 +211,65 @@ func constBounds(x *plan.BetweenExpr) (mtypes.Value, mtypes.Value, bool) {
 	return mtypes.Value{}, mtypes.Value{}, false
 }
 
+// operand evaluates an operand of a map kernel: a constant stays a scalar
+// (vec.Scalar), anything else is a vector of n values.
+func (m *memo) operand(ex plan.Expr, b *batch, n int) (*vec.Vector, error) {
+	if c, ok := ex.(*plan.Const); ok {
+		return vec.Scalar(c.Val), nil
+	}
+	return m.evalVecN(ex, b, n)
+}
+
+// operands evaluates a kernel's operands, of which the first is always a
+// vector: a kernel over scalars alone would yield one row, not n.
+func (m *memo) operands(exs []plan.Expr, b *batch, n int) ([]*vec.Vector, error) {
+	out := make([]*vec.Vector, len(exs))
+	for i, ex := range exs {
+		var err error
+		if i == 0 {
+			out[i], err = m.evalVecN(ex, b, n)
+		} else {
+			out[i], err = m.operand(ex, b, n)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 func (m *memo) computeBinOp(x *plan.BinOp, b *batch, n int) (*vec.Vector, error) {
-	l, err := m.evalVecN(x.L, b, n)
+	switch x.Kind {
+	case plan.BinCmp:
+		return m.computeCmp(x, b, n)
+	case plan.BinAnd, plan.BinOr:
+		l, err := m.evalVecN(x.L, b, n)
+		if err != nil {
+			return nil, err
+		}
+		r, err := m.evalVecN(x.R, b, n)
+		if err != nil {
+			return nil, err
+		}
+		if x.Kind == plan.BinAnd {
+			return vec.BoolAnd(l, r), nil
+		}
+		return vec.BoolOr(l, r), nil
+	}
+	// Arithmetic and concatenation: a constant operand stays a scalar, and
+	// the other one is evaluated as a vector (operands).
+	_, constL := x.L.(*plan.Const)
+	exs := []plan.Expr{x.L, x.R}
+	if constL {
+		exs = []plan.Expr{x.R, x.L}
+	}
+	ops, err := m.operands(exs, b, n)
 	if err != nil {
 		return nil, err
 	}
-	r, err := m.evalVecN(x.R, b, n)
-	if err != nil {
-		return nil, err
+	l, r := ops[0], ops[1]
+	if constL {
+		l, r = r, l
 	}
 	switch x.Kind {
 	case plan.BinArith:
@@ -233,95 +284,187 @@ func (m *memo) computeBinOp(x *plan.BinOp, b *batch, n int) (*vec.Vector, error)
 			return vec.Cast(out, x.Typ)
 		}
 		return out, nil
-	case plan.BinCmp:
-		m.e.Trace.Emit("batcalc.cmp"+x.Cmp.String(), plan.ExprString(x.L), plan.ExprString(x.R))
-		return vec.CmpVec(x.Cmp, l, r)
-	case plan.BinAnd:
-		return vec.BoolAnd(l, r), nil
-	case plan.BinOr:
-		return vec.BoolOr(l, r), nil
 	case plan.BinConcat:
-		out := vec.New(mtypes.Varchar, n)
-		ls, err1 := vec.Cast(l, mtypes.Varchar)
-		rs, err2 := vec.Cast(r, mtypes.Varchar)
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("exec: concat cast failed")
-		}
-		for i := 0; i < n; i++ {
-			if ls.Str[i] == vec.StrNull || rs.Str[i] == vec.StrNull {
-				out.Str[i] = vec.StrNull
-			} else {
-				out.Str[i] = ls.Str[i] + rs.Str[i]
-			}
-		}
-		return out, nil
+		return vec.ConcatStrings(l, r)
 	}
 	return nil, fmt.Errorf("exec: unknown binop kind %d", x.Kind)
 }
 
+// computeCmp evaluates a comparison. Against a constant it runs the
+// selection kernel (vec.SelCmp, the scan filter's) and marks its hits, so
+// the constant is never expanded; NULL operands compare to NULL.
+func (m *memo) computeCmp(x *plan.BinOp, b *batch, n int) (*vec.Vector, error) {
+	m.e.Trace.Emit("batcalc.cmp"+x.Cmp.String(), plan.ExprString(x.L), plan.ExprString(x.R))
+	col, c, op := x.L, x.R, x.Cmp
+	if _, ok := col.(*plan.Const); ok {
+		col, c, op = x.R, x.L, op.Flip()
+	}
+	k, ok := c.(*plan.Const)
+	if !ok {
+		l, err := m.evalVecN(x.L, b, n)
+		if err != nil {
+			return nil, err
+		}
+		r, err := m.evalVecN(x.R, b, n)
+		if err != nil {
+			return nil, err
+		}
+		return vec.CmpVec(x.Cmp, l, r)
+	}
+	in, err := m.evalVecN(col, b, n)
+	if err != nil {
+		return nil, err
+	}
+	out := vec.New(mtypes.Bool, n)
+	if k.Val.Null {
+		for i := range out.I8 {
+			out.I8[i] = mtypes.NullInt8
+		}
+		return out, nil
+	}
+	for _, h := range vec.SelCmp(in, op, k.Val, nil) {
+		out.I8[h] = 1
+	}
+	for _, h := range vec.SelNull(in, nil) {
+		out.I8[h] = mtypes.NullInt8
+	}
+	return out, nil
+}
+
+// computeCase evaluates CASE lazily, as SQL does: each WHEN condition over
+// the rows no earlier WHEN decided, each result over the rows its
+// condition holds on, and ELSE over the rest; results (a constant stays a
+// scalar) are cast to the CASE type and copied into place (vec.CopyAt). A
+// branch never sees a row it does not decide, so an overflow there is no
+// error.
 func (m *memo) computeCase(x *plan.CaseExpr, b *batch, n int) (*vec.Vector, error) {
 	out := vec.New(x.Typ, n)
-	decided := make([]bool, n)
+	var rest []int32 // undecided rows; nil while that is every row
 	for _, w := range x.Whens {
-		cond, err := m.evalVecN(w.Cond, b, n)
+		if rest != nil && len(rest) == 0 {
+			break
+		}
+		cond, err := m.evalRows(w.Cond, b, n, rest)
 		if err != nil {
 			return nil, err
 		}
-		res, err := m.evalVecN(w.Result, b, n)
-		if err != nil {
-			return nil, err
-		}
-		res, err = vec.Cast(res, x.Typ)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			if !decided[i] && cond.I8[i] == 1 {
-				out.Set(i, res.Value(i))
-				decided[i] = true
+		var hits, left []int32
+		for k, t := range cond.I8 {
+			r := int32(k)
+			if rest != nil {
+				r = rest[k]
 			}
+			if t == 1 {
+				hits = append(hits, r)
+			} else {
+				left = append(left, r)
+			}
+		}
+		if err := m.caseResult(out, w.Result, b, n, hits); err != nil {
+			return nil, err
+		}
+		rest = left
+		if rest == nil {
+			rest = []int32{}
 		}
 	}
-	if x.Else != nil {
-		els, err := m.evalVecN(x.Else, b, n)
-		if err != nil {
-			return nil, err
-		}
-		els, err = vec.Cast(els, x.Typ)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			if !decided[i] {
-				out.Set(i, els.Value(i))
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			if !decided[i] {
-				out.SetNull(i)
-			}
-		}
+	if rest == nil {
+		rest = vec.Range(n)
+	}
+	els := x.Else
+	if els == nil {
+		els = &plan.Const{Val: mtypes.NullValue(x.Typ)}
+	}
+	if err := m.caseResult(out, els, b, n, rest); err != nil {
+		return nil, err
 	}
 	m.e.Trace.Emit("batcalc.ifthenelse")
 	return out, nil
 }
 
+// caseResult evaluates one CASE result over rows and copies it there.
+func (m *memo) caseResult(out *vec.Vector, ex plan.Expr, b *batch, n int, rows []int32) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	var res *vec.Vector
+	var err error
+	if c, ok := ex.(*plan.Const); ok {
+		res = vec.Scalar(c.Val)
+	} else if res, err = m.evalRows(ex, b, n, rows); err != nil {
+		return err
+	}
+	if res, err = vec.Cast(res, out.Typ); err != nil {
+		return err
+	}
+	vec.CopyAt(out, res, rows)
+	return nil
+}
+
+// evalRows evaluates ex densely over the batch rows at positions rows (nil:
+// all n rows). A value the memo already holds for all rows is gathered;
+// otherwise a memo of its own evaluates ex over just those rows.
+func (m *memo) evalRows(ex plan.Expr, b *batch, n int, rows []int32) (*vec.Vector, error) {
+	if rows == nil {
+		return m.evalVecN(ex, b, n)
+	}
+	if v, ok := m.cache[plan.ExprString(ex)]; ok && v.Len() == n {
+		return vec.Gather(v, rows), nil
+	}
+	sel := rows
+	if b.sel != nil {
+		sel = make([]int32, len(rows))
+		for k, r := range rows {
+			sel[k] = b.sel[r]
+		}
+	}
+	return newMemo(m.e).evalVecN(ex, &batch{cols: b.cols, sel: sel, n: len(rows)}, len(rows))
+}
+
 func (m *memo) computeFunc(x *plan.FuncExpr, b *batch, n int) (*vec.Vector, error) {
-	args := make([]*vec.Vector, len(x.Args))
-	for i, a := range x.Args {
-		v, err := m.evalVecN(a, b, n)
+	switch x.Kind {
+	case plan.FuncSubstring:
+		m.e.Trace.Emit("str.substring")
+		args, err := m.operands(x.Args, b, n)
 		if err != nil {
 			return nil, err
 		}
-		args[i] = v
+		var length *vec.Vector
+		if len(args) > 2 {
+			length = args[2]
+		}
+		return vec.Substring(args[0], args[1], length)
+	case plan.FuncConcat:
+		m.e.Trace.Emit("str.concat")
+		args, err := m.operands(x.Args, b, n)
+		if err != nil {
+			return nil, err
+		}
+		return vec.ConcatStrings(args...)
+	}
+	arg, err := m.evalVecN(x.Args[0], b, n)
+	if err != nil {
+		return nil, err
+	}
+	switch x.Kind {
+	case plan.FuncNeg:
+		m.e.Trace.Emit("batcalc.neg")
+		return vec.Neg(arg)
+	case plan.FuncAbs:
+		m.e.Trace.Emit("batcalc.abs")
+		return vec.Abs(arg)
+	case plan.FuncUpper:
+		m.e.Trace.Emit("str.toUpper")
+		return vec.Upper(arg)
+	case plan.FuncLower:
+		m.e.Trace.Emit("str.toLower")
+		return vec.Lower(arg)
 	}
 	out := vec.New(x.Typ, n)
 	switch x.Kind {
 	case plan.FuncExtractYear, plan.FuncExtractMonth, plan.FuncExtractDay:
 		m.e.Trace.Emit("mtime.extract")
-		for i := 0; i < n; i++ {
-			d := args[0].I32[i]
+		for i, d := range arg.I32 {
 			if d == mtypes.NullInt32 {
 				out.I32[i] = mtypes.NullInt32
 				continue
@@ -338,16 +481,18 @@ func (m *memo) computeFunc(x *plan.FuncExpr, b *batch, n int) (*vec.Vector, erro
 		return out, nil
 	case plan.FuncSqrt:
 		m.e.Trace.Emit("batcalc.sqrt")
-		fs := vec.AsFloats(args[0])
-		for i := 0; i < n; i++ {
-			out.F64[i] = math.Sqrt(fs[i])
+		for i, f := range vec.AsFloats(arg) {
+			out.F64[i] = math.Sqrt(f)
 		}
 		return out, nil
 	case plan.FuncAddMonths:
 		m.e.Trace.Emit("mtime.addmonths")
-		for i := 0; i < n; i++ {
-			d := args[0].I32[i]
-			mo := args[1].I32[i]
+		months, err := m.evalVecN(x.Args[1], b, n)
+		if err != nil {
+			return nil, err
+		}
+		for i, d := range arg.I32 {
+			mo := months.I32[i]
 			if d == mtypes.NullInt32 || mo == mtypes.NullInt32 {
 				out.I32[i] = mtypes.NullInt32
 				continue
@@ -355,21 +500,6 @@ func (m *memo) computeFunc(x *plan.FuncExpr, b *batch, n int) (*vec.Vector, erro
 			out.I32[i] = mtypes.AddMonths(d, int(mo))
 		}
 		return out, nil
-	default:
-		// Fall back to the scalar evaluator per row for the rare functions.
-		for i := 0; i < n; i++ {
-			row := make([]mtypes.Value, 0, len(args))
-			rowArgs := make([]plan.Expr, len(args))
-			for k, a := range args {
-				row = append(row, a.Value(i))
-				rowArgs[k] = &plan.Const{Val: row[k]}
-			}
-			v, err := plan.EvalRow(&plan.FuncExpr{Kind: x.Kind, Args: rowArgs, Typ: x.Typ}, &plan.EvalCtx{})
-			if err != nil {
-				return nil, err
-			}
-			out.Set(i, v)
-		}
-		return out, nil
 	}
+	return nil, fmt.Errorf("exec: unknown function kind %d", x.Kind)
 }

@@ -599,11 +599,14 @@ func partialKinds(k vec.AggKind) []vec.AggKind {
 }
 
 // aggPart is one chunk's share of one aggregate. A mergeable aggregate
-// carries its partials per chunk group (partialKinds); a blocking one
-// carries its argument values and each value's chunk-local group.
+// carries its partials per chunk group (partialKinds), a SUM partial with
+// its carry words when its int64 fast path overflowed (hi, see
+// vec.SumGroups); a blocking one carries its argument values and each
+// value's chunk-local group.
 type aggPart struct {
 	vecs []*vec.Vector
 	gids []int32
+	hi   []int64
 }
 
 // aggChunk is one chunk's partial aggregate.
@@ -645,7 +648,12 @@ func (e *Engine) aggregateChunk(x *plan.Aggregate, b *batch, encs []*vec.Encoded
 			continue
 		}
 		for _, k := range partialKinds(a.Kind) {
-			partial, err := vec.Aggregate(k, vals, g.gids, g.ngroups)
+			var partial *vec.Vector
+			if k == vec.AggSum {
+				partial, p.hi, err = vec.SumGroups(vals, g.gids, g.ngroups)
+			} else {
+				partial, err = vec.Aggregate(k, vals, g.gids, g.ngroups)
+			}
 			if err != nil {
 				return aggChunk{}, err
 			}
@@ -676,19 +684,31 @@ func (e *Engine) mergeAgg(a plan.AggCall, parts []aggPart, gidMaps [][]int32, ng
 		if gidMaps != nil {
 			note = "blocking"
 		}
-	case gidMaps == nil:
+	case gidMaps == nil && parts[0].hi == nil:
 		res = parts[0].vecs
 	default:
+		// A SUM partial merges with its carry words (vec.MergeSums), also
+		// in a one-chunk run whose fast path overflowed.
 		for j, k := range kinds {
 			partials := make([]*vec.Vector, len(parts))
+			his := make([][]int64, len(parts))
 			for ci, p := range parts {
-				partials[ci] = p.vecs[j]
+				partials[ci], his[ci] = p.vecs[j], p.hi
 			}
-			if res[j], err = vec.MergeKeyedAggPartials(k, partials, gidMaps, ngroups); err != nil {
+			if k == vec.AggSum {
+				res[j], err = vec.MergeSums(partials, his, gidMaps, ngroups)
+			} else if gidMaps == nil {
+				res[j] = partials[0]
+			} else {
+				res[j], err = vec.MergeKeyedAggPartials(k, partials, gidMaps, ngroups)
+			}
+			if err != nil {
 				return nil, err
 			}
 		}
-		note = "merged"
+		if gidMaps != nil {
+			note = "merged"
+		}
 	}
 	e.Trace.Emit("aggr."+a.Kind.String(), note)
 	if a.Kind == vec.AggAvg {

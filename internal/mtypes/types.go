@@ -9,6 +9,7 @@
 package mtypes
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -64,6 +65,26 @@ const (
 	NullInt32 = int32(math.MinInt32)
 	NullInt64 = int64(math.MinInt64)
 )
+
+// ErrOverflow reports a result outside its SQL type's range, or equal to the
+// type's NULL sentinel: an arithmetic result, a narrowing CAST or a SUM.
+// It is MonetDB's SQLSTATE 22003 ("numeric value out of range"). Both
+// engines return it wrapped with the operation; match it with errors.Is.
+var ErrOverflow = errors.New("numeric value out of range (SQLSTATE 22003)")
+
+// IntRange returns the values an integer-backed kind holds: its NULL
+// sentinel is its minimum, so they are [null+1, -(null+1)].
+func IntRange(k Kind) (lo, hi int64) {
+	switch k {
+	case KBool, KTinyInt:
+		return math.MinInt8 + 1, math.MaxInt8
+	case KSmallInt:
+		return math.MinInt16 + 1, math.MaxInt16
+	case KInt, KDate:
+		return math.MinInt32 + 1, math.MaxInt32
+	}
+	return math.MinInt64 + 1, math.MaxInt64
+}
 
 // NullFloat64 returns the DOUBLE null sentinel (NaN).
 func NullFloat64() float64 { return math.NaN() }

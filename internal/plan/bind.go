@@ -334,6 +334,9 @@ func (b *binder) bindSelect(sel *sqlparse.SelectStmt, outer *scope) (Node, error
 			hasAgg = true
 		}
 	}
+	for _, o := range sel.OrderBy {
+		hasAgg = hasAgg || containsAgg(o.Expr)
+	}
 	if hasAgg {
 		if plan, err = b.bindAggregate(sel, plan, s); err != nil {
 			return nil, err

@@ -124,7 +124,13 @@ func (b *binder) bindExpr(ast sqlparse.Expr, s *scope) (Expr, error) {
 			}
 			return &NotExpr{E: e}, nil
 		}
-		return FoldConst(&FuncExpr{Kind: FuncNeg, Args: []Expr{e}, Typ: e.Type()}).(Expr), nil
+		if n, ok := retypeNullConst(e, mtypes.Int); ok {
+			e = n
+		}
+		if !e.Type().IsNumeric() {
+			return nil, fmt.Errorf("plan: cannot negate %s", e.Type())
+		}
+		return FoldConst(&FuncExpr{Kind: FuncNeg, Args: []Expr{e}, Typ: e.Type()}), nil
 	case *sqlparse.FuncCall:
 		if x.Over != nil {
 			return b.bindWindowCall(x, s)
@@ -226,7 +232,10 @@ func (b *binder) bindExpr(ast sqlparse.Expr, s *scope) (Expr, error) {
 			}
 			args = append(args, f)
 		}
-		return &FuncExpr{Kind: FuncSubstring, Args: args, Typ: mtypes.Varchar}, nil
+		if err := checkFuncArgs(FuncSubstring, "substring", args); err != nil {
+			return nil, err
+		}
+		return FoldConst(&FuncExpr{Kind: FuncSubstring, Args: args, Typ: mtypes.Varchar}), nil
 	case *sqlparse.ExistsExpr:
 		return nil, fmt.Errorf("plan: EXISTS only supported as a top-level WHERE conjunct")
 	case *sqlparse.SubqueryExpr:
@@ -424,7 +433,7 @@ func makeBinOp(op string, l, r Expr) (Expr, error) {
 			r = n
 		}
 		lt, rt := l.Type(), r.Type()
-		if !lt.IsNumeric() && lt.Kind != mtypes.KDate || !rt.IsNumeric() && rt.Kind != mtypes.KDate {
+		if vec.ArithCheck(ar, lt, rt) != nil {
 			return nil, fmt.Errorf("plan: cannot apply %s to %s and %s", op, lt, rt)
 		}
 		typ := vec.ArithResultType(ar, lt, rt)
@@ -540,18 +549,49 @@ func (b *binder) bindFunc(x *sqlparse.FuncCall, s *scope) (Expr, error) {
 		}
 		args[i] = e
 	}
-	switch kind {
-	case FuncAbs:
+	if err := checkFuncArgs(kind, x.Name, args); err != nil {
+		return nil, err
+	}
+	if kind == FuncAbs {
 		typ = args[0].Type()
-	case FuncSqrt:
-		if n, ok := retypeNullConst(args[0], mtypes.Double); ok {
-			args[0] = n
-		}
-		if !args[0].Type().IsNumeric() {
-			return nil, fmt.Errorf("plan: sqrt needs a number, got %s", args[0].Type())
-		}
 	}
 	return FoldConst(&FuncExpr{Kind: kind, Args: args, Typ: typ}), nil
+}
+
+// checkFuncArgs checks a scalar function's argument types, retyping an
+// untyped NULL argument in place, so the kernels can assume them: SQRT and
+// ABS take a number, UPPER and LOWER a string, SUBSTRING a string and
+// integer positions; CONCAT takes anything (each argument is cast to
+// VARCHAR, as for ||).
+func checkFuncArgs(kind FuncKind, name string, args []Expr) error {
+	want := func(i int, to mtypes.Type, ok func(mtypes.Type) bool, what string) error {
+		if n, retyped := retypeNullConst(args[i], to); retyped {
+			args[i] = n
+		}
+		if t := args[i].Type(); !ok(t) {
+			return fmt.Errorf("plan: %s needs %s, got %s", name, what, t)
+		}
+		return nil
+	}
+	isString := func(t mtypes.Type) bool { return t.Kind == mtypes.KVarchar }
+	switch kind {
+	case FuncSqrt:
+		return want(0, mtypes.Double, mtypes.Type.IsNumeric, "a number")
+	case FuncAbs:
+		return want(0, mtypes.Int, mtypes.Type.IsNumeric, "a number")
+	case FuncUpper, FuncLower:
+		return want(0, mtypes.Varchar, isString, "a string")
+	case FuncSubstring:
+		if err := want(0, mtypes.Varchar, isString, "a string"); err != nil {
+			return err
+		}
+		for i := 1; i < len(args); i++ {
+			if err := want(i, mtypes.Int, mtypes.Type.IsInteger, "integer positions"); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 func (b *binder) bindCase(x *sqlparse.CaseExpr, s *scope) (Expr, error) {

@@ -220,18 +220,17 @@ func evalArithValue(x *BinOp, l, r mtypes.Value) (mtypes.Value, error) {
 		return mtypes.NullValue(rt), nil
 	}
 	op := x.Arith
-	switch rt.Kind {
-	case mtypes.KDouble:
+	if rt.Kind == mtypes.KDouble {
 		a, b := l.AsFloat(), r.AsFloat()
 		var f float64
 		switch op {
-		case 0:
+		case vec.OpAdd:
 			f = a + b
-		case 1:
+		case vec.OpSub:
 			f = a - b
-		case 2:
+		case vec.OpMul:
 			f = a * b
-		case 3:
+		case vec.OpDiv:
 			if b == 0 {
 				return mtypes.NullValue(rt), nil
 			}
@@ -243,66 +242,65 @@ func evalArithValue(x *BinOp, l, r mtypes.Value) (mtypes.Value, error) {
 			f = float64(int64(a) % int64(b))
 		}
 		return mtypes.NewDouble(f), nil
-	case mtypes.KDate:
-		// date +/- days
-		if l.Typ.Kind == mtypes.KDate {
-			d := int32(l.I)
-			k := int32(r.AsInt())
-			if op == 1 {
-				return mtypes.NewDate(d - k), nil
-			}
-			return mtypes.NewDate(d + k), nil
+	}
+	// Integers, decimals and dates (days): exact int64 arithmetic, at the
+	// result's scale except for MUL, which multiplies decimals at their own
+	// scales and rescales the product. A step leaving int64, or a result
+	// outside rt's range or equal to its NULL sentinel, is an overflow.
+	if (op == vec.OpDiv || op == vec.OpMod) && r.I == 0 {
+		return mtypes.NullValue(rt), nil
+	}
+	overflow := fmt.Errorf("plan: %s %s %s: %w", l.Typ, op, r.Typ, mtypes.ErrOverflow)
+	a, b := l.I, r.I
+	if rt.Kind == mtypes.KDecimal && op != vec.OpMul {
+		var okA, okB bool
+		a, okA = scaleUpExact(a, rt.Scale-scaleOf(l.Typ))
+		b, okB = scaleUpExact(b, rt.Scale-scaleOf(r.Typ))
+		if !okA || !okB {
+			return mtypes.Value{}, overflow
 		}
-		return mtypes.NewDate(int32(r.I) + int32(l.AsInt())), nil
-	case mtypes.KInt:
-		if l.Typ.Kind == mtypes.KDate && r.Typ.Kind == mtypes.KDate {
-			return mtypes.NewInt(mtypes.Int, l.I-r.I), nil
+	}
+	var v int64
+	switch op {
+	case vec.OpAdd:
+		if b > 0 && a > math.MaxInt64-b || b < 0 && a < math.MinInt64-b {
+			return mtypes.Value{}, overflow
 		}
-		fallthrough
-	default:
-		// Integer / decimal arithmetic at the result scale.
-		scale := 0
+		v = a + b
+	case vec.OpSub:
+		if b < 0 && a > math.MaxInt64+b || b > 0 && a < math.MinInt64+b {
+			return mtypes.Value{}, overflow
+		}
+		v = a - b
+	case vec.OpMul:
+		v = a * b
+		if a != 0 && (v/a != b || a == -1 && b == math.MinInt64) {
+			return mtypes.Value{}, overflow
+		}
 		if rt.Kind == mtypes.KDecimal {
-			scale = rt.Scale
-		}
-		av := scaledInt(l, scale)
-		bv := scaledInt(r, scale)
-		if op == 2 && rt.Kind == mtypes.KDecimal {
-			// multiplication: operate at native scales, rescale after
-			av, bv = scaledInt(l, scaleOf(l.Typ)), scaledInt(r, scaleOf(r.Typ))
-		}
-		var v int64
-		switch op {
-		case 0:
-			v = av + bv
-		case 1:
-			v = av - bv
-		case 2:
-			v = av * bv
-		case 3:
-			if bv == 0 {
-				return mtypes.NullValue(rt), nil
-			}
-			v = av / bv
-		default:
-			if bv == 0 {
-				return mtypes.NullValue(rt), nil
-			}
-			v = av % bv
-		}
-		if op == 2 && rt.Kind == mtypes.KDecimal {
 			v = mtypes.RescaleDecimal(v, scaleOf(l.Typ)+scaleOf(r.Typ), rt.Scale)
 		}
-		return mtypes.Value{Typ: rt, I: v}, nil
+	case vec.OpDiv, vec.OpMod:
+		if op == vec.OpDiv {
+			v = a / b
+		} else {
+			v = a % b
+		}
 	}
+	if lo, hi := mtypes.IntRange(rt.Kind); v < lo || v > hi {
+		return mtypes.Value{}, overflow
+	}
+	return mtypes.Value{Typ: rt, I: v}, nil
 }
 
-func scaledInt(v mtypes.Value, scale int) int64 {
-	from := 0
-	if v.Typ.Kind == mtypes.KDecimal {
-		from = v.Typ.Scale
+// scaleUpExact multiplies x by 10^k, reporting whether the product fits
+// int64.
+func scaleUpExact(x int64, k int) (int64, bool) {
+	if k == 0 {
+		return x, true
 	}
-	return mtypes.RescaleDecimal(v.I, from, scale)
+	p := mtypes.Pow10[k]
+	return x * p, x <= math.MaxInt64/p && x >= -(math.MaxInt64/p)
 }
 
 func evalFunc(x *FuncExpr, ctx *EvalCtx) (mtypes.Value, error) {
@@ -331,25 +329,24 @@ func evalFunc(x *FuncExpr, ctx *EvalCtx) (mtypes.Value, error) {
 		}
 		return mtypes.NewInt(mtypes.Int, int64(n)), nil
 	case FuncSubstring:
-		if args[0].Null {
-			return mtypes.NullValue(mtypes.Varchar), nil
+		for _, a := range args {
+			if a.Null {
+				return mtypes.NullValue(mtypes.Varchar), nil
+			}
 		}
 		s := args[0].S
-		start := int(args[1].AsInt()) - 1 // SQL is 1-based
-		if start < 0 {
-			start = 0
-		}
-		if start > len(s) {
+		start := 0 // SQL positions are 1-based; clamp to [0, len(s)]
+		if b := args[1].I; b > int64(len(s)) {
 			start = len(s)
+		} else if b > 1 {
+			start = int(b) - 1
 		}
 		end := len(s)
-		if len(args) > 2 && !args[2].Null {
-			end = start + int(args[2].AsInt())
-			if end > len(s) {
-				end = len(s)
-			}
-			if end < start {
+		if len(args) > 2 {
+			if l := args[2].I; l <= 0 {
 				end = start
+			} else if l < int64(len(s)-start) {
+				end = start + int(l)
 			}
 		}
 		return mtypes.NewString(s[start:end]), nil
@@ -422,6 +419,12 @@ func CastValue(v mtypes.Value, to mtypes.Type) (mtypes.Value, error) {
 		var n int64
 		switch v.Typ.Kind {
 		case mtypes.KDouble:
+			if v.F != v.F {
+				return mtypes.NullValue(to), nil
+			}
+			if v.F <= -1<<63 || v.F >= 1<<63 {
+				return mtypes.Value{}, castOverflow(v, to)
+			}
 			n = int64(v.F)
 		case mtypes.KDecimal:
 			n = mtypes.RescaleDecimal(v.I, v.Typ.Scale, 0)
@@ -434,17 +437,35 @@ func CastValue(v mtypes.Value, to mtypes.Type) (mtypes.Value, error) {
 		default:
 			n = v.I
 		}
+		if lo, hi := mtypes.IntRange(to.Kind); n < lo || n > hi {
+			return mtypes.Value{}, castOverflow(v, to)
+		}
 		return mtypes.Value{Typ: to, I: n}, nil
 	case mtypes.KDecimal:
 		switch v.Typ.Kind {
 		case mtypes.KDouble:
+			if v.F != v.F {
+				return mtypes.NullValue(to), nil
+			}
 			f := v.F * float64(mtypes.Pow10[to.Scale])
 			if f < 0 {
-				return mtypes.Value{Typ: to, I: int64(f - 0.5)}, nil
+				f -= 0.5
+			} else {
+				f += 0.5
 			}
-			return mtypes.Value{Typ: to, I: int64(f + 0.5)}, nil
+			if f <= -1<<63 || f >= 1<<63 {
+				return mtypes.Value{}, castOverflow(v, to)
+			}
+			return mtypes.Value{Typ: to, I: int64(f)}, nil
 		case mtypes.KDecimal:
-			return mtypes.Value{Typ: to, I: mtypes.RescaleDecimal(v.I, v.Typ.Scale, to.Scale)}, nil
+			if to.Scale < v.Typ.Scale {
+				return mtypes.Value{Typ: to, I: mtypes.RescaleDecimal(v.I, v.Typ.Scale, to.Scale)}, nil
+			}
+			n, ok := scaleUpExact(v.I, to.Scale-v.Typ.Scale)
+			if !ok {
+				return mtypes.Value{}, castOverflow(v, to)
+			}
+			return mtypes.Value{Typ: to, I: n}, nil
 		case mtypes.KVarchar:
 			d, err := mtypes.ParseDecimal(v.S, to.Scale)
 			if err != nil {
@@ -452,7 +473,11 @@ func CastValue(v mtypes.Value, to mtypes.Type) (mtypes.Value, error) {
 			}
 			return mtypes.Value{Typ: to, I: d}, nil
 		default:
-			return mtypes.Value{Typ: to, I: v.I * mtypes.Pow10[to.Scale]}, nil
+			n, ok := scaleUpExact(v.I, to.Scale)
+			if !ok {
+				return mtypes.Value{}, castOverflow(v, to)
+			}
+			return mtypes.Value{Typ: to, I: n}, nil
 		}
 	case mtypes.KVarchar:
 		return mtypes.NewString(v.String()), nil
@@ -471,6 +496,10 @@ func CastValue(v mtypes.Value, to mtypes.Type) (mtypes.Value, error) {
 		return mtypes.NewBool(v.I != 0 || (v.Typ.Kind == mtypes.KDouble && v.F != 0)), nil
 	}
 	return mtypes.Value{}, fmt.Errorf("plan: unsupported cast %s -> %s", v.Typ, to)
+}
+
+func castOverflow(v mtypes.Value, to mtypes.Type) error {
+	return fmt.Errorf("plan: cast %s -> %s: %w", v.Typ, to, mtypes.ErrOverflow)
 }
 
 // coerceValue aligns a value with a target type without error reporting

@@ -2,6 +2,7 @@ package rowstore
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -451,6 +452,7 @@ type aggState struct {
 	keys   []mtypes.Value
 	sums   []float64
 	isums  []int64
+	ihis   []int64 // carry words of isums
 	counts []int64
 	mins   []mtypes.Value
 	maxs   []mtypes.Value
@@ -502,7 +504,7 @@ func newAggIter(v *volcano, x *plan.Aggregate, in iterator) (iterator, error) {
 		st := groups[key]
 		if st == nil {
 			st = &aggState{
-				keys: keyVals, sums: make([]float64, na), isums: make([]int64, na),
+				keys: keyVals, sums: make([]float64, na), isums: make([]int64, na), ihis: make([]int64, na),
 				counts: make([]int64, na), mins: make([]mtypes.Value, na),
 				maxs: make([]mtypes.Value, na), all: make([][]float64, na),
 				seen: make([]map[string]bool, na),
@@ -537,7 +539,10 @@ func newAggIter(v *volcano, x *plan.Aggregate, in iterator) (iterator, error) {
 			}
 			st.counts[ai]++
 			st.sums[ai] += av.AsFloat()
-			st.isums[ai] += av.I
+			// Integer sums carry into a high word: exact over any input.
+			lo, c := bits.Add64(uint64(st.isums[ai]), uint64(av.I), 0)
+			st.isums[ai] = int64(lo)
+			st.ihis[ai] += int64(c) + av.I>>63
 			if st.mins[ai].Null || mtypes.Compare(av, st.mins[ai]) < 0 {
 				st.mins[ai] = av
 			}
@@ -550,7 +555,7 @@ func newAggIter(v *volcano, x *plan.Aggregate, in iterator) (iterator, error) {
 	if len(x.GroupBy) == 0 && len(order) == 0 {
 		// SQL: global aggregates over empty input produce one row.
 		groups[""] = &aggState{
-			sums: make([]float64, na), isums: make([]int64, na),
+			sums: make([]float64, na), isums: make([]int64, na), ihis: make([]int64, na),
 			counts: make([]int64, na), mins: nullVals(na), maxs: nullVals(na),
 			all: make([][]float64, na), seen: make([]map[string]bool, na),
 		}
@@ -564,6 +569,10 @@ func newAggIter(v *volcano, x *plan.Aggregate, in iterator) (iterator, error) {
 		row = append(row, st.keys...)
 		for ai, a := range x.Aggs {
 			rt := sch[len(x.GroupBy)+ai].Typ
+			if (a.Kind == vec.AggSum || a.Kind == vec.AggAvg) && a.Arg.Type().Kind != mtypes.KDouble &&
+				st.counts[ai] > 0 && (st.ihis[ai] != st.isums[ai]>>63 || st.isums[ai] == mtypes.NullInt64) {
+				return nil, fmt.Errorf("rowstore: %s: %w", a.Kind, mtypes.ErrOverflow)
+			}
 			var out mtypes.Value
 			switch a.Kind {
 			case vec.AggCount:

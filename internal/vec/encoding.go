@@ -3,6 +3,7 @@ package vec
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -107,6 +108,63 @@ func (p PackedInts) Get(i int) uint64 {
 	}
 	return v & p.mask
 }
+
+// Unpack writes values lo, lo+1, … into dst, len(dst) of them. It reads
+// block-wise with a funnel shift, w[i]>>off | w[i+1]<<(64-off), with no
+// branch for values that straddle two words. The second shift is written
+// <<1<<(63-off): the same bits, 0 at off 0, and two shifts the compiler
+// knows are below 64, so it adds no fix-up for a shift by 64. A value in
+// the last word has no next word to read — mapped files carry no padding
+// word — so the tail goes through Get.
+func (p PackedInts) Unpack(lo int, dst []uint64) {
+	w := uint64(p.Width)
+	safe := min(lo+len(dst), p.funnelSafe())
+	bit := uint64(lo) * w
+	k := 0
+	if lo < safe {
+		words, mask := p.Words, p.mask
+		head := dst[:safe-lo]
+		for k = range head {
+			i, off := bit>>6, bit&63
+			head[k] = (words[i]>>off | words[i+1]<<1<<(63-off)) & mask
+			bit += w
+		}
+		k = len(head)
+	}
+	for ; k < len(dst); k++ {
+		dst[k] = p.Get(lo + k)
+	}
+}
+
+// UnpackAt writes the values at base+idx[k] into dst[k], with the funnel
+// read of Unpack for every value that starts before the last word.
+func (p PackedInts) UnpackAt(base int, idx []int32, dst []uint64) {
+	w, safe := uint64(p.Width), p.funnelSafe()
+	words, mask := p.Words, p.mask
+	for k, i := range idx {
+		g := base + int(i)
+		if g >= safe {
+			dst[k] = p.Get(g)
+			continue
+		}
+		bit := uint64(g) * w
+		j, off := bit>>6, bit&63
+		dst[k] = (words[j]>>off | words[j+1]<<1<<(63-off)) & mask
+	}
+}
+
+// funnelSafe is the number of leading values the funnel reader may read:
+// those that start before the last word.
+func (p PackedInts) funnelSafe() int {
+	if len(p.Words) < 2 {
+		return 0
+	}
+	return int((uint64(len(p.Words)-1)*64 + uint64(p.Width) - 1) / uint64(p.Width))
+}
+
+// unpackBlock is the block size of the scans over packed codes: one
+// 1 024-value buffer, on the stack, reused block after block.
+const unpackBlock = 1024
 
 // Bytes returns the packed payload size.
 func (p PackedInts) Bytes() int64 { return int64(len(p.Words)) * 8 }
@@ -481,20 +539,27 @@ func buildRuns[T comparable](xs []T, nruns int) ([]T, []int32) {
 func (e *Encoded) Decode() *Vector {
 	out := New(e.Typ, e.N)
 	switch e.Enc {
-	case EncDict:
-		for i := 0; i < e.N; i++ {
-			if c := e.Codes.Get(i); c == 0 {
-				out.Str[i] = StrNull
-			} else {
-				out.Str[i] = e.Dict[c-1]
+	case EncDict, EncFOR:
+		var buf [unpackBlock]uint64
+		for lo := 0; lo < e.N; lo += unpackBlock {
+			codes := buf[:min(unpackBlock, e.N-lo)]
+			e.Codes.Unpack(lo, codes)
+			if e.Enc == EncDict {
+				for k, c := range codes {
+					if c == 0 {
+						out.Str[lo+k] = StrNull
+					} else {
+						out.Str[lo+k] = e.Dict[c-1]
+					}
+				}
+				continue
 			}
-		}
-	case EncFOR:
-		for i := 0; i < e.N; i++ {
-			if c := e.Codes.Get(i); c == 0 {
-				out.SetNull(i)
-			} else {
-				e.setInt(out, i, int64(uint64(e.Base)+c-1))
+			for k, c := range codes {
+				if c == 0 {
+					out.SetNull(lo + k)
+				} else {
+					e.setInt(out, lo+k, int64(uint64(e.Base)+c-1))
+				}
 			}
 		}
 	case EncRLE:
@@ -603,30 +668,52 @@ func (e *Encoded) SelDomain(match []int32, cands []int32, lo, hi int) []int32 {
 		}
 		return cands
 	}
-	out := make([]int32, 0, NumCands(hi-lo, cands)/2+8)
 	if len(match) == 0 {
-		return out
+		return []int32{}
 	}
 	if e.Enc == EncRLE {
+		out := make([]int32, 0, NumCands(hi-lo, cands)/2+8)
 		r0, r1 := e.windowRuns(lo, hi)
 		return e.expandRuns(match, r0, r1, cands, lo, hi, out)
 	}
-	hit := make([]bool, e.CodeMax+1)
+	hit := make([]uint8, e.CodeMax+1)
 	for _, k := range match {
-		hit[k] = true
+		hit[k] = 1
 	}
-	if cands == nil {
-		for g := lo; g < hi; g++ {
-			if hit[e.Codes.Get(g)] {
-				out = append(out, int32(g-lo))
+	return e.selCodes(hit, cands, lo, hi)
+}
+
+// selCodes returns the window rows [lo, hi) (or the window-relative cands)
+// whose code is marked in hit. It unpacks a block of codes at a time and
+// compacts the block's matches without a branch into a fixed buffer, which
+// it appends to the output, so the output grows with the matches, not with
+// the window. After the first block the output is sized from that block's
+// yield.
+func (e *Encoded) selCodes(hit []uint8, cands []int32, lo, hi int) []int32 {
+	out := []int32{}
+	var codes [unpackBlock]uint64
+	var sel [unpackBlock]int32
+	total := NumCands(hi-lo, cands)
+	for done := 0; done < total; done += unpackBlock {
+		m := min(unpackBlock, total-done)
+		cnt := 0
+		if cands == nil {
+			e.Codes.Unpack(lo+done, codes[:m])
+			for k, c := range codes[:m] {
+				sel[cnt] = int32(done + k)
+				cnt += int(hit[c])
+			}
+		} else {
+			e.Codes.UnpackAt(lo, cands[done:done+m], codes[:m])
+			for k, c := range codes[:m] {
+				sel[cnt] = cands[done+k]
+				cnt += int(hit[c])
 			}
 		}
-		return out
-	}
-	for _, i := range cands {
-		if hit[e.Codes.Get(lo+int(i))] {
-			out = append(out, i)
+		if done == 0 && total > m {
+			out = slices.Grow(out, cnt*(total/m)+cnt/2+8)
 		}
+		out = append(out, sel[:cnt]...)
 	}
 	return out
 }
@@ -674,17 +761,26 @@ func (e *Encoded) expandRuns(matchRuns []int32, r0, r1 int, cands []int32, lo, h
 // order, group and compare exactly like the strings they stand for: NULL (0)
 // below everything, ties identical. Only valid for EncDict (codes fit i32).
 func (e *Encoded) CodesI32(lo, hi int, sel []int32) *Vector {
-	var out *Vector
 	if sel == nil {
-		out = New(mtypes.Int, hi-lo)
-		for g := lo; g < hi; g++ {
-			out.I32[g-lo] = int32(e.Codes.Get(g))
+		out := New(mtypes.Int, hi-lo)
+		var buf [unpackBlock]uint64
+		for k := 0; k < hi-lo; k += unpackBlock {
+			codes := buf[:min(unpackBlock, hi-lo-k)]
+			e.Codes.Unpack(lo+k, codes)
+			for j, c := range codes {
+				out.I32[k+j] = int32(c)
+			}
 		}
 		return out
 	}
-	out = New(mtypes.Int, len(sel))
-	for k, i := range sel {
-		out.I32[k] = int32(e.Codes.Get(lo + int(i)))
+	out := New(mtypes.Int, len(sel))
+	var buf [unpackBlock]uint64
+	for k := 0; k < len(sel); k += unpackBlock {
+		codes := buf[:min(unpackBlock, len(sel)-k)]
+		e.Codes.UnpackAt(lo, sel[k:k+len(codes)], codes)
+		for j, c := range codes {
+			out.I32[k+j] = int32(c)
+		}
 	}
 	return out
 }

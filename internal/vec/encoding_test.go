@@ -27,6 +27,92 @@ func TestPackedIntsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPackedIntsFunnelMatchesGet holds the block-wise funnel readers
+// (Unpack, UnpackAt) to Get at every width from 1 to 64, over windows that
+// start and end anywhere, across word boundaries and into the last word of
+// an unpadded Words slice (exactly as long as the bits need, as a mapped
+// file holds it).
+func TestPackedIntsFunnelMatchesGet(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for width := 1; width <= 64; width++ {
+		n := 1 + rng.Intn(300)
+		vals := make([]uint64, n)
+		for i := range vals {
+			vals[i] = rng.Uint64() & widthMask(width)
+		}
+		p := PackUints(vals, width)
+		if want := (n*width + 63) / 64; len(p.Words) != want {
+			t.Fatalf("width %d: %d words, want %d (no padding)", width, len(p.Words), want)
+		}
+		p = NewPackedInts(p.Words[:len(p.Words):len(p.Words)], width, n)
+		for trial := 0; trial < 20; trial++ {
+			lo := rng.Intn(n)
+			hi := lo + rng.Intn(n-lo+1)
+			if trial == 0 {
+				lo, hi = 0, n
+			}
+			got := make([]uint64, hi-lo)
+			p.Unpack(lo, got)
+			idx := make([]int32, rng.Intn(n-lo+1))
+			for k := range idx {
+				idx[k] = int32(rng.Intn(n - lo))
+			}
+			at := make([]uint64, len(idx))
+			p.UnpackAt(lo, idx, at)
+			for k, v := range got {
+				if want := p.Get(lo + k); v != want || v != vals[lo+k] {
+					t.Fatalf("width %d: Unpack(%d)[%d] = %d, Get = %d, packed %d", width, lo, k, v, want, vals[lo+k])
+				}
+			}
+			for k, i := range idx {
+				if want := p.Get(lo + int(i)); at[k] != want {
+					t.Fatalf("width %d: UnpackAt(%d, %d) = %d, Get = %d", width, lo, i, at[k], want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSelDomain selects from a dictionary-coded column of 2^20 rows
+// (1 000 codes, 10 bits) at 1% and at 90% selectivity, over the whole
+// window and under a candidate list of every other row.
+func BenchmarkSelDomain(b *testing.B) {
+	const n, card = 1 << 20, 1000
+	rng := rand.New(rand.NewSource(3))
+	v := New(mtypes.Varchar, n)
+	for i := range v.Str {
+		v.Str[i] = fmt.Sprintf("v%04d", rng.Intn(card))
+	}
+	e := EncodeColumn(v, 0)
+	if e == nil || e.Enc != EncDict {
+		b.Fatal("column not dictionary-coded")
+	}
+	half := make([]int32, 0, n/2)
+	for i := int32(0); i < n; i += 2 {
+		half = append(half, i)
+	}
+	for _, sel := range []struct {
+		name  string
+		codes int
+	}{{"1pct", card / 100}, {"90pct", card * 9 / 10}} {
+		match := make([]int32, sel.codes)
+		for k := range match {
+			match[k] = int32(k + 1)
+		}
+		for _, c := range []struct {
+			name  string
+			cands []int32
+		}{{"window", nil}, {"cands", half}} {
+			b.Run(sel.name+"/"+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					e.SelDomain(match, c.cands, 0, n)
+				}
+			})
+		}
+	}
+}
+
 // vecEqualNullAware compares two vectors row-for-row treating NULL == NULL
 // (doubles canonicalize NaN payloads, so Value comparison alone is not
 // enough).

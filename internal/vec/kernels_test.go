@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -671,5 +672,44 @@ func TestArithResultTypeTable(t *testing.T) {
 	}
 	if rt := ArithResultType(OpSub, mtypes.Date, mtypes.Date); rt.Kind != mtypes.KInt {
 		t.Fatalf("date - date -> int, got %s", rt)
+	}
+}
+
+// TestSumCarry: SUM is exact whenever the final total fits, even when a
+// running sum or a chunk's partial leaves int64, and a serial and a
+// chunked SUM agree; a total that does not fit is ErrOverflow both ways.
+func TestSumCarry(t *testing.T) {
+	big := func(xs ...int64) *Vector { return &Vector{Typ: mtypes.BigInt, I64: xs} }
+	for _, c := range []struct {
+		chunks [][]int64
+		want   int64 // 0: overflow
+	}{
+		{[][]int64{{math.MaxInt64 - 10, 20}, {-30}}, math.MaxInt64 - 20},
+		{[][]int64{{-math.MaxInt64, -5}, {mtypes.NullInt64, 10}}, -math.MaxInt64 + 5},
+		{[][]int64{{math.MaxInt64 - 1, 1}, {1}}, 0},
+		{[][]int64{{-math.MaxInt64}, {-1}}, 0}, // lands on the NULL sentinel
+	} {
+		var all []int64
+		parts, his := make([]*Vector, len(c.chunks)), make([][]int64, len(c.chunks))
+		for i, ch := range c.chunks {
+			all = append(all, ch...)
+			var err error
+			if parts[i], his[i], err = SumGroups(big(ch...), make([]int32, len(ch)), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		serial, serr := Aggregate(AggSum, big(all...), make([]int32, len(all)), 1)
+		chunked, cerr := MergeSums(parts, his, [][]int32{{0}, {0}}, 1)
+		for name, r := range map[string]struct {
+			v   *Vector
+			err error
+		}{"serial": {serial, serr}, "chunked": {chunked, cerr}} {
+			switch {
+			case c.want == 0 && !errors.Is(r.err, mtypes.ErrOverflow):
+				t.Errorf("%s sum of %v: %v, %v; want ErrOverflow", name, c.chunks, r.v, r.err)
+			case c.want != 0 && (r.err != nil || r.v.I64[0] != c.want):
+				t.Errorf("%s sum of %v: %v, %v; want %d", name, c.chunks, r.v, r.err, c.want)
+			}
+		}
 	}
 }

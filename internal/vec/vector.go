@@ -6,7 +6,12 @@
 // A Vector is a tightly packed array of one physical type; NULLs are
 // in-domain sentinel values (see package mtypes). A candidate list is a
 // strictly increasing []int32 of qualifying row positions; nil means
-// "all rows".
+// "all rows". A scalar (Scalar) is a one-value operand the map kernels
+// read at every row, so a constant is never expanded to a vector.
+//
+// Arithmetic, narrowing casts and SUM are checked: a result outside its
+// type's range, or equal to its NULL sentinel, is mtypes.ErrOverflow,
+// detected per vector by a flag OR-ed in the loop.
 //
 // Invariants every kernel upholds:
 //
@@ -57,6 +62,10 @@ type Vector struct {
 	I64 []int64
 	F64 []float64
 	Str []string
+
+	// scalar marks a one-value operand that stands for every row of the
+	// kernel reading it (Scalar); no other kernel sees one.
+	scalar bool
 }
 
 // New allocates a zeroed vector of n values.
