@@ -13,12 +13,12 @@ import (
 // sub-expression elimination: identical subtrees (by display form) are
 // computed once per batch — the MAL-level CSE optimization of the paper.
 //
-// When the batch is a selection view (batch.sel != nil) the memo evaluates
-// *under the candidate list*: column leaves are gathered at the surviving
-// rows (once each, via the CSE cache) and every kernel above runs densely
-// over those survivors, so an expression over a filtered batch costs
-// O(len(sel)) per column touched — never O(full column). Results are
-// positionally aligned with sel; a memo must not outlive its batch's sel.
+// The memo evaluates over the batch's rows: a column leaf is gathered through
+// its source's ids (batch.col; once each, via the CSE cache) and every
+// kernel above runs densely over those rows, so an expression over a
+// filtered or joined batch costs O(n) per column touched, never O(full
+// column). Results are positionally aligned with the batch's rows; a memo
+// must not outlive its batch's ids.
 type memo struct {
 	e     *Engine
 	cache map[string]*vec.Vector
@@ -54,14 +54,12 @@ func (m *memo) compute(ex plan.Expr, b *batch, n int) (*vec.Vector, error) {
 		if x.Slot >= len(b.cols) {
 			return nil, fmt.Errorf("exec: slot %d out of range (%d cols)", x.Slot, len(b.cols))
 		}
-		// Gather is the identity when b.sel is nil; under a candidate list it
-		// densifies the leaf to the survivors (cached, so once per column).
-		return vec.Gather(b.cols[x.Slot], b.sel), nil
+		return b.col(x.Slot), nil
 	case *plan.AggRef:
 		if x.Slot >= len(b.cols) {
 			return nil, fmt.Errorf("exec: agg slot %d out of range", x.Slot)
 		}
-		return vec.Gather(b.cols[x.Slot], b.sel), nil
+		return b.col(x.Slot), nil
 	case *plan.Const:
 		return vec.Const(x.Val, n), nil
 	case *plan.SubplanExpr:
@@ -243,18 +241,7 @@ func (m *memo) computeBinOp(x *plan.BinOp, b *batch, n int) (*vec.Vector, error)
 	case plan.BinCmp:
 		return m.computeCmp(x, b, n)
 	case plan.BinAnd, plan.BinOr:
-		l, err := m.evalVecN(x.L, b, n)
-		if err != nil {
-			return nil, err
-		}
-		r, err := m.evalVecN(x.R, b, n)
-		if err != nil {
-			return nil, err
-		}
-		if x.Kind == plan.BinAnd {
-			return vec.BoolAnd(l, r), nil
-		}
-		return vec.BoolOr(l, r), nil
+		return m.computeLogic(x, b, n)
 	}
 	// Arithmetic and concatenation: a constant operand stays a scalar, and
 	// the other one is evaluated as a vector (operands).
@@ -328,6 +315,43 @@ func (m *memo) computeCmp(x *plan.BinOp, b *batch, n int) (*vec.Vector, error) {
 	for _, h := range vec.SelNull(in, nil) {
 		out.I8[h] = mtypes.NullInt8
 	}
+	return out, nil
+}
+
+// computeLogic evaluates AND and OR lazily, as SQL does: the right operand
+// only over the rows the left one leaves undecided (not FALSE for AND, not
+// TRUE for OR), so an overflow in a row whose value is not needed is no
+// error.
+func (m *memo) computeLogic(x *plan.BinOp, b *batch, n int) (*vec.Vector, error) {
+	l, err := m.evalVecN(x.L, b, n)
+	if err != nil {
+		return nil, err
+	}
+	combine, decided := vec.BoolAnd, int8(0)
+	if x.Kind == plan.BinOr {
+		combine, decided = vec.BoolOr, 1
+	}
+	rest := make([]int32, 0, n) // the undecided rows
+	for i, t := range l.I8 {
+		if t != decided {
+			rest = append(rest, int32(i))
+		}
+	}
+	switch len(rest) {
+	case 0:
+		return l, nil
+	case n:
+		rest = nil // every row: evaluated whole, through this memo
+	}
+	r, err := m.evalRows(x.R, b, n, rest)
+	if err != nil {
+		return nil, err
+	}
+	if rest == nil {
+		return combine(l, r), nil
+	}
+	out := l.Clone()
+	vec.CopyAt(out, combine(vec.Gather(l, rest), r), rest)
 	return out, nil
 }
 
@@ -411,14 +435,7 @@ func (m *memo) evalRows(ex plan.Expr, b *batch, n int, rows []int32) (*vec.Vecto
 	if v, ok := m.cache[plan.ExprString(ex)]; ok && v.Len() == n {
 		return vec.Gather(v, rows), nil
 	}
-	sel := rows
-	if b.sel != nil {
-		sel = make([]int32, len(rows))
-		for k, r := range rows {
-			sel[k] = b.sel[r]
-		}
-	}
-	return newMemo(m.e).evalVecN(ex, &batch{cols: b.cols, sel: sel, n: len(rows)}, len(rows))
+	return newMemo(m.e).evalVecN(ex, b.at(rows, true, false), len(rows))
 }
 
 func (m *memo) computeFunc(x *plan.FuncExpr, b *batch, n int) (*vec.Vector, error) {

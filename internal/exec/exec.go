@@ -1,12 +1,14 @@
 // Package exec is monetlite's columnar execution engine: it interprets
 // logical plans column-at-a-time, in the MonetDB style the paper describes —
-// every operator processes whole columns, intermediates are materialized
-// vectors, selections flow as candidate lists, and operators are
-// parallelized by mitosis (§3.1), every fan-out split by the one rule
-// mal.Split through Engine.chunkPlan: chunked scan/map pipelines, partial
-// aggregation over the aggregate's input rows, partitioned hash-join
-// probes, per-run parallel sorts with a k-way merge (plus the bounded-heap
-// TopN for ORDER BY … LIMIT), and per-partition window-function fan-out.
+// every operator processes whole columns, intermediates are base columns
+// with row ids per source (selections flow as candidate lists, joins compose
+// ids, and each column is gathered once, by the operator that reads it; see
+// batch), and operators are parallelized by mitosis (§3.1), every fan-out
+// split by the one rule mal.Split through Engine.chunkPlan: chunked scan/map
+// pipelines, partial aggregation over the aggregate's input rows,
+// partitioned hash-join probes, per-run parallel sorts with a k-way merge
+// (plus the bounded-heap TopN for ORDER BY … LIMIT), and per-partition
+// window-function fan-out.
 //
 // Invariants:
 //
@@ -37,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -161,80 +164,245 @@ func (r *Result) NumRows() int {
 	return r.Cols[0].Len()
 }
 
-// batch is an operator intermediate: aligned column vectors plus an optional
-// candidate list. With sel == nil the batch is dense — logical row i is
-// cols[*][i]. With sel != nil the batch is a *selection view*: the columns
-// are full-width (typically base-table vectors) and logical row i is
-// cols[*][sel[i]]; n == len(sel). Scans and filters produce selection views
-// so a conjunct chain refines one []int32 instead of copying columns; the
-// memo evaluator computes expressions densely over the survivors; and the
-// full gather happens once, at a pipeline breaker (result assembly, group,
-// join build/probe, sort) via materialize.
+// batch is an operator intermediate: the rows of one or more sources side by
+// side. A source is the input a group of columns came from (a scan, one side
+// of a join, a projection's computed columns), and its columns share one
+// row-id vector: logical row i of column c is cols[c][ids[i]], with ids those
+// of c's source (nil ids: cols[c][i]). The columns stay the base vectors. A
+// scan's selection view is the one-source case; a filter narrows every
+// source's ids, a join composes them (an int32 gather per source, no payload
+// copied), and a column's values are gathered once, where they are read (col):
+// by the memo's column leaves, which serve keys, aggregates and predicates, and
+// at result assembly.
 type batch struct {
 	cols []*vec.Vector
-	sel  []int32 // nil = all rows; else strictly increasing row ids into cols
+	src  []int // source of each column, an index into srcs; -1 for a placeholder (project)
+	srcs []source
 	n    int
 	// enc, when non-nil, carries the compressed form of base-table columns
-	// (slot-indexed, parallel to cols; nil entries = raw only). enc[i] covers
-	// at least cols[i].Len() rows starting at table row 0, so it is only set
-	// on batches whose columns are the [0, nrows) base vectors — scan output
-	// and the selection views derived from it. materialize and any dense
-	// rewrite drop it: decode-at-breaker.
+	// (slot-indexed, parallel to cols; nil entries = raw only). enc[c] covers
+	// table rows from 0, and row r of cols[c] is table row off+r of c's
+	// source, so it stays valid while cols[c] is the base vector and its ids
+	// index base rows. A dense intermediate never carries one, and neither
+	// does the right side of a left outer join (its ids hold -1).
 	enc []*vec.Encoded
 }
 
+// source is the row ids one group of a batch's columns shares.
+type source struct {
+	ids []int32 // nil: row i is row i of the columns, which then hold exactly n rows
+	// asc holds when ids never decrease, so they serve as a candidate list
+	// for the selection kernels: a scan's, a filter's and a semi/anti join's
+	// ids, and a join's probe side; the build side is in probe order.
+	asc   bool
+	outer bool // ids hold -1 for a left outer join's non-matches, read as NULL
+	off   int  // the table row of the columns' row 0, where enc is aligned
+}
+
+// newBatch wraps equally long vectors as a dense batch: one source, no ids.
 func newBatch(cols []*vec.Vector) *batch {
 	n := 0
 	if len(cols) > 0 {
 		n = cols[0].Len()
 	}
-	return &batch{cols: cols, n: n}
+	return denseBatch(cols, n)
 }
 
-// newSelBatch wraps full-width columns with a candidate list (nil = dense).
-func newSelBatch(cols []*vec.Vector, sel []int32) *batch {
-	b := newBatch(cols)
-	if sel != nil {
-		b.sel = sel
-		b.n = len(sel)
-	}
+// denseBatch is newBatch with the row count given (for zero-column batches).
+func denseBatch(cols []*vec.Vector, n int) *batch {
+	return &batch{cols: cols, src: make([]int, len(cols)), srcs: []source{{asc: true}}, n: n}
+}
+
+// viewBatch is a selection view: full-width columns of one source and its
+// ascending candidate list (nil = every row of the columns).
+func viewBatch(cols []*vec.Vector, cands []int32, width int) *batch {
+	b := denseBatch(cols, vec.NumCands(width, cands))
+	b.srcs[0].ids = cands
 	return b
 }
 
-// materialize turns a selection view into a dense batch, gathering every
-// column at the candidate list. This is the single full-width copy of a
-// scan→filter pipeline, paid only at pipeline breakers; dense batches pass
-// through untouched (and unlogged).
-func (e *Engine) materialize(b *batch) *batch {
-	if b.sel == nil {
+// col returns column c's values at the batch's rows: the base vector itself
+// for a source without ids, else a gather (NULL at an outer join's -1).
+func (b *batch) col(c int) *vec.Vector {
+	s := b.srcs[b.src[c]]
+	switch {
+	case s.ids == nil:
+		return b.cols[c]
+	case s.outer:
+		return vec.GatherOuter(b.cols[c], s.ids)
+	}
+	return vec.Gather(b.cols[c], s.ids)
+}
+
+// encOf returns column c's encoded form, or nil.
+func (b *batch) encOf(c int) *vec.Encoded {
+	if c < len(b.enc) {
+		return b.enc[c]
+	}
+	return nil
+}
+
+// codes returns the dictionary codes of column c, encoded as en, at the
+// batch's rows (vec.Encoded.CodesI32 takes ids in any order).
+func (b *batch) codes(c int, en *vec.Encoded) *vec.Vector {
+	s := b.srcs[b.src[c]]
+	return en.CodesI32(s.off, s.off+b.cols[c].Len(), s.ids)
+}
+
+// at returns the rows at positions pos of b (indexes into [0, n), in the
+// order given; asc when they never decrease): every source's ids composed,
+// no column copied. With outer, pos may hold -1 (a left outer join's
+// non-match), which becomes -1 in every source and reads as NULL.
+func (b *batch) at(pos []int32, asc, outer bool) *batch {
+	if pos == nil {
+		pos = []int32{} // nil ids would mean every row
+	}
+	out := &batch{cols: b.cols, src: b.src, srcs: make([]source, len(b.srcs)), n: len(pos), enc: b.enc}
+	for i, s := range b.srcs {
+		out.srcs[i] = source{ids: pos, asc: s.asc && asc, outer: s.outer || outer, off: s.off}
+		switch {
+		case s.ids == nil:
+		case outer:
+			ids := make([]int32, len(pos))
+			for k, p := range pos {
+				ids[k] = -1
+				if p >= 0 {
+					ids[k] = s.ids[p]
+				}
+			}
+			out.srcs[i].ids = ids
+		default:
+			ids := make([]int32, len(pos))
+			for k, p := range pos {
+				ids[k] = s.ids[p]
+			}
+			out.srcs[i].ids = ids
+		}
+	}
+	if outer {
+		out.enc = nil
+	}
+	return out
+}
+
+// slice returns rows [lo, hi) of b: every source's ids sliced, and the
+// columns of a source without ids windowed (its off moves with them).
+func (b *batch) slice(lo, hi int) *batch {
+	if lo == 0 && hi == b.n {
 		return b
 	}
-	out := make([]*vec.Vector, len(b.cols))
-	for i, c := range b.cols {
-		out[i] = vec.Gather(c, b.sel)
+	out := &batch{cols: make([]*vec.Vector, len(b.cols)), src: b.src, srcs: make([]source, len(b.srcs)), n: hi - lo, enc: b.enc}
+	for i, s := range b.srcs {
+		if s.ids != nil {
+			s.ids = s.ids[lo:hi:hi]
+		} else {
+			s.off += lo
+		}
+		out.srcs[i] = s
 	}
-	e.Trace.Emit("bat.materialize", fmt.Sprintf("%d cols x %d rows", len(b.cols), b.n))
-	nb := newBatch(out)
-	nb.n = b.n // preserve the row count for zero-column batches
-	return nb
+	for c, v := range b.cols {
+		out.cols[c] = v
+		if s := b.src[c]; s >= 0 && b.srcs[s].ids == nil {
+			out.cols[c] = v.Slice(lo, hi)
+		}
+	}
+	return out
+}
+
+// project returns the batch whose column i is b's column cs[i] (a nil
+// placeholder, never read, where cs[i] < 0), with only the sources those
+// columns read.
+func (b *batch) project(cs []int) *batch {
+	out := &batch{cols: make([]*vec.Vector, len(cs)), src: make([]int, len(cs)), n: b.n}
+	remap := make([]int, len(b.srcs))
+	for i := range remap {
+		remap[i] = -1
+	}
+	for i, c := range cs {
+		out.src[i] = -1
+		if c < 0 {
+			continue
+		}
+		s := b.src[c]
+		if remap[s] < 0 {
+			remap[s] = len(out.srcs)
+			out.srcs = append(out.srcs, b.srcs[s])
+		}
+		out.cols[i], out.src[i] = b.cols[c], remap[s]
+		if en := b.encOf(c); en != nil {
+			if out.enc == nil {
+				out.enc = make([]*vec.Encoded, len(cs))
+			}
+			out.enc[i] = en
+		}
+	}
+	return out
+}
+
+// besides returns the batch of l's columns followed by r's, over the same
+// rows (l.n == r.n): the output of a join once each side is composed at its
+// pair list.
+func besides(l, r *batch) *batch {
+	out := &batch{
+		cols: append(slices.Clip(l.cols), r.cols...),
+		src:  slices.Clip(l.src),
+		srcs: append(slices.Clip(l.srcs), r.srcs...),
+		n:    l.n,
+	}
+	for _, s := range r.src {
+		if s >= 0 {
+			s += len(l.srcs)
+		}
+		out.src = append(out.src, s)
+	}
+	if l.enc != nil || r.enc != nil {
+		out.enc = make([]*vec.Encoded, len(out.cols))
+		copy(out.enc, l.enc)
+		copy(out.enc[len(l.cols):], r.enc)
+	}
+	return out
+}
+
+// gathered reports whether reading b's columns gathers, i.e. some source has
+// ids.
+func (b *batch) gathered() bool {
+	for _, s := range b.srcs {
+		if s.ids != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // Execute runs a plan to completion.
 func (e *Engine) Execute(n plan.Node) (*Result, error) {
-	var b *batch
-	err := e.run(func() (err error) {
+	res := &Result{}
+	err := e.run(func() error {
 		if plan.HasJoin(n) {
 			e.Trace.EmitVoid("optimizer.joinorder", plan.JoinTreeString(n))
 		}
-		if b, err = e.exec(n); err == nil {
-			b = e.materialize(b) // result assembly is a pipeline breaker
+		b, err := e.exec(n)
+		if err != nil {
+			return err
 		}
-		return err
+		// Result assembly reads every column: a column whose source has ids
+		// is fetched here, once (MonetDB's late algebra.projection).
+		res.Cols = make([]*vec.Vector, len(b.cols))
+		fetched := 0
+		for c := range b.cols {
+			res.Cols[c] = b.col(c)
+			if b.srcs[b.src[c]].ids != nil {
+				fetched++
+			}
+		}
+		if fetched > 0 {
+			e.Trace.Emit("algebra.projection", fmt.Sprintf("%d of %d cols x %d rows", fetched, len(b.cols), b.n))
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Cols: b.cols}
 	for _, c := range n.Schema() {
 		res.Names = append(res.Names, c.Name)
 	}
@@ -262,12 +430,12 @@ func (e *Engine) SelectRows(table string, pred plan.Expr, exprs []plan.Expr) ([]
 		if err != nil {
 			return err
 		}
-		if rows = b.sel; rows == nil {
+		if rows = b.srcs[0].ids; rows == nil {
 			rows = vec.Range(b.n)
 		}
-		memo, sel := newMemo(e), newSelBatch(b.cols, rows)
+		memo := newMemo(e)
 		for _, ex := range exprs {
-			v, err := memo.evalVec(ex, sel)
+			v, err := memo.evalVec(ex, b)
 			if err != nil {
 				return err
 			}
@@ -445,123 +613,179 @@ func (e *Engine) exec(n plan.Node) (*batch, error) {
 	// was never annotated (hand-built plans in unit tests).
 	if err == nil && est > 0 {
 		e.Trace.EmitVoid("optimizer.cardinality",
-			fmt.Sprintf("%s: est %d actual %d", label, est, b.liveRows()))
+			fmt.Sprintf("%s: est %d actual %d", label, est, b.n))
 	}
 	return b, err
 }
 
-// liveRows counts the rows a batch represents (honoring its candidate list).
-func (b *batch) liveRows() int {
-	if b.sel != nil {
-		return len(b.sel)
-	}
-	return b.n
-}
-
-// execFilter refines the input's candidate list conjunct by conjunct — the
-// same representation the scan path uses — instead of materializing a
-// filtered copy: a one-column conjunct on an encoded column runs over its
-// value domain (selectDomain), any other maps to a selection kernel (or a
-// dense predicate evaluation over the current survivors), and the output
-// batch carries the refined list. Nothing is gathered here; that happens once,
-// downstream, at a pipeline breaker.
+// execFilter narrows the input's rows conjunct by conjunct, copying no
+// column (narrow).
 func (e *Engine) execFilter(x *plan.Filter) (*batch, error) {
-	in, err := e.exec(x.Input)
+	b, err := e.exec(x.Input)
 	if err != nil {
 		return nil, err
 	}
-	width := in.n
-	if len(in.cols) > 0 {
-		width = in.cols[0].Len()
-	}
-	enc := func(slot int) *vec.Encoded {
-		if slot < len(in.enc) {
-			return in.enc[slot]
-		}
-		return nil
-	}
-	sel := in.sel
 	for _, f := range plan.SplitConjuncts(x.Pred) {
 		if err := e.checkInterrupt(); err != nil {
 			return nil, err
 		}
-		refined, ok, err := e.selectDomain(enc, f, in.cols, sel, 0, width)
-		if !ok && err == nil {
-			refined, err = e.refineFilter(f, in.cols, width, sel)
-		}
-		if err != nil {
+		if b, err = e.narrow(f, b); err != nil {
 			return nil, err
 		}
-		sel = refined
-		if sel != nil && len(sel) == 0 {
+		if b.n == 0 {
 			break // all-false: no later conjunct can resurrect a row
 		}
 	}
-	out := newSelBatch(in.cols, sel)
-	out.enc = in.enc
-	return out, nil
+	return b, nil
 }
 
-func (e *Engine) execProject(x *plan.Project) (*batch, error) {
-	if x.Input == nil {
-		// SELECT without FROM: one row of computed constants.
-		memo := newMemo(e)
-		one := &batch{cols: nil, n: 1}
-		out := make([]*vec.Vector, len(x.Exprs))
-		for i, ex := range x.Exprs {
-			v, err := memo.evalVecN(ex, one, 1)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
+// narrow keeps the rows of b where conjunct f is TRUE. A conjunct that reads
+// one source whose ids ascend runs as a scan filter does, over that source's
+// base columns with its ids as the candidate list: over an encoded column's
+// value domain (selectDomain) or through refineFilter's selection kernels.
+// The other sources are composed at the positions it kept. Any other
+// conjunct is selected over the batch's positions (selectPositions).
+func (e *Engine) narrow(f plan.Expr, b *batch) (*batch, error) {
+	used := map[int]bool{}
+	plan.WalkExpr(f, func(x plan.Expr) bool {
+		switch r := x.(type) {
+		case *plan.ColRef:
+			used[r.Slot] = true
+		case *plan.AggRef:
+			used[r.Slot] = true
 		}
-		return &batch{cols: out, n: 1}, nil // one row, even with no columns
+		return true
+	})
+	s, width := -1, 0
+	for c := range used {
+		if s >= 0 && b.src[c] != s {
+			s = -1
+			break
+		}
+		s, width = b.src[c], b.cols[c].Len()
 	}
-	in, err := e.exec(x.Input)
+	switch {
+	case len(used) == 0:
+		// No column: a constant or subquery predicate, over positions.
+		pos, err := e.refineFilter(f, nil, b.n, nil)
+		if err != nil || pos == nil {
+			return b, err
+		}
+		return b.at(pos, true, false), nil
+	case s < 0 || !b.srcs[s].asc:
+		pos, err := e.selectPositions(f, b)
+		if err != nil {
+			return nil, err
+		}
+		return b.at(pos, true, false), nil
+	}
+	src := b.srcs[s]
+	refined, ok, err := e.selectDomain(b.encOf, f, b.cols, src.ids, src.off, src.off+width)
+	if !ok && err == nil {
+		refined, err = e.refineFilter(f, b.cols, width, src.ids)
+	}
+	if err != nil || refined == nil {
+		return b, err
+	}
+	if len(b.srcs) == 1 {
+		out := *b
+		out.srcs = []source{{ids: refined, asc: true, off: src.off}}
+		out.n = len(refined)
+		return &out, nil
+	}
+	return b.at(keptPositions(src.ids, refined), true, false), nil
+}
+
+// keptPositions returns the positions in ids (nil: the identity) of the ids
+// kept, a subsequence of it; both never decrease. An id that occurs twice is
+// kept at both positions or neither, as a selection tests it by value.
+func keptPositions(ids, kept []int32) []int32 {
+	if ids == nil {
+		return kept
+	}
+	pos := make([]int32, len(kept))
+	i := 0
+	for k, id := range kept {
+		for ids[i] != id {
+			i++
+		}
+		pos[k] = int32(i)
+		i++
+	}
+	return pos
+}
+
+// selectPositions returns the positions in [0, b.n) where f is TRUE. A
+// comparison of two columns runs the column-pair kernel, each side read
+// through its source's ids (vec.SelColumnPairs); anything else is evaluated
+// by the memo and its TRUE rows selected. note, when not empty, ends the
+// trace line (a join residual's).
+func (e *Engine) selectPositions(f plan.Expr, b *batch, note ...string) ([]int32, error) {
+	if p, ok := f.(*plan.BinOp); ok && p.Kind == plan.BinCmp {
+		l, okL := p.L.(*plan.ColRef)
+		r, okR := p.R.(*plan.ColRef)
+		if okL && okR {
+			ls, rs := b.srcs[b.src[l.Slot]], b.srcs[b.src[r.Slot]]
+			if !ls.outer && !rs.outer {
+				if pos, ok := vec.SelColumnPairs(p.Cmp, b.cols[l.Slot], ls.ids, b.cols[r.Slot], rs.ids, b.n); ok {
+					e.Trace.Emit("algebra.thetaselect", append([]string{p.Cmp.String(), "columns"}, note...)...)
+					return pos, nil
+				}
+			}
+		}
+	}
+	bv, err := newMemo(e).evalVec(f, b)
 	if err != nil {
 		return nil, err
 	}
-	memo := newMemo(e)
-	out := make([]*vec.Vector, len(x.Exprs))
+	e.Trace.Emit("algebra.thetaselect", note...)
+	return vec.SelTrue(bv, nil, true), nil
+}
+
+// execProject computes the projection's expressions. A bare column reference
+// passes through as the input column with its source's ids and encoding;
+// the computed columns form one new source, dense over the input's rows.
+func (e *Engine) execProject(x *plan.Project) (*batch, error) {
+	var in *batch
+	if x.Input == nil {
+		in = denseBatch(nil, 1) // SELECT without FROM: one row of constants
+	} else {
+		var err error
+		if in, err = e.exec(x.Input); err != nil {
+			return nil, err
+		}
+	}
+	cs := make([]int, len(x.Exprs))
 	for i, ex := range x.Exprs {
+		cs[i] = -1
+		if cr, ok := ex.(*plan.ColRef); ok && x.Input != nil {
+			cs[i] = cr.Slot
+		}
+	}
+	out := in.project(cs)
+	memo, dense := newMemo(e), -1
+	for i, ex := range x.Exprs {
+		if cs[i] >= 0 {
+			continue
+		}
 		v, err := memo.evalVecN(ex, in, in.n)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = v
+		if dense < 0 {
+			dense = len(out.srcs)
+			out.srcs = append(out.srcs, source{asc: true})
+		}
+		out.cols[i], out.src[i] = v, dense
 	}
-	if in.sel != nil {
-		// Projection expressions were computed densely over the survivors —
-		// the candidate list never forced a full-width gather.
+	if in.gathered() {
+		// The projection ran over the input's rows; no column was copied
+		// to line them up.
 		e.Trace.Emit("bat.project", fmt.Sprintf("%d exprs", len(x.Exprs)), fmt.Sprintf("%d cands", in.n))
-	} else {
+	} else if x.Input != nil {
 		e.Trace.Emit("bat.project", fmt.Sprintf("%d exprs", len(x.Exprs)))
 	}
-	b := &batch{cols: out, n: in.n}
-	b.enc = projectEncodings(x.Exprs, in)
-	return b, nil
-}
-
-// projectEncodings carries a batch's compressed forms through a projection.
-// Only bare column references keep their encoding, and only when the input
-// has no candidate list: a selection view densifies the output vectors, which
-// breaks the positional row ↔ code alignment the encoded kernels rely on.
-func projectEncodings(exprs []plan.Expr, in *batch) []*vec.Encoded {
-	if in.enc == nil || in.sel != nil {
-		return nil
-	}
-	var encs []*vec.Encoded
-	for i, ex := range exprs {
-		cr, ok := ex.(*plan.ColRef)
-		if !ok || cr.Slot < 0 || cr.Slot >= len(in.enc) || in.enc[cr.Slot] == nil {
-			continue
-		}
-		if encs == nil {
-			encs = make([]*vec.Encoded, len(exprs))
-		}
-		encs[i] = in.enc[cr.Slot]
-	}
-	return encs
+	return out, nil
 }
 
 func (e *Engine) execLimit(x *plan.Limit) (*batch, error) {
@@ -578,17 +802,7 @@ func (e *Engine) execLimit(x *plan.Limit) (*batch, error) {
 		hi = in.n
 	}
 	e.Trace.Emit("bat.slice", fmt.Sprintf("%d..%d", lo, hi))
-	if in.sel != nil {
-		// A limit over a selection view just slices the candidate list.
-		out := newSelBatch(in.cols, in.sel[lo:hi])
-		out.enc = in.enc
-		return out, nil
-	}
-	out := make([]*vec.Vector, len(in.cols))
-	for i, c := range in.cols {
-		out[i] = c.Slice(lo, hi)
-	}
-	return newBatch(out), nil
+	return in.slice(lo, hi), nil
 }
 
 // execDistinct is a key-only aggregate: it groups on every input column and

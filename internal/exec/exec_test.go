@@ -337,7 +337,7 @@ func TestSelectRowsHelper(t *testing.T) {
 	}
 }
 
-// crossPairs and joinGather must reject pair counts beyond int32 row
+// crossPairs and joinPairs must reject pair counts beyond int32 row
 // addressing instead of silently truncating selection vectors. The guards
 // run before any allocation, so the regression test can use row counts whose
 // product overflows without materializing gigabytes of pairs.
@@ -363,11 +363,11 @@ func TestCrossProductOverflowGuard(t *testing.T) {
 	if err := checkPairCount(math.MaxInt32 + 1); err == nil {
 		t.Fatal("MaxInt32+1 pairs must fail")
 	}
-	// joinGather applies the same guard to its pair lists; small inputs pass.
+	// joinPairs applies the same guard to its pair lists; small inputs pass.
 	lsel := make([]int32, 10)
 	rsel := make([]int32, 10)
-	if _, err := joinGather(&batch{n: 10}, &batch{n: 10}, lsel, rsel, false); err != nil {
-		t.Fatalf("small joinGather: %v", err)
+	if _, err := joinPairs(denseBatch(nil, 10), denseBatch(nil, 10), lsel, rsel, true, false); err != nil {
+		t.Fatalf("small joinPairs: %v", err)
 	}
 }
 

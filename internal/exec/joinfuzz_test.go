@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"monetlite/internal/mal"
 	"monetlite/internal/mtypes"
+	"monetlite/internal/plan"
 	"monetlite/internal/storage"
 	"monetlite/internal/vec"
 )
@@ -400,6 +402,164 @@ func TestParallelJoinNaturalChunking(t *testing.T) {
 		}
 		if !strings.Contains(out, tc.table) {
 			t.Fatalf("spread %d: parallel join did not build a %s table:\n%s", tc.spread, tc.table, out)
+		}
+	}
+}
+
+// TestJoinFuzzShapes runs the join fuzzer's tables through multi-operator
+// shapes, against nested-loop oracles: joins over selection views (WHERE on
+// each side's payload, a filter above a left outer join, a semi join), a
+// 3-table chain with a Project and a Filter between the joins (a computed
+// column beside joined ones, column comparisons across sources), and a left
+// outer join above an inner join, plain and filtered on its outer side. Each
+// runs serial and with multi-chunk probes, with each build side forced.
+func TestJoinFuzzShapes(t *testing.T) {
+	trials := 60
+	if testing.Short() {
+		trials = 15
+	}
+	for trial := 0; trial < trials; trial++ {
+		runJoinShapeTrial(t, joinFuzzBaseSeed+int64(trial))
+	}
+}
+
+// shapeRow renders an oracle row of the given cells ("NULL" for a NULL) as
+// resultRows renders an engine row.
+func shapeRow(cells ...any) string {
+	var sb strings.Builder
+	for _, c := range cells {
+		fmt.Fprintf(&sb, "%v|", c)
+	}
+	return sb.String()
+}
+
+func runJoinShapeTrial(t *testing.T, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	nl, nr, nm := rng.Intn(80), rng.Intn(80), rng.Intn(40)
+	nkeys := 1 + rng.Intn(2)
+	types := make([]mtypes.Type, nkeys)
+	for i := range types {
+		types[i] = fuzzKeyTypes[rng.Intn(len(fuzzKeyTypes))]
+	}
+	skew := rng.Intn(3) == 0
+	l, lt := makeFuzzTable(rng, "l", "k", types, nl, skew)
+	r, rt := makeFuzzTable(rng, "r", "j", types, nr, skew)
+	m, mt := makeFuzzTable(rng, "m", "m", types[:1], nm, skew)
+	cat := memCatalog{"l": lt, "r": rt, "m": mt}
+
+	on := make([]string, nkeys)
+	for i := range on {
+		on[i] = fmt.Sprintf("l.k%d = r.j%d", i+1, i+1)
+	}
+	cond := strings.Join(on, " AND ")
+	keys := func(i, j int) bool { return rowsMatch(l, r, i, j) }
+	// mRows lists m's rows that agree with l's row i on the first key and
+	// satisfy keep.
+	mRows := func(i int, keep func(p int) bool) []int {
+		var ps []int
+		for p := 0; p < m.n; p++ {
+			if keyEq(l.keys[0], i, m.keys[0], p) && keep(p) {
+				ps = append(ps, p)
+			}
+		}
+		return ps
+	}
+
+	// The oracles walk the tables in nested loops.
+	var viewsInner, viewsLeft, viewsSemi, chain, outerAbove, outerFiltered []string
+	for i := 0; i < l.n; i++ {
+		viewMatched := false
+		for j := 0; j < r.n; j++ {
+			if !keys(i, j) {
+				continue
+			}
+			if i%3 != 0 && j%2 == 0 {
+				viewsInner = append(viewsInner, oracleRow(l, r, i, j, true))
+				viewsLeft = append(viewsLeft, oracleRow(l, r, i, j, true))
+				viewMatched = true
+			}
+			if i != j && (i+j)%3 != 1 && i > 0 {
+				for _, p := range mRows(i, func(p int) bool { return i < p }) {
+					chain = append(chain, shapeRow(i, j, i+j, p))
+				}
+			}
+			if i > j {
+				even := mRows(i, func(p int) bool { return p%2 == 0 })
+				for _, p := range even {
+					outerAbove = append(outerAbove, shapeRow(i, j, p))
+				}
+				if len(even) == 0 {
+					outerAbove = append(outerAbove, shapeRow(i, j, "NULL"))
+				}
+				// WHERE over the outer join's rows: a non-match (NULL)
+				// passes, a match passes when mpay > jpay.
+				all := mRows(i, func(int) bool { return true })
+				for _, p := range all {
+					if p > j {
+						outerFiltered = append(outerFiltered, shapeRow(i, j, p))
+					}
+				}
+				if len(all) == 0 {
+					outerFiltered = append(outerFiltered, shapeRow(i, j, "NULL"))
+				}
+			}
+		}
+		if i%3 != 0 && !viewMatched {
+			viewsLeft = append(viewsLeft, oracleRow(l, r, i, -1, true))
+		}
+		if i%3 != 0 && viewMatched {
+			viewsSemi = append(viewsSemi, oracleRow(l, r, i, -1, false))
+		}
+	}
+
+	derived := fmt.Sprintf("SELECT * FROM l, r WHERE %s AND l.kpay > r.jpay", cond)
+	cases := []struct {
+		label string
+		sql   string
+		want  []string
+	}{
+		{"views inner", fmt.Sprintf("SELECT * FROM l, r WHERE %s AND l.kpay %% 3 <> 0 AND r.jpay %% 2 = 0", cond), viewsInner},
+		{"views left", fmt.Sprintf("SELECT * FROM l LEFT JOIN r ON %s AND r.jpay %% 2 = 0 WHERE l.kpay %% 3 <> 0", cond), viewsLeft},
+		{"views semi", fmt.Sprintf("SELECT * FROM l WHERE l.kpay %% 3 <> 0 AND EXISTS (SELECT * FROM r WHERE %s AND r.jpay %% 2 = 0)", cond), viewsSemi},
+		{"chain", fmt.Sprintf(`SELECT x.kpay, x.jpay, x.s, m.mpay FROM
+			(SELECT l.kpay, r.jpay, l.kpay + r.jpay AS s, l.k1 AS k FROM l, r WHERE %s AND l.kpay <> r.jpay) x, m
+			WHERE x.k = m.m1 AND x.s > x.jpay AND x.s %% 3 <> 1 AND x.kpay < m.mpay`, cond), chain},
+		{"outer above inner", fmt.Sprintf("SELECT x.kpay, x.jpay, m.mpay FROM (%s) x LEFT JOIN m ON x.k1 = m.m1 AND m.mpay %% 2 = 0", derived), outerAbove},
+		{"outer above inner, filtered", fmt.Sprintf("SELECT x.kpay, x.jpay, m.mpay FROM (%s) x LEFT JOIN m ON x.k1 = m.m1 WHERE m.mpay IS NULL OR m.mpay > x.jpay", derived), outerFiltered},
+	}
+	for _, c := range cases {
+		p := planFor(t, cat, c.sql)
+		want := slices.Sorted(slices.Values(c.want))
+		fail := func(format string, args ...any) {
+			t.Helper()
+			dumpFuzzTables(t, l, r)
+			t.Fatalf("seed %d %s: %s\n sql: %s\n plan:\n%s", seed, c.label, fmt.Sprintf(format, args...), c.sql, plan.PlanString(p))
+		}
+		sameRows := func(what string, a, b []string) {
+			t.Helper()
+			if len(a) != len(b) {
+				fail("%s: %d rows vs %d", what, len(a), len(b))
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					fail("%s: row %d differs\n %s\n %s", what, i, a[i], b[i])
+				}
+			}
+		}
+		chunk := 1 + rng.Intn(24)
+		for _, side := range []int{+1, -1} {
+			serRes, err := (&Engine{Cat: cat, testBuildSide: side}).Execute(p)
+			if err != nil {
+				fail("serial side %+d: %v", side, err)
+			}
+			parRes, err := (&Engine{Cat: cat, Parallel: true, MaxThreads: 4, testBuildSide: side, testChunkRows: chunk}).Execute(p)
+			if err != nil {
+				fail("parallel side %+d: %v", side, err)
+			}
+			ser := resultRows(serRes)
+			sameRows(fmt.Sprintf("side %+d serial vs parallel", side), ser, resultRows(parRes))
+			sameRows(fmt.Sprintf("side %+d engine vs oracle (sorted)", side), slices.Sorted(slices.Values(ser)), want)
 		}
 	}
 }

@@ -15,9 +15,10 @@ import (
 // paper's "tactical decision" level of optimization. Inner pairs come out in
 // probe order; the other flavors emit left rows in left order whichever side
 // was built (semi/anti mark matched left rows, left outer orders its pairs by
-// left row), so their output does not depend on the choice. A semi/anti join
-// returns a selection view of its left input: the surviving rows are gathered
-// at the next pipeline breaker, like a filter's.
+// left row), so their output does not depend on the choice. No payload is
+// copied: the output is the inputs' sources with their ids composed at the
+// pair lists (joinPairs), and a semi/anti join narrows its left input's
+// sources, as a filter does. Only the key columns are gathered here.
 func (e *Engine) execJoin(x *plan.Join) (*batch, error) {
 	left, err := e.exec(x.Left)
 	if err != nil {
@@ -27,9 +28,6 @@ func (e *Engine) execJoin(x *plan.Join) (*batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Join build and probe are pipeline breakers: pair lists address rows
-	// positionally, so selection views materialize here, once.
-	left, right = e.materialize(left), e.materialize(right)
 	memoL, memoR := newMemo(e), newMemo(e)
 	lKeys := make([]*vec.Vector, len(x.EquiL))
 	rKeys := make([]*vec.Vector, len(x.EquiR))
@@ -69,12 +67,15 @@ func (e *Engine) execJoin(x *plan.Join) (*batch, error) {
 			}
 		}
 		e.Trace.Emit("algebra.semijoin")
-		return newSelBatch(left.cols, keep), nil
+		return left.at(keep, true, false), nil
 	}
 
 	// Candidate pairs by key equality (every pair when there are no keys),
-	// then the residual over exactly those pairs.
+	// then the residual over exactly those pairs. The probe side's pair list
+	// never decreases (lAsc tells which side that is); the build side's is in
+	// probe order.
 	var lsel, rsel []int32
+	lAsc := true
 	switch {
 	case len(x.EquiL) == 0:
 		e.Trace.Emit("algebra.crossproduct")
@@ -82,6 +83,7 @@ func (e *Engine) execJoin(x *plan.Join) (*batch, error) {
 	case buildLeft:
 		jp := e.buildJoinTable(lKeys, left.n, right.n, "build=left")
 		rsel, lsel, err = jp.probe(rKeys, right.n)
+		lAsc = false
 	default:
 		jp := e.buildJoinTable(rKeys, right.n, left.n, "build=right")
 		lsel, rsel, err = jp.probe(lKeys, left.n)
@@ -90,7 +92,7 @@ func (e *Engine) execJoin(x *plan.Join) (*batch, error) {
 		return nil, err
 	}
 	if x.Residual != nil {
-		if lsel, rsel, err = e.filterPairs(x.Residual, left, right, lsel, rsel); err != nil {
+		if lsel, rsel, err = e.filterPairs(x.Residual, left, right, lsel, rsel, lAsc); err != nil {
 			return nil, err
 		}
 	}
@@ -101,12 +103,13 @@ func (e *Engine) execJoin(x *plan.Join) (*batch, error) {
 			matched.Set(l)
 		}
 		e.Trace.Emit("algebra.semijoin", "residual")
-		return newSelBatch(left.cols, markedRows(matched, left.n, !anti)), nil
+		return left.at(markedRows(matched, left.n, !anti), true, false), nil
 	case x.Kind == plan.JoinLeft:
 		e.Trace.Emit("algebra.leftjoin")
 		lsel, rsel = outerPairs(left.n, lsel, rsel)
+		lAsc = true
 	}
-	return joinGather(left, right, lsel, rsel, x.Kind == plan.JoinLeft)
+	return joinPairs(left, right, lsel, rsel, lAsc, x.Kind == plan.JoinLeft)
 }
 
 // markedRows lists the rows of [0, n) whose mark equals want, ascending.
@@ -294,41 +297,39 @@ func (jp *joinProber) probeMark(keys []*vec.Vector, n, buildN int) (vec.Bitmap, 
 }
 
 // filterPairs keeps the candidate join pairs satisfying the residual
-// predicate, compacting the pair lists in place. Only the columns the
-// predicate references are gathered at the pairs.
-func (e *Engine) filterPairs(residual plan.Expr, left, right *batch, lsel, rsel []int32) ([]int32, []int32, error) {
+// predicate, compacting the pair lists in place. Only the sources of the
+// columns the predicate reads are composed at the pairs, and it is selected
+// as a Filter's conjunct over several sources is (selectPositions).
+func (e *Engine) filterPairs(residual plan.Expr, left, right *batch, lsel, rsel []int32, lAsc bool) ([]int32, []int32, error) {
 	used := map[int]bool{}
 	plan.SlotsUsed(residual, used)
-	if lsel == nil {
-		// nil means "no pairs" here — never "all rows" (vec.Gather's nil).
-		lsel, rsel = []int32{}, []int32{}
-	}
-	nl := len(left.cols)
-	pairs := &batch{cols: make([]*vec.Vector, nl+len(right.cols)), n: len(lsel)}
-	for s := range used {
-		if s < nl {
-			pairs.cols[s] = vec.Gather(left.cols[s], lsel)
-		} else {
-			pairs.cols[s] = vec.Gather(right.cols[s-nl], rsel)
+	pick := func(b *batch, base int) *batch {
+		cs := make([]int, len(b.cols))
+		for c := range cs {
+			cs[c] = -1
+			if used[base+c] {
+				cs[c] = c
+			}
 		}
+		return b.project(cs)
 	}
-	bv, err := newMemo(e).evalVec(residual, pairs)
+	pairs, err := joinPairs(pick(left, 0), pick(right, len(left.cols)), lsel, rsel, lAsc, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	k := 0
-	for i, ok := range bv.I8 {
-		if ok == 1 {
-			lsel[k], rsel[k] = lsel[i], rsel[i]
-			k++
-		}
+	keep, err := e.selectPositions(residual, pairs, "residual")
+	if err != nil {
+		return nil, nil, err
 	}
-	return lsel[:k], rsel[:k], nil
+	for k, p := range keep {
+		lsel[k], rsel[k] = lsel[p], rsel[p]
+	}
+	return lsel[:len(keep)], rsel[:len(keep)], nil
 }
 
 // checkPairCount guards the join output size: selection vectors address rows
 // with int32, so a pair list beyond MaxInt32 would silently truncate row ids
-// in downstream operators. Kept separate from joinGather so the guard is
+// in downstream operators. Kept separate from joinPairs so the guard is
 // testable without allocating gigabytes of pairs.
 func checkPairCount(n int) error {
 	if n > math.MaxInt32 {
@@ -337,30 +338,15 @@ func checkPairCount(n int) error {
 	return nil
 }
 
-// joinGather materializes the pair lists into a combined batch. With outer,
-// rsel entries of -1 (left outer non-matches) become NULLs.
-func joinGather(left, right *batch, lsel, rsel []int32, outer bool) (*batch, error) {
+// joinPairs is a join's output: left's sources composed at lsel and right's
+// at rsel, side by side, no column copied. lAsc says which pair list never
+// decreases: lsel, or else rsel. With outer, rsel entries of -1 (left outer
+// non-matches) read as NULLs.
+func joinPairs(left, right *batch, lsel, rsel []int32, lAsc, outer bool) (*batch, error) {
 	if err := checkPairCount(len(lsel)); err != nil {
 		return nil, err
 	}
-	// nil means "no pairs" here — never "all rows" (vec.Gather's nil).
-	if lsel == nil {
-		lsel, rsel = []int32{}, []int32{}
-	}
-	gatherRight := vec.Gather
-	if outer {
-		gatherRight = vec.GatherOuter
-	}
-	out := make([]*vec.Vector, 0, len(left.cols)+len(right.cols))
-	for _, c := range left.cols {
-		out = append(out, vec.Gather(c, lsel))
-	}
-	for _, c := range right.cols {
-		out = append(out, gatherRight(c, rsel))
-	}
-	b := newBatch(out)
-	b.n = len(lsel)
-	return b, nil
+	return besides(left.at(lsel, lAsc, false), right.at(rsel, !lAsc, outer)), nil
 }
 
 // crossPairs enumerates the full cross product, checking for cancellation
@@ -412,7 +398,7 @@ func (e *Engine) execAggregate(x *plan.Aggregate) (*batch, error) {
 	if len(x.GroupBy) > 0 {
 		minRows, label = 2*mal.MinChunkRows, "chunks (grouped)"
 	}
-	n := in.liveRows()
+	n := in.n
 	cp := e.chunkPlan(n, minRows, 8*len(in.cols))
 	if cp.Chunks > 1 {
 		e.Trace.EmitVoid("optimizer.mitosis", fmt.Sprintf("%d %s", cp.Chunks, label))
@@ -420,8 +406,7 @@ func (e *Engine) execAggregate(x *plan.Aggregate) (*batch, error) {
 	outs := make([]aggChunk, cp.Chunks)
 	errs := make([]error, cp.Chunks)
 	err = e.runTasks(cp.Chunks, func(ci int) {
-		rows, off := in.rows(cp.Bounds(ci, n))
-		outs[ci], errs[ci] = e.chunkEngine(cp.Chunks).aggregateChunk(x, rows, in.enc, off)
+		outs[ci], errs[ci] = e.chunkEngine(cp.Chunks).aggregateChunk(x, in.slice(cp.Bounds(ci, n)))
 	})
 	if err == nil {
 		err = firstErr(errs)
@@ -477,17 +462,6 @@ func (e *Engine) execAggregate(x *plan.Aggregate) (*batch, error) {
 	return newBatch(out), nil
 }
 
-// rows returns the live rows [lo, hi) of b as a batch, with the table row
-// its columns start at: a selection view's candidates sel[lo:hi] over the
-// full columns (which start at row 0), or a dense batch's column window.
-// Either way b.enc, slot-indexed from table row 0, still lines up.
-func (b *batch) rows(lo, hi int) (*batch, int) {
-	if b.sel != nil {
-		return &batch{cols: b.cols, sel: b.sel[lo:hi], n: hi - lo}, 0
-	}
-	return &batch{cols: window(b.cols, lo, hi), n: hi - lo}, lo
-}
-
 // grouping assigns the rows of a batch to groups.
 type grouping struct {
 	keys    []*vec.Vector  // GROUP BY key vectors; dictionary codes where dict[i] != nil
@@ -502,18 +476,14 @@ type grouping struct {
 // dictionary-coded varchar column groups on its integer codes: the sorted
 // dictionary makes codes and strings a bijection, so group ids, counts and
 // first-appearance order are those of the strings, and only the group
-// representatives are decoded (keyColumns). encs is slot-indexed and covers
-// table rows from 0; b's columns start at table row lo.
-func groupBatch(memo *memo, exprs []plan.Expr, b *batch, encs []*vec.Encoded, lo int) (grouping, error) {
+// representatives are decoded (keyColumns). The codes are read through the
+// column's source ids, so they reach a grouping above a join.
+func groupBatch(memo *memo, exprs []plan.Expr, b *batch) (grouping, error) {
 	g := grouping{keys: make([]*vec.Vector, len(exprs)), dict: make([]*vec.Encoded, len(exprs))}
-	width := b.n
-	if len(b.cols) > 0 {
-		width = b.cols[0].Len()
-	}
 	for i, ex := range exprs {
-		if cr, ok := ex.(*plan.ColRef); ok && cr.Slot < len(encs) {
-			if en := encs[cr.Slot]; en != nil && en.Enc == vec.EncDict {
-				g.keys[i], g.dict[i] = en.CodesI32(lo, lo+width, b.sel), en
+		if cr, ok := ex.(*plan.ColRef); ok {
+			if en := b.encOf(cr.Slot); en != nil && en.Enc == vec.EncDict {
+				g.keys[i], g.dict[i] = b.codes(cr.Slot, en), en
 				continue
 			}
 		}
@@ -619,13 +589,12 @@ type aggChunk struct {
 }
 
 // aggregateChunk computes the partial aggregate of one chunk of the
-// aggregate's input rows, b, whose columns start at table row off (encs is
-// the input's encodings), on a chunk engine. Keys and arguments are
+// aggregate's input rows, b, on a chunk engine. Keys and arguments are
 // evaluated densely over the chunk's rows; columns nothing references are
 // never gathered.
-func (e *Engine) aggregateChunk(x *plan.Aggregate, b *batch, encs []*vec.Encoded, off int) (aggChunk, error) {
+func (e *Engine) aggregateChunk(x *plan.Aggregate, b *batch) (aggChunk, error) {
 	memo := newMemo(e)
-	g, err := groupBatch(memo, x.GroupBy, b, encs, off)
+	g, err := groupBatch(memo, x.GroupBy, b)
 	if err != nil {
 		return aggChunk{}, err
 	}

@@ -16,8 +16,8 @@ import (
 // base columns with candidate lists; indexable predicates (point/range on a
 // column) go through imprints or the order index when available. The scan's
 // output is a selection view — the base columns plus the surviving row ids —
-// not a filtered copy: materialization is the downstream pipeline breaker's
-// job. Mitosis (paper Figure 2) splits a filtered scan into chunks (no
+// not a filtered copy: a column is gathered only where it is read, downstream.
+// Mitosis (paper Figure 2) splits a filtered scan into chunks (no
 // memory budget: chunk windows are views and tasks emit only row ids) and
 // concatenates the per-chunk candidate lists in chunk order (bat.mergecand);
 // one chunk is the serial scan.
@@ -62,7 +62,7 @@ func (e *Engine) execScan(x *plan.Scan) (*batch, error) {
 			e.Trace.Emit("bat.mergecand", fmt.Sprintf("%d cands", len(sel)))
 		}
 	}
-	b := newSelBatch(cols, sel)
+	b := viewBatch(cols, sel, nrows)
 	b.enc = encs
 	return b, nil
 }
@@ -312,9 +312,7 @@ func (e *Engine) selectDomain(enc func(slot int) *vec.Encoded, f plan.Expr, cols
 	sel := en.SelDomain(match, below, rowLo, encHi)
 	if encHi < rowHi {
 		tailCols := make([]*vec.Vector, len(cols))
-		for i, c := range cols {
-			tailCols[i] = c.Slice(encHi-rowLo, rowHi-rowLo)
-		}
+		tailCols[slot] = cols[slot].Slice(encHi-rowLo, rowHi-rowLo)
 		tail, err := e.refineFilter(f, tailCols, rowHi-encHi, above)
 		if err != nil {
 			return nil, false, err
@@ -328,7 +326,8 @@ func (e *Engine) selectDomain(enc func(slot int) *vec.Encoded, f plan.Expr, cols
 // returning the refined list — the shared core of scan filtering and the
 // Filter operator. cols are full-width (width rows); cands is the usual
 // nil-means-all selection. Recognized shapes route to the cands-aware
-// selection kernels in vec; tautological and contradictory constants
+// selection kernels in vec, a comparison of two columns included (read in
+// place by vec.SelColumns); tautological and contradictory constants
 // short-circuit without touching any column; the general fallback evaluates
 // the predicate densely over the survivors only (memo under the candidate
 // list) and select-trues the aligned boolean vector.
@@ -350,6 +349,12 @@ func (e *Engine) refineFilter(f plan.Expr, cols []*vec.Vector, width int, cands 
 				if c, ok := p.R.(*plan.Const); ok {
 					e.Trace.Emit("algebra.thetaselect", p.Cmp.String())
 					return vec.SelCmp(cols[cr.Slot], p.Cmp, c.Val, cands), nil
+				}
+				if r, ok := p.R.(*plan.ColRef); ok {
+					if sel, ok := vec.SelColumns(p.Cmp, cols[cr.Slot], cols[r.Slot], cands); ok {
+						e.Trace.Emit("algebra.thetaselect", p.Cmp.String(), "columns")
+						return sel, nil
+					}
 				}
 				if sp, ok := p.R.(*plan.SubplanExpr); ok {
 					v, err := e.evalSubplan(sp)
@@ -404,12 +409,7 @@ func (e *Engine) refineFilter(f plan.Expr, cols []*vec.Vector, width int, cands 
 	}
 	// General predicate: dense boolean evaluation under the candidate list
 	// (survivors only), then select-true on the aligned result.
-	memo := newMemo(e)
-	b := &batch{cols: cols, sel: cands, n: width}
-	if cands != nil {
-		b.n = len(cands)
-	}
-	bv, err := memo.evalVec(f, b)
+	bv, err := newMemo(e).evalVec(f, viewBatch(cols, cands, width))
 	if err != nil {
 		return nil, err
 	}

@@ -9,13 +9,15 @@ import (
 )
 
 // ORDER BY and ORDER BY … LIMIT execution. Sorting is a blocking operator:
-// its input is a fully materialized batch, so mitosis here parallelizes the
-// blocking step itself rather than the scan feeding it — the index range is
-// cut into contiguous runs (sortChunkPlan), each task sorts its run with the
-// typed code kernels (vec.CodedSort), and the coordinator k-way merges; one
-// run is the serial sort. Because the kernels order rows by (keys, original
-// index), the permutation is the stable sort's at every run count, which the
-// sort fuzzer checks against vec.SortOrder, a test-only oracle.
+// its keys are gathered (or read as dictionary codes) over every input row,
+// and its output is the input's sources composed at the sorted order, no
+// column copied. Mitosis here parallelizes the blocking step itself rather
+// than the scan feeding it — the index range is cut into contiguous runs
+// (sortChunkPlan), each task sorts its run with the typed code kernels
+// (vec.CodedSort), and the coordinator k-way merges; one run is the serial
+// sort. Because the kernels order rows by (keys, original index), the
+// permutation is the stable sort's at every run count, which the sort fuzzer
+// checks against vec.SortOrder, a test-only oracle.
 
 // sortKeys evaluates the ORDER BY key expressions over the input batch.
 // pre, when non-nil, carries pre-computed key vectors (dictionary codes from
@@ -38,36 +40,28 @@ func (e *Engine) sortKeys(specs []plan.SortSpec, in *batch, pre []*vec.Vector) (
 }
 
 // encodedSortKeys pre-computes dictionary-code key vectors for ORDER BY keys
-// that are bare references to dict-encoded varchar columns. It must run
-// before materialize (which drops the batch's encoded forms); the code
-// vectors are dense over the survivors, so they stay row-aligned with the
-// materialized batch. The sorted dictionary makes code order identical to
-// string order — code 0 (NULL) sorts below every code exactly like the
-// varchar kernel's null code — so the permutation is unchanged; the sort
-// just compares small ints instead of strings.
+// that are bare references to dict-encoded varchar columns, read through the
+// column's source ids, so they line up with the batch's rows. The sorted
+// dictionary makes code order identical to string order — code 0 (NULL)
+// sorts below every code exactly like the varchar kernel's null code — so
+// the permutation is unchanged; the sort just compares small ints instead of
+// strings.
 func (e *Engine) encodedSortKeys(specs []plan.SortSpec, in *batch) []*vec.Vector {
-	if in.enc == nil {
-		return nil
-	}
-	width := in.n
-	if len(in.cols) > 0 {
-		width = in.cols[0].Len()
-	}
 	var pre []*vec.Vector
 	n := 0
 	for i, k := range specs {
 		cr, ok := k.E.(*plan.ColRef)
-		if !ok || cr.Slot < 0 || cr.Slot >= len(in.enc) {
+		if !ok || cr.Slot < 0 {
 			continue
 		}
-		en := in.enc[cr.Slot]
+		en := in.encOf(cr.Slot)
 		if en == nil || en.Enc != vec.EncDict {
 			continue
 		}
 		if pre == nil {
 			pre = make([]*vec.Vector, len(specs))
 		}
-		pre[i] = en.CodesI32(0, width, in.sel)
+		pre[i] = in.codes(cr.Slot, en)
 		n++
 	}
 	if pre != nil {
@@ -88,9 +82,7 @@ func (e *Engine) execSort(x *plan.Sort) (*batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	pre := e.encodedSortKeys(x.Keys, in)
-	in = e.materialize(in) // sort is a pipeline breaker (order gathers positionally)
-	keys, err := e.sortKeys(x.Keys, in, pre)
+	keys, err := e.sortKeys(x.Keys, in, e.encodedSortKeys(x.Keys, in))
 	if err != nil {
 		return nil, err
 	}
@@ -101,11 +93,7 @@ func (e *Engine) execSort(x *plan.Sort) (*batch, error) {
 	}
 	e.Trace.Emit("algebra.sort", e.mitosisArgs(cp.Chunks, "sort",
 		[]string{fmt.Sprintf("%d keys", len(keys))}, "parallel %d runs")...)
-	out := make([]*vec.Vector, len(in.cols))
-	for i, c := range in.cols {
-		out[i] = vec.Gather(c, order)
-	}
-	return newBatch(out), nil
+	return in.at(order, false, false), nil
 }
 
 // sortOrder sorts the rows [0, n) by cs: each chunk of cp sorts its run of
@@ -138,9 +126,7 @@ func (e *Engine) execTopN(x *plan.TopN) (*batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	pre := e.encodedSortKeys(x.Keys, in)
-	in = e.materialize(in) // same breaker as Sort: heap indexes are positional
-	keys, err := e.sortKeys(x.Keys, in, pre)
+	keys, err := e.sortKeys(x.Keys, in, e.encodedSortKeys(x.Keys, in))
 	if err != nil {
 		return nil, err
 	}
@@ -170,14 +156,5 @@ func (e *Engine) execTopN(x *plan.TopN) (*batch, error) {
 	if lo > len(best) {
 		lo = len(best)
 	}
-	best = best[lo:]
-	out := make([]*vec.Vector, len(in.cols))
-	for i, c := range in.cols {
-		out[i] = vec.Gather(c, best)
-	}
-	b := newBatch(out)
-	if len(out) == 0 {
-		b.n = len(best)
-	}
-	return b, nil
+	return in.at(best[lo:], false, false), nil
 }

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"monetlite/internal/mal"
 	"monetlite/internal/mtypes"
@@ -39,7 +41,6 @@ func (e *Engine) execWindow(x *plan.Window) (*batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	in = e.materialize(in) // window is a pipeline breaker: the sort is positional
 	n := in.n
 	memo := newMemo(e)
 
@@ -114,6 +115,7 @@ func (e *Engine) execWindow(x *plan.Window) (*batch, error) {
 	// state, so sharing e across goroutines is safe): a task that sees one
 	// stops writing, and runTasks discards the partial output.
 	ranges := e.windowPartRanges(starts, n)
+	overflow := make([]bool, len(ranges))
 	err = e.runTasks(len(ranges), func(i int) {
 		for p := ranges[i][0]; p < ranges[i][1]; p++ {
 			if e.checkInterrupt() != nil {
@@ -121,22 +123,22 @@ func (e *Engine) execWindow(x *plan.Window) (*batch, error) {
 			}
 			rows := order[starts[p]:starts[p+1]]
 			for ci := range x.Calls {
-				windowPartition(&x.Calls[ci], len(x.OrderBy) > 0, cs, rows, ins[ci], outs[ci])
+				if !windowPartition(&x.Calls[ci], len(x.OrderBy) > 0, cs, rows, ins[ci], outs[ci]) {
+					overflow[i] = true
+				}
 			}
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
+	if slices.Contains(overflow, true) {
+		return nil, fmt.Errorf("exec: window SUM: %w", mtypes.ErrOverflow)
+	}
 	e.Trace.Emit("algebra.window", e.mitosisArgs(len(ranges), "window",
 		[]string{fmt.Sprintf("%d parts", nparts), fmt.Sprintf("%d calls", len(x.Calls))}, "parallel %d part-groups")...)
 
-	cols := make([]*vec.Vector, 0, len(in.cols)+len(outs))
-	cols = append(cols, in.cols...)
-	cols = append(cols, outs...)
-	b := newBatch(cols)
-	b.n = n
-	return b, nil
+	return besides(in, denseBatch(outs, n)), nil
 }
 
 // windowPartRanges groups whole partitions into contiguous worker ranges of
@@ -207,11 +209,12 @@ func (e *Engine) windowCallInputs(x *plan.Window, memo *memo, in *batch, n int) 
 }
 
 // windowPartition computes one call over one partition's sorted rows, writing
-// each result at the row's input position.
-func windowPartition(c *plan.WindowCall, hasOrder bool, cs *vec.CodedSort, rows []int32, in callInputs, out *vec.Vector) {
+// each result at the row's input position. It reports false when an integer
+// SUM or AVG over a frame leaves int64.
+func windowPartition(c *plan.WindowCall, hasOrder bool, cs *vec.CodedSort, rows []int32, in callInputs, out *vec.Vector) bool {
 	m := len(rows)
 	if m == 0 {
-		return
+		return true
 	}
 	switch c.Func {
 	case plan.WinRowNumber:
@@ -250,8 +253,9 @@ func windowPartition(c *plan.WindowCall, hasOrder bool, cs *vec.CodedSort, rows 
 			}
 		}
 	default:
-		windowAggPartition(c, hasOrder, cs, rows, in, out)
+		return windowAggPartition(c, hasOrder, cs, rows, in, out)
 	}
+	return true
 }
 
 // windowAggPartition evaluates a windowed aggregate over one partition.
@@ -260,10 +264,11 @@ func windowPartition(c *plan.WindowCall, hasOrder bool, cs *vec.CodedSort, rows 
 // with it, and explicit ROWS frames otherwise. Accumulation is always in
 // frame order, left to right, in the argument's native domain (int64 for the
 // integer-backed kinds, float64 for DOUBLE) — the exact contract the rowstore
-// oracle follows, so even floating-point sums agree bitwise.
-func windowAggPartition(c *plan.WindowCall, hasOrder bool, cs *vec.CodedSort, rows []int32, in callInputs, out *vec.Vector) {
+// oracle follows, so even floating-point sums agree bitwise. It reports false
+// when an integer SUM or AVG over a frame leaves int64 (winAcc.isum).
+func windowAggPartition(c *plan.WindowCall, hasOrder bool, cs *vec.CodedSort, rows []int32, in callInputs, out *vec.Vector) bool {
 	m := len(rows)
-	acc := winAcc{}
+	acc, ok := winAcc{}, true
 	switch {
 	case c.Frame == nil && !hasOrder:
 		// Whole partition, one result broadcast to every row.
@@ -271,7 +276,7 @@ func windowAggPartition(c *plan.WindowCall, hasOrder bool, cs *vec.CodedSort, ro
 			acc.add(r, in)
 		}
 		for _, r := range rows {
-			acc.emit(c, in, out, int(r))
+			ok = acc.emit(c, in, out, int(r)) && ok
 		}
 	case c.Frame == nil:
 		// Running frame over peer groups: all rows up to and including the
@@ -283,7 +288,7 @@ func windowAggPartition(c *plan.WindowCall, hasOrder bool, cs *vec.CodedSort, ro
 				continue // same peer group: frame still growing
 			}
 			for j := peerStart; j <= i; j++ {
-				acc.emit(c, in, out, int(rows[j]))
+				ok = acc.emit(c, in, out, int(rows[j])) && ok
 			}
 			peerStart = i + 1
 		}
@@ -297,7 +302,7 @@ func windowAggPartition(c *plan.WindowCall, hasOrder bool, cs *vec.CodedSort, ro
 				acc.add(rows[added], in)
 				added++
 			}
-			acc.emit(c, in, out, int(rows[i]))
+			ok = acc.emit(c, in, out, int(rows[i])) && ok
 		}
 	default:
 		// Sliding ROWS frame: rescan each row's frame left to right. No
@@ -309,16 +314,20 @@ func windowAggPartition(c *plan.WindowCall, hasOrder bool, cs *vec.CodedSort, ro
 			for j := lo; j <= hi; j++ {
 				acc.add(rows[j], in)
 			}
-			acc.emit(c, in, out, int(rows[i]))
+			ok = acc.emit(c, in, out, int(rows[i])) && ok
 		}
 	}
+	return ok
 }
 
-// winAcc is the typed windowed-aggregate accumulator.
+// winAcc is the typed windowed-aggregate accumulator. The integer sum is
+// 128-bit (hi:lo, two's complement), so it is exact whenever the frame's
+// total fits int64, however far its running sum strays.
 type winAcc struct {
 	rows   int64 // frame rows including NULL arguments (COUNT(*))
 	count  int64 // non-NULL arguments
-	isum   int64
+	lo     uint64
+	hi     int64
 	fsum   float64
 	minRow int32
 	maxRow int32
@@ -331,7 +340,9 @@ func (a *winAcc) add(r int32, in callInputs) {
 	case in.ints != nil:
 		if v := in.ints[r]; v != mtypes.NullInt64 {
 			a.count++
-			a.isum += v
+			var carry uint64
+			a.lo, carry = bits.Add64(a.lo, uint64(v), 0)
+			a.hi += v>>63 + int64(carry)
 		}
 	case in.floats != nil:
 		if v := in.floats[r]; !mtypes.IsNullF64(v) {
@@ -359,7 +370,16 @@ func (a *winAcc) add(r int32, in callInputs) {
 	}
 }
 
-func (a *winAcc) emit(c *plan.WindowCall, in callInputs, out *vec.Vector, pos int) {
+// isum returns the integer sum and whether it fits int64, the NULL
+// sentinel excluded: the aggregate kernels' rule.
+func (a *winAcc) isum() (int64, bool) {
+	s := int64(a.lo)
+	return s, a.hi == s>>63 && s != mtypes.NullInt64
+}
+
+// emit writes the call's result for the frame at pos; it reports false when
+// an integer SUM or AVG does not fit (isum).
+func (a *winAcc) emit(c *plan.WindowCall, in callInputs, out *vec.Vector, pos int) bool {
 	switch c.Func {
 	case plan.WinCountStar:
 		out.I64[pos] = a.rows
@@ -372,7 +392,9 @@ func (a *winAcc) emit(c *plan.WindowCall, in callInputs, out *vec.Vector, pos in
 		case in.floats != nil:
 			out.F64[pos] = a.fsum
 		default:
-			out.I64[pos] = a.isum
+			s, ok := a.isum()
+			out.I64[pos] = s
+			return ok
 		}
 	case plan.WinAvg:
 		if a.count == 0 {
@@ -380,7 +402,9 @@ func (a *winAcc) emit(c *plan.WindowCall, in callInputs, out *vec.Vector, pos in
 		} else if in.floats != nil {
 			out.F64[pos] = plan.WinAvgFloat(a.fsum, a.count)
 		} else {
-			out.F64[pos] = plan.WinAvgInt(a.isum, in.scale, a.count)
+			s, ok := a.isum()
+			out.F64[pos] = plan.WinAvgInt(s, in.scale, a.count)
+			return ok
 		}
 	case plan.WinMin:
 		if !a.seen {
@@ -395,4 +419,5 @@ func (a *winAcc) emit(c *plan.WindowCall, in callInputs, out *vec.Vector, pos in
 			out.Set(pos, in.arg.Value(int(a.maxRow)))
 		}
 	}
+	return true
 }

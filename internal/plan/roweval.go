@@ -343,7 +343,11 @@ func evalFunc(x *FuncExpr, ctx *EvalCtx) (mtypes.Value, error) {
 		}
 		end := len(s)
 		if len(args) > 2 {
-			if l := args[2].I; l <= 0 {
+			l := args[2].I
+			if b := args[1].I; b < 1 && l > 0 {
+				l += b - 1 // positions before the string count toward the length
+			}
+			if l <= 0 {
 				end = start
 			} else if l < int64(len(s)-start) {
 				end = start + int(l)

@@ -1,6 +1,8 @@
 package rowstore
 
 import (
+	"fmt"
+	"math/bits"
 	"sort"
 
 	"monetlite/internal/mtypes"
@@ -223,7 +225,8 @@ func (v *volcano) windowPartition(x *plan.Window, c *plan.WindowCall, rows [][]m
 	}
 	for i, r := range part {
 		lo, hi := frame(i)
-		var frameRows, count, isum int64
+		var frameRows, count, isumHi int64
+		var isum uint64 // with isumHi, a 128-bit sum: exact while the total fits
 		var fsum float64
 		minV := mtypes.NullValue(rt)
 		maxV := mtypes.NullValue(rt)
@@ -240,7 +243,9 @@ func (v *volcano) windowPartition(x *plan.Window, c *plan.WindowCall, rows [][]m
 			if isFloat {
 				fsum += av.F
 			} else {
-				isum += av.I
+				var carry uint64
+				isum, carry = bits.Add64(isum, uint64(av.I), 0)
+				isumHi += av.I>>63 + int64(carry)
 			}
 			if minV.Null || mtypes.Compare(av, minV) < 0 {
 				minV = av
@@ -248,6 +253,11 @@ func (v *volcano) windowPartition(x *plan.Window, c *plan.WindowCall, rows [][]m
 			if maxV.Null || mtypes.Compare(av, maxV) > 0 {
 				maxV = av
 			}
+		}
+		sum := int64(isum)
+		if !isFloat && count > 0 && (c.Func == plan.WinSum || c.Func == plan.WinAvg) &&
+			(isumHi != sum>>63 || sum == mtypes.NullInt64) {
+			return fmt.Errorf("rowstore: window %s: %w", c.Func, mtypes.ErrOverflow)
 		}
 		switch c.Func {
 		case plan.WinCountStar:
@@ -261,7 +271,7 @@ func (v *volcano) windowPartition(x *plan.Window, c *plan.WindowCall, rows [][]m
 			case isFloat:
 				out[r] = mtypes.NewDouble(fsum)
 			default:
-				out[r] = mtypes.Value{Typ: rt, I: isum}
+				out[r] = mtypes.Value{Typ: rt, I: sum}
 			}
 		case plan.WinAvg:
 			switch {
@@ -270,7 +280,7 @@ func (v *volcano) windowPartition(x *plan.Window, c *plan.WindowCall, rows [][]m
 			case isFloat:
 				out[r] = mtypes.NewDouble(plan.WinAvgFloat(fsum, count))
 			default:
-				out[r] = mtypes.NewDouble(plan.WinAvgInt(isum, scale, count))
+				out[r] = mtypes.NewDouble(plan.WinAvgInt(sum, scale, count))
 			}
 		case plan.WinMin:
 			mv := minV

@@ -55,3 +55,66 @@ func TestKernelAllocations(t *testing.T) {
 		t.Errorf("Q22 makes %.0f mallocs per query, want at most 1 000", q22Mallocs)
 	}
 }
+
+// TestPassAllocations pins what a whole 22-query pass costs on the serial
+// engine (SF 0.01, encoded, seed 42): the bytes it allocates, and the number
+// of general-path selections (algebra.thetaselect with no operator: a
+// predicate evaluated to a BOOLEAN vector and select-trued) in its traces.
+// Late materialization gathers each column once, where it is read, so joins
+// no longer copy their inputs' payloads (22.95 MB per pass before), and a
+// comparison of two columns selects in place (13 general-path selects
+// before; Q4, Q12 and Q21 dropped out).
+func TestPassAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads TPC-H SF 0.01")
+	}
+	db, err := monetlite.OpenInMemory(monetlite.Config{Parallel: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := LoadInto(db, Generate(0.01, 42)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.EncodeColumns(); err != nil {
+		t.Fatal(err)
+	}
+	conn := db.Connect()
+	pass := func() {
+		for q := 1; q <= 22; q++ {
+			if _, err := conn.Query(Queries[q]); err != nil {
+				t.Fatalf("Q%d: %v", q, err)
+			}
+		}
+	}
+	pass() // warm the plan cache
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		pass()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+
+	conn.TraceMAL = true
+	general := 0
+	for q := 1; q <= 22; q++ {
+		if _, err := conn.Query(Queries[q]); err != nil {
+			t.Fatalf("Q%d: %v", q, err)
+		}
+		for _, in := range conn.LastTrace.Instrs {
+			if in.Op == "algebra.thetaselect" && len(in.Args) == 0 {
+				general++
+				t.Logf("Q%d: general-path select", q)
+			}
+		}
+	}
+	t.Logf("%.0f bytes per pass, %d general-path selects", bytes, general)
+	if bytes > 18.5e6 {
+		t.Errorf("a 22-query pass allocates %.0f bytes, want at most 18.5 MB", bytes)
+	}
+	if general > 8 {
+		t.Errorf("%d general-path selects in a pass, want at most 8", general)
+	}
+}

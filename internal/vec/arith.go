@@ -392,9 +392,7 @@ func CmpVec(op CmpOp, a, b *Vector) (*Vector, error) {
 			x, y := a.Str[i], b.Str[i]
 			set(i, x == StrNull || y == StrNull, strings.Compare(x, y))
 		}
-	case a.Typ.Kind == mtypes.KDouble || b.Typ.Kind == mtypes.KDouble ||
-		(a.Typ.Kind == mtypes.KDecimal && b.Typ.Kind == mtypes.KDecimal && a.Typ.Scale != b.Typ.Scale) ||
-		(a.Typ.Kind == mtypes.KDecimal) != (b.Typ.Kind == mtypes.KDecimal):
+	case !intComparable(a.Typ, b.Typ):
 		af, bf := AsFloats(a), AsFloats(b)
 		for i := 0; i < n; i++ {
 			x, y := af[i], bf[i]

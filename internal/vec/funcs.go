@@ -10,9 +10,10 @@ import (
 // Substring is SUBSTRING(s FROM start FOR length) over VARCHAR s, with
 // length nil when absent. start and length are integer vectors or scalars
 // (Scalar). Positions count bytes from 1: a start before 1 reads from the
-// first byte, a start past the end or a length of 0 or less gives the empty
-// string, and a length past the end reads to it. A NULL in any argument
-// yields NULL.
+// first byte, with the length counted from the start given (FROM 0 FOR 2
+// reads one byte), a start past the end or a length of 0 or less gives the
+// empty string, and a length past the end reads to it. A NULL in any
+// argument yields NULL.
 func Substring(s, start, length *Vector) (*Vector, error) {
 	n, err := rows(s, start, length)
 	if err != nil {
@@ -42,7 +43,7 @@ func Substring(s, start, length *Vector) (*Vector, error) {
 			continue
 		}
 		from := SubstringStart(b, len(x))
-		out.Str[i] = x[from:SubstringEnd(from, l, len(x))]
+		out.Str[i] = x[from:SubstringEnd(b, from, l, len(x))]
 	}
 	return out, nil
 }
@@ -59,9 +60,14 @@ func SubstringStart(b int64, n int) int {
 	return int(b - 1)
 }
 
-// SubstringEnd is the exclusive end of length l read from offset from in a
-// string of n bytes, clamped to [from, n] without overflowing.
-func SubstringEnd(from int, l int64, n int) int {
+// SubstringEnd is the exclusive end of length l counted from SQL start
+// position b, whose first byte read is from (SubstringStart), in a string of
+// n bytes: the positions before the string that a start below 1 names count
+// toward l, and the end is clamped to [from, n] without overflowing.
+func SubstringEnd(b int64, from int, l int64, n int) int {
+	if b < 1 && l > 0 {
+		l += b - 1
+	}
 	switch {
 	case l <= 0:
 		return from

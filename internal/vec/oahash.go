@@ -319,6 +319,11 @@ type intCol interface {
 	// cmp sets out to the comparison of each row with the same row of o and
 	// reports true, or reports false when o is of another width.
 	cmp(op CmpOp, o intCol, out []int8) bool
+	// widen writes int64 values to dst: rows lo.. in order when idx is nil,
+	// else the rows idx[k].
+	widen(lo int, idx []int32, dst []int64)
+	// null is the width's NULL sentinel, widened.
+	null() int64
 }
 
 type intKey interface {
@@ -446,6 +451,20 @@ func (c ints[T]) cmp(op CmpOp, o intCol, out []int8) bool {
 	}
 	return true
 }
+
+func (c ints[T]) widen(lo int, idx []int32, dst []int64) {
+	if idx == nil {
+		for k, x := range c.xs[lo : lo+len(dst)] {
+			dst[k] = int64(x)
+		}
+		return
+	}
+	for k, i := range idx {
+		dst[k] = int64(c.xs[i])
+	}
+}
+
+func (c ints[T]) null() int64 { return int64(c.nullv) }
 
 // ---------------------------------------------------------------------------
 // GroupBy: direct addressing for dense integer keys, else the OATable.

@@ -14,10 +14,14 @@ import (
 //	t(a INT, b BIGINT, d DECIMAL(18,2)):
 //	  (2147483647, 9223372036854775000, 9999999999.99)
 //	  (100000,     9223372036854775000, 2.50)
+//	w(i INT, b BIGINT): (1, 9223372036854775000), (2, 9223372036854775000),
+//	  (3, -9223372036854775000)
 func TestArithmeticOverflow(t *testing.T) {
 	setup := []string{
 		`CREATE TABLE t (a INT, b BIGINT, d DECIMAL(18,2))`,
 		`INSERT INTO t VALUES (2147483647, 9223372036854775000, 9999999999.99), (100000, 9223372036854775000, 2.50)`,
+		`CREATE TABLE w (i INT, b BIGINT)`,
+		`INSERT INTO w VALUES (1, 9223372036854775000), (2, 9223372036854775000), (3, -9223372036854775000)`,
 	}
 	engines := bothEngines(t, setup)
 	overflows := []string{
@@ -35,6 +39,9 @@ func TestArithmeticOverflow(t *testing.T) {
 		`SELECT -b - b FROM t`,
 		`SELECT a FROM t WHERE a + a > 0`,
 		`SELECT sum(a + a) FROM t`,
+		`SELECT sum(b) OVER () FROM t`,
+		`SELECT avg(b) OVER () FROM t`,
+		`SELECT sum(b) OVER (ORDER BY i) FROM w`,
 	}
 	fits := []struct {
 		q    string
@@ -48,6 +55,15 @@ func TestArithmeticOverflow(t *testing.T) {
 		// CASE is lazy: a branch never sees the rows it does not decide.
 		{`SELECT CASE WHEN a < 1000000 THEN a + a ELSE 0 END FROM t ORDER BY a`, []string{"200000", "0"}},
 		{`SELECT CASE WHEN a > 1000000 THEN 0 WHEN a + a > 5 THEN 1 END FROM t ORDER BY a`, []string{"1", "0"}},
+		// AND and OR are lazy too: the right operand only over the rows the
+		// left one leaves undecided.
+		{`SELECT a FROM t WHERE (a < 1000 AND a + a > 5) OR a = 100000`, []string{"100000"}},
+		{`SELECT CASE WHEN a > 1000000 OR a + a > 5 THEN 1 ELSE 0 END FROM t ORDER BY a`, []string{"1", "1"}},
+		// A window SUM is exact when its frame's total fits, though the
+		// running sum over it leaves BIGINT.
+		{`SELECT sum(b) OVER () FROM w ORDER BY i`, []string{"9223372036854775000", "9223372036854775000", "9223372036854775000"}},
+		{`SELECT sum(b) OVER (ORDER BY i ROWS BETWEEN 2 PRECEDING AND 2 FOLLOWING) FROM w ORDER BY i`,
+			[]string{"9223372036854775000", "9223372036854775000", "9223372036854775000"}},
 	}
 	for name, run := range engines {
 		for _, q := range overflows {
@@ -102,6 +118,22 @@ func TestScalarKernelDifferential(t *testing.T) {
 		`CASE WHEN f > 0 THEN b ELSE j END`,
 		`CASE WHEN d < 0 THEN d * d WHEN d > 50 THEN d END`,
 		`CASE WHEN TRUE THEN s END`,
+	}
+	// A start below 1 counts the length from there (hand-computed), on a
+	// constant (folded by the row evaluator) and on a column (the kernel).
+	for q, want := range map[string]string{
+		`SELECT substring('hello' FROM 0 FOR 2)`:                "h",
+		`SELECT substring('hello' FROM -1 FOR 3)`:               "h",
+		`SELECT substring('hello' FROM -1 FOR 2)`:               "",
+		`SELECT substring('hello' FROM 0)`:                      "hello",
+		`SELECT substring(s FROM 0 FOR 2) FROM k WHERE id = 1`:  "h",
+		`SELECT substring(s FROM -1 FOR 3) FROM k WHERE id = 1`: "h",
+	} {
+		for name, run := range engines {
+			if rows, err := run(q); err != nil || strings.Join(rows, ",") != want {
+				t.Errorf("%s: %s = %q, %v; want %q", name, q, rows, err, want)
+			}
+		}
 	}
 	for _, e := range exprs {
 		q := `SELECT id, ` + e + ` FROM k ORDER BY id`
