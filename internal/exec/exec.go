@@ -104,6 +104,15 @@ type Engine struct {
 	// every join (>0 builds on the left input, <0 on the right) so tests can
 	// run each flavor both ways on the same inputs.
 	testBuildSide int
+	// testSideways, when nonzero, overrides the runtime guard of sideways
+	// filtering (see ForceSideways; 2 forces it on and runs a join's right
+	// input first where its left may be filtered) so tests can run every
+	// join with and without the filter on the same inputs.
+	testSideways int
+
+	// sideways is the filter a join hands to the scan of the input it runs
+	// second (its scan field names that scan); nil otherwise.
+	sideways *sidewaysFilter
 }
 
 // execStats accumulates per-query counters that mitosis workers update
@@ -739,7 +748,7 @@ func (e *Engine) selectPositions(f plan.Expr, b *batch, note ...string) ([]int32
 		return nil, err
 	}
 	e.Trace.Emit("algebra.thetaselect", note...)
-	return vec.SelTrue(bv, nil, true), nil
+	return vec.SelTrue(bv, nil), nil
 }
 
 // execProject computes the projection's expressions. A bare column reference

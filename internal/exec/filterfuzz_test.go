@@ -239,7 +239,7 @@ func gatherOracle(e *Engine, cat Catalog, p plan.Node) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		cur = gatherAll(cur, vec.SelTrue(bv, nil, false))
+		cur = gatherAll(cur, vec.SelTrue(bv, nil))
 	}
 	out := cur.cols
 	sch := scan.Out

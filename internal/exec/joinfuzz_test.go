@@ -22,7 +22,8 @@ import (
 // row multiset — for inner, left outer, semi (EXISTS) and anti (NOT EXISTS)
 // joins. Every trial derives its own seed from the base seed, and failures
 // report that seed plus the full (small) tables, so a failing case can be
-// shrunk by re-running a single trial.
+// shrunk by re-running a single trial. Every case also runs with the
+// sideways key filter forced off and on (sidewaysModes).
 
 const joinFuzzBaseSeed = 20260728
 
@@ -217,6 +218,12 @@ func dumpFuzzTables(t *testing.T, l, r fuzzTable) {
 	t.Log(dump(r))
 }
 
+// sidewaysModes are the sideways settings every join fuzz case runs under:
+// the key filter off, forced on with the left input run first (filtering
+// the right), and forced on with the right run first (filtering the left
+// where the join kind allows it).
+var sidewaysModes = []int{-1, 1, 2}
+
 func runJoinFuzzTrial(t *testing.T, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -317,26 +324,35 @@ func runJoinFuzzTrial(t *testing.T, seed int64) {
 			}
 		}
 		// Every flavor runs with each build side forced, serial and with
-		// multi-chunk partitioned probes at fuzz scale.
+		// multi-chunk partitioned probes at fuzz scale, without the sideways
+		// key filter and with it forced on each input it may filter.
 		chunk := 1 + rng.Intn(24)
 		var bySide [2][]string
 		for si, side := range []int{+1, -1} {
-			ser := &Engine{Cat: cat, Parallel: false, testBuildSide: side}
-			serRes, err := ser.Execute(p)
-			if err != nil {
-				fail("serial side %+d: %v", side, err)
+			for _, mode := range sidewaysModes {
+				ser := &Engine{Cat: cat, Parallel: false, testBuildSide: side, testSideways: mode}
+				serRes, err := ser.Execute(p)
+				if err != nil {
+					fail("serial side %+d sideways %+d: %v", side, mode, err)
+				}
+				par := &Engine{Cat: cat, Parallel: true, MaxThreads: 4, testBuildSide: side, testSideways: mode, testChunkRows: chunk}
+				parRes, err := par.Execute(p)
+				if err != nil {
+					fail("parallel side %+d sideways %+d: %v", side, mode, err)
+				}
+				// Parallel == serial, row-for-row (chunk-order concatenation
+				// keeps the serial pair order); serial == brute-force oracle,
+				// as a row multiset; the key filter drops only rows that pair
+				// with nothing, so with the build side fixed it changes no row.
+				got := resultRows(serRes)
+				what := fmt.Sprintf("side %+d sideways %+d", side, mode)
+				sameRows(what+" serial vs parallel", got, resultRows(parRes))
+				sameRows(what+" engine vs oracle (sorted)", sortedCopy(got), want)
+				if bySide[si] == nil {
+					bySide[si] = got
+				}
+				sameRows(what+" vs sideways off", bySide[si], got)
 			}
-			par := &Engine{Cat: cat, Parallel: true, MaxThreads: 4, testBuildSide: side, testChunkRows: chunk}
-			parRes, err := par.Execute(p)
-			if err != nil {
-				fail("parallel side %+d: %v", side, err)
-			}
-			// Parallel == serial, row-for-row (chunk-order concatenation keeps
-			// the serial pair order); serial == brute-force oracle, as a row
-			// multiset.
-			bySide[si] = resultRows(serRes)
-			sameRows(fmt.Sprintf("side %+d serial vs parallel", side), bySide[si], resultRows(parRes))
-			sameRows(fmt.Sprintf("side %+d engine vs oracle (sorted)", side), sortedCopy(bySide[si]), want)
 		}
 		// Only inner pairs come out in probe order; every other flavor emits
 		// left rows in left order whichever side was built.
@@ -549,17 +565,25 @@ func runJoinShapeTrial(t *testing.T, seed int64) {
 		}
 		chunk := 1 + rng.Intn(24)
 		for _, side := range []int{+1, -1} {
-			serRes, err := (&Engine{Cat: cat, testBuildSide: side}).Execute(p)
-			if err != nil {
-				fail("serial side %+d: %v", side, err)
+			var off []string
+			for _, mode := range sidewaysModes {
+				serRes, err := (&Engine{Cat: cat, testBuildSide: side, testSideways: mode}).Execute(p)
+				if err != nil {
+					fail("serial side %+d sideways %+d: %v", side, mode, err)
+				}
+				parRes, err := (&Engine{Cat: cat, Parallel: true, MaxThreads: 4, testBuildSide: side, testSideways: mode, testChunkRows: chunk}).Execute(p)
+				if err != nil {
+					fail("parallel side %+d sideways %+d: %v", side, mode, err)
+				}
+				ser := resultRows(serRes)
+				what := fmt.Sprintf("side %+d sideways %+d", side, mode)
+				sameRows(what+" serial vs parallel", ser, resultRows(parRes))
+				sameRows(what+" engine vs oracle (sorted)", slices.Sorted(slices.Values(ser)), want)
+				if off == nil {
+					off = ser
+				}
+				sameRows(what+" vs sideways off", off, ser)
 			}
-			parRes, err := (&Engine{Cat: cat, Parallel: true, MaxThreads: 4, testBuildSide: side, testChunkRows: chunk}).Execute(p)
-			if err != nil {
-				fail("parallel side %+d: %v", side, err)
-			}
-			ser := resultRows(serRes)
-			sameRows(fmt.Sprintf("side %+d serial vs parallel", side), ser, resultRows(parRes))
-			sameRows(fmt.Sprintf("side %+d engine vs oracle (sorted)", side), slices.Sorted(slices.Values(ser)), want)
 		}
 	}
 }

@@ -20,24 +20,13 @@ import (
 // pair lists (joinPairs), and a semi/anti join narrows its left input's
 // sources, as a filter does. Only the key columns are gathered here.
 func (e *Engine) execJoin(x *plan.Join) (*batch, error) {
-	left, err := e.exec(x.Left)
+	in, keys, err := e.joinInputs(x)
 	if err != nil {
 		return nil, err
 	}
-	right, err := e.exec(x.Right)
-	if err != nil {
-		return nil, err
-	}
-	memoL, memoR := newMemo(e), newMemo(e)
-	lKeys := make([]*vec.Vector, len(x.EquiL))
-	rKeys := make([]*vec.Vector, len(x.EquiR))
-	for i := range x.EquiL {
-		if lKeys[i], err = memoL.evalVec(x.EquiL[i], left); err != nil {
-			return nil, err
-		}
-		if rKeys[i], err = memoR.evalVec(x.EquiR[i], right); err != nil {
-			return nil, err
-		}
+	left, right := in[0], in[1]
+	lKeys, rKeys := keys[0], keys[1]
+	for i := range lKeys {
 		lKeys[i], rKeys[i], err = alignJoinKeys(lKeys[i], rKeys[i])
 		if err != nil {
 			return nil, err
@@ -110,6 +99,43 @@ func (e *Engine) execJoin(x *plan.Join) (*batch, error) {
 		lAsc = true
 	}
 	return joinPairs(left, right, lsel, rsel, lAsc, x.Kind == plan.JoinLeft)
+}
+
+// joinInputs runs a join's inputs, left at [0] and right at [1], and
+// evaluates each one's keys as soon as it has run. The input run second may
+// be filtered by the first one's keys (sideways filtering, planSideways);
+// the join traces the decision in one line either way.
+func (e *Engine) joinInputs(x *plan.Join) (in [2]*batch, keys [2][]*vec.Vector, err error) {
+	nodes, exprs := [2]plan.Node{x.Left, x.Right}, [2][]plan.Expr{x.EquiL, x.EquiR}
+	run := func(s int) error {
+		if in[s], err = e.exec(nodes[s]); err != nil {
+			return err
+		}
+		memo := newMemo(e)
+		keys[s] = make([]*vec.Vector, len(exprs[s]))
+		for i, k := range exprs[s] {
+			if keys[s][i], err = memo.evalVec(k, in[s]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	p := e.planSideways(x)
+	if err = run(p.first); err != nil {
+		return in, keys, err
+	}
+	var sf *sidewaysFilter
+	reason := p.reason
+	if reason == "" {
+		sf, reason = e.sidewaysFilterFor(p, in[p.first].n, keys[p.first][p.key])
+	}
+	e.sideways = sf
+	err = run(1 - p.first)
+	e.sideways = nil
+	if err == nil {
+		e.traceSideways(sf, reason)
+	}
+	return in, keys, err
 }
 
 // markedRows lists the rows of [0, n) whose mark equals want, ascending.

@@ -28,6 +28,12 @@ func (e *Engine) execScan(x *plan.Scan) (*batch, error) {
 	}
 	nrows := src.NumRows()
 	e.Trace.Emit("sql.bind", x.Table, fmt.Sprintf("%d cols", len(x.Cols)))
+	if sf := e.sideways; sf != nil && sf.scan == x {
+		// A copy: the cached plan is shared and never changed.
+		withKeys := *x
+		withKeys.Filters = sf.filters
+		x = &withKeys
+	}
 
 	cp := mal.ChunkPlan{Chunks: 1, Rows: nrows}
 	if len(x.Filters) > 0 {
@@ -215,10 +221,15 @@ func (e *Engine) scanRange(x *plan.Scan, src TableSource, cols []*vec.Vector, lo
 		if err := e.checkInterrupt(); err != nil {
 			return nil, nil, err
 		}
+		tested := vec.NumCands(hi-lo, cands)
 		var err error
 		cands, err = e.applyScanFilter(x, src, f, win, cands, lo, hi)
 		if err != nil {
 			return nil, nil, err
+		}
+		if sf, ok := f.(*sidewaysFilter); ok {
+			sf.tested.Add(int64(tested))
+			sf.kept.Add(int64(vec.NumCands(hi-lo, cands)))
 		}
 		if cands != nil && len(cands) == 0 {
 			break
@@ -283,14 +294,11 @@ func (e *Engine) applyScanFilter(x *plan.Scan, src TableSource, f plan.Expr, col
 // whether the query errs. Rows past the encoding's end (an unmerged
 // append-delta) run through refineFilter.
 func (e *Engine) selectDomain(enc func(slot int) *vec.Encoded, f plan.Expr, cols []*vec.Vector, cands []int32, rowLo, rowHi int) ([]int32, bool, error) {
-	used := map[int]bool{}
-	plan.SlotsUsed(f, used)
-	if len(used) != 1 {
+	slot, ok := conjunctSlot(f)
+	if _, keys := f.(*sidewaysFilter); !ok || keys && cands != nil {
+		// A key test per candidate costs less than walking the candidates
+		// through the domain's codes or runs.
 		return nil, false, nil
-	}
-	var slot int
-	for s := range used {
-		slot = s
 	}
 	en := enc(slot)
 	if en == nil || en.N <= rowLo {
@@ -333,6 +341,9 @@ func (e *Engine) selectDomain(enc func(slot int) *vec.Encoded, f plan.Expr, cols
 // list) and select-trues the aligned boolean vector.
 func (e *Engine) refineFilter(f plan.Expr, cols []*vec.Vector, width int, cands []int32) ([]int32, error) {
 	switch p := f.(type) {
+	case *sidewaysFilter:
+		e.Trace.Emit("algebra.select", "keys", p.keys.Describe())
+		return p.keys.Select(cols[p.slot], cands), nil
 	case *plan.Const:
 		if !p.Val.Null && p.Val.I != 0 {
 			// Tautology: every current candidate survives, nothing to do.
@@ -414,7 +425,7 @@ func (e *Engine) refineFilter(f plan.Expr, cols []*vec.Vector, width int, cands 
 		return nil, err
 	}
 	e.Trace.Emit("algebra.thetaselect")
-	return vec.SelTrue(bv, cands, true), nil
+	return vec.SelTrue(bv, cands), nil
 }
 
 // selectCmp runs a comparison select over the scan window [rowLo, rowHi),
@@ -455,7 +466,7 @@ func (e *Engine) selectCmp(x *plan.Scan, src TableSource, cols []*vec.Vector, cr
 					return vec.Intersect(cands, oi.SelectRange(col, lo, hi, loI, hiI)), nil
 				}
 			}
-			if im := src.Imprints(tableCol); im != nil && im.Len() > rowLo {
+			if im := src.Imprints(tableCol); imprintsPay(im, cands, rowLo, rowHi) {
 				return e.imprintSelect(im, col, lo, hi, loI, hiI, rowLo, rowHi, cands, "algebra.select"), nil
 			}
 		}
@@ -475,12 +486,21 @@ func (e *Engine) selectRange(x *plan.Scan, src TableSource, cols []*vec.Vector, 
 				return vec.Intersect(cands, oi.SelectRange(col, lo, hi, loI, hiI)), nil
 			}
 		}
-		if im := src.Imprints(tableCol); im != nil && im.Len() > rowLo {
+		if im := src.Imprints(tableCol); imprintsPay(im, cands, rowLo, rowHi) {
 			return e.imprintSelect(im, col, lo, hi, loI, hiI, rowLo, rowHi, cands, "algebra.rangeselect"), nil
 		}
 	}
 	e.Trace.Emit("algebra.rangeselect")
 	return vec.SelRange(col, lo, hi, loI, hiI, cands), nil
+}
+
+// imprintsPay reports whether imprints serve a range select over the scan
+// window [rowLo, rowHi): they cover its start, and the candidates are at
+// least half of the window's rows. An imprint select tests every row of
+// each block it does not skip, whatever the candidates; fewer candidates
+// cost less tested directly.
+func imprintsPay(im *index.Imprints, cands []int32, rowLo, rowHi int) bool {
+	return im != nil && im.Len() > rowLo && (cands == nil || 2*len(cands) >= rowHi-rowLo)
 }
 
 // imprintSelect runs one imprint-pruned range select over the scan window

@@ -426,7 +426,7 @@ func (est *estimator) selRaw(input Node, e Expr) float64 {
 func (est *estimator) selCmp(input Node, x *BinOp) float64 {
 	col, c, op, ok := cmpColConst(x)
 	if !ok {
-		return selFallbackGeneric
+		return est.selColCol(input, x)
 	}
 	st, haveStats := est.colStatsOf(input, col)
 	switch op {
@@ -451,6 +451,71 @@ func (est *estimator) selCmp(input Node, x *BinOp) float64 {
 		return est.rangeFraction(st, haveStats, &c, nil)
 	}
 	return selFallbackGeneric
+}
+
+// selColCol estimates `a <op> b` for two columns with numeric ranges and
+// an order comparison: the probability that a value drawn uniformly from
+// a's [min, max] lies below (or above) one drawn independently from b's, in
+// closed form (ltFraction). Other shapes keep the generic guess.
+func (est *estimator) selColCol(input Node, x *BinOp) float64 {
+	if !isColExpr(x.L) || !isColExpr(x.R) {
+		return selFallbackGeneric
+	}
+	a, okA := est.colStatsOf(input, x.L)
+	b, okB := est.colStatsOf(input, x.R)
+	lo, hi, ok := numRange(a, okA)
+	blo, bhi, okR := numRange(b, okB)
+	if !ok || !okR {
+		return selFallbackGeneric
+	}
+	switch x.Cmp {
+	case vec.CmpLt, vec.CmpLe:
+		return ltFraction(lo, hi, blo, bhi)
+	case vec.CmpGt, vec.CmpGe:
+		return ltFraction(blo, bhi, lo, hi)
+	}
+	return selFallbackGeneric
+}
+
+// numRange returns a column's [min, max] as numbers, when its statistics
+// have a numeric range.
+func numRange(st storage.ColStats, have bool) (lo, hi float64, ok bool) {
+	if !have || !st.HasRange || st.Min.Typ.Kind == mtypes.KVarchar {
+		return 0, 0, false
+	}
+	lo, hi = st.Min.AsFloat(), st.Max.AsFloat()
+	return lo, hi, !math.IsNaN(lo) && !math.IsNaN(hi)
+}
+
+// ltFraction is P(X < Y) for X uniform on [a1, a2] and Y uniform on
+// [b1, b2], independent: (G(b2) - G(b1)) / (b2 - b1), where G integrates
+// X's distribution function, F(t) = (t - a1) / (a2 - a1) clamped to
+// [0, 1]. A single-valued range is a point mass: F steps at a1, and a point
+// Y reads F at b1.
+func ltFraction(a1, a2, b1, b2 float64) float64 {
+	wa := a2 - a1
+	f := func(t float64) float64 { // X's distribution function
+		if wa <= 0 {
+			if t > a1 {
+				return 1
+			}
+			return 0
+		}
+		return math.Min(1, math.Max(0, (t-a1)/wa))
+	}
+	g := func(t float64) float64 { // its integral from -inf to t
+		switch {
+		case t <= a1:
+			return 0
+		case t >= a2:
+			return wa/2 + (t - a2)
+		}
+		return (t - a1) * (t - a1) / (2 * wa)
+	}
+	if b2 <= b1 {
+		return f(b1)
+	}
+	return (g(b2) - g(b1)) / (b2 - b1)
 }
 
 // selRange estimates `e BETWEEN lo AND hi`.

@@ -18,21 +18,14 @@ func slicePart(cols []any, lo, hi int) []any {
 	return out
 }
 
-// Delta-store differential: all 22 TPC-H queries must return identical
-// results whether lineitem is fully merged (base only) or carries a pending
-// append-delta on top of an encoded, imprint-indexed base. The fully merged
-// database is the oracle; stats prove the delta really was nonempty when the
-// queries ran (a merge racing ahead would make this test vacuous).
-func TestAllQueriesWithPendingLineitemDelta(t *testing.T) {
-	const sf = 0.01
-	data := Generate(sf, 42)
-
-	oracle := openTPCH(t, data, monetlite.Config{Parallel: true, MaxThreads: 4, NoDeltaMerge: true}, true)
-
-	// Delta database: every table except lineitem loads whole; lineitem loads
-	// its first 90%, gets merged + encoded (so the base runs the compressed
-	// and imprint-pruned paths), then the remaining 10% lands as a pending
-	// delta that no merger is allowed to fold.
+// openPendingDelta opens a parallel database whose lineitem carries a
+// pending append-delta: every table except lineitem loads whole; lineitem
+// loads its first 90%, gets merged + encoded (so the base runs the
+// compressed and imprint-pruned paths), then the remaining 10% lands as a
+// pending delta that no merger is allowed to fold. It returns the delta's
+// row count.
+func openPendingDelta(t *testing.T, data *Data) (*monetlite.Database, *monetlite.Conn, int) {
+	t.Helper()
 	db, err := monetlite.OpenInMemory(monetlite.Config{Parallel: true, MaxThreads: 4, NoDeltaMerge: true})
 	if err != nil {
 		t.Fatal(err)
@@ -61,16 +54,32 @@ func TestAllQueriesWithPendingLineitemDelta(t *testing.T) {
 	if err := conn.Append("lineitem", slicePart(data.Lineitem.Cols, cut, data.Lineitem.Rows)...); err != nil {
 		t.Fatal(err)
 	}
+	return db, conn, data.Lineitem.Rows - cut
+}
 
-	pending := func() int {
-		for _, s := range db.DeltaStats() {
-			if s.Table == "lineitem" {
-				return s.DeltaRows
-			}
+// pendingRows is the pending append-delta row count of a table.
+func pendingRows(db *monetlite.Database, table string) int {
+	for _, s := range db.DeltaStats() {
+		if s.Table == table {
+			return s.DeltaRows
 		}
-		return 0
 	}
-	wantDelta := data.Lineitem.Rows - cut
+	return 0
+}
+
+// Delta-store differential: all 22 TPC-H queries must return identical
+// results whether lineitem is fully merged (base only) or carries a pending
+// append-delta on top of an encoded, imprint-indexed base. The fully merged
+// database is the oracle; stats prove the delta really was nonempty when the
+// queries ran (a merge racing ahead would make this test vacuous).
+func TestAllQueriesWithPendingLineitemDelta(t *testing.T) {
+	const sf = 0.01
+	data := Generate(sf, 42)
+
+	oracle := openTPCH(t, data, monetlite.Config{Parallel: true, MaxThreads: 4, NoDeltaMerge: true}, true)
+
+	db, conn, wantDelta := openPendingDelta(t, data)
+	pending := func() int { return pendingRows(db, "lineitem") }
 	if got := pending(); got != wantDelta {
 		t.Fatalf("lineitem pending delta = %d rows, want %d", got, wantDelta)
 	}

@@ -324,6 +324,8 @@ type intCol interface {
 	widen(lo int, idx []int32, dst []int64)
 	// null is the width's NULL sentinel, widened.
 	null() int64
+	// selKeys selects the candidates whose value the key filter holds.
+	selKeys(f *keyFilter, cands []int32) []int32
 }
 
 type intKey interface {

@@ -1,6 +1,10 @@
 package vec
 
-import "sync"
+import (
+	"fmt"
+	"slices"
+	"sync"
+)
 
 // This file implements the join hash table: build-side keys are partitioned
 // by the high bits of their fused hash into independent per-partition
@@ -218,6 +222,96 @@ func (pt *PartitionedHashTable) KeyFilter() (width int, positional, ok bool) {
 		return 0, false, false
 	}
 	return int(pt.filter.n), pt.filter.pos != nil, true
+}
+
+// KeyFilter is the key filter of one integer key column standing alone: an
+// exact test of membership in the column's non-NULL values, built by the
+// join table's rule (newKeyFilter). A join hands it to the scan on its other
+// side, which keeps only the rows whose key the build side holds
+// (semi-join reduction) before the join runs.
+type KeyFilter struct {
+	f    *keyFilter
+	keys int
+}
+
+// NewKeyFilter builds the key filter over key's non-NULL values; nil when
+// key is not of an integer kind or its range is too wide for one.
+func NewKeyFilter(key *Vector) *KeyFilter {
+	ks := NewKeySet([]*Vector{key})
+	f := newKeyFilter(ks, make([]int32, ks.n))
+	if f == nil {
+		return nil
+	}
+	kf := &KeyFilter{f: f, keys: f.keys}
+	if f.pos == nil {
+		kf.keys = f.bits.Count()
+	}
+	return kf
+}
+
+// Keys returns the number of distinct keys the filter holds.
+func (kf *KeyFilter) Keys() int { return kf.keys }
+
+// Describe names the filter's form for trace lines, in the join trace's
+// terms: "positional <n> slots" or "filter <n> bits".
+func (kf *KeyFilter) Describe() string {
+	if kf.f.pos != nil {
+		return fmt.Sprintf("positional %d slots", kf.f.n)
+	}
+	return fmt.Sprintf("filter %d bits", kf.f.n)
+}
+
+// Select returns the candidates of col (nil = every row; any order, kept)
+// whose value is one of the filter's keys, under the selection kernels'
+// contract: the result is never nil, and a NULL never matches. col is of an
+// integer kind, of any width: values compare as int64.
+func (kf *KeyFilter) Select(col *Vector, cands []int32) []int32 {
+	return intsOf(col).selKeys(kf.f, cands)
+}
+
+// selKeys is KeyFilter.Select over one width. It runs a block of rows at a
+// time, the positional and bitmap tests each in their own loop, and sizes
+// the output from the first block's yield, as selColumns does.
+func (c ints[T]) selKeys(f *keyFilter, cands []int32) []int32 {
+	n := NumCands(len(c.xs), cands)
+	out := []int32{}
+	var sel [unpackBlock]int32
+	for lo := 0; lo < n; lo += unpackBlock {
+		m := min(unpackBlock, n-lo)
+		s := sel[:m]
+		if cands != nil {
+			copy(s, cands[lo:lo+m])
+		} else {
+			for k := range s {
+				s[k] = int32(lo + k)
+			}
+		}
+		cnt := 0
+		if f.pos != nil {
+			for _, i := range s {
+				x := c.xs[i]
+				d := uint64(int64(x)) - uint64(f.lo)
+				s[cnt] = i
+				if d < f.n && f.pos[d] >= 0 && x != c.nullv {
+					cnt++
+				}
+			}
+		} else {
+			for _, i := range s {
+				x := c.xs[i]
+				d := uint64(int64(x)) - uint64(f.lo)
+				s[cnt] = i
+				if d < f.n && f.bits.Get(int32(d)) && x != c.nullv {
+					cnt++
+				}
+			}
+		}
+		if lo == 0 && n > m {
+			out = slices.Grow(out, cnt*(n/m)+cnt/2+8)
+		}
+		out = append(out, s[:cnt]...)
+	}
+	return out
 }
 
 // insert adds build row k to its partition, appending it to its key's chain.

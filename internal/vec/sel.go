@@ -387,10 +387,9 @@ func SelNotNull(v *Vector, cands []int32) []int32 {
 }
 
 // SelTrue selects the candidates where a BOOLEAN vector is true (NULL and
-// false excluded). The bool vector is positionally aligned with cands when
-// aligned is true (i.e. bv[k] corresponds to cands[k]); otherwise bv is
-// indexed by row id.
-func SelTrue(bv *Vector, cands []int32, aligned bool) []int32 {
+// false excluded). The vector is positionally aligned with cands: bv[k]
+// decides cands[k] (row k when cands is nil).
+func SelTrue(bv *Vector, cands []int32) []int32 {
 	out := make([]int32, 0, NumCands(bv.Len(), cands)/2+8)
 	if cands == nil {
 		for i, x := range bv.I8 {
@@ -400,16 +399,8 @@ func SelTrue(bv *Vector, cands []int32, aligned bool) []int32 {
 		}
 		return out
 	}
-	if aligned {
-		for k, i := range cands {
-			if bv.I8[k] == 1 {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	for _, i := range cands {
-		if bv.I8[i] == 1 {
+	for k, i := range cands {
+		if bv.I8[k] == 1 {
 			out = append(out, i)
 		}
 	}

@@ -127,13 +127,13 @@ func TestSelTrue(t *testing.T) {
 	bv := New(mtypes.Bool, 4)
 	bv.I8[0], bv.I8[1], bv.I8[2] = 1, 0, mtypes.NullInt8
 	bv.I8[3] = 1
-	if !eqCands(SelTrue(bv, nil, false), []int32{0, 3}) {
+	if !eqCands(SelTrue(bv, nil), []int32{0, 3}) {
 		t.Fatal("SelTrue full")
 	}
 	// Aligned: bv[k] corresponds to cands[k].
 	bv2 := New(mtypes.Bool, 2)
 	bv2.I8[0], bv2.I8[1] = 0, 1
-	if !eqCands(SelTrue(bv2, []int32{10, 20}, true), []int32{20}) {
+	if !eqCands(SelTrue(bv2, []int32{10, 20}), []int32{20}) {
 		t.Fatal("SelTrue aligned")
 	}
 }

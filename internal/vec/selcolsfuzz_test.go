@@ -116,7 +116,7 @@ func FuzzSelectColumns(f *testing.F) {
 				t.Fatal(err)
 			}
 			want := []int32{}
-			for _, k := range vec.SelTrue(bv, nil, true) {
+			for _, k := range vec.SelTrue(bv, nil) {
 				if emit != nil {
 					k = emit[k]
 				}

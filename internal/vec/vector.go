@@ -41,6 +41,7 @@ package vec
 
 import (
 	"fmt"
+	"math/bits"
 
 	"monetlite/internal/mtypes"
 )
@@ -354,6 +355,15 @@ func (b Bitmap) Set(i int32) { b[i>>6] |= 1 << (uint(i) & 63) }
 
 // Get reports whether bit i is marked.
 func (b Bitmap) Get(i int32) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// Count returns the number of marked bits.
+func (b Bitmap) Count() int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // Or marks in b every bit marked in o (same size).
 func (b Bitmap) Or(o Bitmap) {
