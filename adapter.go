@@ -64,14 +64,6 @@ func (s viewSource) NumRows() int                   { return s.v.NumRows() }
 func (s viewSource) Col(i int) (*vec.Vector, error) { return s.v.Col(i) }
 func (s viewSource) LiveCands() []int32             { return s.v.LiveCands() }
 
-// Imprints returns the column's imprints when the snapshot is clean.
-func (s viewSource) Imprints(ci int) *index.Imprints {
-	if !s.v.Clean() {
-		return nil
-	}
-	return s.v.Table().ImprintsFor(s.v.Base, ci)
-}
-
 // HashIdx returns the column's hash index when the snapshot is clean.
 func (s viewSource) HashIdx(ci int) *index.HashIndex {
 	if !s.v.Clean() {

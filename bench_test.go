@@ -203,9 +203,9 @@ func BenchmarkAblationStringDedup(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationImprints isolates the automatic index paths (imprints,
-// hash, order index) against plain scans.
-func BenchmarkAblationImprints(b *testing.B) {
+// BenchmarkAblationIndexes isolates the index paths (the automatic hash
+// index, the order index) against plain scans.
+func BenchmarkAblationIndexes(b *testing.B) {
 	cfg := benchConfig(b)
 	for i := 0; i < b.N; i++ {
 		rep, err := bench.AblationIndexes(cfg)
@@ -215,13 +215,6 @@ func BenchmarkAblationImprints(b *testing.B) {
 		reportCells(b, rep)
 	}
 }
-
-// BenchmarkAblationHashIndex is an alias of the index ablation (hash index
-// measurements are its "point s" column).
-func BenchmarkAblationHashIndex(b *testing.B) { BenchmarkAblationImprints(b) }
-
-// BenchmarkAblationOrderIndex is the "order index" row of the same report.
-func BenchmarkAblationOrderIndex(b *testing.B) { BenchmarkAblationImprints(b) }
 
 // BenchmarkAblationAppendVsInsert isolates bulk Append vs per-row INSERT.
 func BenchmarkAblationAppendVsInsert(b *testing.B) {

@@ -45,7 +45,8 @@ type Config struct {
 	Parallel bool
 	// MaxThreads caps worker goroutines (0 = GOMAXPROCS).
 	MaxThreads int
-	// NoIndexes disables automatic secondary index use (ablation studies).
+	// NoIndexes disables secondary index use, the automatic hash index and
+	// CREATE ORDER INDEX alike (ablation studies).
 	NoIndexes bool
 	// ForceCopy disables zero-copy result transfer: result columns are
 	// always private copies (ablation; default false = zero-copy).

@@ -2,6 +2,7 @@ package monetlite
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
 	"strings"
@@ -525,6 +526,57 @@ func TestOrderIndexSQL(t *testing.T) {
 	grid := resultGrid(res)
 	if len(grid) != 2 || grid[0] != "3" || grid[1] != "5" {
 		t.Fatalf("order index query: %v", grid)
+	}
+
+	// The index answers every one-sided comparison, either way round, and
+	// ranges, on each ordered type: rows equal those of the same query on an
+	// unindexed twin table, NULLs and constants outside the column's domain
+	// included. In-domain constants must reach the index.
+	c.TraceMAL = true
+	rows := `('b', 2, 2.5, 2.50, DATE '1995-01-02'), ('a', 1, -1.5, 1.25, DATE '1994-12-31'),
+		(NULL, NULL, NULL, NULL, NULL), ('bb', 3, 7.0, 3.00, DATE '1995-01-02'),
+		('', 0, 0.0, 0.00, DATE '1970-01-01'), ('b', 2, 2.5, 2.50, DATE '1995-01-01'),
+		(NULL, NULL, NULL, NULL, NULL), ('zz', 9, 1e10, 9999.99, DATE '2030-06-30')`
+	for _, tbl := range []string{"v", "u"} {
+		mustExec(t, c, `CREATE TABLE `+tbl+` (s VARCHAR, i INTEGER, d DOUBLE, m DECIMAL(9,2), dt DATE)`)
+		mustExec(t, c, `INSERT INTO `+tbl+` VALUES `+rows)
+	}
+	for _, col := range []string{"s", "i", "d", "m", "dt"} {
+		mustExec(t, c, `CREATE ORDER INDEX oi_`+col+` ON v (`+col+`)`)
+	}
+	consts := []struct {
+		col, k   string
+		inDomain bool
+	}{
+		{"s", "'b'", true}, {"s", "''", true}, {"s", "'zzz'", true},
+		{"i", "2", true}, {"i", "3000000000", false}, {"i", "-3000000000", false}, {"i", "2.5", false},
+		{"d", "2.5", true}, {"d", "-1e300", true}, {"d", "3000000000", true},
+		{"m", "2.50", true}, {"m", "2.5", true}, {"m", "2.555", false}, {"m", "3000000000", false},
+		{"dt", "DATE '1995-01-02'", true}, {"dt", "DATE '1900-01-01'", true},
+	}
+	for _, k := range consts {
+		for _, op := range []string{"<", "<=", ">", ">="} {
+			for _, where := range []string{k.col + " " + op + " " + k.k, k.k + " " + op + " " + k.col} {
+				q := `SELECT ` + k.col + ` FROM %s WHERE ` + where + ` ORDER BY ` + k.col
+				got := resultGrid(mustQuery(t, c, fmt.Sprintf(q, "v")))
+				trace := c.LastTrace.String()
+				want := resultGrid(mustQuery(t, c, fmt.Sprintf(q, "u")))
+				if strings.Join(got, ",") != strings.Join(want, ",") {
+					t.Fatalf("%s: indexed %v, unindexed %v", where, got, want)
+				}
+				if k.inDomain && !strings.Contains(trace, "orderidx") {
+					t.Fatalf("%s: order index not used:\n%s", where, trace)
+				}
+			}
+		}
+	}
+	for _, where := range []string{"i BETWEEN 1 AND 3", "i BETWEEN 3 AND 1", "s BETWEEN 'a' AND 'b'", "m BETWEEN 2.5 AND 9999.99"} {
+		q := `SELECT i, s FROM %s WHERE ` + where + ` ORDER BY i, s`
+		got := resultGrid(mustQuery(t, c, fmt.Sprintf(q, "v")))
+		want := resultGrid(mustQuery(t, c, fmt.Sprintf(q, "u")))
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("%s: indexed %v, unindexed %v", where, got, want)
+		}
 	}
 }
 

@@ -96,8 +96,8 @@ func AblationStringDedup(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// AblationIndexes measures the automatic index paths of §3.1 on repeated
-// selective queries: imprints (range), hash (point), order index (range),
+// AblationIndexes measures the index paths of §3.1 on repeated selective
+// queries: the automatic hash index (point) and the order index (range),
 // against plain scans (NoIndexes).
 func AblationIndexes(cfg Config) (*Report, error) {
 	d := dataset(cfg)
@@ -113,7 +113,7 @@ func AblationIndexes(cfg Config) (*Report, error) {
 		orderIx bool
 	}{
 		{"no indexes (scan)", monetlite.Config{Parallel: false, NoIndexes: true}, false},
-		{"imprints + hash (automatic)", monetlite.Config{Parallel: false}, false},
+		{"hash (automatic)", monetlite.Config{Parallel: false}, false},
 		{"order index (CREATE ORDER INDEX)", monetlite.Config{Parallel: false}, true},
 	} {
 		db, err := monetlite.OpenInMemory(c.cfg)
@@ -131,7 +131,7 @@ func AblationIndexes(cfg Config) (*Report, error) {
 				return nil, err
 			}
 		}
-		// Warm the automatic indexes (they build on first use).
+		// Warm the indexes (the hash index builds on first use).
 		conn.Query(rangeQ)
 		conn.Query(pointQ)
 		r := timeIt(cfg.Runs, func() error { _, err := conn.Query(rangeQ); return err })

@@ -24,10 +24,10 @@
 //     returns *identical* results — same rows, same order — which the
 //     differential tests rely on (see docs/ARCHITECTURE.md).
 //   - Worker isolation: chunk engines (chunkEngine) never emit to the
-//     shared MAL trace; the coordinator emits summary instructions and
-//     aggregates worker counters (e.g. imprint block skips) afterwards.
-//     The scalar-subquery cache is the one shared structure, and it is
-//     lock-guarded so a subquery evaluates once per query, not per chunk.
+//     shared MAL trace; the coordinator emits summary instructions
+//     afterwards. The scalar-subquery cache is the one shared structure,
+//     and it is lock-guarded so a subquery evaluates once per query, not
+//     per chunk.
 //   - Interrupts (context cancellation and deadlines) are checked between
 //     operators, between filter conjuncts, and before every chunk task and
 //     after every fan-out (runTasks) — never inside a kernel, so kernels
@@ -42,7 +42,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"monetlite/internal/index"
@@ -61,7 +60,6 @@ type TableSource interface {
 	Col(i int) (*vec.Vector, error)
 	LiveCands() []int32
 	// Index accessors may return nil (no index available for this snapshot).
-	Imprints(ci int) *index.Imprints
 	HashIdx(ci int) *index.HashIndex
 	OrderIdx(ci int) *index.OrderIndex
 	// EncodedCol returns the column's compressed physical form when one
@@ -93,7 +91,6 @@ type Engine struct {
 
 	deadline time.Time
 	subCache *subplanCache
-	stats    *execStats
 	lease    *workpool.Lease
 
 	// testChunkRows, when >0, overrides the chunk size of every mitosis
@@ -113,13 +110,6 @@ type Engine struct {
 	// sideways is the filter a join hands to the scan of the input it runs
 	// second (its scan field names that scan); nil otherwise.
 	sideways *sidewaysFilter
-}
-
-// execStats accumulates per-query counters that mitosis workers update
-// concurrently; the coordinator surfaces them in the MAL trace.
-type execStats struct {
-	imprintsBlocksSkipped atomic.Int64
-	imprintsBlocksTotal   atomic.Int64
 }
 
 // workerBudget returns the engine's parallel worker count.
@@ -455,16 +445,15 @@ func (e *Engine) SelectRows(table string, pred plan.Expr, exprs []plan.Expr) ([]
 	return rows, vals, err
 }
 
-// run is the setup every execution shares: a fresh subquery cache and
-// counters, the query's worker lease when parallel, and the deadline. It runs
-// body, then splices the programs of the scalar subqueries body evaluated
-// into the trace.
+// run is the setup every execution shares: a fresh subquery cache, the
+// query's worker lease when parallel, and the deadline. It runs body, then
+// splices the programs of the scalar subqueries body evaluated into the
+// trace.
 func (e *Engine) run(body func() error) error {
 	e.subCache = &subplanCache{m: map[plan.Node]mtypes.Value{}}
 	if e.Trace != nil {
 		e.subCache.progs = map[int]*mal.Program{}
 	}
-	e.stats = &execStats{}
 	if e.Parallel && e.lease == nil {
 		pool := e.Pool
 		if pool == nil {
@@ -512,7 +501,6 @@ func (e *Engine) chunkEngine(n int) *Engine {
 		Ctx:        e.Ctx,
 		deadline:   e.deadline,
 		subCache:   e.subCache,
-		stats:      e.stats,
 	}
 }
 

@@ -26,9 +26,6 @@ func (s memSource) Col(i int) (*vec.Vector, error) {
 	return s.tbl.Version().Col(i)
 }
 func (s memSource) LiveCands() []int32 { return s.tbl.Version().LiveCands() }
-func (s memSource) Imprints(ci int) *index.Imprints {
-	return s.tbl.ImprintsFor(s.tbl.Version(), ci)
-}
 func (s memSource) HashIdx(ci int) *index.HashIndex {
 	return s.tbl.HashFor(s.tbl.Version(), ci)
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // execScan evaluates a scan with its pushed filters. Selection runs over the
-// base columns with candidate lists; indexable predicates (point/range on a
-// column) go through imprints or the order index when available. The scan's
+// base columns with candidate lists, each conjunct through applyScanFilter's
+// one access path (encoded domain, then an index, then the rows). The scan's
 // output is a selection view — the base columns plus the surviving row ids —
 // not a filtered copy: a column is gathered only where it is read, downstream.
 // Mitosis (paper Figure 2) splits a filtered scan into chunks (no
@@ -48,7 +48,6 @@ func (e *Engine) execScan(x *plan.Scan) (*batch, error) {
 	if cp.Chunks > 1 {
 		e.Trace.EmitVoid("optimizer.mitosis", fmt.Sprintf("%d chunks (scan)", cp.Chunks))
 	}
-	skip0, tot0 := e.imprintsCounters()
 	lists := make([][]int32, cp.Chunks) // relative to each chunk's window; nil = every row passed
 	errs := make([]error, cp.Chunks)
 	err = e.runTasks(cp.Chunks, func(ci int) {
@@ -62,11 +61,8 @@ func (e *Engine) execScan(x *plan.Scan) (*batch, error) {
 		return nil, err
 	}
 	sel := mergeCands(lists, cp, nrows)
-	if cp.Chunks > 1 {
-		e.emitImprintsDelta(skip0, tot0)
-		if sel != nil {
-			e.Trace.Emit("bat.mergecand", fmt.Sprintf("%d cands", len(sel)))
-		}
+	if cp.Chunks > 1 && sel != nil {
+		e.Trace.Emit("bat.mergecand", fmt.Sprintf("%d cands", len(sel)))
 	}
 	b := viewBatch(cols, sel, nrows)
 	b.enc = encs
@@ -180,24 +176,6 @@ func (e *Engine) scanEncoded(x *plan.Scan, src TableSource) []*vec.Encoded {
 	return encs
 }
 
-// imprintsCounters snapshots the per-query imprint pruning totals; paired
-// with emitImprintsDelta it lets the coordinator report pruning that chunk
-// workers (which have no trace) performed.
-func (e *Engine) imprintsCounters() (skipped, total int64) {
-	if e.stats == nil {
-		return 0, 0
-	}
-	return e.stats.imprintsBlocksSkipped.Load(), e.stats.imprintsBlocksTotal.Load()
-}
-
-func (e *Engine) emitImprintsDelta(skip0, tot0 int64) {
-	skip1, tot1 := e.imprintsCounters()
-	if tot1 > tot0 {
-		e.Trace.Emit("algebra.rangeselect", "imprints",
-			fmt.Sprintf("%d/%d blocks skipped (parallel)", skip1-skip0, tot1-tot0))
-	}
-}
-
 // scanRange computes the candidate list of rows in [lo, hi) passing all scan
 // filters over cols (scanCols' full-width columns), and returns the columns'
 // windows [lo, hi) it filtered. When cands == nil every row in the window
@@ -238,47 +216,133 @@ func (e *Engine) scanRange(x *plan.Scan, src TableSource, cols []*vec.Vector, lo
 	return cands, win, nil
 }
 
-// applyScanFilter applies one conjunct over the scan window [rowLo, rowHi).
-// A one-column conjunct on an encoded column runs over the column's value
-// domain when that is smaller than the rows it would test (selectDomain);
-// otherwise the predicate shapes indexes understand get secondary-index
-// acceleration (hash/order indexes, imprints), and everything else delegates
-// to refineFilter, so the scan path and the post-scan Filter path share one
+// applyScanFilter applies one conjunct over the scan window [rowLo, rowHi)
+// by the one access path every scan conjunct takes: over an encoded column's
+// value domain when that is smaller than the rows it would test
+// (selectDomain), else through an index when the conjunct is a column
+// predicate one answers over the whole table (indexSelect), else row by row
+// (refineFilter), so the scan path and the post-scan Filter path share one
 // candidate-list representation.
 func (e *Engine) applyScanFilter(x *plan.Scan, src TableSource, f plan.Expr, cols []*vec.Vector, cands []int32, rowLo, rowHi int) ([]int32, error) {
 	enc := func(slot int) *vec.Encoded { return src.EncodedCol(x.Cols[slot]) }
 	if sel, ok, err := e.selectDomain(enc, f, cols, cands, rowLo, rowHi); ok || err != nil {
 		return sel, err
 	}
-	switch p := f.(type) {
-	case *plan.BinOp:
-		if p.Kind == plan.BinCmp {
-			if cr, ok := p.L.(*plan.ColRef); ok {
-				if c, ok := p.R.(*plan.Const); ok {
-					return e.selectCmp(x, src, cols, cr, p.Cmp, c.Val, cands, rowLo, rowHi)
-				}
-				if sp, ok := p.R.(*plan.SubplanExpr); ok {
-					v, err := e.evalSubplan(sp)
-					if err != nil {
-						return nil, err
-					}
-					return e.selectCmp(x, src, cols, cr, p.Cmp, v, cands, rowLo, rowHi)
-				}
-			}
-			if cr, ok := p.R.(*plan.ColRef); ok {
-				if c, ok := p.L.(*plan.Const); ok {
-					return e.selectCmp(x, src, cols, cr, p.Cmp.Flip(), c.Val, cands, rowLo, rowHi)
-				}
-			}
-		}
-	case *plan.BetweenExpr:
-		if cr, ok := p.E.(*plan.ColRef); ok && !p.Not {
-			if lo, hi, ok := constBounds(p); ok {
-				return e.selectRange(x, src, cols, cr, lo, hi, !p.LoExcl, !p.HiExcl, cands, rowLo, rowHi)
-			}
+	if p, ok := matchColPred(f); ok && !e.NoIndexes && rowLo == 0 && rowHi == src.NumRows() {
+		if sel, ok, err := e.indexSelect(src, x.Cols[p.slot], cols[p.slot], p, cands); ok || err != nil {
+			return sel, err
 		}
 	}
 	return e.refineFilter(f, cols, rowHi-rowLo, cands)
+}
+
+// colPred is a conjunct that sets one column against constants: col op val,
+// where val is a constant or a scalar subquery (evaluated when the conjunct
+// runs) and val op col is flipped into this form, or col BETWEEN lo AND hi
+// with constant bounds.
+type colPred struct {
+	slot           int
+	op             vec.CmpOp
+	val            plan.Expr // *plan.Const or *plan.SubplanExpr; nil for BETWEEN
+	lo, hi         mtypes.Value
+	loIncl, hiIncl bool
+}
+
+// matchColPred recognizes a column predicate, the one shape the selection
+// kernels, the indexes and conjunctRank all serve.
+func matchColPred(f plan.Expr) (colPred, bool) {
+	switch x := f.(type) {
+	case *plan.BinOp:
+		if x.Kind != plan.BinCmp {
+			break
+		}
+		if cr, ok := x.L.(*plan.ColRef); ok && isValue(x.R) {
+			return colPred{slot: cr.Slot, op: x.Cmp, val: x.R}, true
+		}
+		if cr, ok := x.R.(*plan.ColRef); ok && isValue(x.L) {
+			return colPred{slot: cr.Slot, op: x.Cmp.Flip(), val: x.L}, true
+		}
+	case *plan.BetweenExpr:
+		if cr, ok := x.E.(*plan.ColRef); ok && !x.Not {
+			if lo, hi, ok := constBounds(x); ok {
+				return colPred{slot: cr.Slot, lo: lo, hi: hi, loIncl: !x.LoExcl, hiIncl: !x.HiExcl}, true
+			}
+		}
+	}
+	return colPred{}, false
+}
+
+// isValue reports whether a comparison operand is one value per query: a
+// constant or a scalar subquery.
+func isValue(x plan.Expr) bool {
+	switch x.(type) {
+	case *plan.Const, *plan.SubplanExpr:
+		return true
+	}
+	return false
+}
+
+// value returns a comparison's operand: its constant, or its scalar
+// subquery's result (evaluated once per query).
+func (e *Engine) value(p colPred) (mtypes.Value, error) {
+	if c, ok := p.val.(*plan.Const); ok {
+		return c.Val, nil
+	}
+	return e.evalSubplan(p.val.(*plan.SubplanExpr))
+}
+
+// predIndex returns the index that answers p on table column ci: the hash
+// index for an equality, the order index for a one-sided comparison or a
+// range. Both are nil when there is none.
+func predIndex(src TableSource, ci int, p colPred) (*index.HashIndex, *index.OrderIndex) {
+	switch {
+	case p.val == nil:
+		return nil, src.OrderIdx(ci)
+	case p.op == vec.CmpEq:
+		return src.HashIdx(ci), nil
+	case p.op == vec.CmpNe:
+		return nil, nil
+	}
+	return nil, src.OrderIdx(ci)
+}
+
+// indexSelect answers column predicate p on table column ci, col, through
+// its index (predIndex), on a full scan only: the indexes hold table-global
+// row ids. ok is false when no index serves p. The hash index may stop at
+// the merged base; the append-delta tail past it is scanned raw. An order
+// index covers every row of the snapshot it is served for.
+func (e *Engine) indexSelect(src TableSource, ci int, col *vec.Vector, p colPred, cands []int32) ([]int32, bool, error) {
+	h, oi := predIndex(src, ci, p)
+	if h == nil && oi == nil {
+		return nil, false, nil
+	}
+	if p.val == nil {
+		e.Trace.Emit("algebra.rangeselect", "orderidx")
+		return vec.Intersect(cands, oi.SelectRange(col, p.lo, p.hi, p.loIncl, p.hiIncl)), true, nil
+	}
+	val, err := e.value(p)
+	if err != nil || val.Null {
+		return nil, false, err
+	}
+	if oi != nil {
+		e.Trace.Emit("algebra.select", "orderidx")
+		return vec.Intersect(cands, oi.SelectCmp(col, p.op, val)), true, nil
+	}
+	key, ok := indexKey(col, val)
+	if !ok {
+		return nil, false, nil
+	}
+	e.Trace.Emit("algebra.select", "hashidx")
+	rows := h.Lookup(key)
+	// Never nil: an absent key means zero matches, and a nil candidate list
+	// would mean "all rows" to Intersect.
+	sorted := append(make([]int32, 0, len(rows)), rows...)
+	slices.Sort(sorted)
+	if hr := h.Rows(); hr < col.Len() {
+		tail := vec.SelCmp(col.Slice(hr, col.Len()), vec.CmpEq, val, nil)
+		sorted = appendRebased(sorted, tail, int32(hr))
+	}
+	return vec.Intersect(cands, sorted), true, nil
 }
 
 // selectDomain evaluates a conjunct that reads exactly one column — encoded,
@@ -334,12 +398,26 @@ func (e *Engine) selectDomain(enc func(slot int) *vec.Encoded, f plan.Expr, cols
 // returning the refined list — the shared core of scan filtering and the
 // Filter operator. cols are full-width (width rows); cands is the usual
 // nil-means-all selection. Recognized shapes route to the cands-aware
-// selection kernels in vec, a comparison of two columns included (read in
-// place by vec.SelColumns); tautological and contradictory constants
-// short-circuit without touching any column; the general fallback evaluates
-// the predicate densely over the survivors only (memo under the candidate
-// list) and select-trues the aligned boolean vector.
+// selection kernels in vec: a column predicate (matchColPred) to SelCmp or
+// SelRange, a comparison of two columns to SelColumns; tautological and
+// contradictory constants short-circuit without touching any column; the
+// general fallback evaluates the predicate densely over the survivors only
+// (memo under the candidate list) and select-trues the aligned boolean
+// vector.
 func (e *Engine) refineFilter(f plan.Expr, cols []*vec.Vector, width int, cands []int32) ([]int32, error) {
+	if p, ok := matchColPred(f); ok {
+		col := cols[p.slot]
+		if p.val == nil {
+			e.Trace.Emit("algebra.rangeselect")
+			return vec.SelRange(col, p.lo, p.hi, p.loIncl, p.hiIncl, cands), nil
+		}
+		val, err := e.value(p)
+		if err != nil {
+			return nil, err
+		}
+		e.Trace.Emit("algebra.thetaselect", p.op.String())
+		return vec.SelCmp(col, p.op, val, cands), nil
+	}
 	switch p := f.(type) {
 	case *sidewaysFilter:
 		e.Trace.Emit("algebra.select", "keys", p.keys.Describe())
@@ -356,38 +434,13 @@ func (e *Engine) refineFilter(f plan.Expr, cols []*vec.Vector, width int, cands 
 		return []int32{}, nil
 	case *plan.BinOp:
 		if p.Kind == plan.BinCmp {
-			if cr, ok := p.L.(*plan.ColRef); ok {
-				if c, ok := p.R.(*plan.Const); ok {
-					e.Trace.Emit("algebra.thetaselect", p.Cmp.String())
-					return vec.SelCmp(cols[cr.Slot], p.Cmp, c.Val, cands), nil
+			l, lok := p.L.(*plan.ColRef)
+			r, rok := p.R.(*plan.ColRef)
+			if lok && rok {
+				if sel, ok := vec.SelColumns(p.Cmp, cols[l.Slot], cols[r.Slot], cands); ok {
+					e.Trace.Emit("algebra.thetaselect", p.Cmp.String(), "columns")
+					return sel, nil
 				}
-				if r, ok := p.R.(*plan.ColRef); ok {
-					if sel, ok := vec.SelColumns(p.Cmp, cols[cr.Slot], cols[r.Slot], cands); ok {
-						e.Trace.Emit("algebra.thetaselect", p.Cmp.String(), "columns")
-						return sel, nil
-					}
-				}
-				if sp, ok := p.R.(*plan.SubplanExpr); ok {
-					v, err := e.evalSubplan(sp)
-					if err != nil {
-						return nil, err
-					}
-					e.Trace.Emit("algebra.thetaselect", p.Cmp.String())
-					return vec.SelCmp(cols[cr.Slot], p.Cmp, v, cands), nil
-				}
-			}
-			if cr, ok := p.R.(*plan.ColRef); ok {
-				if c, ok := p.L.(*plan.Const); ok {
-					e.Trace.Emit("algebra.thetaselect", p.Cmp.Flip().String())
-					return vec.SelCmp(cols[cr.Slot], p.Cmp.Flip(), c.Val, cands), nil
-				}
-			}
-		}
-	case *plan.BetweenExpr:
-		if cr, ok := p.E.(*plan.ColRef); ok && !p.Not {
-			if lo, hi, ok := constBounds(p); ok {
-				e.Trace.Emit("algebra.rangeselect")
-				return vec.SelRange(cols[cr.Slot], lo, hi, !p.LoExcl, !p.HiExcl, cands), nil
 			}
 		}
 	case *plan.LikeExpr:
@@ -428,106 +481,6 @@ func (e *Engine) refineFilter(f plan.Expr, cols []*vec.Vector, width int, cands 
 	return vec.SelTrue(bv, cands), nil
 }
 
-// selectCmp runs a comparison select over the scan window [rowLo, rowHi),
-// preferring the hash index for equality (full scans only — its row lists
-// are table-global) and the order index / imprints for ranges. Imprints
-// prune at cache-line-block granularity, so they also apply to mitosis chunk
-// windows: blocks overlapping the window are tested against the predicate's
-// bin mask and skipped wholesale when they cannot match.
-func (e *Engine) selectCmp(x *plan.Scan, src TableSource, cols []*vec.Vector, cr *plan.ColRef, op vec.CmpOp, val mtypes.Value, cands []int32, rowLo, rowHi int) ([]int32, error) {
-	col := cols[cr.Slot]
-	tableCol := x.Cols[cr.Slot]
-	fullScan := rowLo == 0 && rowHi == src.NumRows()
-	if !e.NoIndexes && !val.Null {
-		switch op {
-		case vec.CmpEq:
-			if key, ok := indexKey(col, val); ok && fullScan {
-				if h := src.HashIdx(tableCol); h != nil {
-					e.Trace.Emit("algebra.select", "hashidx")
-					rows := h.Lookup(key)
-					// Never nil: an absent key means zero matches, and a nil
-					// candidate list would mean "all rows" to Intersect.
-					sorted := append(make([]int32, 0, len(rows)), rows...)
-					slices.Sort(sorted)
-					if hr := h.Rows(); hr < rowHi {
-						// The index stops at the merged base; raw-scan the
-						// append-delta tail (already sorted above any entry).
-						tail := vec.SelCmp(col.Slice(hr, rowHi), op, val, nil)
-						sorted = appendRebased(sorted, tail, int32(hr))
-					}
-					return vec.Intersect(cands, sorted), nil
-				}
-			}
-		case vec.CmpLt, vec.CmpLe, vec.CmpGt, vec.CmpGe:
-			lo, hi, loI, hiI := openRange(col.Typ, op, val)
-			if fullScan {
-				if oi := src.OrderIdx(tableCol); oi != nil {
-					e.Trace.Emit("algebra.select", "orderidx")
-					return vec.Intersect(cands, oi.SelectRange(col, lo, hi, loI, hiI)), nil
-				}
-			}
-			if im := src.Imprints(tableCol); imprintsPay(im, cands, rowLo, rowHi) {
-				return e.imprintSelect(im, col, lo, hi, loI, hiI, rowLo, rowHi, cands, "algebra.select"), nil
-			}
-		}
-	}
-	e.Trace.Emit("algebra.thetaselect", op.String())
-	return vec.SelCmp(col, op, val, cands), nil
-}
-
-func (e *Engine) selectRange(x *plan.Scan, src TableSource, cols []*vec.Vector, cr *plan.ColRef, lo, hi mtypes.Value, loI, hiI bool, cands []int32, rowLo, rowHi int) ([]int32, error) {
-	col := cols[cr.Slot]
-	tableCol := x.Cols[cr.Slot]
-	fullScan := rowLo == 0 && rowHi == src.NumRows()
-	if !e.NoIndexes {
-		if fullScan {
-			if oi := src.OrderIdx(tableCol); oi != nil {
-				e.Trace.Emit("algebra.rangeselect", "orderidx")
-				return vec.Intersect(cands, oi.SelectRange(col, lo, hi, loI, hiI)), nil
-			}
-		}
-		if im := src.Imprints(tableCol); imprintsPay(im, cands, rowLo, rowHi) {
-			return e.imprintSelect(im, col, lo, hi, loI, hiI, rowLo, rowHi, cands, "algebra.rangeselect"), nil
-		}
-	}
-	e.Trace.Emit("algebra.rangeselect")
-	return vec.SelRange(col, lo, hi, loI, hiI, cands), nil
-}
-
-// imprintsPay reports whether imprints serve a range select over the scan
-// window [rowLo, rowHi): they cover its start, and the candidates are at
-// least half of the window's rows. An imprint select tests every row of
-// each block it does not skip, whatever the candidates; fewer candidates
-// cost less tested directly.
-func imprintsPay(im *index.Imprints, cands []int32, rowLo, rowHi int) bool {
-	return im != nil && im.Len() > rowLo && (cands == nil || 2*len(cands) >= rowHi-rowLo)
-}
-
-// imprintSelect runs one imprint-pruned range select over the scan window
-// [rowLo, rowHi), recording the pruning counters. col is the window slice,
-// cands window-relative. Imprints may stop short of the window (they cover
-// the merged base only): the covered prefix is pruned block-wise and the
-// uncovered append-delta tail is range-scanned raw — rows past im.Len() must
-// NEVER be fed to SelectRangeSlice, whose mask iteration would silently drop
-// them. Chunk engines have no trace, so the per-query totals accumulated in
-// execStats are what the coordinator reports for parallel scans.
-func (e *Engine) imprintSelect(im *index.Imprints, col *vec.Vector, lo, hi mtypes.Value, loI, hiI bool, rowLo, rowHi int, cands []int32, traceOp string) []int32 {
-	pivot := min(rowHi, im.Len())
-	below, above := splitCands(cands, int32(pivot-rowLo))
-	sel, skipped, total := im.SelectRangeSlice(col.Slice(0, pivot-rowLo), lo, hi, loI, hiI, rowLo)
-	if e.stats != nil {
-		e.stats.imprintsBlocksSkipped.Add(int64(skipped))
-		e.stats.imprintsBlocksTotal.Add(int64(total))
-	}
-	e.Trace.Emit(traceOp, "imprints", fmt.Sprintf("%d/%d blocks skipped", skipped, total))
-	out := vec.Intersect(below, sel)
-	if pivot < rowHi {
-		tail := vec.SelRange(col.Slice(pivot-rowLo, rowHi-rowLo), lo, hi, loI, hiI, above)
-		out = appendRebased(out, tail, int32(pivot-rowLo))
-	}
-	return out
-}
-
 // splitCands splits a window-relative candidate list at pivot: below keeps
 // candidates < pivot in place, above holds candidates >= pivot rebased to
 // the tail (c - pivot). A nil list (= all rows) splits into nil, nil; a
@@ -554,38 +507,6 @@ func appendRebased(dst, tail []int32, off int32) []int32 {
 		dst = append(dst, c+off)
 	}
 	return dst
-}
-
-// openRange converts a one-sided comparison into SelectRange bounds.
-func openRange(t mtypes.Type, op vec.CmpOp, val mtypes.Value) (lo, hi mtypes.Value, loIncl, hiIncl bool) {
-	minV, maxV := typeExtremes(t)
-	switch op {
-	case vec.CmpLt:
-		return minV, val, true, false
-	case vec.CmpLe:
-		return minV, val, true, true
-	case vec.CmpGt:
-		return val, maxV, false, true
-	default:
-		return val, maxV, true, true
-	}
-}
-
-// typeExtremes returns sentinel-safe minimum and maximum values of a type's
-// physical domain (the NULL sentinel sits just below the minimum).
-func typeExtremes(t mtypes.Type) (mtypes.Value, mtypes.Value) {
-	switch t.Kind {
-	case mtypes.KDouble:
-		return mtypes.NewDouble(-1e308), mtypes.NewDouble(1e308)
-	case mtypes.KBool, mtypes.KTinyInt:
-		return mtypes.Value{Typ: t, I: int64(mtypes.NullInt8) + 1}, mtypes.Value{Typ: t, I: 1<<7 - 1}
-	case mtypes.KSmallInt:
-		return mtypes.Value{Typ: t, I: int64(mtypes.NullInt16) + 1}, mtypes.Value{Typ: t, I: 1<<15 - 1}
-	case mtypes.KInt, mtypes.KDate:
-		return mtypes.Value{Typ: t, I: int64(mtypes.NullInt32) + 1}, mtypes.Value{Typ: t, I: 1<<31 - 1}
-	default:
-		return mtypes.Value{Typ: t, I: mtypes.NullInt64 + 1}, mtypes.Value{Typ: t, I: 1<<63 - 1}
-	}
 }
 
 // indexKey converts a constant to the key col's hash index holds for it:

@@ -186,7 +186,7 @@ const scanBenchQuery = "SELECT i, i * 2 + pay FROM sc WHERE f1 >= 100 AND f1 < 2
 // GatherOracle replays the pre-candidate-list semantics — per conjunct, a
 // full-width boolean vector and a gather of every scanned column — on the
 // same plan. Both run with NoIndexes so the comparison isolates the
-// candidate-list machinery from imprint pruning. CI's bench smoke step runs
+// candidate-list machinery from index lookups. CI's bench smoke step runs
 // it once; the timings are read, not gated.
 func BenchmarkScanFilterProject(b *testing.B) {
 	const n = 1 << 19 // 512k rows

@@ -212,9 +212,9 @@ func (e *Engine) sidewaysFilterFor(p sidewaysPlan, buildN int, key *vec.Vector) 
 		return nil, fmt.Sprintf("%d keys keep %d of %d sampled rows", kf.Keys(), kept, len(sample))
 	}
 	sf := &sidewaysFilter{scan: p.scan, slot: p.slot, keys: kf}
-	// The filter goes ahead of the domain and imprint conjuncts when it
-	// keeps a smaller share of the sample than the optimizer expects all of
-	// the scan's conjuncts together to keep; else after them.
+	// The filter goes ahead of the domain conjuncts when it keeps a smaller
+	// share of the sample than the optimizer expects all of the scan's
+	// conjuncts together to keep; else after them.
 	first := p.scan.Est > 0 && int64(kept)*int64(nrows) < p.scan.Est*int64(len(sample))
 	sf.filters = sidewaysConjuncts(p.scan, src, sf, first, e.NoIndexes)
 	if !saves && sf.filters[len(sf.filters)-1] == plan.Expr(sf) {
@@ -247,14 +247,13 @@ func sidewaysConjuncts(x *plan.Scan, src TableSource, sf *sidewaysFilter, first,
 const (
 	rankIndex = iota // a hash or order index lookup: no pass over the rows
 	rankRuns         // a pass over an RLE column's runs
-	rankCodes        // a pass over packed codes or imprint blocks
+	rankCodes        // a pass over packed codes
 	rankRows         // a test per row
 )
 
 // conjunctRank ranks a scan conjunct as applyScanFilter routes it: over an
-// encoded column's value domain (selectDomain), through a hash index
-// (equality with a constant), an order index or imprints (a range), or a
-// test per row.
+// encoded column's value domain (selectDomain), through the index predIndex
+// finds for a column predicate, or a test per row.
 func conjunctRank(x *plan.Scan, src TableSource, f plan.Expr, noIndexes bool) int {
 	slot, ok := conjunctSlot(f)
 	if !ok {
@@ -267,20 +266,10 @@ func conjunctRank(x *plan.Scan, src TableSource, f plan.Expr, noIndexes bool) in
 		}
 		return rankCodes
 	}
-	var eq, ranged bool
-	switch p := f.(type) {
-	case *plan.BinOp:
-		cmpConst := p.Kind == plan.BinCmp && colConst(p)
-		eq, ranged = cmpConst && p.Cmp == vec.CmpEq, cmpConst && p.Cmp != vec.CmpEq && p.Cmp != vec.CmpNe
-	case *plan.BetweenExpr:
-		ranged = !p.Not
-	}
-	switch {
-	case noIndexes:
-	case eq && src.HashIdx(ci) != nil, ranged && src.OrderIdx(ci) != nil:
-		return rankIndex
-	case ranged && src.Imprints(ci) != nil:
-		return rankCodes
+	if p, ok := matchColPred(f); ok && !noIndexes {
+		if h, oi := predIndex(src, ci, p); h != nil || oi != nil {
+			return rankIndex
+		}
 	}
 	return rankRows
 }
@@ -293,15 +282,6 @@ func keyRank(src TableSource, ci int) int {
 		return rankRuns
 	}
 	return rankCodes
-}
-
-// colConst reports whether a comparison sets a column against a constant.
-func colConst(p *plan.BinOp) bool {
-	_, lc := p.L.(*plan.ColRef)
-	_, rc := p.R.(*plan.ColRef)
-	_, lk := p.L.(*plan.Const)
-	_, rk := p.R.(*plan.Const)
-	return lc && rk || rc && lk
 }
 
 // conjunctSlot returns the one column a conjunct reads; ok is false when it

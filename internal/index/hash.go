@@ -1,3 +1,16 @@
+// Package index implements MonetDB's secondary index structures as described
+// in the paper (§3.1 "Automatic Indexing" and "Order Index"):
+//
+//   - Hash index: value -> row-ids table accelerating equality selections.
+//     Built automatically on first use, extended when the append-delta is
+//     merged, and kept across deletes (the executor's candidate lists drop
+//     deleted rows).
+//   - Order index: a sorted row-id permutation created explicitly via
+//     CREATE ORDER INDEX, answering range and one-sided comparisons by
+//     binary search and enabling merge joins.
+//
+// The structures never change query results — only access paths. The storage
+// layer owns their lifecycle.
 package index
 
 import (
@@ -7,8 +20,8 @@ import (
 
 // HashIndex maps column values to the row ids holding them. It accelerates
 // equi-selections, group-bys and equi-joins. Following the paper, it is
-// maintained incrementally on appends (Extend) and must be dropped by the
-// owner on updates or deletes.
+// maintained incrementally on appends (Extend). Deleted rows stay in it; the
+// caller's candidate lists exclude them.
 type HashIndex struct {
 	num map[int64][]int32
 	str map[string][]int32

@@ -2,6 +2,7 @@ package index
 
 import (
 	"slices"
+	"sort"
 
 	"monetlite/internal/mtypes"
 	"monetlite/internal/vec"
@@ -13,30 +14,50 @@ import (
 // for merge joins.
 type OrderIndex struct {
 	Order []int32 // row ids in ascending value order (NULLs first)
-	n     int
+	nulls int     // the NULL rows, Order's prefix
 }
 
 // BuildOrderIndex sorts the column and records the permutation.
 func BuildOrderIndex(v *vec.Vector) *OrderIndex {
-	return &OrderIndex{Order: vec.SortedOrderOf(v), n: v.Len()}
+	order := vec.SortedOrderOf(v)
+	nulls := sort.Search(len(order), func(i int) bool { return !v.IsNull(int(order[i])) })
+	return &OrderIndex{Order: order, nulls: nulls}
 }
 
 // Rows returns the covered row count.
-func (oi *OrderIndex) Rows() int { return oi.n }
+func (oi *OrderIndex) Rows() int { return len(oi.Order) }
 
 // SelectRange answers lo <= v <= hi (inclusivity flags) by binary search,
 // returning a sorted candidate list. Equivalent to vec.SelRange.
 func (oi *OrderIndex) SelectRange(v *vec.Vector, lo, hi mtypes.Value, loIncl, hiIncl bool) []int32 {
+	if lo.Null || hi.Null {
+		return []int32{}
+	}
 	a, b := vec.BinarySearchRange(v, oi.Order, lo, hi, loIncl, hiIncl)
+	return oi.rows(a, max(a, b)) // b < a when lo > hi
+}
+
+// SelectCmp answers the one-sided comparison v op val (<, <=, > or >=) by
+// one binary search, returning a sorted candidate list. NULLs sort first and
+// match no comparison, so the rows below val start after them. Equivalent
+// to vec.SelCmp.
+func (oi *OrderIndex) SelectCmp(v *vec.Vector, op vec.CmpOp, val mtypes.Value) []int32 {
+	switch {
+	case val.Null:
+		return []int32{}
+	case op == vec.CmpLt || op == vec.CmpLe:
+		return oi.rows(oi.nulls, vec.SearchOrder(v, oi.Order, val, op == vec.CmpLt))
+	}
+	return oi.rows(vec.SearchOrder(v, oi.Order, val, op == vec.CmpGe), len(oi.Order))
+}
+
+// rows returns the row ids at order positions [a, b), ascending; never nil,
+// since a nil candidate list means every row.
+func (oi *OrderIndex) rows(a, b int) []int32 {
 	out := make([]int32, b-a)
 	copy(out, oi.Order[a:b])
 	slices.Sort(out)
 	return out
-}
-
-// SelectPoint answers v = val by binary search.
-func (oi *OrderIndex) SelectPoint(v *vec.Vector, val mtypes.Value) []int32 {
-	return oi.SelectRange(v, val, val, true, true)
 }
 
 // MergeJoin joins two columns that both have order indexes, returning the

@@ -106,10 +106,10 @@ func InListHasNull(vals []mtypes.Value) bool {
 }
 
 // BetweenExpr is a range test, kept as a node so the executor can map it to
-// one SelRange / imprints probe. SQL BETWEEN is inclusive on both ends (the
-// zero value); the optimizer's range-conjunct fusion also produces half-open
-// ranges (e.g. `a >= lo AND a < hi`) by setting LoExcl/HiExcl, so a pair of
-// one-sided comparisons still becomes a single imprint-prunable probe.
+// one SelRange or order-index probe. SQL BETWEEN is inclusive on both ends
+// (the zero value); the optimizer's range-conjunct fusion also produces
+// half-open ranges (e.g. `a >= lo AND a < hi`) by setting LoExcl/HiExcl, so a
+// pair of one-sided comparisons still becomes a single probe.
 type BetweenExpr struct {
 	E, Lo, Hi      Expr
 	Not            bool

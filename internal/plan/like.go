@@ -86,7 +86,7 @@ func matchLikeBytes(s, pattern string) bool {
 
 // LikePrefix reports whether the pattern is a simple prefix match
 // ("abc%" with no other wildcards) and returns the prefix. The executor uses
-// this to turn LIKE into a range select that imprints can accelerate.
+// this to turn LIKE into one range select.
 func LikePrefix(pattern string) (string, bool) {
 	for i := 0; i < len(pattern); i++ {
 		switch pattern[i] {

@@ -32,7 +32,7 @@ func OptimizeWith(cat Catalog, n Node, opts OptOpts) Node {
 	n = optimizeJoins(cat, n, opts)
 	n, _ = pruneNode(n, allRequired(len(n.Schema())))
 	// Last, after pushdown has landed every single-table conjunct in its
-	// scan: merge one-sided range pairs so imprints see both bounds at once.
+	// scan: merge one-sided range pairs so one select sees both bounds.
 	n = fuseScanRanges(n)
 	// With shapes final, mark Window nodes whose input is already ordered
 	// compatibly so they skip their physical sort.
@@ -1043,7 +1043,7 @@ func colConstBound(f Expr) (cr *ColRef, op vec.CmpOp, c *Const, ok bool) {
 // fuseRangeConjuncts merges a lower-bound conjunct (col > / >= const) with an
 // upper-bound conjunct (col < / <= const) over the same column into a single
 // BetweenExpr (half-open via LoExcl/HiExcl), so the executor runs one range
-// selection — and one imprints probe — instead of two one-sided selections
+// selection — and one order-index probe — instead of two one-sided selections
 // intersected. The fused node takes the earlier conjunct's position;
 // everything unpaired keeps its place and order. Semantics are unchanged:
 // the conjunction and the range agree on every input including NULLs (both

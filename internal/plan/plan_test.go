@@ -482,8 +482,8 @@ func TestTopNFusion(t *testing.T) {
 }
 
 // Pairs of one-sided range conjuncts over the same column must fuse into a
-// single BetweenExpr (half-open via LoExcl/HiExcl) so the executor — and the
-// imprints — see both bounds in one probe. Same-direction pairs, pairs over
+// single BetweenExpr (half-open via LoExcl/HiExcl) so the executor — and an
+// order index — see both bounds in one probe. Same-direction pairs, pairs over
 // different columns, and non-constant bounds must not fuse.
 func TestRangeConjunctFusion(t *testing.T) {
 	q := bindQuery(t, "SELECT a FROM t WHERE a >= 5 AND a < 10")

@@ -10,13 +10,12 @@ import (
 // MergeReport describes one completed delta fold (the storage.deltamerge
 // trace line and the merge log are rendered from it).
 type MergeReport struct {
-	Table            string
-	FromRows         int // base boundary before the fold
-	ToRows           int // base boundary after (the folded snapshot's NRows)
-	ImprintsExtended int // columns whose imprints grew via Imprints.Extend
-	HashExtended     int // columns whose hash index grew via HashIndex.Extended
-	Encoded          int // columns re-encoded to cover the folded rows
-	Duration         time.Duration
+	Table        string
+	FromRows     int // base boundary before the fold
+	ToRows       int // base boundary after (the folded snapshot's NRows)
+	HashExtended int // columns whose hash index grew via HashIndex.Extended
+	Encoded      int // columns re-encoded to cover the folded rows
+	Duration     time.Duration
 }
 
 // MergeDelta folds the table's append-delta into the base: secondary indexes
@@ -33,7 +32,7 @@ type MergeReport struct {
 // off the table lock (reading the column through LoadSlice, so concurrent
 // appends can land mid-fold without racing), phase 2 installs them under
 // t.mu. Structures built for tv.NRows rows stay valid if the table grew in
-// between — coverage-based serving (ImprintsFor/HashFor/EncodedFor) windows
+// between — coverage-based serving (HashFor/EncodedFor) windows
 // the uncovered tail exactly as it does for any other delta.
 func (t *Table) MergeDelta(minPinned uint64) (MergeReport, bool) {
 	tv := t.Version()
@@ -48,7 +47,6 @@ func (t *Table) MergeDelta(minPinned uint64) (MergeReport, bool) {
 	start := time.Now()
 
 	type colFold struct {
-		im       *index.Imprints
 		h        *index.HashIndex
 		enc      *vec.Encoded
 		reencode bool // a re-encode ran; install enc even when nil (decay)
@@ -56,21 +54,15 @@ func (t *Table) MergeDelta(minPinned uint64) (MergeReport, bool) {
 	folds := make([]colFold, len(t.cols))
 	for ci := range t.cols {
 		t.mu.Lock()
-		im, imRows, h := t.idx[ci].imprints, t.idx[ci].imprintsRows, t.idx[ci].hash
+		h := t.idx[ci].hash
 		t.mu.Unlock()
 		e := t.cols[ci].EncodedForm()
-		if im == nil && h == nil && e == nil {
+		if h == nil && e == nil {
 			continue // nothing covers this column; lazy builds handle it later
 		}
 		data, err := t.cols[ci].LoadSlice(tv.NRows)
 		if err != nil {
 			return rep, false
-		}
-		if im != nil && imRows < tv.NRows {
-			if ext := im.Extend(data, imRows); ext != nil {
-				folds[ci].im = ext
-				rep.ImprintsExtended++
-			}
 		}
 		if h != nil && h.Rows() < tv.NRows {
 			folds[ci].h = h.Extended(data, h.Rows())
@@ -87,10 +79,6 @@ func (t *Table) MergeDelta(minPinned uint64) (MergeReport, bool) {
 
 	t.mu.Lock()
 	for ci, f := range folds {
-		if f.im != nil {
-			t.idx[ci].imprints = f.im
-			t.idx[ci].imprintsRows = tv.NRows
-		}
 		if f.h != nil {
 			t.idx[ci].hash = f.h
 		}

@@ -11,9 +11,9 @@ import (
 // ColStats summarizes one column of one table snapshot for the cost-based
 // optimizer: row count, null count, estimated number of distinct values, and
 // the exact min/max of the non-null domain (absent for empty or all-null
-// columns). Like the imprints in internal/index, stats describe the current,
-// delete-free version of a table and are computed lazily on first use, then
-// cached until an append invalidates them.
+// columns). Like an order index, stats describe the current, delete-free
+// version of a table and are computed lazily on first use, then cached until
+// an append invalidates them.
 type ColStats struct {
 	Rows      int64
 	NullCount int64
@@ -90,11 +90,10 @@ func (t *Table) noteRowsChanged(nrows int, forceBump bool) {
 }
 
 // ComputeColStats scans one column vector and produces its statistics. The
-// min/max and null count come from a full pass (they piggyback on the same
-// sequential scan the imprints builder does); the distinct count hashes a
-// strided sample of at most statsSampleCap non-null values and extrapolates
-// with a first-order jackknife (d + f1·(N−n)/n, where f1 counts sample
-// singletons), clamped to [d, nonNull].
+// min/max and null count come from one sequential pass; the distinct count
+// hashes a strided sample of at most statsSampleCap non-null values and
+// extrapolates with a first-order jackknife (d + f1·(N−n)/n, where f1 counts
+// sample singletons), clamped to [d, nonNull].
 func ComputeColStats(v *vec.Vector) *ColStats {
 	n := v.Len()
 	st := &ColStats{Rows: int64(n)}

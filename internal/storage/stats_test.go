@@ -92,7 +92,7 @@ func TestStatsForLifecycle(t *testing.T) {
 	if st2 == nil || st2.Rows != 5 || st2.Max.AsInt() != 9 {
 		t.Fatalf("post-append stats = %+v", st2)
 	}
-	// Deletes disable stats entirely (same rule as imprints).
+	// Deletes disable stats entirely (same rule as order indexes).
 	if _, _, err := tbl.Delete([]int32{0}, 3); err != nil {
 		t.Fatal(err)
 	}

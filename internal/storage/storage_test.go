@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"math/rand"
 	"testing"
 
 	"monetlite/internal/delta"
@@ -279,16 +278,12 @@ func TestIndexLifecycle(t *testing.T) {
 	tbl.Append(testBatch(500, 0), s.BumpVersion())
 	tv := tbl.Version()
 
-	im := tbl.ImprintsFor(tv, 0)
-	if im == nil {
-		t.Fatal("imprints should build")
-	}
-	if tbl.ImprintsFor(tv, 0) != im {
-		t.Fatal("imprints should be cached")
-	}
 	h := tbl.HashFor(tv, 1)
 	if h == nil || h.Rows() != 500 {
 		t.Fatal("hash index should build")
+	}
+	if tbl.HashFor(tv, 1) != h {
+		t.Fatal("hash index should be cached")
 	}
 	if err := tbl.CreateOrderIndex(0); err != nil {
 		t.Fatal(err)
@@ -297,7 +292,7 @@ func TestIndexLifecycle(t *testing.T) {
 		t.Fatal("order index should exist")
 	}
 
-	// Append: the new rows land in the append-delta. Imprints and hash keep
+	// Append: the new rows land in the append-delta. The hash index keeps
 	// covering the 500-row base — for the old snapshot AND the new version
 	// (the executor raw-scans the uncovered tail) — and the background merge
 	// folds them forward. Order indexes die but rebuild on demand because
@@ -308,8 +303,8 @@ func TestIndexLifecycle(t *testing.T) {
 		// baseRows only advances at merge; this table never merged.
 		t.Fatalf("append-delta bookkeeping: base %d delta %d", tv2.BaseRows, tv2.DeltaRows())
 	}
-	if got := tbl.ImprintsFor(tv, 0); got != im {
-		t.Fatal("old snapshot should keep being served the base-covering imprints")
+	if got := tbl.HashFor(tv, 1); got != h {
+		t.Fatal("old snapshot should keep being served the base-covering hash index")
 	}
 	h2 := tbl.HashFor(tv2, 1)
 	if h2 != h || h2.Rows() != 500 {
@@ -319,51 +314,28 @@ func TestIndexLifecycle(t *testing.T) {
 		t.Fatal("order index should rebuild for new version")
 	}
 
-	// Merge folds the delta: imprints and hash extend incrementally.
-	if rep, ok := tbl.MergeDelta(delta.NoPins); !ok || rep.ImprintsExtended != 1 || rep.HashExtended != 1 {
-		t.Fatalf("merge should extend imprints and hash: %+v ok=%v", rep, ok)
+	// Merge folds the delta: the hash index extends incrementally.
+	if rep, ok := tbl.MergeDelta(delta.NoPins); !ok || rep.HashExtended != 1 {
+		t.Fatalf("merge should extend the hash index: %+v ok=%v", rep, ok)
 	}
 	tv2 = tbl.Version()
 	if tv2.BaseRows != 600 {
 		t.Fatalf("merge should advance the base to 600, got %d", tv2.BaseRows)
 	}
-	if im2 := tbl.ImprintsFor(tv2, 0); im2 == nil || im2.Len() != 600 {
-		t.Fatal("imprints should cover the merged base")
-	}
 	if h3 := tbl.HashFor(tv2, 1); h3 == nil || h3.Rows() != 600 {
 		t.Fatal("hash should cover the merged base")
 	}
 
-	// Delete: imprints and hash survive (deleted rows are excluded by the
+	// Delete: the hash index survives (deleted rows are excluded by the
 	// executor's candidate lists); order indexes require delete-free
 	// snapshots and die.
 	tbl.Delete([]int32{0}, s.BumpVersion())
 	tv3 := tbl.Version()
-	if tbl.ImprintsFor(tv3, 0) == nil || tbl.HashFor(tv3, 1) == nil {
-		t.Fatal("imprints/hash must survive deletes")
+	if tbl.HashFor(tv3, 1) == nil {
+		t.Fatal("hash index must survive deletes")
 	}
 	if tbl.OrderFor(tv3, 0) != nil {
 		t.Fatal("order index must not be served for snapshots with deletes")
-	}
-}
-
-func TestImprintsMatchScanViaTable(t *testing.T) {
-	s := NewMemory()
-	tbl, _ := s.CreateTable(TableMeta{Name: "r", Cols: []ColDef{{Name: "x", Typ: mtypes.Int}}})
-	rng := rand.New(rand.NewSource(99))
-	v := vec.New(mtypes.Int, 3000)
-	for i := range v.I32 {
-		v.I32[i] = int32(rng.Intn(1000))
-	}
-	tbl.Append([]*vec.Vector{v}, s.BumpVersion())
-	tv := tbl.Version()
-	im := tbl.ImprintsFor(tv, 0)
-	col, _ := tv.Col(0)
-	lo, hi := mtypes.NewInt(mtypes.Int, 100), mtypes.NewInt(mtypes.Int, 200)
-	got := im.SelectRange(col, lo, hi, true, true)
-	want := vec.SelRange(col, lo, hi, true, true, nil)
-	if len(got) != len(want) {
-		t.Fatalf("imprints disagree with scan: %d vs %d", len(got), len(want))
 	}
 }
 
@@ -426,10 +398,10 @@ func TestStoreVersioning(t *testing.T) {
 	}
 }
 
-// Imprints must survive appends: the index is extended with the new blocks
+// A hash index must survive appends: the merge extends it over the new rows
 // (not rebuilt, not destroyed), old snapshots keep their unmutated copy, and
-// pruned selections stay identical to naive scans across the append.
-func TestImprintsMaintainedOnAppend(t *testing.T) {
+// lookups stay identical to naive scans across the append.
+func TestHashIndexMaintainedOnAppend(t *testing.T) {
 	s := NewMemory()
 	tbl, err := s.CreateTable(testMeta())
 	if err != nil {
@@ -439,56 +411,52 @@ func TestImprintsMaintainedOnAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	v1 := tbl.Version()
-	im1 := tbl.ImprintsFor(v1, 0)
-	if im1 == nil || im1.Len() != 500 {
-		t.Fatal("imprints not built on demand")
+	h1 := tbl.HashFor(v1, 0)
+	if h1 == nil || h1.Rows() != 500 {
+		t.Fatal("hash index not built on demand")
 	}
 
 	if _, err := tbl.Append(testBatch(300, 500), s.BumpVersion()); err != nil {
 		t.Fatal(err)
 	}
-	// The append itself leaves the imprints alone: both the old snapshot and
+	// The append itself leaves the index alone: both the old snapshot and
 	// the new version are served the 500-row base coverage (the executor
 	// raw-scans the uncovered append-delta tail).
 	v2 := tbl.Version()
-	if got := tbl.ImprintsFor(v2, 0); got != im1 || got.Len() != 500 {
-		t.Fatalf("append must not touch imprints (got %v)", got)
+	if got := tbl.HashFor(v2, 0); got != h1 || got.Rows() != 500 {
+		t.Fatalf("append must not touch the hash index (got %v)", got)
 	}
-	// The background merge extends them copy-on-write over the delta rows.
-	if rep, ok := tbl.MergeDelta(delta.NoPins); !ok || rep.ImprintsExtended != 1 {
-		t.Fatalf("merge should extend imprints: %+v ok=%v", rep, ok)
+	// The background merge extends it copy-on-write over the delta rows.
+	if rep, ok := tbl.MergeDelta(delta.NoPins); !ok || rep.HashExtended != 1 {
+		t.Fatalf("merge should extend the hash index: %+v ok=%v", rep, ok)
 	}
 	v2 = tbl.Version()
-	im2 := tbl.ImprintsFor(v2, 0)
-	if im2 == nil || im2.Len() != 800 {
-		t.Fatalf("imprints not extended by merge (len %v)", im2)
+	h2 := tbl.HashFor(v2, 0)
+	if h2 == nil || h2.Rows() != 800 {
+		t.Fatalf("hash index not extended by merge (%v)", h2)
 	}
-	if im2 == im1 {
-		t.Fatal("merge must produce a fresh imprints object (readers may hold the old one)")
+	if h2 == h1 {
+		t.Fatal("merge must produce a fresh hash index (readers may hold the old one)")
 	}
-	if im1.Len() != 500 {
-		t.Fatal("merge mutated the old snapshot's imprints")
+	if h1.Rows() != 500 || h1.Lookup(mtypes.NewInt(mtypes.Int, 650)) != nil {
+		t.Fatal("merge mutated the old snapshot's hash index")
 	}
 	col, _ := v2.Col(0)
-	lo, hi := mtypes.NewInt(mtypes.Int, 100), mtypes.NewInt(mtypes.Int, 650)
-	got := im2.SelectRange(col, lo, hi, true, true)
-	want := vec.SelRange(col, lo, hi, true, true, nil)
-	if len(got) != len(want) {
-		t.Fatalf("pruned selection %d rows, naive %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("row %d: %d vs %d", i, got[i], want[i])
+	for _, k := range []int64{100, 499, 650, 799, 800} {
+		key := mtypes.NewInt(mtypes.Int, k)
+		got := append([]int32{}, h2.Lookup(key)...)
+		want := vec.SelCmp(col, vec.CmpEq, key, nil)
+		if len(got) != len(want) || len(got) > 0 && got[0] != want[0] {
+			t.Fatalf("key %d: index rows %v, scan rows %v", k, got, want)
 		}
 	}
 
-	// Deletes keep imprints alive: the bitmap is consumed by the executor's
-	// candidate lists, and imprint blocks that pass the mask are verified by
-	// value, so deleted rows can never leak through pruning.
+	// Deletes keep the index alive: the bitmap is consumed by the executor's
+	// candidate lists, so deleted rows can never leak through a lookup.
 	if _, _, err := tbl.Delete([]int32{3}, s.BumpVersion()); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.ImprintsFor(tbl.Version(), 0) != im2 {
-		t.Fatal("imprints should survive deletes")
+	if tbl.HashFor(tbl.Version(), 0) != h2 {
+		t.Fatal("hash index should survive deletes")
 	}
 }

@@ -80,14 +80,11 @@ func (tv *TableVersion) LiveRows() int { return tv.NRows - tv.Dels.Count() }
 // colIndexes tracks the secondary indexes of one column together with the
 // metadata needed to decide their validity for a given snapshot.
 type colIndexes struct {
-	imprints     *index.Imprints
-	imprintsRows int
-	hash         *index.HashIndex
-	order        *index.OrderIndex
-	orderRows    int
-	orderWanted  bool // CREATE ORDER INDEX was issued; rebuild lazily
-	stats        *ColStats
-	statsRows    int
+	hash        *index.HashIndex
+	order       *index.OrderIndex
+	orderWanted bool // CREATE ORDER INDEX was issued; rebuild lazily
+	stats       *ColStats
+	statsRows   int
 }
 
 // Table is a mutable table: current version pointer, physical columns and
@@ -223,7 +220,7 @@ func (t *Table) RecoverTruncate() error {
 
 // Delete marks rows deleted and publishes a new version. The delete-delta
 // stays a bitmap (copy-on-write, so older snapshots keep their own deletion
-// state); imprints and hash indexes survive — deleted rows are excluded by
+// state); hash indexes survive — deleted rows are excluded by
 // the executor's candidate lists, never served by the index structures
 // themselves. Order indexes don't survive (their validity gate requires a
 // delete-free snapshot).
@@ -257,31 +254,6 @@ func (t *Table) Delete(rowids []int32, commitVersion uint64) (*TableVersion, int
 // Automatic index access (paper §3.1 "Automatic Indexing").
 // ---------------------------------------------------------------------------
 
-// ImprintsFor returns (building on demand) the imprints of column ci; nil
-// when unavailable. Imprints covering any row prefix are safe for any
-// snapshot: the executor windows its probes at Imprints.Len() and raw-scans
-// the uncovered delta tail, block masks are conservative (masks built over
-// extra rows only add bits, causing extra verification, never wrong skips),
-// and deleted rows are excluded by candidate-list intersection. Builds use
-// the snapshot's row prefix, which is immutable in every later version
-// (column arrays are append-only; deletes live in the bitmap), so a build
-// races safely with concurrent commits and background merges.
-func (t *Table) ImprintsFor(tv *TableVersion, ci int) *index.Imprints {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ix := &t.idx[ci]
-	if ix.imprints != nil {
-		return ix.imprints
-	}
-	data, err := t.cols[ci].Load()
-	if err != nil {
-		return nil
-	}
-	ix.imprints = index.BuildImprints(data.Slice(0, tv.NRows))
-	ix.imprintsRows = tv.NRows
-	return ix.imprints
-}
-
 // HashFor returns (building on demand) the hash index of column ci for
 // snapshot tv; nil when the index covers rows the snapshot cannot see. An
 // index covering fewer rows than the snapshot is served — the executor
@@ -309,7 +281,7 @@ func (t *Table) HashFor(tv *TableVersion, ci int) *index.HashIndex {
 
 // OrderFor returns the order index of column ci if one was created with
 // CREATE ORDER INDEX and is still valid for tv. Order indexes are a sorted
-// permutation of all rows, so unlike imprints/hash they require exact
+// permutation of all rows, so unlike hash indexes they require exact
 // coverage: current version, no deletes.
 func (t *Table) OrderFor(tv *TableVersion, ci int) *index.OrderIndex {
 	if tv != t.Version() || tv.Dels.Count() > 0 {
@@ -318,7 +290,7 @@ func (t *Table) OrderFor(tv *TableVersion, ci int) *index.OrderIndex {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	ix := &t.idx[ci]
-	if ix.order != nil && ix.orderRows == tv.NRows {
+	if ix.order != nil && ix.order.Rows() == tv.NRows {
 		return ix.order
 	}
 	if !ix.orderWanted {
@@ -329,7 +301,6 @@ func (t *Table) OrderFor(tv *TableVersion, ci int) *index.OrderIndex {
 		return nil
 	}
 	ix.order = index.BuildOrderIndex(data.Slice(0, tv.NRows))
-	ix.orderRows = tv.NRows
 	return ix.order
 }
 
@@ -345,7 +316,6 @@ func (t *Table) CreateOrderIndex(ci int) error {
 	}
 	t.idx[ci].orderWanted = true
 	t.idx[ci].order = index.BuildOrderIndex(data.Slice(0, tv.NRows))
-	t.idx[ci].orderRows = tv.NRows
 	return nil
 }
 

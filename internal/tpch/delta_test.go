@@ -21,7 +21,7 @@ func slicePart(cols []any, lo, hi int) []any {
 // openPendingDelta opens a parallel database whose lineitem carries a
 // pending append-delta: every table except lineitem loads whole; lineitem
 // loads its first 90%, gets merged + encoded (so the base runs the
-// compressed and imprint-pruned paths), then the remaining 10% lands as a
+// compressed and hash-indexed paths), then the remaining 10% lands as a
 // pending delta that no merger is allowed to fold. It returns the delta's
 // row count.
 func openPendingDelta(t *testing.T, data *Data) (*monetlite.Database, *monetlite.Conn, int) {
@@ -69,7 +69,7 @@ func pendingRows(db *monetlite.Database, table string) int {
 
 // Delta-store differential: all 22 TPC-H queries must return identical
 // results whether lineitem is fully merged (base only) or carries a pending
-// append-delta on top of an encoded, imprint-indexed base. The fully merged
+// append-delta on top of an encoded, hash-indexed base. The fully merged
 // database is the oracle; stats prove the delta really was nonempty when the
 // queries ran (a merge racing ahead would make this test vacuous).
 func TestAllQueriesWithPendingLineitemDelta(t *testing.T) {

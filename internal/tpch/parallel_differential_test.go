@@ -134,10 +134,10 @@ func TestParallelJoinQueriesMatchSerial(t *testing.T) {
 	}
 }
 
-// Imprint pruning on TPC-H data: a selective range predicate over the
-// clustered l_orderkey column must skip most blocks (visible in the MAL
-// trace) while returning exactly the same rows as the unindexed scan.
-func TestImprintPruningOnTPCH(t *testing.T) {
+// An order index on the clustered l_orderkey column answers a selective
+// range by binary search (orderidx in the MAL trace) and returns exactly the
+// rows of the unindexed scan.
+func TestOrderIndexOnTPCH(t *testing.T) {
 	data := Generate(0.01, 42)
 	run := func(cfg monetlite.Config) (*monetlite.Result, string) {
 		db, err := monetlite.OpenInMemory(cfg)
@@ -149,6 +149,9 @@ func TestImprintPruningOnTPCH(t *testing.T) {
 			t.Fatal(err)
 		}
 		conn := db.Connect()
+		if _, err := conn.Exec("CREATE ORDER INDEX oi ON lineitem (l_orderkey)"); err != nil {
+			t.Fatal(err)
+		}
 		conn.TraceMAL = true
 		q := `select count(*), sum(l_extendedprice), min(l_shipdate)
 		      from lineitem where l_orderkey between 1000 and 2000`
@@ -158,32 +161,17 @@ func TestImprintPruningOnTPCH(t *testing.T) {
 		}
 		return res, conn.LastTrace.String()
 	}
-	pruned, trace := run(monetlite.Config{Parallel: false})
-	naive, _ := run(monetlite.Config{Parallel: false, NoIndexes: true})
-	compareResults(t, "pruned vs naive", naive, pruned)
-
-	if !strings.Contains(trace, "imprints") {
-		t.Fatalf("imprints not consulted:\n%s", trace)
+	indexed, trace := run(monetlite.Config{Parallel: false})
+	naive, naiveTrace := run(monetlite.Config{Parallel: false, NoIndexes: true})
+	compareResults(t, "order index vs naive", naive, indexed)
+	if naive.NumRows() != 1 || naive.RowStrings(0)[0] == "0" {
+		t.Fatalf("range selected no rows: %v", naive.RowStrings(0))
 	}
-	// The trace line reads "skipped/total blocks skipped"; the clustered
-	// orderkey range must actually skip blocks.
-	var skipped, total int
-	for _, line := range strings.Split(trace, "\n") {
-		if i := strings.Index(line, "imprints"); i >= 0 && strings.Contains(line, "blocks skipped") {
-			if _, err := fmt.Sscanf(line[i:], "imprints, %d/%d blocks skipped", &skipped, &total); err == nil && skipped > 0 {
-				break
-			}
-		}
+	if !strings.Contains(trace, "algebra.rangeselect(orderidx)") {
+		t.Fatalf("order index not consulted:\n%s", trace)
 	}
-	if skipped == 0 || skipped >= total+1 {
-		t.Fatalf("selective orderkey range skipped %d/%d blocks:\n%s", skipped, total, trace)
-	}
-
-	// Parallel chunked scans prune too: the coordinator aggregates worker
-	// counters into a summary trace line.
-	_, ptrace := run(monetlite.Config{Parallel: true, MaxThreads: 4})
-	if strings.Contains(ptrace, "optimizer.mitosis") && !strings.Contains(ptrace, "blocks skipped") {
-		t.Fatalf("parallel scan shows no pruning summary:\n%s", ptrace)
+	if strings.Contains(naiveTrace, "orderidx") {
+		t.Fatalf("NoIndexes still used the order index:\n%s", naiveTrace)
 	}
 }
 

@@ -33,14 +33,14 @@ func TestCommitAppendIsODelta(t *testing.T) {
 	// fully indexed: the worst case for a copy-on-write committer.
 	tbl, _ := m.store.Get("t")
 	tv := tbl.Version()
-	if im := tbl.ImprintsFor(tv, 0); im == nil {
-		t.Fatal("imprints not built")
+	if h := tbl.HashFor(tv, 0); h == nil {
+		t.Fatal("hash index not built")
 	}
 	if _, ok := tbl.MergeDelta(delta.NoPins); !ok {
 		t.Fatal("seed merge did not run")
 	}
 
-	imBefore := tbl.ImprintsFor(tbl.Version(), 0)
+	hBefore := tbl.HashFor(tbl.Version(), 0)
 
 	// Measure the allocation cost of small commits. Each op appends 100 rows
 	// (100 int32 + 100 strings ~ a few KB); copying any 200k-row column would
@@ -65,15 +65,15 @@ func TestCommitAppendIsODelta(t *testing.T) {
 		t.Fatalf("100-row commit into %d-row table allocated %d B/op: O(table) copy suspected", baseRows, bpo)
 	}
 
-	// The base imprints survive small appends untouched (same pointer): the
-	// committer didn't rebuild or copy per-column index state.
-	if imAfter := tbl.ImprintsFor(tbl.Version(), 0); imAfter != imBefore {
-		t.Fatal("small append invalidated base imprints: commit is not O(delta)")
+	// The base hash index survives small appends untouched (same pointer):
+	// the committer didn't rebuild or copy per-column index state.
+	if hAfter := tbl.HashFor(tbl.Version(), 0); hAfter != hBefore {
+		t.Fatal("small append invalidated the base hash index: commit is not O(delta)")
 	}
 }
 
 // Under sustained append pressure past the merge policy threshold, the
-// background merger must fire on its own, extend the existing imprints
+// background merger must fire on its own, extend the existing hash index
 // incrementally (never a full rebuild), and leave a storage.deltamerge trace
 // line behind for tools to assert on.
 func TestBackgroundMergeUnderPressure(t *testing.T) {
@@ -83,7 +83,8 @@ func TestBackgroundMergeUnderPressure(t *testing.T) {
 	m.StartMerger()
 	defer m.StopMerger()
 
-	// Seed and fold a base with imprints so the merge has something to extend.
+	// Seed and fold a base with a hash index so the merge has something to
+	// extend.
 	seed := make([]int32, 10_000)
 	for i := range seed {
 		seed[i] = int32(i)
@@ -94,8 +95,8 @@ func TestBackgroundMergeUnderPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl, _ := m.store.Get("t")
-	if im := tbl.ImprintsFor(tbl.Version(), 0); im == nil {
-		t.Fatal("imprints not built")
+	if h := tbl.HashFor(tbl.Version(), 0); h == nil {
+		t.Fatal("hash index not built")
 	}
 	m.MergeAll(true)
 
@@ -126,22 +127,22 @@ func TestBackgroundMergeUnderPressure(t *testing.T) {
 		if !strings.Contains(line, "storage.deltamerge") {
 			t.Fatalf("merge log line missing trace tag: %q", line)
 		}
-		if strings.Contains(line, "table=t") && !strings.Contains(line, "imprints.Extend=0") {
+		if strings.Contains(line, "table=t") && !strings.Contains(line, "hash.Extend=0") {
 			sawExtend = true
 		}
 	}
 	if !sawExtend {
-		t.Fatalf("no merge extended imprints incrementally; log: %v", m.MergeLog())
+		t.Fatalf("no merge extended the hash index incrementally; log: %v", m.MergeLog())
 	}
 
-	// After the fold, the delta is (close to) empty and the imprints cover
-	// the merged base.
+	// After the fold, the delta is (close to) empty and the hash index
+	// covers the merged base.
 	tv := tbl.Version()
 	if tv.BaseRows < 10_000 {
 		t.Fatalf("merge did not advance BaseRows: %d", tv.BaseRows)
 	}
-	if im := tbl.ImprintsFor(tv, 0); im == nil || im.Len() < tv.BaseRows {
-		t.Fatal("merged imprints do not cover the base")
+	if h := tbl.HashFor(tv, 0); h == nil || h.Rows() < tv.BaseRows {
+		t.Fatal("merged hash index does not cover the base")
 	}
 }
 

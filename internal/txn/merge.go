@@ -105,8 +105,8 @@ func (m *Manager) mergeAllLocked(force bool) int {
 		folded++
 		m.logMu.Lock()
 		m.mergeLog = append(m.mergeLog, fmt.Sprintf(
-			"storage.deltamerge table=%s rows %d->%d imprints.Extend=%d hash.Extend=%d encode=%d dur=%s",
-			rep.Table, rep.FromRows, rep.ToRows, rep.ImprintsExtended, rep.HashExtended, rep.Encoded, rep.Duration))
+			"storage.deltamerge table=%s rows %d->%d hash.Extend=%d encode=%d dur=%s",
+			rep.Table, rep.FromRows, rep.ToRows, rep.HashExtended, rep.Encoded, rep.Duration))
 		if len(m.mergeLog) > 256 {
 			m.mergeLog = m.mergeLog[len(m.mergeLog)-256:]
 		}

@@ -252,8 +252,7 @@ func selStr(data []string, op CmpOp, c string, cands []int32, out []int32) []int
 }
 
 // SelRange returns the candidates with lo (op per loIncl) v (op per hiIncl) hi.
-// Used for BETWEEN and merged range predicates; imprints accelerate this path
-// at the storage layer.
+// Used for BETWEEN and merged range predicates.
 func SelRange(v *Vector, lo, hi mtypes.Value, loIncl, hiIncl bool, cands []int32) []int32 {
 	out := make([]int32, 0, NumCands(v.Len(), cands)/2+8)
 	if lo.Null || hi.Null {

@@ -158,28 +158,21 @@ func MedianFloats(vals []float64) float64 {
 	return (clean[mid-1] + clean[mid]) / 2
 }
 
+// SearchOrder returns the first position of order, a permutation sorting v
+// (NULLs first), whose value is past val: above it, or at or above it when
+// atOrAbove. This is the ORDER INDEX lookup.
+func SearchOrder(v *Vector, order []int32, val mtypes.Value, atOrAbove bool) int {
+	val = CoerceConst(v, val)
+	return sort.Search(len(order), func(i int) bool {
+		c := mtypes.Compare(v.Value(int(order[i])), val)
+		return c > 0 || atOrAbove && c == 0
+	})
+}
+
 // BinarySearchRange finds, on a column sorted via the order permutation, the
 // half-open window [lo, hi) of order positions whose values v satisfy
-// lo <= v <= hi (inclusive flags as given). This is the ORDER INDEX lookup
-// path for point and range selects.
+// lo <= v <= hi (inclusive flags as given); hi < lo when the range is empty
+// because loV > hiV.
 func BinarySearchRange(v *Vector, order []int32, loV, hiV mtypes.Value, loIncl, hiIncl bool) (int, int) {
-	cmpLo := func(i int) bool { // first position with value >= loV (or > if !loIncl)
-		val := v.Value(int(order[i]))
-		c := mtypes.Compare(val, CoerceConst(v, loV))
-		if loIncl {
-			return c >= 0
-		}
-		return c > 0
-	}
-	cmpHi := func(i int) bool { // first position with value > hiV (or >= if !hiIncl)
-		val := v.Value(int(order[i]))
-		c := mtypes.Compare(val, CoerceConst(v, hiV))
-		if hiIncl {
-			return c > 0
-		}
-		return c >= 0
-	}
-	lo := sort.Search(len(order), cmpLo)
-	hi := sort.Search(len(order), cmpHi)
-	return lo, hi
+	return SearchOrder(v, order, loV, loIncl), SearchOrder(v, order, hiV, !hiIncl)
 }
